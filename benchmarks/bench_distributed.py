@@ -39,7 +39,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro import obs
@@ -256,7 +255,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--backend", choices=("dense", "sparse", "auto"),
                         default="sparse")
-    parser.add_argument("--executor", choices=("serial", "thread", "process"),
+    parser.add_argument("--executor", choices=("serial", "thread"),
                         default="serial")
     parser.add_argument("--min-speedup", type=float, default=2.5,
                         help="full-mode throughput gate (x single-tracker)")

@@ -9,7 +9,9 @@ Two comparisons, both doubling as correctness gates:
   current snapshot every round (exactly what the retired flush-on-drift
   policy did under sustained churn, where every burst breached the drift
   budget).  Both estimates are checked against the exact incremental
-  inverse, so the timing comparison cannot drift apart semantically.
+  inverse, so the timing comparison cannot drift apart semantically.  The
+  seeded comparison runs ``--repeats`` times and the gate reads the median
+  ratio: one run's ratio swings with host noise far more than the median's.
 * **Estimator fold** — folding one ``(B, n)`` :class:`ForestBatch` into a
   :class:`repro.centrality.estimators.ForestAccumulator` with the batched
   lane-walk kernel (``method="batched"``) vs the per-forest scalar reference
@@ -253,12 +255,13 @@ def main(argv=None) -> int:
                         help="batch size of the fold comparison")
     parser.add_argument("--jl-rows", type=int, default=8,
                         help="JL weight rows of the fold comparison")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repetitions (best-of) for the fold")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="timing repetitions: the churn ratio is the "
+                             "median, the fold time the best of them")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="fail unless reuse beats flush-and-redraw by "
-                             "this factor (default 1.2 in --smoke)")
+                             "this median factor (default 1.2 in --smoke)")
     parser.add_argument("--min-fold-speedup", type=float, default=None,
                         help="fail unless the batched fold beats the scalar "
                              "fold by this factor (default 1.2 in --smoke)")
@@ -284,18 +287,23 @@ def main(argv=None) -> int:
         obs.REGISTRY.reset()
         obs.REGISTRY.enable()
     try:
-        churn = run_churn_comparison(args.n, args.pool, args.rounds,
-                                     args.events, args.node_probability,
-                                     ba_m=args.ba_m, ess_floor=args.ess_floor,
-                                     seed=args.seed)
+        # Every repeat is the same seeded comparison, checked against the
+        # exact reference; only the timings differ between them.
+        churns = [run_churn_comparison(args.n, args.pool, args.rounds,
+                                       args.events, args.node_probability,
+                                       ba_m=args.ba_m, ess_floor=args.ess_floor,
+                                       seed=args.seed)
+                  for _ in range(max(1, args.repeats))]
+        speedup = float(np.median([churn["speedup"] for churn in churns]))
         fold = run_fold_comparison(args.n, args.batch, args.jl_rows,
                                    repeats=args.repeats, seed=args.seed)
-        if min_speedup is not None and churn["speedup"] < min_speedup:
+        if min_speedup is not None and speedup < min_speedup:
             raise AssertionError(
-                f"importance-weighted reuse too slow under churn: "
-                f"x{churn['speedup']:.2f} < x{min_speedup:.2f} "
-                f"(reuse {churn['reuse_seconds']:.3f}s, "
-                f"flush {churn['flush_seconds']:.3f}s)"
+                f"importance-weighted reuse too slow under churn: median "
+                f"x{speedup:.2f} < x{min_speedup:.2f} over "
+                f"{len(churns)} repeats (single runs "
+                + ", ".join(f"x{churn['speedup']:.2f}" for churn in churns)
+                + ")"
             )
         if min_fold is not None and fold["fold_speedup"] < min_fold:
             raise AssertionError(
@@ -310,11 +318,13 @@ def main(argv=None) -> int:
     finally:
         if own_registry:
             obs.REGISTRY.disable()
-    rows = [dict(churn, comparison="churn"), dict(fold, comparison="fold")]
+    rows = [dict(churn, comparison="churn", repeat=i, median_speedup=speedup)
+            for i, churn in enumerate(churns)]
+    rows.append(dict(fold, comparison="fold"))
     if output:
         write_bench_artifact(rows, output, benchmark="pool_reuse")
         write_obs_artifacts(metrics_prefix_for(output), label="bench_pool")
-    print(f"[bench_pool] churn reuse x{churn['speedup']:.2f}, "
+    print(f"[bench_pool] churn reuse median x{speedup:.2f} of {len(churns)}, "
           f"batched fold x{fold['fold_speedup']:.2f}; "
           "all estimates checked against the exact reference")
     return 0

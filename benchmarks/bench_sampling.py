@@ -1,17 +1,13 @@
 """Forest-sampling benchmarks — lockstep vectorised batches vs the scalar loop.
 
-Sweeps the three ways this library can draw a batch of rooted spanning
+Compares the two ways this library can draw a batch of rooted spanning
 forests:
 
 * **scalar** — the per-forest Python loop of
   :func:`repro.sampling.sample_rooted_forest` (the pre-vectorisation
-  default, still the building block of the process-pool path);
+  default);
 * **lockstep** — the vectorised cycle-popping kernel of
-  :func:`repro.sampling.sample_forest_batch_vectorized`;
-* **pool** — the scalar sampler fanned out over a
-  ``ProcessPoolExecutor`` (``sample_forest_batch(..., method="scalar",
-  workers=...)``), the fallback for batches too large for the lockstep
-  state.
+  :func:`repro.sampling.sample_forest_batch_vectorized`.
 
 The sweep covers graph size ``n``, batch size ``B`` and root-set size
 ``|S|`` (roots are the top-degree hubs, matching how the CFCM algorithms
@@ -44,11 +40,7 @@ from repro.experiments.report import (
     write_obs_artifacts,
 )
 from repro.graph import generators
-from repro.sampling import (
-    sample_forest_batch,
-    sample_forest_batch_vectorized,
-    sample_rooted_forest,
-)
+from repro.sampling import sample_forest_batch_vectorized, sample_rooted_forest
 
 BENCH_BATCH = 32
 
@@ -89,7 +81,8 @@ class TestBatchPostprocessing:
 
     def test_per_forest_subtree_sums(self, benchmark, sparse_graph):
         roots = _hub_roots(sparse_graph, 4)
-        forests = sample_forest_batch(sparse_graph, roots, BENCH_BATCH, seed=0)
+        forests = sample_forest_batch_vectorized(sparse_graph, roots,
+                                                 BENCH_BATCH, seed=0).forests()
         weights = np.ones((8, sparse_graph.n))
 
         def run():
@@ -121,8 +114,8 @@ def _time_best_of(repeats, fn):
 
 
 def run_sampling_comparison(configs, repeats: int = 3, seed: int = 0,
-                            pool_workers: int = 0, verbose: bool = True):
-    """Time scalar vs lockstep (vs process pool) batch draws per config.
+                            verbose: bool = True):
+    """Time scalar vs lockstep batch draws per config.
 
     ``configs`` is an iterable of ``(n, ba_m, root_count, batch)`` tuples;
     each graph is a Barabási–Albert stand-in rooted at its top-degree hubs.
@@ -153,17 +146,6 @@ def run_sampling_comparison(configs, repeats: int = 3, seed: int = 0,
         if not np.all(lockstep_batch.tree_sizes().sum(axis=1) == graph.n):
             raise AssertionError("lockstep batch does not span the graph")
 
-        pool_seconds = None
-        if pool_workers > 0:
-            pool_times, _ = _time_best_of(
-                1,
-                lambda: sample_forest_batch(graph, roots, batch,
-                                            seed=seed + 1,
-                                            workers=pool_workers,
-                                            method="scalar"),
-            )
-            pool_seconds = min(pool_times)
-
         row = {
             "n": int(n),
             "ba_m": int(ba_m),
@@ -171,7 +153,6 @@ def run_sampling_comparison(configs, repeats: int = 3, seed: int = 0,
             "batch": int(batch),
             "scalar_seconds": scalar_seconds,
             "lockstep_seconds": lockstep_seconds,
-            "pool_seconds": pool_seconds,
             "speedup": scalar_seconds / lockstep_seconds
             if lockstep_seconds else float("inf"),
             "scalar_draw_latency": percentiles_ms(scalar_times),
@@ -179,12 +160,10 @@ def run_sampling_comparison(configs, repeats: int = 3, seed: int = 0,
         }
         rows.append(row)
         if verbose:
-            pool_text = (f"  pool({pool_workers}) {pool_seconds:.4f}s"
-                         if pool_seconds is not None else "")
             print(f"n={n:>5} |S|={root_count:>3} B={batch:>4}  "
                   f"scalar {scalar_seconds:.4f}s  "
                   f"lockstep {lockstep_seconds:.4f}s  "
-                  f"(x{row['speedup']:.2f}){pool_text}")
+                  f"(x{row['speedup']:.2f})")
     return rows
 
 
@@ -208,7 +187,7 @@ FULL_CONFIGS = tuple(
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Scalar vs lockstep vs process-pool forest sampling")
+        description="Scalar vs lockstep forest sampling")
     parser.add_argument("--n", type=int, nargs="+", default=None,
                         help="graph sizes to sweep (default: full sweep)")
     parser.add_argument("--batch", type=int, nargs="+", default=[32, 128],
@@ -218,8 +197,6 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repetitions (best-of)")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--pool-workers", type=int, default=0,
-                        help="also time the process-pool scalar path")
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="fail unless the gated config's lockstep "
                              "speedup reaches this (default 1.5 in --smoke)")
@@ -240,8 +217,7 @@ def main(argv=None) -> int:
             output = output or "BENCH_sampling.json"
             min_speedup = args.min_speedup if args.min_speedup is not None else 1.5
             rows = run_sampling_comparison(SMOKE_CONFIGS, repeats=args.repeats,
-                                           seed=args.seed,
-                                           pool_workers=args.pool_workers)
+                                           seed=args.seed)
             gated = rows[0]
             if not np.isfinite(gated["speedup"]):
                 raise AssertionError("non-finite lockstep timing")
@@ -259,8 +235,7 @@ def main(argv=None) -> int:
                 configs = tuple((n, 3, r, b) for n in args.n
                                 for r in args.roots for b in args.batch)
             rows = run_sampling_comparison(configs, repeats=args.repeats,
-                                           seed=args.seed,
-                                           pool_workers=args.pool_workers)
+                                           seed=args.seed)
             if args.min_speedup is not None:
                 slow = [row for row in rows if row["speedup"] < args.min_speedup]
                 if slow:

@@ -12,12 +12,7 @@ for the algebra and :doc:`docs/distributed.md <../../docs/distributed>`
 for the full derivation.
 """
 
-from repro.distributed.executor import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    make_executor,
-)
+from repro.distributed.executor import SerialExecutor, ThreadExecutor, make_executor
 from repro.distributed.partition import Partition, partition_graph
 from repro.distributed.shard import ShardState
 from repro.distributed.engine import ShardedCFCM
@@ -27,7 +22,6 @@ __all__ = [
     "partition_graph",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "make_executor",
     "ShardState",
     "ShardedCFCM",

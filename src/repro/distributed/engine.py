@@ -259,9 +259,8 @@ class ShardedCFCM:
         shard) — lets topology-aware callers (lattice strips) pin the layout.
         Re-partitions after structural events fall back to automatic seeds.
     executor:
-        ``"serial"`` (deterministic default), ``"thread"``, ``"process"`` or
-        a ready :class:`ShardExecutor` — runs per-shard folds, traces and
-        pool work.
+        ``"serial"`` (deterministic default), ``"thread"`` or a ready
+        :class:`ShardExecutor` — runs per-shard folds, traces and pool work.
     coupling:
         How trace queries evaluate ``Tr(M·W_iᵀA_i⁻²W_i)``: ``"exact"``
         (dense solves), ``"sketch"`` (Hutchinson probes from the backend's
@@ -876,17 +875,10 @@ class ShardedCFCM:
 
     def merged_ess(self) -> float:
         """``min_i min(Kish_i, Σ_b min(w_b, 1))`` over all live shard pools."""
-        merged = float("inf")
-        for shard in self._shards:
-            if shard is None:
-                continue
-            for pool in shard.engine._pools.values():
-                if pool.size == 0:
-                    continue
-                weights = pool.weights()
-                merged = min(merged, pool.ess(),
-                             float(np.minimum(weights, 1.0).sum()))
-        return merged if np.isfinite(merged) else 0.0
+        merged = [entry["ess"] for shard in self._shards if shard is not None
+                  for entry in shard.engine.pool_health().values()
+                  if entry["size"]]
+        return min(merged, default=0.0)
 
     def query(self, k: int, method: str = "schur", eps: float = 0.2,
               evaluate: bool | str = False) -> CFCMResult:

@@ -4,7 +4,7 @@ The sharded engine fans three kinds of work out over shards: journal
 synchronisation of the per-shard trackers (Woodbury folds), forest-pool
 top-ups and estimator folds.  All of them are *per-shard independent*, so
 they go through one tiny interface — :meth:`ShardExecutor.map` over a list
-of thunks — with three implementations:
+of thunks — with two implementations:
 
 * :class:`SerialExecutor` — runs the thunks in order, in process.  The
   deterministic default: identical float results on every run, no thread
@@ -14,21 +14,15 @@ of thunks — with three implementations:
   loops spend their time inside NumPy/SciPy kernels that release the GIL
   (sparse LU solves, BLAS folds), so threads overlap genuinely on
   multi-core hosts while sharing the shard state in memory.
-* :class:`ProcessExecutor` — a ``ProcessPoolExecutor`` for the *stateless*
-  work items (vectorised forest sampling on an immutable snapshot, which
-  pickles cheaply).  Stateful tracker syncs never cross the process
-  boundary — shipping a factorisation per event would cost more than it
-  buys — so this executor applies to the sampling path and degrades to
-  serial execution for closures that cannot be pickled.
 
-``make_executor`` resolves the user-facing spec (``"serial" | "thread" |
-"process"``) and is what the engine, CLI and worlds harness construct from.
+The thunks close over live shard state, so they never cross a process
+boundary.  ``make_executor`` resolves the user-facing spec (``"serial" |
+"thread"``) and is what the engine, CLI and worlds harness construct from.
 """
 
 from __future__ import annotations
 
-import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.exceptions import InvalidParameterError
@@ -97,54 +91,9 @@ class ThreadExecutor(ShardExecutor):
             self._pool = None
 
 
-def _call_payload(payload: bytes):
-    """Process-pool trampoline: unpickle one thunk and run it."""
-    return pickle.loads(payload)()
-
-
-class ProcessExecutor(ShardExecutor):
-    """Process-pool execution for stateless, picklable work items.
-
-    Thunks are pickled eagerly; any thunk the pickler rejects (closures
-    over live trackers, lambdas) makes the whole batch fall back to serial
-    execution rather than half-distributing it — per-shard results must
-    stay ordered and deterministic either way.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int = 4):
-        if int(workers) < 1:
-            raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-        self.workers = int(workers)
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def map(self, thunks: Sequence[_Thunk]) -> List[T]:
-        if len(thunks) <= 1:
-            return [thunk() for thunk in thunks]
-        try:
-            payloads = [pickle.dumps(thunk) for thunk in thunks]
-        except Exception:
-            return [thunk() for thunk in thunks]
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        try:
-            return list(self._pool.map(_call_payload, payloads))
-        except Exception:
-            # A broken pool (worker died, platform without fork support)
-            # must not take the engine down: recompute serially.
-            self.shutdown()
-            return [thunk() for thunk in thunks]
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 def make_executor(spec: str | ShardExecutor = "serial",
                   workers: int = 4) -> ShardExecutor:
-    """Resolve an executor spec (``"serial" | "thread" | "process"``)."""
+    """Resolve an executor spec (``"serial" | "thread"``)."""
     if isinstance(spec, ShardExecutor):
         return spec
     name = str(spec).lower()
@@ -152,8 +101,6 @@ def make_executor(spec: str | ShardExecutor = "serial",
         return SerialExecutor()
     if name == "thread":
         return ThreadExecutor(workers=workers)
-    if name == "process":
-        return ProcessExecutor(workers=workers)
     raise InvalidParameterError(
-        f"unknown executor {spec!r} (expected 'serial', 'thread' or 'process')"
+        f"unknown executor {spec!r} (expected 'serial' or 'thread')"
     )

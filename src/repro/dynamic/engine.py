@@ -40,7 +40,6 @@ Hit/miss, reweighting/top-up counters and per-pool ESS are exposed via
 from __future__ import annotations
 
 import copy
-import warnings
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -52,23 +51,18 @@ from repro.exceptions import GraphError, InvalidParameterError
 from repro.obs.metrics import REGISTRY, SIZE_BUCKETS
 from repro.obs.tracing import trace
 from repro.centrality.estimators import (
-    PathSystem,
     SamplingConfig,
     batched_diag_estimates,
     batched_projected_estimates,
     rademacher_weights,
 )
-from repro.linalg.backends import ResistanceBackend, make_resistance_backend
+from repro.linalg.backends import ResistanceBackend
 from repro.centrality.result import CFCMResult
-from repro.dynamic.graph import ADD, ADD_NODE, REMOVE, REMOVE_NODE, DynamicGraph
+from repro.dynamic.graph import REMOVE_NODE, DynamicGraph
 from repro.dynamic.resistance import IncrementalResistance
 from repro.graph.graph import Graph
-from repro.sampling.batch import ForestBatch, sample_forest_batch_vectorized
-from repro.sampling.pool import (
-    WeightedForestPool,
-    edge_inclusion_prior,
-    node_internal_prior,
-)
+from repro.sampling.batch import sample_forest_batch_vectorized
+from repro.sampling.pool import WeightedForestPool
 from repro.utils.rng import RandomState, as_rng
 from repro.utils.timer import clock
 from repro.utils.validation import check_integer
@@ -178,10 +172,6 @@ class DynamicCFCM:
         Optional :class:`SamplingConfig` forwarded to the sampling methods.
     pool_size:
         Number of forests kept per evaluation root set.
-    max_drift:
-        Deprecated and ignored.  Forest pools no longer flush on drift:
-        they importance-weight stored forests and top up on the ESS floor
-        (``ess_floor``).  Passing a value emits a :class:`DeprecationWarning`.
     refresh_interval:
         Staleness budget of the per-group incremental inverses.
     cache_capacity:
@@ -219,7 +209,7 @@ class DynamicCFCM:
 
     def __init__(self, graph: DynamicGraph | Graph, seed: RandomState = None,
                  config: Optional[SamplingConfig] = None, pool_size: int = 24,
-                 max_drift: Optional[int] = None, refresh_interval: int = 64,
+                 refresh_interval: int = 64,
                  cache_capacity: int = 64, ess_floor: float = 0.5,
                  adaptive_ess_floor: bool = False,
                  backend: str | ResistanceBackend = "dense",
@@ -249,15 +239,6 @@ class DynamicCFCM:
         self.rng = as_rng(seed)
         self.config = config
         self.pool_size = check_integer("pool_size", pool_size, minimum=1)
-        if max_drift is not None:
-            warnings.warn(
-                "max_drift is deprecated and ignored: forest pools now "
-                "importance-weight stored forests and top up on the ESS "
-                "floor (see the ess_floor parameter)",
-                DeprecationWarning, stacklevel=2,
-            )
-            check_integer("max_drift", max_drift, minimum=0)
-        self.max_drift = max_drift  # retained for introspection only
         self.ess_floor = float(ess_floor)
         if not 0.0 <= self.ess_floor <= 1.0:
             raise InvalidParameterError(
@@ -279,13 +260,6 @@ class DynamicCFCM:
         self._query_cache: Dict[Tuple, Tuple[int, CFCMResult]] = {}
         self._eval_cache: Dict[Tuple, Tuple[int, float]] = {}
         self._pools: Dict[Tuple[int, ...], WeightedForestPool] = {}
-        # Per-pool fixed path system (Lemma 3.3's P_{u,S}); each stored
-        # forest's trace contribution is cached against it, so evaluations
-        # only fold freshly drawn forests.
-        self._paths: Dict[Tuple[int, ...], PathSystem] = {}
-        # Per-pool JL weight matrix of the projected-gain evaluation; its
-        # lifetime tracks the path system's (same id space, same roots).
-        self._jl: Dict[Tuple[int, ...], np.ndarray] = {}
         self._trackers: Dict[Tuple[int, ...], IncrementalResistance] = {}
         self._pool_version = graph.version
 
@@ -301,6 +275,11 @@ class DynamicCFCM:
         return self._pool_version
 
     @property
+    def pools(self) -> Dict[Tuple[int, ...], WeightedForestPool]:
+        """The live forest pools by root set (stable ids), LRU order."""
+        return self._pools
+
+    @property
     def pending_events(self) -> int:
         """Journal events applied to the graph but not yet seen by the caches."""
         return self.graph.version - self._pool_version
@@ -314,8 +293,45 @@ class DynamicCFCM:
         compaction off the query hot path — between traffic bursts, from a
         worker thread, without answering anything.  Returns the version the
         caches now reflect, which callers can use as a consistency token.
+
+        Edge events and node insertions are replayed onto every forest pool
+        (:meth:`WeightedForestPool.apply`).  Only node *removals* remain
+        structural: compact snapshot ids shift, so dependent pools/trackers
+        are evicted and the surviving pools flushed.  Afterwards the journal
+        prefix every cached consumer has seen is compacted away.
         """
-        self._sync_pools()
+        if self.graph.version == self._pool_version:
+            # Nothing pending: skip the replay (and the span) entirely.
+            self._compact_journal()
+            return self._pool_version
+        with trace("engine.sync_pools",
+                   pending=self.graph.version - self._pool_version):
+            try:
+                events = self.graph.journal_since(self._pool_version)
+            except GraphError:
+                # Another consumer compacted the journal past our cursor; the
+                # replay is lost, so conservatively flush every pool (trackers
+                # recover the same way).
+                events = None
+            if events is None or any(e.kind == REMOVE_NODE for e in events):
+                # Every pool ends up empty, so the other events of the same
+                # suffix are no-ops for pools — which is also why the replay
+                # below may use the *current* id mapping.
+                self._evict_nodes([int(e.node) for e in events or ()
+                                   if e.kind == REMOVE_NODE])
+            else:
+                with trace("pool.reweight", events=len(events)):
+                    for event in events:
+                        for pool in self._pools.values():
+                            reweighted, dropped, flushed = pool.apply(
+                                event, self.graph, self.rng)
+                            self.stats.forests_reweighted += reweighted
+                            self.stats.forests_dropped += dropped
+                            self.stats.pools_flushed += flushed
+            self._pool_version = self.graph.version
+            for roots, pool in self._pools.items():
+                self._record_pool_health(roots, pool)
+            self._compact_journal()
         return self._pool_version
 
     def query(self, k: int, method: str = "schur", eps: float = 0.2,
@@ -346,7 +362,7 @@ class DynamicCFCM:
             # Keep the pool/tracker state machine and journal compaction
             # moving under query-only traffic too, or the journal would grow
             # unboundedly in a service that never calls the evaluate paths.
-            self._sync_pools()
+            self.sync()
             # True and "exact" request the same evaluation; normalising the
             # key keeps them from occupying two cache slots for one result.
             if evaluate is True:
@@ -405,7 +421,7 @@ class DynamicCFCM:
         through a scalar evaluation.  The tracker is LRU-cached under the
         validated group key exactly like an evaluation would cache it.
         """
-        self._sync_pools()
+        self.sync()
         key = self.graph.validate_group(group)
         tracker = self._trackers.get(key)
         if tracker is None:
@@ -452,7 +468,7 @@ class DynamicCFCM:
         roots = self.graph.validate_group(group)
         with trace("engine.evaluate_forest", roots=_pool_key(roots)) as span, \
                 _op_timer("evaluate_forest"):
-            self._sync_pools()
+            self.sync()
             cache_key = ("forest", roots)
             cached = self._eval_cache.get(cache_key)
             if cached is not None and cached[0] == self.graph.version:
@@ -474,7 +490,7 @@ class DynamicCFCM:
             # trace contribution is not already cached against the pool's
             # path system (fresh draws, or everything after a path
             # invalidation).
-            path = self._require_path(roots, snapshot, compact_roots, pool)
+            path = pool.require_path(snapshot)
             stale = np.flatnonzero(~pool.trace_valid)
             if stale.size:
                 with trace("estimator.fold", forests=int(stale.size)):
@@ -511,7 +527,7 @@ class DynamicCFCM:
         roots = self.graph.validate_group(group)
         with trace("engine.evaluate_forest_delta", roots=_pool_key(roots)) \
                 as span, _op_timer("evaluate_forest_delta"):
-            self._sync_pools()
+            self.sync()
             cache_key = ("forest_delta", roots)
             cached = self._eval_cache.get(cache_key)
             if cached is not None and cached[0] == self.graph.version:
@@ -528,15 +544,13 @@ class DynamicCFCM:
             pool = self._require_pool(roots, compact_roots)
             self.stats.forests_kept += pool.size
             self._top_up(pool, snapshot, compact_roots)
-            path = self._require_path(roots, snapshot, compact_roots, pool)
+            path = pool.require_path(snapshot)
 
             rows = (self.config or SamplingConfig()).jl_rows(snapshot.n)
-            jl = self._jl.get(roots)
-            if jl is None or jl.shape != (rows, snapshot.n):
-                jl = rademacher_weights(rows, snapshot.n, compact_roots,
-                                        self.rng)
-                self._jl[roots] = jl
-                pool.invalidate_projected()
+            if pool.jl is None or pool.jl.shape != (rows, snapshot.n):
+                pool.jl = rademacher_weights(rows, snapshot.n, compact_roots,
+                                             self.rng)
+            jl = pool.jl
             stale = np.flatnonzero(~pool.projected_valid)
             if stale.size:
                 with trace("estimator.fold_projected", forests=int(stale.size)):
@@ -572,29 +586,21 @@ class DynamicCFCM:
             self._record_pool_health(roots, pool)
             return dict(gains)
 
-    def refill_pool(self, group: Sequence[int], sampler=None) -> int:
+    def refill_pool(self, group: Sequence[int]) -> int:
         """Top the forest pool of ``group`` up; returns the number drawn.
 
         The sampling half of :meth:`evaluate_forest`, exposed so a front end
-        can refresh pools ahead of query traffic (prefetching).  ``sampler``
-        optionally overrides how the missing forests are drawn: a callable
-        ``sampler(snapshot, compact_roots, count, seed)`` returning that many
-        forests — either a :class:`~repro.sampling.batch.ForestBatch` or a
-        list of :class:`repro.sampling.forest.Forest` objects — the asyncio
-        service passes its worker pool's sampler here, which defaults to the
-        lockstep vectorised kernel and falls back to a process pool only for
-        batches too large for it.
+        can refresh pools ahead of query traffic (prefetching).
         """
         if not self.graph.is_unit_weighted:
             raise InvalidParameterError(
                 "forest pools assume unit edge weights; use mode='exact'"
             )
         roots = self.graph.validate_group(group)
-        self._sync_pools()
+        self.sync()
         compact_roots = self.graph.compact_nodes(roots)
         pool = self._require_pool(roots, compact_roots)
-        drawn = self._top_up(pool, self.graph.snapshot(), compact_roots,
-                             sampler=sampler)
+        drawn = self._top_up(pool, self.graph.snapshot(), compact_roots)
         self._record_pool_health(roots, pool)
         return drawn
 
@@ -650,36 +656,16 @@ class DynamicCFCM:
         pool = self._pools.get(roots)
         if pool is None or pool.size == 0:
             # An empty pool is rebuilt entirely from the current snapshot, so
-            # it restarts with the mapping (and weights) in force right now;
-            # its old path system (if any) is for a dead id space.
+            # it restarts with the mapping (and weights) in force right now.
             pool = WeightedForestPool(compact_roots, capacity=self.pool_size,
                                       ess_floor=self.ess_floor,
                                       adaptive_floor=self.adaptive_ess_floor)
-            self._paths.pop(roots, None)
-            self._jl.pop(roots, None)
         _lru_store(self._pools, roots, pool, self.cache_capacity,
                    on_evict=self._on_pool_evicted)
         return pool
 
-    def _require_path(self, roots: Tuple[int, ...], snapshot: Graph,
-                      compact_roots: Sequence[int],
-                      pool: WeightedForestPool) -> PathSystem:
-        """The pool's path system, rebuilt when the id space moved on.
-
-        A rebuild invalidates every cached per-forest estimator row (traces
-        and projected rows alike): they were computed against paths that no
-        longer exist.
-        """
-        path = self._paths.get(roots)
-        if path is None or path.n != snapshot.n:
-            path = PathSystem.from_graph(snapshot, compact_roots)
-            self._paths[roots] = path
-            pool.invalidate_traces()
-            pool.invalidate_projected()
-        return path
-
     def _top_up(self, pool: WeightedForestPool, snapshot: Graph,
-                compact_roots: Sequence[int], sampler=None) -> int:
+                compact_roots: Sequence[int]) -> int:
         """Draw the fresh forests the pool's refresh plan asks for.
 
         Covers both the size deficit (forests killed by deletions) and the
@@ -693,290 +679,41 @@ class DynamicCFCM:
         if missing > self.pool_size - pool.size:
             self.stats.ess_topups += 1
         with trace("pool.topup", missing=missing):
-            if sampler is None:
-                fresh: ForestBatch | list = sample_forest_batch_vectorized(
-                    snapshot, compact_roots, missing, seed=self.rng
-                )
-                drawn = fresh.batch_size
-            else:
-                child_seed = int(self.rng.integers(0, 2**62))
-                fresh = sampler(snapshot, compact_roots, missing, child_seed)
-                if not isinstance(fresh, ForestBatch):
-                    fresh = list(fresh)  # materialise once: counted, then admitted
-                drawn = (fresh.batch_size if isinstance(fresh, ForestBatch)
-                         else len(fresh))
-            if drawn != missing:
-                raise InvalidParameterError(
-                    f"sampler returned {drawn} forests, expected {missing}"
-                )
-            pool.admit(fresh)
+            pool.admit(sample_forest_batch_vectorized(
+                snapshot, compact_roots, missing, seed=self.rng
+            ))
         _TOPUP_FORESTS.observe(missing)
         self.stats.forests_resampled += missing
         return missing
 
-    def _sync_pools(self) -> None:
-        """Replay pending journal events onto every cached consumer.
+    def _evict_nodes(self, nodes: Sequence[int]) -> None:
+        """Drop cached state referencing removed nodes; flush every survivor.
 
-        Edge events reweight forest pools (removals kill exactly the using
-        forests, reweights apply exact density ratios, insertions decay by an
-        inclusion prior); node insertions extend every stored forest with a
-        leaf attachment.  Only node *removals* remain structural: compact
-        snapshot ids shift, so dependent pools/trackers are evicted and the
-        survivors flushed.  Afterwards the journal prefix every cached
-        consumer has seen is compacted away.
+        The surviving pools' forests no longer span a valid snapshot id
+        space (and neither do their path systems or JL projections).
         """
-        if self.graph.version == self._pool_version:
-            # Nothing pending: skip the replay (and the span) entirely.
-            self._compact_journal()
-            return
-        with trace("engine.sync_pools",
-                   pending=self.graph.version - self._pool_version):
-            dirty = True
-            try:
-                events = self.graph.journal_since(self._pool_version)
-                dirty = bool(events)
-            except GraphError:
-                # Another consumer compacted the journal past our cursor; the
-                # replay is lost, so conservatively flush every pool and
-                # resume from the current version (trackers recover the same
-                # way).
-                for roots, pool in self._pools.items():
-                    self._flush_pool(roots, pool)
-                self._pool_version = self.graph.version
-                events = []
-            removals = [event for event in events if event.kind == REMOVE_NODE]
-            if removals:
-                # Structural: process the node removals (evicting dependent
-                # state, flushing survivors).  Every pool ends up empty, so
-                # the edge/insertion events of the same suffix are no-ops for
-                # pools — which also means the per-event replay below may
-                # safely use the *current* id mapping.
-                for event in removals:
-                    self._evict_node(int(event.node))
-            elif events:
-                with trace("pool.reweight", events=len(events)):
-                    for event in events:
-                        if event.kind == ADD_NODE:
-                            self._extend_pools(event)
-                        elif event.kind == ADD:
-                            self._decay_pools(event)
-                        elif event.kind == REMOVE:
-                            self._invalidate_pools(event)
-                        else:  # reweight: exact density-ratio update
-                            self._reweight_pools(event)
-            if events:
-                self._pool_version = self.graph.version
-            if dirty:
-                # Only re-snapshot pool health when something actually
-                # changed: ess() is O(B) per pool, and _sync_pools runs on
-                # every request.
-                for roots, pool in self._pools.items():
-                    self._record_pool_health(roots, pool)
-            self._compact_journal()
-
-    def _extend_pools(self, event) -> None:
-        """Attach an inserted node to every stored forest as a leaf.
-
-        With no node removal in the replayed suffix, the inserted node's
-        compact id is exactly the next column of every pool's parent matrix
-        (fresh stable ids sort last), and the attachment neighbours keep
-        their compact ids — so the extension is a pure column append.
-        """
-        neighbours = [int(nb) for nb, _ in event.edges]
-        attachment = [float(w) for _, w in event.edges]
-        if not all(self.graph.has_node(nb) for nb in neighbours):
-            for roots, pool in self._pools.items():
-                self._flush_pool(roots, pool)
-            return
-        compact = self.graph.compact_nodes(neighbours)
-        stale = node_internal_prior(
-            [self.graph.degree(nb) for nb in neighbours]
-        )
-        new_column = self.graph.compact_index(int(event.node))
-        for roots, pool in self._pools.items():
-            if pool.size == 0:
-                # Nothing to extend — and any cached path system is now one
-                # node behind the id space, so it must not survive either
-                # (nor the JL projection, drawn for the old node count).
-                self._paths.pop(roots, None)
-                self._jl.pop(roots, None)
-                continue
-            if pool.n != new_column:
-                self._flush_pool(roots, pool)  # id-space mismatch: rebuild lazily
-                continue
-            extended = pool.extend_leaf(compact, attachment, stale, self.rng)
-            self.stats.forests_reweighted += extended
-            self.stats.forests_dropped += pool.take_dead_drops()
-            path = self._paths.get(roots)
-            if path is None:
-                continue
-            # The path system gains the same leaf (fixed first attachment),
-            # leaving every existing path — and every cached trace row —
-            # intact; cached rows only gain the new node's column, priced by
-            # a single-column walk instead of a full refold.
-            path = path.extended(compact[0])
-            self._paths[roots] = path
-            cached = np.flatnonzero(pool.trace_valid)
-            if cached.size:
-                column = batched_diag_estimates(
-                    pool.batch().parent[cached], path, columns=[new_column]
-                )
-                pool.add_to_traces(cached, column[:, 0])
-
-    def _decay_pools(self, event) -> None:
-        """Down-weight every pool after an edge insertion (stale stratum).
-
-        The decay is the exact balance-heuristic importance ratio wherever
-        the pool can price it: a stored forest avoids the new edge ``e``,
-        so its density under the new distribution is ``Z/Z' = 1 - p`` with
-        ``p = Pr_new[e ∈ F] = w_e R'(u, v)`` (matrix-forest theorem, ``R'``
-        the grounded effective resistance *after* the insertion).  ``R'``
-        follows from the pre-insertion resistance ``R`` via the rank-one
-        identity ``R' = R / (1 + w_e R)``, and ``R`` is estimated from the
-        pool's own draws with the projected forest estimator
-        ``(e_u - e_v)^T inv(L_{-S}) (e_u - e_v)``.  Pools that cannot price
-        the edge (empty, no path system yet, non-unit weights, degenerate
-        estimate) fall back to the conservative degree prior
-        (:func:`edge_inclusion_prior`).
-        """
-        if not (self.graph.has_node(event.u) and self.graph.has_node(event.v)):
-            return
-        prior = edge_inclusion_prior(self.graph.degree(event.u),
-                                     self.graph.degree(event.v))
-        cu = cv = None
-        if self.graph.is_unit_weighted:
-            cu, cv = self._compact_endpoints(event.u, event.v)
-        for roots, pool in self._pools.items():
-            stale = prior
-            if cu is not None:
-                stale = self._balance_decay(roots, pool, cu, cv, prior)
-            self.stats.forests_reweighted += pool.apply_addition(stale)
-            self.stats.forests_dropped += pool.take_dead_drops()
-            if pool.size == 0:
-                self._paths.pop(roots, None)
-                self._jl.pop(roots, None)
-
-    def _balance_decay(self, roots: Tuple[int, ...],
-                       pool: WeightedForestPool, cu: int, cv: int,
-                       prior: float) -> float:
-        """Balance-heuristic decay for one pool, or ``prior`` when unpriceable.
-
-        One projected-estimator fold with the single probe row
-        ``e_u - e_v`` prices the inserted unit edge's grounded effective
-        resistance from the pooled draws (self-normalised over the
-        importance weights); see :meth:`_decay_pools` for the algebra.
-        """
-        if pool.size == 0:
-            return prior
-        path = self._paths.get(roots)
-        if path is None or pool.n != path.n or max(cu, cv) >= path.n:
-            return prior
-        probe = np.zeros((1, path.n))
-        probe[0, cu] = 1.0
-        probe[0, cv] = -1.0
-        projected = batched_projected_estimates(pool.batch(), path, probe)
-        samples = projected[:, 0, cu] - projected[:, 0, cv]
-        weights = pool.weights()
-        total = float(weights.sum())
-        if not np.isfinite(total) or total <= 0.0:
-            return prior
-        resistance = float(weights @ samples) / total
-        if not np.isfinite(resistance) or resistance <= 0.0:
-            return prior
-        # Unit insertion: p = R' = R / (1 + R), capped away from certainty.
-        stale = resistance / (1.0 + resistance)
-        return min(stale, 0.95)
-
-    def _invalidate_pools(self, event) -> None:
-        """Drop exactly the forests whose parent pointers use a deleted edge."""
-        cu, cv = self._compact_endpoints(event.u, event.v)
-        if cu is None:
-            return
-        for roots, pool in self._pools.items():
-            self.stats.forests_dropped += pool.apply_removal(cu, cv)
-            path = self._paths.get(roots)
-            if path is None:
-                continue
-            if pool.size == 0:
-                self._paths.pop(roots, None)
-                self._jl.pop(roots, None)
-            elif path.uses_edge(cu, cv):
-                # The deleted edge was on the fixed path system: cached
-                # trace and projected contributions are for paths that no
-                # longer exist.
-                del self._paths[roots]
-                pool.invalidate_traces()
-                pool.invalidate_projected()
-
-    def _reweight_pools(self, event) -> None:
-        """Apply the exact density ratio ``w'/w`` to an edge's using forests."""
-        cu, cv = self._compact_endpoints(event.u, event.v)
-        if cu is None:
-            return
-        old_weight = event.weight - event.delta
-        if old_weight <= 0.0:
-            # The journal stores (new weight, delta); reconstructing the old
-            # weight cancels catastrophically for extreme ratios (e.g.
-            # 1e-25 -> 1).  An unrecoverable ratio means unknowable
-            # importance weights, so fall back to the conservative flush.
-            for roots, pool in self._pools.items():
-                self._flush_pool(roots, pool)
-            return
-        ratio = event.weight / old_weight
-        for roots, pool in self._pools.items():
-            self.stats.forests_reweighted += pool.apply_reweight(cu, cv, ratio)
-            self.stats.forests_dropped += pool.take_dead_drops()
-            if pool.size == 0:
-                self._paths.pop(roots, None)
-                self._jl.pop(roots, None)
-
-    def _flush_pool(self, roots: Tuple[int, ...],
-                    pool: WeightedForestPool) -> None:
-        """Flush a pool and retire its path system (kept in lockstep:
-        a path entry must never outlive the forests it was built for)."""
-        self._paths.pop(roots, None)
-        self._jl.pop(roots, None)
-        if pool.size:
-            pool.flush()
-            self.stats.pools_flushed += 1
-
-    def _evict_node(self, node: int) -> None:
-        """Drop cached state referencing a removed node."""
-        for roots in [r for r in self._pools if node in r]:
+        removed = set(nodes)
+        for roots in [r for r in self._pools if removed.intersection(r)]:
             del self._pools[roots]
             self.stats.pool_ess.pop(_pool_key(roots), None)
             self.stats.node_evictions += 1
-        for group in [g for g in self._trackers if node in g]:
+        for group in [g for g in self._trackers if removed.intersection(g)]:
             del self._trackers[group]
             self.stats.node_evictions += 1
-        # Surviving pools' forests no longer span a valid snapshot id space,
-        # and neither does any path system or JL projection.
-        self._paths.clear()
-        self._jl.clear()
-        for roots, pool in self._pools.items():
-            self._flush_pool(roots, pool)
+        for pool in self._pools.values():
+            if pool.flush():
+                self.stats.pools_flushed += 1
 
     def _on_pool_evicted(self, roots: Tuple[int, ...],
                          pool: WeightedForestPool) -> None:
-        """LRU-eviction hook: record the event and drop the pool's state.
-
-        The pool's health entry and path system go with it, so
-        :attr:`EngineStats.pool_ess` only ever lists live pools and nothing
-        is left behind for a silently vanished pool.
-        """
+        """LRU-eviction hook: record the event and drop the pool's health
+        entry, so :attr:`EngineStats.pool_ess` only ever lists live pools."""
         self.stats.pools_evicted += 1
         self.stats.pool_ess.pop(_pool_key(roots), None)
-        self._paths.pop(roots, None)
-        self._jl.pop(roots, None)
 
     def _record_pool_health(self, roots: Tuple[int, ...],
                             pool: WeightedForestPool) -> None:
         self.stats.pool_ess[_pool_key(roots)] = pool.ess()
-
-    def _compact_endpoints(self, u: int, v: int) -> Tuple[Optional[int], Optional[int]]:
-        if not (self.graph.has_node(u) and self.graph.has_node(v)):
-            return None, None
-        return self.graph.compact_index(u), self.graph.compact_index(v)
 
     def _compact_journal(self) -> None:
         """Ask the graph to drop the journal prefix all consumers have seen.

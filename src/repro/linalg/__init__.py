@@ -16,12 +16,7 @@ from repro.linalg.solvers import (
     estimate_trace_of_inverse,
     solve_grounded,
 )
-from repro.linalg.jl import (
-    JLProjection,
-    hutchinson_diagonal,
-    hutchinson_probes,
-    jl_dimension,
-)
+from repro.linalg.jl import JLProjection, jl_dimension
 from repro.linalg.backends import (
     DenseResistanceBackend,
     ResistanceBackend,
@@ -42,11 +37,6 @@ from repro.linalg.updates import (
     grounded_inverse_edge_update,
     grounded_inverse_grow,
 )
-from repro.linalg.sparsify import (
-    SparsifiedGraph,
-    spectral_relative_error,
-    spectral_sparsify,
-)
 
 __all__ = [
     "laplacian_matrix",
@@ -63,8 +53,6 @@ __all__ = [
     "estimate_trace_of_inverse",
     "solve_grounded",
     "JLProjection",
-    "hutchinson_diagonal",
-    "hutchinson_probes",
     "jl_dimension",
     "ResistanceBackend",
     "DenseResistanceBackend",
@@ -81,7 +69,4 @@ __all__ = [
     "grounded_inverse_downdate",
     "grounded_inverse_edge_update",
     "grounded_inverse_grow",
-    "SparsifiedGraph",
-    "spectral_relative_error",
-    "spectral_sparsify",
 ]

@@ -85,44 +85,6 @@ class JLProjection:
         return float(projected @ projected)
 
 
-def hutchinson_probes(n: int, probes: int,
-                      seed: RandomState = None) -> np.ndarray:
-    """A ``(n, probes)`` Rademacher probe matrix for Hutchinson sketches."""
-    if n < 1:
-        raise InvalidParameterError(f"n must be positive, got {n}")
-    if probes < 1:
-        raise InvalidParameterError(f"probes must be positive, got {probes}")
-    rng = as_rng(seed)
-    return np.where(rng.random((n, probes)) < 0.5, -1.0, 1.0)
-
-
-def hutchinson_diagonal(solve_many, n: int, probes: int = 32,
-                        seed: RandomState = None,
-                        probe_matrix: Optional[np.ndarray] = None) -> np.ndarray:
-    """Hutchinson estimate of ``diag(A^{-1})`` using only solver matvecs.
-
-    ``diag(A^{-1}) ≈ mean(Z ⊙ A^{-1} Z, axis=1)`` over Rademacher probes
-    ``Z``.  ``solve_many`` maps a ``(n, k)`` block to ``A^{-1}`` applied to
-    it — typically :meth:`LaplacianSolver.solve_many` or a resistance
-    backend's solve, so the estimate never materialises the inverse.  A
-    pre-drawn ``probe_matrix`` lets callers reuse probes (and any cached
-    solves) across repeated estimates.
-    """
-    if probe_matrix is None:
-        probe_matrix = hutchinson_probes(n, probes, seed=seed)
-    probe_matrix = np.asarray(probe_matrix, dtype=np.float64)
-    if probe_matrix.ndim != 2 or probe_matrix.shape[0] != n:
-        raise InvalidParameterError(
-            f"probe matrix must have shape ({n}, k), got {probe_matrix.shape}"
-        )
-    solved = np.asarray(solve_many(probe_matrix), dtype=np.float64)
-    if solved.shape != probe_matrix.shape:
-        raise InvalidParameterError(
-            "solve_many must return a block matching the probe shape"
-        )
-    return np.mean(probe_matrix * solved, axis=1)
-
-
 def approx_column_norms(matrix: np.ndarray, eps: float,
                         seed: RandomState = None,
                         constant: float = 24.0,

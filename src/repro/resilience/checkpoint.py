@@ -3,12 +3,12 @@
 A checkpoint captures everything the engine needs to *continue bit-equal*
 with a never-crashed twin: the journaled graph (edges in insertion order —
 Laplacian assembly iterates the weight map, so order is numerically
-significant), the engine's RNG state, every forest pool (parent matrices,
-importance weights, trace caches), every cached path system and JL
-projection, the memoised query/evaluation results, and every incremental
-tracker's factor state.  Restoring and then replaying the same mutation and
-query sequence therefore reproduces the exact floats the uninterrupted
-engine would have produced.
+significant), the engine's RNG state, every forest pool
+(:meth:`WeightedForestPool.state_dict`: parent matrix, importance weights,
+trace cache, path system and JL projection), the memoised query/evaluation
+results, and every incremental tracker's factor state.  Restoring and then
+replaying the same mutation and query sequence therefore reproduces the
+exact floats the uninterrupted engine would have produced.
 
 Format: one ``.npz`` archive (``np.savez_compressed``) holding the bulk
 arrays plus a single JSON document (``meta``) for the scalar state.  The
@@ -39,7 +39,7 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 
 #: Bump when the archive layout changes; restore refuses unknown versions.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 # ------------------------------------------------------------------ helpers
@@ -143,7 +143,7 @@ def checkpoint_engine(engine, path: str) -> str:
     """
     from repro.linalg.backends import DenseResistanceBackend, SparseResistanceBackend
 
-    engine._sync_pools()
+    engine.sync()
     for tracker in engine._trackers.values():
         tracker.sync()
         if isinstance(tracker.backend, SparseResistanceBackend):
@@ -174,34 +174,11 @@ def checkpoint_engine(engine, path: str) -> str:
     }
 
     pools: List[Dict[str, Any]] = []
-    for i, (roots, pool) in enumerate(engine._pools.items()):
-        entry: Dict[str, Any] = {
-            "key": [int(r) for r in roots],
-            "capacity": int(pool.capacity),
-            "ess_floor": float(pool.ess_floor),
-            "adaptive_floor": bool(pool.adaptive_floor),
-            "churn_accum": float(pool._churn_accum),
-            "churn_pressure": float(pool._churn_pressure),
-            "dead_drops": int(pool._dead_drops),
-            "size": int(pool.size),
-            "has_path": roots in engine._paths,
-            "has_jl": roots in engine._jl,
-        }
-        arrays[f"pool{i}_roots"] = np.asarray(pool.roots, dtype=np.int64)
-        if pool.size:
-            arrays[f"pool{i}_parent"] = np.asarray(pool._batch.parent,
-                                                   dtype=np.int64)
-            arrays[f"pool{i}_logw"] = pool._log_weights
-            arrays[f"pool{i}_trace"] = pool._trace
-            arrays[f"pool{i}_trace_valid"] = pool._trace_valid
-        if entry["has_path"]:
-            paths = engine._paths[roots]
-            arrays[f"path{i}_parent"] = np.asarray(paths.parent,
-                                                   dtype=np.int64)
-            entry["path_roots"] = [int(r) for r in paths.roots]
-        if entry["has_jl"]:
-            arrays[f"jl{i}"] = engine._jl[roots]
-        pools.append(entry)
+    for i, (roots, pool) in enumerate(engine.pools.items()):
+        state, pool_arrays = pool.state_dict()
+        for name, array in pool_arrays.items():
+            arrays[f"pool{i}_{name}"] = array
+        pools.append({"key": [int(r) for r in roots], "state": state})
     meta["pools"] = pools
 
     eval_cache: List[Dict[str, Any]] = []
@@ -276,12 +253,11 @@ def restore_engine(path: str):
     replayed onto :attr:`DynamicCFCM.graph` to reconverge with a crashed
     primary.
     """
-    from repro.centrality.estimators import PathSystem, SamplingConfig
+    from repro.centrality.estimators import SamplingConfig
     from repro.dynamic.engine import DynamicCFCM
     from repro.dynamic.resistance import IncrementalResistance
     from repro.linalg.backends import DenseResistanceBackend
     from repro.resilience.watchdog import ResidualWatchdog
-    from repro.sampling.batch import ForestBatch
     from repro.sampling.pool import WeightedForestPool
 
     with np.load(path, allow_pickle=False) as data:
@@ -313,33 +289,12 @@ def restore_engine(path: str):
         engine.stats.pool_ess = dict(spec["stats"].get("pool_ess", {}))
 
         for i, entry in enumerate(meta["pools"]):
-            roots = tuple(int(r) for r in entry["key"])
-            pool = WeightedForestPool(
-                data[f"pool{i}_roots"], capacity=entry["capacity"],
-                ess_floor=entry["ess_floor"],
-                adaptive_floor=bool(entry.get("adaptive_floor", False)),
+            prefix = f"pool{i}_"
+            pool_arrays = {name[len(prefix):]: data[name]
+                           for name in data.files if name.startswith(prefix)}
+            engine.pools[tuple(int(r) for r in entry["key"])] = (
+                WeightedForestPool.from_state(entry["state"], pool_arrays)
             )
-            pool._churn_accum = float(entry.get("churn_accum", 0.0))
-            pool._churn_pressure = float(entry.get("churn_pressure", 0.0))
-            pool._dead_drops = int(entry["dead_drops"])
-            if entry["size"]:
-                parent = np.asarray(data[f"pool{i}_parent"], dtype=np.int64)
-                pool._batch = ForestBatch(parent=parent, roots=pool.roots)
-                pool._log_weights = np.asarray(data[f"pool{i}_logw"],
-                                               dtype=np.float64)
-                pool._trace = np.asarray(data[f"pool{i}_trace"],
-                                         dtype=np.float64)
-                pool._trace_valid = np.asarray(data[f"pool{i}_trace_valid"],
-                                               dtype=bool)
-                pool._projected_valid = np.zeros(pool.size, dtype=bool)
-            engine._pools[roots] = pool
-            if entry["has_path"]:
-                engine._paths[roots] = PathSystem(
-                    data[f"path{i}_parent"], entry["path_roots"]
-                )
-            if entry["has_jl"]:
-                engine._jl[roots] = np.asarray(data[f"jl{i}"],
-                                               dtype=np.float64)
 
         for entry in meta["eval_cache"]:
             key = (entry["kind"], tuple(int(r) for r in entry["roots"]))

@@ -1,4 +1,4 @@
-"""Rooted spanning-forest sampling and adaptive stopping rules."""
+"""Rooted spanning-forest sampling and importance-weighted forest pools."""
 
 from repro.sampling.wilson import sample_rooted_forest, sample_many_forests
 from repro.sampling.forest import Forest
@@ -7,13 +7,6 @@ from repro.sampling.batch import (
     LOCKSTEP_STATE_LIMIT,
     sample_forest_batch_vectorized,
 )
-from repro.sampling.bernstein import (
-    empirical_bernstein_bound,
-    hoeffding_bound,
-    hoeffding_sample_size,
-    AdaptiveSampler,
-)
-from repro.sampling.parallel import batched_seeds, sample_forest_batch
 from repro.sampling.pool import (
     WeightedForestPool,
     edge_inclusion_prior,
@@ -30,10 +23,4 @@ __all__ = [
     "ForestBatch",
     "LOCKSTEP_STATE_LIMIT",
     "sample_forest_batch_vectorized",
-    "empirical_bernstein_bound",
-    "hoeffding_bound",
-    "hoeffding_sample_size",
-    "AdaptiveSampler",
-    "batched_seeds",
-    "sample_forest_batch",
 ]

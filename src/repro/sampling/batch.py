@@ -80,8 +80,8 @@ _LOCKSTEP_FORESTS = REGISTRY.histogram(
 
 # The lockstep sampler keeps O(B * n) state (arrow field + working set) and
 # indexes it with int32; batches whose state would exceed this many entries
-# are drawn in internal chunks, and dispatchers fall back to the scalar
-# (optionally process-pooled) path beyond it.
+# are drawn in internal chunks, and graphs beyond it fall back to the scalar
+# path.
 LOCKSTEP_STATE_LIMIT = 1 << 25
 
 # Hand the residue to the scalar finish once fewer than (B * n) >> SWITCH
@@ -274,23 +274,6 @@ class ForestBatch:
         return grown
 
     @classmethod
-    def from_forests(cls, forests: List[Forest]) -> "ForestBatch":
-        """Stack standalone :class:`Forest` objects into one batch."""
-        if not forests:
-            raise InvalidParameterError(
-                "from_forests needs at least one forest (roots are unknown "
-                "for an empty batch)"
-            )
-        roots = forests[0].roots
-        for forest in forests[1:]:
-            if forest.n != forests[0].n or not np.array_equal(forest.roots, roots):
-                raise InvalidParameterError(
-                    "all forests of a batch must share node count and roots"
-                )
-        return cls(parent=np.vstack([f.parent for f in forests]),
-                   roots=roots.copy())
-
-    @classmethod
     def concatenate(cls, batches: List["ForestBatch"]) -> "ForestBatch":
         """Stack batches over the same graph and root set into one."""
         if not batches:
@@ -410,7 +393,7 @@ def sample_forest_batch_vectorized(graph: Graph, roots, count: int,
             # The kernel's int32 pair/CSR indexing would overflow (huge n or
             # adjacency), or a hub's degree exceeds the float32 mantissa so
             # the cheap arrow draw could not reach all its neighbours; this
-            # regime belongs to the scalar (optionally process-pooled) path.
+            # regime belongs to the scalar path.
             from repro.sampling.wilson import sample_rooted_forest
 
             span.set(path="scalar")

@@ -1,8 +1,8 @@
 """Importance-weighted pools of rooted spanning forests.
 
 Monte Carlo consumers that survive graph mutations (the dynamic engine's
-:meth:`~repro.dynamic.DynamicCFCM.evaluate_forest`, the async service's
-resampling workers) keep a *pool* of sampled forests per root set.  Before
+:meth:`~repro.dynamic.DynamicCFCM.evaluate_forest`, and through it the async
+service) keep a *pool* of sampled forests per root set.  Before
 this module, pools were lists of :class:`~repro.sampling.forest.Forest`
 objects that were flushed wholesale whenever the graph drifted: edge
 insertions bumped a crude drift counter, node insertions and reweights threw
@@ -60,28 +60,33 @@ the tolerance suite against fresh-pool and exact references).
 
 **Estimator caching.**  A forest's estimator value (e.g. its Lemma 3.3
 trace contribution under a fixed path system) is a deterministic function
-of its parent row, so the pool keeps an optional per-forest ``traces``
-cache row-aligned through every compress/admit.  Weight updates never touch
-it; the consumer (the dynamic engine) fills invalid rows, extends it on
-node joins, and invalidates it when its path system dies — which is what
-lets a pooled evaluation under churn fold only the freshly drawn forests.
-The same contract extends to the JL-*projected* estimator rows (each
-forest's ``(w, n)`` projected tensor plus its diagonal row, the inputs of
-the ``estimate_forest_delta``-style gain evaluation): cached per forest,
-row-aligned through every compress/admit, and invalidated whenever the
-path system or projection changes.
+of its parent row, so the pool keeps a per-forest ``traces`` cache
+row-aligned through every compress/admit, next to the path system it was
+computed against (:attr:`WeightedForestPool.path`).  Weight updates never
+touch it; the consumer (the dynamic engine) fills invalid rows, a node
+join extends the path system and every cached row by the new node's
+column, and deleting a path edge drops the path system with every cached
+row — which is what lets a pooled evaluation under churn fold only the
+freshly drawn forests.  The same contract extends to the JL-*projected*
+estimator rows (each forest's ``(w, n)`` projected tensor plus its
+diagonal row, the inputs of the ``estimate_forest_delta``-style gain
+evaluation), computed against the path system and the pool's JL weight
+matrix (:attr:`WeightedForestPool.jl`).  Flushing or emptying the pool
+drops the path system and the JL matrix along with the forests.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.sampling.batch import ForestBatch
-from repro.sampling.forest import Forest
+
+if TYPE_CHECKING:  # pragma: no cover - import-cycle-free type hints only
+    from repro.centrality.estimators import PathSystem
 
 # Forests whose log-weight falls below this are numerically dead: their
 # contribution to a self-normalised estimate is < 1e-26 of a fresh draw's.
@@ -187,6 +192,8 @@ class WeightedForestPool:
         self._projected: Optional[np.ndarray] = None
         self._projected_diag: Optional[np.ndarray] = None
         self._projected_valid = np.zeros(0, dtype=bool)
+        self._path: Optional["PathSystem"] = None
+        self._jl: Optional[np.ndarray] = None
         self._dead_drops = 0
 
     # -------------------------------------------------------------- inventory
@@ -219,6 +226,31 @@ class WeightedForestPool:
 
     # ---------------------------------------------------- estimator caching
     @property
+    def path(self) -> Optional["PathSystem"]:
+        """The fixed path system the cached estimator rows were computed
+        against (``None`` until :meth:`require_path` builds one)."""
+        return self._path
+
+    def require_path(self, graph) -> "PathSystem":
+        """The BFS path system of ``graph`` (the current snapshot), rebuilt
+        when the id space moved on."""
+        if self._path is None or self._path.n != graph.n:
+            from repro.centrality.estimators import PathSystem
+
+            self._replace_path(PathSystem.from_graph(graph, self.roots))
+        return self._path
+
+    @property
+    def jl(self) -> Optional[np.ndarray]:
+        """``(w, n)`` JL weight matrix of the cached projected rows."""
+        return self._jl
+
+    @jl.setter
+    def jl(self, jl: Optional[np.ndarray]) -> None:
+        self._jl = jl
+        self.invalidate_projected()
+
+    @property
     def trace_valid(self) -> np.ndarray:
         """``(B,)`` mask: which forests have a cached estimator value."""
         return self._trace_valid
@@ -232,10 +264,6 @@ class WeightedForestPool:
         """Record computed estimator values for the given rows."""
         self._trace[rows] = np.asarray(values, dtype=np.float64)
         self._trace_valid[rows] = True
-
-    def add_to_traces(self, rows, values) -> None:
-        """Add a contribution (e.g. a new node's column) to cached rows."""
-        self._trace[rows] += np.asarray(values, dtype=np.float64)
 
     def invalidate_traces(self) -> None:
         """Drop every cached estimator value (path system changed)."""
@@ -338,6 +366,65 @@ class WeightedForestPool:
         }
 
     # -------------------------------------------------------- mutation hooks
+    def apply(self, event, graph, rng: np.random.Generator) -> Tuple[int, int, int]:
+        """Replay one journal event of ``graph`` onto the pool.
+
+        ``graph`` is the :class:`~repro.dynamic.DynamicGraph` that recorded
+        ``event``; stable ids are translated to the pool's compact ids by the
+        graph's *current* mapping, which stays valid for every event kind
+        except node removal (compact ids shift) — the owner evicts or flushes
+        pools for those instead of replaying them.  Edge removals drop the
+        using forests, reweights apply the exact density ratio, insertions
+        decay by :func:`edge_inclusion_prior`, and node joins extend every
+        forest with a leaf (:meth:`extend_leaf`).
+
+        Returns ``(reweighted, dropped, flushed)``: the forests reweighted,
+        the forests dropped (including numerically dead ones) and ``1`` if
+        the event forced a flush.
+        """
+        from repro.dynamic.graph import ADD, ADD_NODE, REMOVE
+
+        if self.size == 0:
+            return 0, 0, 0
+        if event.kind == ADD_NODE:
+            neighbours = [int(nb) for nb, _ in event.edges]
+            if (not all(graph.has_node(nb) for nb in neighbours)
+                    or graph.compact_index(event.node) != self.n):
+                # The new node is not the next column: rebuild lazily.
+                self.flush()
+                return 0, 0, 1
+            reweighted = self.extend_leaf(
+                graph.compact_nodes(neighbours),
+                [float(w) for _, w in event.edges],
+                node_internal_prior([graph.degree(nb) for nb in neighbours]),
+                rng,
+            )
+            return reweighted, self.take_dead_drops(), 0
+        if not (graph.has_node(event.u) and graph.has_node(event.v)):
+            return 0, 0, 0
+        u, v = graph.compact_index(event.u), graph.compact_index(event.v)
+        reweighted = dropped = 0
+        if event.kind == ADD:
+            reweighted = self.apply_addition(
+                edge_inclusion_prior(graph.degree(event.u), graph.degree(event.v))
+            )
+        elif event.kind == REMOVE:
+            dropped = self.apply_removal(u, v)
+            if self._path is not None and self._path.uses_edge(u, v):
+                # Cached rows are for paths that no longer exist.
+                self._replace_path(None)
+        else:
+            old_weight = event.weight - event.delta
+            if old_weight <= 0.0:
+                # The journal stores (new weight, delta); reconstructing the
+                # old weight cancels catastrophically for extreme ratios
+                # (e.g. 1e-25 -> 1).  An unrecoverable ratio means
+                # unknowable importance weights: flush.
+                self.flush()
+                return 0, 0, 1
+            reweighted = self.apply_reweight(u, v, event.weight / old_weight)
+        return reweighted, dropped + self.take_dead_drops(), 0
+
     def apply_removal(self, u: int, v: int) -> int:
         """Drop every forest whose parent pointers use edge ``(u, v)``.
 
@@ -408,9 +495,10 @@ class WeightedForestPool:
         (:func:`node_internal_prior`).  Returns the number of forests
         extended; insertions therefore never force a flush.
 
-        Cached ``traces`` are left untouched: the caller must immediately
-        add the new node's column contribution to the valid rows (a
-        single-column walk) or call :meth:`invalidate_traces`.
+        The path system gains the same leaf (first attachment), leaving
+        every existing path intact, so cached traces stay valid: they only
+        gain the new node's column, priced by a single-column walk instead
+        of a full refold.
         """
         if self.size == 0:
             return 0
@@ -429,6 +517,17 @@ class WeightedForestPool:
         # The node count changed, so any cached projected rows span the old
         # id space (and the consumer's projection must be redrawn anyway).
         self.invalidate_projected()
+        if self._path is not None:
+            from repro.centrality.estimators import batched_diag_estimates
+
+            self._path = self._path.extended(int(neighbours[0]))
+            cached = np.flatnonzero(self._trace_valid)
+            if cached.size:
+                column = batched_diag_estimates(
+                    self._batch.parent[cached], self._path,
+                    columns=[self._batch.n - 1],
+                )
+                self._trace[cached] += column[:, 0]
         self.apply_addition(stale_probability)
         return extended
 
@@ -444,7 +543,8 @@ class WeightedForestPool:
         return dropped
 
     def flush(self) -> int:
-        """Discard every stored forest; returns how many were dropped."""
+        """Discard every stored forest, with the path system and JL matrix
+        built for them; returns how many forests were dropped."""
         dropped = self.size
         self._batch = None
         self._log_weights = np.zeros(0, dtype=np.float64)
@@ -453,6 +553,8 @@ class WeightedForestPool:
         self._projected = None
         self._projected_diag = None
         self._projected_valid = np.zeros(0, dtype=bool)
+        self._path = None
+        self._jl = None
         return dropped
 
     # --------------------------------------------------------------- refresh
@@ -479,20 +581,12 @@ class WeightedForestPool:
             return max(deficit, self.capacity - int(math.floor(ess)))
         return max(deficit, 0)
 
-    def admit(self, forests: Union[ForestBatch, List[Forest]]) -> int:
+    def admit(self, fresh: ForestBatch) -> int:
         """Add freshly drawn forests (log-weight 0), evicting down to capacity.
 
-        ``forests`` is a :class:`ForestBatch` or a list of
-        :class:`~repro.sampling.forest.Forest` (the process-pool sampler's
-        output).  Eviction removes the lowest-weight forests first, so stale
-        mass makes way for fresh draws.  Returns the number admitted.
+        Eviction removes the lowest-weight forests first, so stale mass
+        makes way for fresh draws.  Returns the number admitted.
         """
-        if isinstance(forests, ForestBatch):
-            fresh = forests
-        else:
-            if not forests:
-                return 0
-            fresh = ForestBatch.from_forests(list(forests))
         if fresh.batch_size == 0:
             return 0
         if not np.array_equal(fresh.roots, self.roots):
@@ -546,7 +640,66 @@ class WeightedForestPool:
             self._compress(keep)
         return fresh.batch_size
 
+    # ------------------------------------------------------------ checkpoint
+    def state_dict(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+        """Checkpoint state: JSON-ready scalars plus named arrays.
+
+        The projected rows are left out: they are a deterministic function
+        of the forests, the path system and the JL matrix, refolded on first
+        use without consuming randomness.
+        """
+        meta = {
+            "capacity": self.capacity,
+            "ess_floor": self.ess_floor,
+            "adaptive_floor": self.adaptive_floor,
+            "churn_accum": float(self._churn_accum),
+            "churn_pressure": float(self._churn_pressure),
+            "dead_drops": int(self._dead_drops),
+        }
+        arrays = {"roots": self.roots}
+        if self.size:
+            arrays.update(parent=self._batch.parent, log_weights=self._log_weights,
+                          trace=self._trace, trace_valid=self._trace_valid)
+        if self._path is not None:
+            arrays["path_parent"] = self._path.parent
+        if self._jl is not None:
+            arrays["jl"] = self._jl
+        return meta, arrays
+
+    @classmethod
+    def from_state(cls, meta: Dict[str, Any],
+                   arrays: Dict[str, np.ndarray]) -> "WeightedForestPool":
+        """Rebuild a pool from :meth:`state_dict` output."""
+        pool = cls(arrays["roots"], capacity=meta["capacity"],
+                   ess_floor=meta["ess_floor"],
+                   adaptive_floor=meta["adaptive_floor"])
+        pool._churn_accum = float(meta["churn_accum"])
+        pool._churn_pressure = float(meta["churn_pressure"])
+        pool._dead_drops = int(meta["dead_drops"])
+        if "parent" in arrays:
+            pool._batch = ForestBatch(
+                parent=np.asarray(arrays["parent"], dtype=np.int64),
+                roots=pool.roots,
+            )
+            pool._log_weights = np.asarray(arrays["log_weights"], dtype=np.float64)
+            pool._trace = np.asarray(arrays["trace"], dtype=np.float64)
+            pool._trace_valid = np.asarray(arrays["trace_valid"], dtype=bool)
+            pool._projected_valid = np.zeros(pool.size, dtype=bool)
+        if "path_parent" in arrays:
+            from repro.centrality.estimators import PathSystem
+
+            pool._path = PathSystem(arrays["path_parent"], pool.roots)
+        if "jl" in arrays:
+            pool._jl = np.asarray(arrays["jl"], dtype=np.float64)
+        return pool
+
     # ------------------------------------------------------------- internals
+    def _replace_path(self, path: Optional["PathSystem"]) -> None:
+        # Every cached row belongs to the old path system.
+        self._path = path
+        self.invalidate_traces()
+        self.invalidate_projected()
+
     def _compress(self, keep: np.ndarray) -> None:
         if bool(np.all(keep)):
             return

@@ -10,8 +10,7 @@ evaluation, forest resampling) runs on a bounded worker pool.
   :class:`repro.dynamic.DynamicCFCM`; update bursts coalesce into rank-``t``
   Woodbury batches, responses carry the journal version they were computed
   at, shutdown is graceful and cancellation-safe;
-* :class:`WorkerPool` — bounded thread pool for engine work plus optional
-  process-pool forest sampling with reproducible child seeds;
+* :class:`WorkerPool` — bounded thread pool for engine work;
 * :class:`UpdateTicket` / :class:`ServiceResponse` — the awaitable receipt
   of a mutation and the version-tagged query answer;
 * :class:`ServiceStats` — submission/apply/batch/cancellation counters.

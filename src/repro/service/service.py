@@ -122,9 +122,6 @@ class AsyncCFCMService:
         Forwarded to the engine (reproducible child seeds per cache miss).
     workers:
         Thread count of the worker pool shared by the writer and readers.
-    process_workers:
-        When positive, forest-pool refills requested via
-        :meth:`prefetch_forests` sample on that many processes.
     queue_limit:
         Maximum pending updates; beyond it :meth:`submit` raises
         :class:`repro.exceptions.ServiceOverloadedError` (backpressure).
@@ -157,7 +154,6 @@ class AsyncCFCMService:
         seed: RandomState = None,
         config: Optional[SamplingConfig] = None,
         workers: int = 2,
-        process_workers: int = 0,
         queue_limit: int = 1024,
         coalesce_limit: int = 64,
         backend: Optional[str] = None,
@@ -174,7 +170,7 @@ class AsyncCFCMService:
         self.queue_limit = check_integer("queue_limit", queue_limit, minimum=1)
         self.coalesce_limit = check_integer("coalesce_limit", coalesce_limit, minimum=1)
         self.stats = ServiceStats()
-        self._pool = WorkerPool(workers=workers, process_workers=process_workers)
+        self._pool = WorkerPool(workers=workers)
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=self.queue_limit)
         self._state_lock = threading.Lock()
         self._writer: Optional[asyncio.Task] = None
@@ -398,15 +394,14 @@ class AsyncCFCMService:
     async def prefetch_forests(self, group: Sequence[int]) -> int:
         """Refill the forest pool of ``group`` ahead of query traffic.
 
-        Wilson sampling runs on the worker layer — and on a process pool
-        with reproducible child seeds when ``process_workers`` was set.
-        Returns the number of forests sampled.
+        The lockstep Wilson sampling runs on the worker layer.  Returns the
+        number of forests sampled.
         """
         self._require_running()
 
         def work() -> int:
             with self._state_lock:
-                return self.engine.refill_pool(group, sampler=self._pool.sample_forests)
+                return self.engine.refill_pool(group)
 
         return await self._pool.run(work)
 

@@ -1,15 +1,10 @@
 """Bounded worker layer running blocking engine work off the event loop.
 
 The engine's heavy kernels are dense linear algebra (NumPy releases the GIL
-inside BLAS) plus batch forest sampling, now NumPy-vectorised as well by
-the lockstep kernel of :mod:`repro.sampling.batch`.  The pool runs engine
-calls on a bounded :class:`ThreadPoolExecutor` — threads share the engine
-state that the service guards with its own lock — and offers
-:meth:`sample_forests`, which draws forest batches through the vectorised
-path by default and only fans out to a :class:`ProcessPoolExecutor` (the
-GIL-bound scalar sampler, via :func:`repro.sampling.sample_forest_batch`)
-when ``process_workers`` is set *and* the batch is too large for the
-lockstep state.
+inside BLAS) plus batch forest sampling, NumPy-vectorised as well by the
+lockstep kernel of :mod:`repro.sampling.batch`.  The pool runs engine calls
+on a bounded :class:`ThreadPoolExecutor` — threads share the engine state
+that the service guards with its own lock.
 
 Cancellation semantics: a thread cannot be interrupted, so cancelling a task
 that awaits :meth:`run` abandons the future — the work finishes (or is
@@ -25,18 +20,9 @@ import asyncio
 import concurrent.futures
 import functools
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, List, Sequence, Union
+from typing import Any, Callable
 
 from repro.exceptions import ServiceClosedError
-from repro.graph.graph import Graph
-from repro.obs.tracing import trace
-from repro.sampling.batch import (
-    LOCKSTEP_STATE_LIMIT,
-    ForestBatch,
-    sample_forest_batch_vectorized,
-)
-from repro.sampling.forest import Forest
-from repro.sampling.parallel import sample_forest_batch
 
 
 def _consume(future: concurrent.futures.Future) -> None:
@@ -53,20 +39,12 @@ class WorkerPool:
     ----------
     workers:
         Thread count for engine work (evaluation, selection, maintenance).
-    process_workers:
-        When positive, :meth:`sample_forests` distributes *oversized*
-        batches (too big for the lockstep sampler's state) over that many
-        processes; every other batch is drawn with the vectorised kernel in
-        the calling thread, where it needs no processes to be fast.
     """
 
-    def __init__(self, workers: int = 2, process_workers: int = 0):
+    def __init__(self, workers: int = 2):
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if process_workers < 0:
-            raise ValueError("process_workers must be non-negative")
         self.workers = int(workers)
-        self.process_workers = int(process_workers)
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="cfcm-worker"
         )
@@ -94,31 +72,6 @@ class WorkerPool:
             if not future.cancel():
                 future.add_done_callback(_consume)
             raise
-
-    def sample_forests(
-        self, graph: Graph, roots: Sequence[int], count: int, seed: int
-    ) -> Union[ForestBatch, List[Forest]]:
-        """Draw ``count`` rooted forests, vectorised by default.
-
-        Matches the ``sampler(snapshot, compact_roots, count, seed)``
-        signature of :meth:`repro.dynamic.DynamicCFCM.refill_pool`.  The
-        batch is drawn with the lockstep vectorised kernel and returned as
-        one :class:`~repro.sampling.batch.ForestBatch` (which the engine's
-        weighted pools admit without materialising per-forest objects);
-        only when ``process_workers`` is configured *and* the batch state
-        would exceed the lockstep limit does the scalar sampler fan out
-        over a process pool (with reproducibly derived child seeds, so that
-        batch is identical however many processes draw it) and return a
-        plain forest list.
-        """
-        with trace("worker.sample_forests", count=count) as span:
-            if self.process_workers > 0 and count * graph.n > LOCKSTEP_STATE_LIMIT:
-                span.set(path="process")
-                return sample_forest_batch(graph, roots, count, seed=seed,
-                                           workers=self.process_workers,
-                                           method="scalar")
-            span.set(path="lockstep")
-            return sample_forest_batch_vectorized(graph, roots, count, seed=seed)
 
     async def close(self) -> None:
         """Reject new work and wait for in-flight work to finish."""

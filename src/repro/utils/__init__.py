@@ -1,7 +1,7 @@
 """Shared utilities: RNG handling, validation helpers, timers and logging."""
 
 from repro.utils.rng import as_rng, spawn_rngs
-from repro.utils.timer import Timer, clock, timed
+from repro.utils.timer import Timer, clock
 from repro.utils.validation import (
     check_group,
     check_integer,
@@ -15,7 +15,6 @@ __all__ = [
     "spawn_rngs",
     "Timer",
     "clock",
-    "timed",
     "check_group",
     "check_integer",
     "check_node",

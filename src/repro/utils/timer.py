@@ -15,7 +15,6 @@ everywhere else in ``src/repro``.
 from __future__ import annotations
 
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List
@@ -93,31 +92,3 @@ class Timer:
     def summary(self) -> Dict[str, float]:
         """Mapping of label to total elapsed seconds."""
         return {label: self.total(label) for label in self.records}
-
-
-@contextmanager
-def timed() -> Iterator[List[float]]:
-    """Context manager yielding a one-element list filled with elapsed seconds.
-
-    .. deprecated::
-        Use :meth:`Timer.measure`, or a registry histogram via
-        :mod:`repro.obs` — ``timed()`` will be removed.
-
-    >>> import warnings
-    >>> with warnings.catch_warnings():
-    ...     warnings.simplefilter("ignore", DeprecationWarning)
-    ...     with timed() as elapsed:
-    ...         _ = sum(range(100))
-    >>> elapsed[0] >= 0.0
-    True
-    """
-    warnings.warn(
-        "timed() is deprecated: use Timer.measure() or a repro.obs histogram",
-        DeprecationWarning, stacklevel=3,
-    )
-    box: List[float] = [0.0]
-    start = clock()
-    try:
-        yield box
-    finally:
-        box[0] = clock() - start

@@ -379,7 +379,7 @@ class TestJournalCompaction:
         engine.evaluate_exact([0, 1])
         random_update_journal(graph, 10, np.random.default_rng(1))
         engine.evaluate_exact([0, 1])
-        # The tracker synced through _sync_pools' version, so the next sync
+        # The tracker synced through sync()'s version, so the next sync
         # compacts everything both consumers have seen.
         engine.evaluate_exact([0, 1])
         assert graph.journal_floor == graph.version

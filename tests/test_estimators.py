@@ -139,6 +139,16 @@ class TestForestAccumulator:
         accumulator.add_samples(450)
         narrow = accumulator.diag_half_widths(0.05).mean()
         assert narrow < wide
+        # Lemma 3.6's empirical-Bernstein half-width, with the per-sample
+        # range bounded by the BFS depth tau.
+        delta = 0.05
+        log_term = np.log(3.0 / delta)
+        expected = (np.sqrt(2.0 * accumulator.diag_variances() * log_term
+                            / accumulator.count)
+                    + 3.0 * max(accumulator.tau, 1) * log_term
+                    / accumulator.count)
+        assert np.allclose(accumulator.diag_half_widths(delta), expected,
+                           rtol=1e-12, atol=0.0)
 
 
 class TestAdaptiveSamplingLoop:

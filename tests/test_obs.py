@@ -34,7 +34,7 @@ from repro.obs import (
 from repro.obs.metrics import LATENCY_BUCKETS, SIZE_BUCKETS
 from repro.sampling import sample_forest_batch_vectorized
 from repro.service import AsyncCFCMService
-from repro.utils.timer import Timer, clock, timed
+from repro.utils.timer import Timer, clock
 
 GROUP = (0, 1, 2)
 
@@ -479,12 +479,6 @@ class TestTimer:
             pass
         assert timer.count("phase") == 1
         assert timer.percentile("phase", 50) >= 0.0
-
-    def test_timed_is_deprecated(self):
-        with pytest.warns(DeprecationWarning):
-            with timed() as elapsed:
-                pass
-        assert elapsed[0] >= 0.0
 
 
 # --------------------------------------------------------------------------

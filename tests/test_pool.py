@@ -77,17 +77,16 @@ class TestForestBatchHelpers:
         with pytest.raises(InvalidParameterError):
             batch.with_leaf(np.full(6, karate.n, dtype=np.int64))
 
-    def test_from_forests_and_concatenate(self, karate):
+    def test_concatenate(self, karate):
         batch = sample_forest_batch_vectorized(karate, [0], 4, seed=4)
-        rebuilt = ForestBatch.from_forests(batch.forests())
-        assert np.array_equal(rebuilt.parent, batch.parent)
-        double = ForestBatch.concatenate([batch, rebuilt])
+        double = ForestBatch.concatenate([batch, batch])
         assert double.batch_size == 8
+        assert np.array_equal(double.parent[4:], batch.parent)
         other_roots = sample_forest_batch_vectorized(karate, [1], 2, seed=4)
         with pytest.raises(InvalidParameterError):
             ForestBatch.concatenate([batch, other_roots])
         with pytest.raises(InvalidParameterError):
-            ForestBatch.from_forests([])
+            ForestBatch.concatenate([])
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +114,8 @@ class TestWeightedForestPool:
         small = generators.barabasi_albert(10, 2, seed=0)
         with pytest.raises(InvalidParameterError):
             pool.admit(sample_forest_batch_vectorized(small, [0], 2, seed=0))
-        # Forest lists (the process-pool sampler contract) are accepted too.
         extra = sample_forest_batch_vectorized(karate, [0], 2, seed=9)
-        assert pool.admit(extra.forests()) == 2
+        assert pool.admit(extra) == 2
         assert pool.size == 4  # eviction respected capacity
 
     def test_removal_drops_exactly_users(self, karate):
@@ -458,8 +456,7 @@ class TestTraceCache:
         # Recompute everything from scratch against the same path system.
         from repro.centrality.estimators import batched_diag_estimates
 
-        path = engine._paths[(0,)]
-        diag = batched_diag_estimates(pool.batch().parent, path)
+        diag = batched_diag_estimates(pool.batch().parent, pool.path)
         weights = pool.weights()
         trace = float(weights @ diag.sum(axis=1)) / float(weights.sum())
         assert cached_value == pytest.approx(graph.n / trace, rel=1e-12)
@@ -489,7 +486,7 @@ class TestTraceCache:
         engine = DynamicCFCM(graph, seed=6, pool_size=1)
         engine.evaluate_forest([0])
         pool = engine._pools[(0,)]
-        path = engine._paths[(0,)]
+        path = pool.path
         # Empty the pool with a removal the path system does not use.
         edge = next(
             (u, v) for u, v in zip(karate.edge_u, karate.edge_v)
@@ -501,74 +498,24 @@ class TestTraceCache:
         graph.remove_edge(event.node, 3)    # touches the new node's id
         value = engine.evaluate_forest([0])  # must not raise
         assert value > 0.0
-        assert (0,) in engine._paths
-        assert engine._paths[(0,)].n == graph.n
+        assert engine._pools[(0,)].path.n == graph.n
 
     def test_path_edge_removal_invalidates_traces(self, karate):
         graph = DynamicGraph(karate)
         engine = DynamicCFCM(graph, seed=5, pool_size=8)
         engine.evaluate_forest([0])
-        path = engine._paths[(0,)]
+        pool = engine._pools[(0,)]
+        path = pool.path
         # Remove an edge the path system uses: every cached trace must go.
         edge = next((u, v) for u, v in zip(karate.edge_u, karate.edge_v)
                     if path.uses_edge(u, v) and graph.has_edge(u, v))
         graph.remove_edge(*edge)
         engine.sync()
-        assert (0,) not in engine._paths
-        pool = engine._pools[(0,)]
+        assert pool.path is None
         assert not np.any(pool.trace_valid)
         value = engine.evaluate_forest([0])
         exact = engine.evaluate_exact([0])
         assert value == pytest.approx(exact, rel=0.5)
-
-
-class TestSamplerContract:
-    def test_refill_accepts_generator_samplers(self, karate):
-        from repro.sampling import sample_forest_batch
-
-        engine = DynamicCFCM(DynamicGraph(karate), seed=0, pool_size=4)
-
-        def sampler(snapshot, roots, count, seed):
-            # A lazy iterator is a valid return under the documented
-            # contract; it must only be consumed once.
-            return iter(sample_forest_batch(snapshot, roots, count, seed=seed))
-
-        assert engine.refill_pool([0], sampler=sampler) == 4
-        assert engine._pools[(0,)].size == 4
-
-    def test_refill_accepts_forest_batch_samplers(self, karate):
-        engine = DynamicCFCM(DynamicGraph(karate), seed=0, pool_size=4)
-
-        def sampler(snapshot, roots, count, seed):
-            return sample_forest_batch_vectorized(snapshot, roots, count,
-                                                  seed=seed)
-
-        assert engine.refill_pool([0], sampler=sampler) == 4
-        assert engine.evaluate_forest([0]) > 0.0
-
-
-class TestDeprecationShim:
-    def test_max_drift_warns_and_is_ignored(self, karate):
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            engine = DynamicCFCM(DynamicGraph(karate), seed=0, max_drift=5)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        assert engine.max_drift == 5  # introspection only
-        # The ESS policy runs regardless: insertions do not flush.
-        engine.evaluate_forest([0])
-        engine.graph.add_edge(15, 20)
-        engine.evaluate_forest([0])
-        assert engine.stats.pools_flushed == 0
-
-    def test_invalid_max_drift_still_rejected(self, karate):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(InvalidParameterError):
-                DynamicCFCM(DynamicGraph(karate), seed=0, max_drift=-1)
 
 
 class TestLRUPoolEviction:

@@ -360,20 +360,30 @@ class TestCheckpointRecovery:
         engine = DynamicCFCM(graph, seed=4, pool_size=8, backend="dense")
         engine.evaluate_exact(GROUP)
         engine.evaluate_forest(GROUP)
+        # Caches the pool's JL matrix and projected rows too.
+        engine.evaluate_forest_delta(GROUP)
 
         path = str(tmp_path / "engine.npz")
         engine.checkpoint(path)
 
-        # Crash-and-restore replays the same post-checkpoint journal.
+        # Crash-and-restore replays the same post-checkpoint journal: an
+        # edge insertion (the gains reuse the checkpointed JL matrix), then
+        # a node join, which extends the pool's path system by a leaf.
         u, v = missing_edge(graph)
         graph.add_edge(u, v)
+        live_edge_delta = engine.evaluate_forest_delta(GROUP)
+        graph.add_node([u, v])
         live_exact = engine.evaluate_exact(GROUP)
         live_forest = engine.evaluate_forest(GROUP)
+        live_delta = engine.evaluate_forest_delta(GROUP)
 
         restored = DynamicCFCM.restore(path)
         restored.graph.add_edge(u, v)
+        assert restored.evaluate_forest_delta(GROUP) == live_edge_delta
+        restored.graph.add_node([u, v])
         assert restored.evaluate_exact(GROUP) == live_exact
         assert restored.evaluate_forest(GROUP) == live_forest
+        assert restored.evaluate_forest_delta(GROUP) == live_delta
         assert (restored.rng.bit_generator.state
                 == engine.rng.bit_generator.state)
 

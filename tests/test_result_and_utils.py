@@ -13,7 +13,7 @@ from repro.exceptions import (
 )
 from repro.centrality.result import CFCMResult
 from repro.utils.rng import as_rng, random_signs, sample_seed, spawn_rngs
-from repro.utils.timer import Timer, timed
+from repro.utils.timer import Timer
 from repro.utils.validation import (
     check_group,
     check_integer,
@@ -106,11 +106,6 @@ class TestTimer:
 
     def test_unknown_label_zero(self):
         assert Timer().total("missing") == 0.0
-
-    def test_timed_context(self):
-        with timed() as elapsed:
-            time.sleep(0.005)
-        assert elapsed[0] >= 0.005
 
 
 class TestValidation:

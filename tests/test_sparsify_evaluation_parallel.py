@@ -1,6 +1,5 @@
-"""Tests for the sparsification substrate, evaluation metrics and batch sampling."""
+"""Tests for the selection-quality evaluation metrics."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError
@@ -17,67 +16,6 @@ from repro.centrality.estimators import SamplingConfig, estimate_forest_delta
 from repro.centrality.exact_greedy import ExactGreedy
 from repro.centrality.heuristics import degree_group
 from repro.centrality.marginal import marginal_gains_all
-from repro.linalg.laplacian import laplacian_dense
-from repro.linalg.sparsify import (
-    effective_resistances_of_edges,
-    spectral_relative_error,
-    spectral_sparsify,
-    sparsify_and_compare,
-)
-from repro.sampling.parallel import batched_seeds, sample_forest_batch
-
-
-class TestSparsify:
-    def test_edge_resistances_match_pairwise(self, karate):
-        from repro.centrality.resistance import resistance_distance
-
-        resistances = effective_resistances_of_edges(karate)
-        for index in (0, 10, 50):
-            u, v = int(karate.edge_u[index]), int(karate.edge_v[index])
-            assert resistances[index] == pytest.approx(
-                resistance_distance(karate, u, v), rel=1e-8
-            )
-
-    def test_sparsifier_laplacian_unbiased_shape(self, karate):
-        sparsifier = spectral_sparsify(karate, eps=0.5, seed=0)
-        laplacian = sparsifier.laplacian()
-        assert laplacian.shape == (karate.n, karate.n)
-        assert np.allclose(np.asarray(laplacian.sum(axis=1)).ravel(), 0.0, atol=1e-9)
-
-    def test_sparsifier_quadratic_forms_close(self, karate):
-        """Lemma 4.4 shape: x^T L~ x stays within a moderate factor of x^T L x."""
-        sparsifier = spectral_sparsify(karate, eps=0.3, seed=1)
-        error = spectral_relative_error(karate, sparsifier, probes=32, seed=2)
-        assert error < 0.5
-
-    def test_more_samples_better_accuracy(self, small_ba):
-        rough = spectral_sparsify(small_ba, eps=0.9, samples=200, seed=3)
-        fine = spectral_sparsify(small_ba, eps=0.9, samples=20_000, seed=3)
-        rough_error = spectral_relative_error(small_ba, rough, probes=16, seed=4)
-        fine_error = spectral_relative_error(small_ba, fine, probes=16, seed=4)
-        assert fine_error < rough_error
-
-    def test_sparsifier_expected_laplacian(self, karate):
-        """Averaging many independent sparsifiers recovers the Laplacian."""
-        total = np.zeros((karate.n, karate.n))
-        repeats = 30
-        for i in range(repeats):
-            total += spectral_sparsify(karate, eps=0.9, samples=400,
-                                       seed=i).laplacian().toarray()
-        average = total / repeats
-        exact = laplacian_dense(karate)
-        assert np.abs(average - exact).max() < 2.0
-
-    def test_convenience_wrapper(self, karate):
-        sparsifier, error = sparsify_and_compare(karate, eps=0.4, seed=5)
-        assert sparsifier.samples > 0
-        assert error >= 0.0
-
-    def test_invalid_inputs(self, karate):
-        with pytest.raises(InvalidParameterError):
-            spectral_sparsify(karate, eps=1.5)
-        with pytest.raises(InvalidParameterError):
-            spectral_relative_error(karate, spectral_sparsify(karate, seed=0), probes=0)
 
 
 class TestEvaluationMetrics:
@@ -143,67 +81,3 @@ class TestEvaluationMetrics:
         with pytest.raises(InvalidParameterError):
             compare_methods(karate, {"degree": degree_group(karate, 2)},
                             reference="exact")
-
-
-class TestParallelSampling:
-    def test_batched_seeds_reproducible(self):
-        assert batched_seeds(7, 5) == batched_seeds(7, 5)
-        assert len(set(batched_seeds(7, 50))) == 50
-        with pytest.raises(InvalidParameterError):
-            batched_seeds(7, -1)
-
-    def test_sequential_batch_valid(self, karate):
-        forests = sample_forest_batch(karate, [0, 33], 6, seed=0)
-        assert len(forests) == 6
-        for forest in forests:
-            forest.validate_against(karate)
-
-    def test_batch_reproducible_and_independent_of_workers_param(self, karate):
-        first = sample_forest_batch(karate, [0], 4, seed=3, workers=1)
-        second = sample_forest_batch(karate, [0], 4, seed=3, workers=None)
-        for a, b in zip(first, second):
-            assert np.array_equal(a.parent, b.parent)
-
-    def test_auto_dispatch_matches_lockstep(self, karate):
-        """The default path is the vectorised lockstep kernel."""
-        auto = sample_forest_batch(karate, [0, 33], 4, seed=9)
-        lockstep = sample_forest_batch(karate, [0, 33], 4, seed=9,
-                                       method="lockstep")
-        for a, b in zip(auto, lockstep):
-            assert np.array_equal(a.parent, b.parent)
-
-    def test_unknown_method_rejected(self, karate):
-        with pytest.raises(InvalidParameterError):
-            sample_forest_batch(karate, [0], 2, seed=0, method="quantum")
-
-    def test_process_pool_bit_identical_to_sequential(self, karate):
-        """The batched_seeds contract: a scalar batch is the same however split.
-
-        Exercises the ProcessPoolExecutor path (method="scalar", workers=2),
-        which the other tests never reach, and checks bit-identical forests
-        against the sequential scalar path.
-        """
-        sequential = sample_forest_batch(karate, [0, 33], 5, seed=11, workers=1,
-                                         method="scalar")
-        pooled = sample_forest_batch(karate, [0, 33], 5, seed=11, workers=2,
-                                     method="scalar")
-        assert len(pooled) == len(sequential)
-        for a, b in zip(sequential, pooled):
-            assert np.array_equal(a.parent, b.parent)
-            assert np.array_equal(a.roots, b.roots)
-            b.validate_against(karate)
-
-    def test_process_pool_single_forest_falls_back_sequential(self, karate):
-        # count == 1 short-circuits the pool even when workers > 1.
-        pooled = sample_forest_batch(karate, [0], 1, seed=5, workers=4,
-                                     method="scalar")
-        sequential = sample_forest_batch(karate, [0], 1, seed=5, workers=1,
-                                         method="scalar")
-        assert np.array_equal(pooled[0].parent, sequential[0].parent)
-
-    def test_empty_batch(self, karate):
-        assert sample_forest_batch(karate, [0], 0, seed=0) == []
-
-    def test_negative_count_rejected(self, karate):
-        with pytest.raises(InvalidParameterError):
-            sample_forest_batch(karate, [0], -2, seed=0)
