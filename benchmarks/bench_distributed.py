@@ -12,8 +12,7 @@ The sharded win on a single core is *solver locality*: splu factor time and
 per-column solve time both grow superlinearly in ``n``, so four
 quarter-sized trackers beat one full-sized tracker even executed back to
 back — the Schur stitch itself is a handful of dense BLAS-3 calls over the
-separator block.  On multi-core hosts the thread executor overlaps the
-per-shard work on top of that.
+separator block.
 
 Gates (checked by ``main``):
 
@@ -130,7 +129,7 @@ def _splu_reference_diag(graph: DynamicGraph, group, nodes):
 
 def run_comparison(rows: int, cols: int, shards: int, cycles: int,
                    updates: int, queries: int, seed: int,
-                   backend: str, executor: str, check_nodes: int = 16):
+                   backend: str, check_nodes: int = 16):
     """One head-to-head run; returns a ``BENCH_*.json`` row."""
     n = rows * cols
     group = (0, n // 2 + cols // 2)
@@ -143,11 +142,10 @@ def run_comparison(rows: int, cols: int, shards: int, cycles: int,
 
     graph_sharded = DynamicGraph(generators.grid_graph(rows, cols))
     sharded = ShardedCFCM(graph_sharded, shards=shards, seed=seed,
-                          backend=backend, executor=executor,
+                          backend=backend,
                           seeds=_strip_seeds(rows, cols, shards))
     sharded_seconds, sharded_lat, sharded_warm = _drive(
         sharded, graph_sharded, plan, group)
-    sharded.close()
 
     # Exactness: sampled resistances from both engines against one fresh
     # global factorisation of the final (identical) graph state.
@@ -169,7 +167,6 @@ def run_comparison(rows: int, cols: int, shards: int, cycles: int,
         "updates_per_cycle": updates,
         "queries_per_cycle": queries,
         "backend": backend,
-        "executor": executor,
         "separator_nodes": len(sharded.partition.separator),
         "single_seconds": single_seconds,
         "sharded_seconds": sharded_seconds,
@@ -189,8 +186,7 @@ def run_smoke_exactness(seed: int = 0):
     n = rows * cols
     plan = _workload(rows, cols, cycles=3, updates=12, queries=4, seed=seed)
     graph = DynamicGraph(generators.grid_graph(rows, cols))
-    engine = ShardedCFCM(graph, shards=4, seed=seed, backend="dense",
-                         coupling="exact")
+    engine = ShardedCFCM(graph, shards=4, seed=seed, backend="dense")
     group = (0, n // 2)
     _drive(engine, graph, plan, group)
 
@@ -255,8 +251,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--backend", choices=("dense", "sparse", "auto"),
                         default="sparse")
-    parser.add_argument("--executor", choices=("serial", "thread"),
-                        default="serial")
     parser.add_argument("--min-speedup", type=float, default=2.5,
                         help="full-mode throughput gate (x single-tracker)")
     parser.add_argument("--smoke", action="store_true",
@@ -278,8 +272,7 @@ def main(argv=None) -> int:
                     f"smoke exactness gate failed: {exact}")
             row = run_comparison(rows=8, cols=24, shards=4, cycles=2,
                                  updates=8, queries=4, seed=args.seed,
-                                 backend="dense", executor="serial",
-                                 check_nodes=8)
+                                 backend="dense", check_nodes=8)
             row.update(mode="smoke", **{f"exact_{k}": v
                                         for k, v in exact.items()})
             rows = [row]
@@ -287,8 +280,7 @@ def main(argv=None) -> int:
             row = run_comparison(rows=args.side, cols=args.side,
                                  shards=args.shards, cycles=args.cycles,
                                  updates=args.updates, queries=args.queries,
-                                 seed=args.seed, backend=args.backend,
-                                 executor=args.executor)
+                                 seed=args.seed, backend=args.backend)
             row["mode"] = "full"
             rows = [row]
             if row["speedup"] < args.min_speedup:

@@ -12,7 +12,6 @@ for the algebra and :doc:`docs/distributed.md <../../docs/distributed>`
 for the full derivation.
 """
 
-from repro.distributed.executor import SerialExecutor, ThreadExecutor, make_executor
 from repro.distributed.partition import Partition, partition_graph
 from repro.distributed.shard import ShardState
 from repro.distributed.engine import ShardedCFCM
@@ -20,9 +19,6 @@ from repro.distributed.engine import ShardedCFCM
 __all__ = [
     "Partition",
     "partition_graph",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "make_executor",
     "ShardState",
     "ShardedCFCM",
 ]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -64,20 +65,13 @@ class Partition:
     def shards(self) -> int:
         return len(self.parts)
 
-    def part_of(self, node: int) -> int:
-        """Home part of ``node`` (defined also for separator nodes)."""
-        return self.home[int(node)]
+    @cached_property
+    def separator_set(self) -> frozenset:
+        """``separator`` as a frozenset, for O(1) membership tests."""
+        return frozenset(self.separator)
 
     def is_separator(self, node: int) -> bool:
-        return int(node) in self._separator_set
-
-    @property
-    def _separator_set(self) -> frozenset:
-        cached = self.__dict__.get("_sep_cache")
-        if cached is None:
-            cached = frozenset(self.separator)
-            self.__dict__["_sep_cache"] = cached
-        return cached
+        return int(node) in self.separator_set
 
     def describe(self) -> Dict[str, object]:
         """Summary dict for logs and bench artifacts."""
@@ -104,6 +98,35 @@ def partition_graph(graph: DynamicGraph, shards: int,
         )
     home = assign_homes(graph, shards, seeds)
     return partition_from_home(graph, home, shards)
+
+
+def repartition(graph: DynamicGraph, previous: Partition) -> Partition:
+    """Re-partition after a structural event, inheriting ``previous`` homes.
+
+    Surviving nodes keep their home; joining nodes adopt the home of their
+    first already-homed neighbour, in repeated sweeps, so chains of joining
+    nodes resolve breadth-first; nodes no sweep reaches go to part 0.  If
+    no node survives, homes come from a fresh BFS (:func:`assign_homes`).
+    """
+    ids = [int(x) for x in graph.node_ids()]
+    home = {x: previous.home[x] for x in ids if x in previous.home}
+    if not home:
+        home = assign_homes(graph, previous.shards)
+    pending = [x for x in ids if x not in home]
+    while pending:
+        rest = []
+        for node in pending:
+            owner = next((home[nb] for nb in graph.neighbors(node)
+                          if nb in home), None)
+            if owner is None:
+                rest.append(node)
+            else:
+                home[node] = owner
+        if len(rest) == len(pending):
+            home.update(dict.fromkeys(rest, 0))
+            break
+        pending = rest
+    return partition_from_home(graph, home, previous.shards)
 
 
 def assign_homes(graph: DynamicGraph, shards: int,

@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.centrality.estimators import SamplingConfig
 from repro.dynamic.engine import DynamicCFCM
 from repro.dynamic.graph import ADD, REMOVE, REWEIGHT, DynamicGraph, GraphUpdate
@@ -103,18 +101,6 @@ class ShardState:
             backend=backend, backend_options=backend_options,
         )
 
-    @property
-    def n_interior(self) -> int:
-        return len(self.interior)
-
-    def owns(self, node: int) -> bool:
-        """Whether ``node`` is interior to this shard."""
-        return int(node) in self.interior_set
-
-    def local(self, node: int) -> int:
-        """Mirror-local stable id of a global node in this shard's universe."""
-        return self.g2l[int(node)]
-
     def forward(self, event: GraphUpdate) -> None:
         """Replay one global *edge* event onto the mirror.
 
@@ -143,9 +129,3 @@ class ShardState:
         grounded = [self.g2l[t] for t in self.separator]
         grounded.extend(self.g2l[s] for s in group if s in self.interior_set)
         return tuple(sorted(grounded))
-
-    def kept_rows(self, group: Sequence[int]) -> np.ndarray:
-        """Mirror-local ids of the rows a tracker for ``group`` would keep."""
-        grounded = set(self.grounded_group(group))
-        return np.array([i for i in range(len(self.l2g))
-                         if i not in grounded], dtype=np.int64)

@@ -156,7 +156,93 @@ def _pool_key(roots: Tuple[int, ...]) -> str:
     return ",".join(str(r) for r in roots)
 
 
-class DynamicCFCM:
+class QueryFront:
+    """``query`` and ``evaluate``, shared by the single and sharded engines.
+
+    An engine provides ``graph``, ``config``, ``rng``, ``stats``,
+    ``cache_capacity``, a ``_query_cache`` dict, ``sync()``,
+    ``evaluate_exact()`` and ``evaluate_forest()``.
+    """
+
+    def query(self, k: int, method: str = "schur", eps: float = 0.2,
+              evaluate: bool | str = False) -> CFCMResult:
+        """Solve CFCM on the current graph, reusing the cache when unchanged.
+
+        Parameters mirror :func:`repro.maximize_cfcc`; the result of a miss
+        is computed by the corresponding batch algorithm on the current
+        snapshot and memoised until the next mutation.  ``result.group``
+        holds stable node ids (snapshot ids are translated back after node
+        churn).  The sharded engine selects on the global snapshot too:
+        sharding speeds up the serving surface, not selection.
+        """
+        from repro.centrality.api import maximize_cfcc, validate_cfcm_parameters
+
+        k = validate_cfcm_parameters(self.graph.n, k, str(method).lower(), eps,
+                                     self.config)
+        if not self.graph.is_unit_weighted:
+            # snapshot() exposes only the topology, so every batch method
+            # (including exact greedy) would silently optimise the wrong
+            # objective on a weighted graph.
+            raise InvalidParameterError(
+                "selection queries assume unit edge weights; reset weights "
+                "to 1 (weighted graphs are supported for evaluation via "
+                "evaluate_exact only)"
+            )
+        with trace("engine.query", k=k, method=str(method).lower()) as span, \
+                _op_timer("query"):
+            # Keep the pool/tracker state machine and journal compaction
+            # moving under query-only traffic too, or the journal would grow
+            # unboundedly in a service that never calls the evaluate paths.
+            self.sync()
+            # True and "exact" request the same evaluation; normalising the
+            # key keeps them from occupying two cache slots for one result.
+            if evaluate is True:
+                evaluate = "exact"
+            key = (k, str(method).lower(), round(float(eps), 9),
+                   str(evaluate) if evaluate else "")
+            cached = self._query_cache.get(key)
+            if cached is not None and cached[0] == self.graph.version:
+                self.stats.query_hits += 1
+                span.set(cache="hit")
+                _lru_store(self._query_cache, key, cached, self.cache_capacity)
+                return cached[1]
+            self.stats.query_misses += 1
+            span.set(cache="miss")
+            child_seed = int(self.rng.integers(0, 2**62))
+            result = maximize_cfcc(self.graph.snapshot(), k, method=method,
+                                   eps=eps, seed=child_seed, config=self.config,
+                                   evaluate=evaluate)
+            mapping = self.graph.snapshot_mapping()
+            if int(mapping[-1]) != mapping.size - 1:
+                # Node churn left holes in the id space: translate the
+                # snapshot's compact ids back to the stable ids callers
+                # reason in — in the group and in the per-iteration
+                # diagnostics alike.
+                result.group = [int(mapping[node]) for node in result.group]
+                for entry in result.iteration_log:
+                    if "node" in entry:
+                        entry["node"] = int(mapping[entry["node"]])
+            _lru_store(self._query_cache, key, (self.graph.version, result),
+                       self.cache_capacity)
+            return result
+
+    def evaluate(self, group: Sequence[int], mode: str = "exact") -> float:
+        """Group CFCC of ``group`` on the current graph.
+
+        ``mode="exact"`` reads the incrementally maintained grounded inverse
+        (:meth:`evaluate_exact`); ``mode="forest"`` the importance-weighted
+        forest pools (:meth:`evaluate_forest`, accuracy grows with
+        ``pool_size``).
+        """
+        mode = str(mode).lower()
+        if mode == "exact":
+            return self.evaluate_exact(group)
+        if mode == "forest":
+            return self.evaluate_forest(group)
+        raise InvalidParameterError(f"unknown evaluation mode {mode!r}")
+
+
+class DynamicCFCM(QueryFront):
     """Query engine maintaining CFCM state across edge and node updates.
 
     Parameters
@@ -333,82 +419,6 @@ class DynamicCFCM:
                 self._record_pool_health(roots, pool)
             self._compact_journal()
         return self._pool_version
-
-    def query(self, k: int, method: str = "schur", eps: float = 0.2,
-              evaluate: bool | str = False) -> CFCMResult:
-        """Solve CFCM on the current graph, reusing the cache when unchanged.
-
-        Parameters mirror :func:`repro.maximize_cfcc`; the result of a miss
-        is computed by the corresponding batch algorithm on the current
-        snapshot and memoised until the next mutation.  ``result.group``
-        holds stable node ids (snapshot ids are translated back after node
-        churn).
-        """
-        from repro.centrality.api import maximize_cfcc, validate_cfcm_parameters
-
-        k = validate_cfcm_parameters(self.graph.n, k, str(method).lower(), eps,
-                                     self.config)
-        if not self.graph.is_unit_weighted:
-            # snapshot() exposes only the topology, so every batch method
-            # (including exact greedy) would silently optimise the wrong
-            # objective on a weighted graph.
-            raise InvalidParameterError(
-                "selection queries assume unit edge weights; reset weights "
-                "to 1 (weighted graphs are supported for evaluation via "
-                "evaluate_exact only)"
-            )
-        with trace("engine.query", k=k, method=str(method).lower()) as span, \
-                _op_timer("query"):
-            # Keep the pool/tracker state machine and journal compaction
-            # moving under query-only traffic too, or the journal would grow
-            # unboundedly in a service that never calls the evaluate paths.
-            self.sync()
-            # True and "exact" request the same evaluation; normalising the
-            # key keeps them from occupying two cache slots for one result.
-            if evaluate is True:
-                evaluate = "exact"
-            key = (k, str(method).lower(), round(float(eps), 9),
-                   str(evaluate) if evaluate else "")
-            cached = self._query_cache.get(key)
-            if cached is not None and cached[0] == self.graph.version:
-                self.stats.query_hits += 1
-                span.set(cache="hit")
-                _lru_store(self._query_cache, key, cached, self.cache_capacity)
-                return cached[1]
-            self.stats.query_misses += 1
-            span.set(cache="miss")
-            child_seed = int(self.rng.integers(0, 2**62))
-            result = maximize_cfcc(self.graph.snapshot(), k, method=method,
-                                   eps=eps, seed=child_seed, config=self.config,
-                                   evaluate=evaluate)
-            mapping = self.graph.snapshot_mapping()
-            if int(mapping[-1]) != mapping.size - 1:
-                # Node churn left holes in the id space: translate the
-                # snapshot's compact ids back to the stable ids callers
-                # reason in — in the group and in the per-iteration
-                # diagnostics alike.
-                result.group = [int(mapping[node]) for node in result.group]
-                for entry in result.iteration_log:
-                    if "node" in entry:
-                        entry["node"] = int(mapping[entry["node"]])
-            _lru_store(self._query_cache, key, (self.graph.version, result),
-                       self.cache_capacity)
-            return result
-
-    def evaluate(self, group: Sequence[int], mode: str = "exact") -> float:
-        """Group CFCC of ``group`` on the current graph.
-
-        ``mode="exact"`` uses the incremental grounded inverse (one rank-``t``
-        Woodbury batch per pending journal suffix); ``mode="forest"`` uses the
-        importance-weighted forest pool (estimator accuracy grows with
-        ``pool_size``).
-        """
-        mode = str(mode).lower()
-        if mode == "exact":
-            return self.evaluate_exact(group)
-        if mode == "forest":
-            return self.evaluate_forest(group)
-        raise InvalidParameterError(f"unknown evaluation mode {mode!r}")
 
     def tracker(self, group: Sequence[int]) -> IncrementalResistance:
         """The cached per-group incremental inverse, created on first use.
