@@ -16,10 +16,11 @@ SchurCFCM:
 
 Implementation note (documented substitution): the paper's C++ code maintains
 per-directed-edge counters ``N~^{a->b}_{u,S}`` incrementally in O(1) amortised
-per node.  Here every sampled forest is processed with vectorised NumPy
-passes — forest subtree sums per depth level, BFS-level prefix sums, and an
-Euler-tour ancestor test — which computes *exactly the same estimators* (same
-expectations, same per-sample values) with Python-friendly constant factors.
+per node.  Here whole batches of sampled forests are processed with
+vectorised NumPy passes over each batch's DFS preorder
+(:meth:`repro.sampling.batch.ForestBatch.preorder`), which computes *exactly
+the same estimators* (same expectations, same per-sample values) with
+Python-friendly constant factors.
 
 Per-sample quantities
 ---------------------
@@ -33,10 +34,19 @@ the root set:
 
 The projected estimator for node ``u`` is the sum over the BFS path of
 ``alpha_x * Tw(x) - beta_x * Tw(b_x)`` where ``Tw(x)`` is the forest-subtree
-sum of the weight vector, computed as a prefix sum along BFS levels.  The
-diagonal estimator for ``u`` restricts the same sum to the contribution of
-``u`` itself, i.e. keeps a term only when ``x`` (resp. ``b_x``) is a forest
-ancestor of ``u`` — an O(1) Euler-tour interval test.
+sum of the weight vector.  A forest subtree is an interval of the forest's
+preorder, so ``Tw`` is the difference of two entries of one prefix sum of
+the weights taken in preorder.  The sum along BFS paths is linear, so the
+batched fold first sums the terms of all forests of a batch and then takes
+the BFS-level prefix once.
+
+The diagonal estimator for ``u`` restricts the same sum to the contribution
+of ``u`` itself, i.e. keeps a term only when ``x`` (resp. ``b_x``) is a
+forest ancestor of ``u``.  The batched fold walks ``u``'s BFS path, at most
+τ steps, and tests ancestry by preorder-interval containment.  Node-join
+pricing of one new column climbs the column's forest path instead, testing
+membership of the BFS path with the BFS tree's own preorder intervals, which
+needs no whole-batch preorder.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.graph import Graph
@@ -148,19 +159,17 @@ class PathSystem:
     """
 
     def __init__(self, parent: np.ndarray, roots: Sequence[int]):
-        from repro.sampling.forest import Forest as _Forest
-
         self.parent = np.asarray(parent, dtype=np.int64)
         self.roots = sorted(set(int(r) for r in roots))
         n = self.parent.size
         self.root_mask = np.zeros(n, dtype=bool)
         self.root_mask[self.roots] = True
         self.nonroot = np.flatnonzero(~self.root_mask)
-        tree = _Forest(parent=self.parent.copy(),
-                       roots=np.asarray(self.roots, dtype=np.int64))
-        # Euler-tour intervals give the O(1) "x on BFS path of u" test the
-        # diagonal walk needs.
-        self.tin, self.tout = tree.euler_intervals()
+        # Preorder intervals of the path tree give the O(1) "x on the fixed
+        # path of u" test: pre[x] <= pre[u] < pre[x] + size[x].
+        pre, size = ForestBatch(parent=self.parent[None, :],
+                                roots=self.roots).preorder()
+        self.pre, self.size = pre[0], size[0]
         self._levels: Optional[list] = None
 
     @classmethod
@@ -230,12 +239,14 @@ def batched_diag_estimates(forest_parent: np.ndarray, path: PathSystem,
     estimator of forest ``i`` under the fixed ``path`` system (columns on
     roots are zero) — the quantity :class:`ForestAccumulator` accumulates,
     exposed per forest so pooled consumers can cache it.  ``columns``
-    restricts the walk to the given start nodes and returns ``(B, k)``
-    (used to price a newly inserted node without refolding the batch).
+    restricts the estimate to the given nodes and returns ``(B, k)`` (used
+    to price a newly inserted node without refolding the batch).
 
-    The kernel is a lane-compressed ancestor walk: one lane per (sample,
-    start-node) pair climbs its forest path with batch-wide fancy gathers,
-    so the Python loop runs over the batch-wide maximum forest depth.
+    The full matrix walks every node's fixed path, at most τ steps, and
+    tests forest ancestry with the batch's preorder intervals
+    (:func:`_path_walk_diag`).  With ``columns`` each given node climbs its
+    own forest path instead, O(B · depth · k), which needs no whole-batch
+    preorder.
     """
     forest_parent = np.asarray(forest_parent, dtype=np.int64)
     if forest_parent.ndim != 2 or forest_parent.shape[1] != path.n:
@@ -243,39 +254,33 @@ def batched_diag_estimates(forest_parent: np.ndarray, path: PathSystem,
             f"forest parents must have shape (B, {path.n}), "
             f"got {forest_parent.shape}"
         )
-    size = forest_parent.shape[0]
-    n = path.n
     if columns is None:
-        starts = path.nonroot
-    else:
-        starts = np.asarray([int(c) for c in columns], dtype=np.int64)
-        if starts.size and (starts.min() < 0 or starts.max() >= n):
-            raise InvalidParameterError("columns outside node range")
-    bfs_parent = path.parent
-    nonroot = path.nonroot
-    tin, tout = path.tin, path.tout
+        return _path_walk_diag(ForestBatch(parent=forest_parent,
+                                           roots=path.roots), path)
+    starts = np.asarray([int(c) for c in columns], dtype=np.int64)
+    if starts.size and (starts.min() < 0 or starts.max() >= path.n):
+        raise InvalidParameterError("columns outside node range")
+    size = forest_parent.shape[0]
+    alpha = _path_edge_up(forest_parent, path)
+    delta = _path_edge_down(forest_parent, path)
 
-    alpha = np.zeros((size, n), dtype=bool)
-    alpha[:, nonroot] = forest_parent[:, nonroot] == bfs_parent[nonroot]
-    has_parent = forest_parent >= 0
-    safe_parent = np.where(has_parent, forest_parent, 0)
-    delta = has_parent & (bfs_parent[safe_parent] == np.arange(n))
-
+    # One lane per (sample, start) pair climbs its forest path; membership
+    # of the start's fixed path is a preorder-interval test of the path tree.
     diag = np.zeros((size, starts.size))
     lane_sample = np.repeat(np.arange(size, dtype=np.int64), starts.size)
     lane_start = np.tile(np.arange(starts.size, dtype=np.int64), size)
     cursor = np.tile(starts, size)
-    tin_lane = tin[cursor]
+    pre_lane = path.pre[cursor]
     # Lanes rooted at a root node are done before they start.
     live = ~path.root_mask[cursor]
     lane_sample, lane_start = lane_sample[live], lane_start[live]
-    cursor, tin_lane = cursor[live], tin_lane[live]
+    cursor, pre_lane = cursor[live], pre_lane[live]
     while lane_sample.size:
         x = cursor
-        on_path_x = (tin[x] <= tin_lane) & (tin_lane <= tout[x])
+        on_path_x = _contains(path.pre[x], path.size[x], pre_lane)
         pi_x = forest_parent[lane_sample, x]
         safe_pi = np.where(pi_x >= 0, pi_x, x)
-        on_path_pi = (tin[safe_pi] <= tin_lane) & (tin_lane <= tout[safe_pi])
+        on_path_pi = _contains(path.pre[safe_pi], path.size[safe_pi], pre_lane)
         step = (
             (alpha[lane_sample, x] & on_path_x).astype(np.float64)
             - (delta[lane_sample, x] & on_path_pi & (pi_x >= 0)).astype(np.float64)
@@ -287,12 +292,100 @@ def batched_diag_estimates(forest_parent: np.ndarray, path: PathSystem,
         lane_sample = lane_sample[keep]
         lane_start = lane_start[keep]
         cursor = pi_x[keep]
-        tin_lane = tin_lane[keep]
-    if columns is None:
-        full = np.zeros((size, n))
-        full[:, starts] = diag
-        return full
+        pre_lane = pre_lane[keep]
     return diag
+
+
+def _path_edge_up(forest_parent: np.ndarray, path: PathSystem) -> np.ndarray:
+    """``(B, n)`` alpha: whether each non-root node's forest edge is its
+    path edge (crossed upward by every node of its forest subtree)."""
+    alpha = np.zeros(forest_parent.shape, dtype=bool)
+    nonroot = path.nonroot
+    alpha[:, nonroot] = forest_parent[:, nonroot] == path.parent[nonroot]
+    return alpha
+
+
+def _path_edge_down(forest_parent: np.ndarray, path: PathSystem) -> np.ndarray:
+    """``(B, n)`` delta: whether each node is the path parent of its forest
+    parent ``π(y)`` (so ``π(y)``'s path edge is crossed downward by every
+    node of the forest subtree of ``y``)."""
+    has_parent = forest_parent >= 0
+    safe_parent = np.where(has_parent, forest_parent, 0)
+    return has_parent & (path.parent[safe_parent] == np.arange(path.n))
+
+
+def _contains(start: np.ndarray, size: np.ndarray,
+              position: np.ndarray) -> np.ndarray:
+    """Elementwise ``start <= position < start + size``: with preorder
+    intervals, whether the interval's node is an ancestor (or self) of the
+    node at ``position``."""
+    offset = position - start
+    return (offset >= 0) & (offset < size)
+
+
+def _path_walk_diag(batch: ForestBatch, path: PathSystem) -> np.ndarray:
+    """``(B, n)`` diagonal estimates by walking each node's fixed path.
+
+    Let ``u = y_0, y_1, ..., y_k`` be ``u``'s path to the root set.  The
+    forest path from ``u`` crosses the path edge ``(y_i, y_{i+1})`` upward
+    iff ``y_i`` is a forest ancestor of ``u`` whose forest parent is
+    ``y_{i+1}`` (alpha), and downward iff ``y_{i+1}`` is a forest ancestor
+    of ``u`` whose forest parent is ``y_i``; the estimate is the net count.
+    Every node takes one step per loop pass, so the loop runs τ times, and
+    ancestry is a preorder-interval test.  The values are small integers,
+    so the sums are exact in any order.
+    """
+    parent = batch.parent
+    pre, size = batch.preorder()
+    alpha = _path_edge_up(parent, path)
+    diag = np.zeros(parent.shape)
+    columns = path.nonroot
+    step = columns
+    pre_u = pre[:, columns]
+    while columns.size:
+        after = path.parent[step]
+        up = alpha[:, step] & _contains(pre[:, step], size[:, step], pre_u)
+        down = ((parent[:, after] == step)
+                & _contains(pre[:, after], size[:, after], pre_u))
+        diag[:, columns] += up.astype(np.float64) - down
+        more = ~path.root_mask[after]
+        columns, step, pre_u = columns[more], after[more], pre_u[:, more]
+    return diag
+
+
+def _projected_terms(batch: ForestBatch, path: PathSystem, weights: np.ndarray):
+    """The forest-subtree sums the projected estimators read, and where.
+
+    Forest ``b``'s contribution at a non-root node ``x`` is
+    ``alpha_x T(x) - beta_x T(p_x)``: ``T`` is the forest-subtree sum of
+    the weight rows, ``p_x`` the path parent, ``beta_x`` whether the forest
+    edge of ``p_x`` leads to ``x``.  Indexed by the subtree's top ``y``,
+    ``T(y)`` enters at ``y`` with sign +1 when ``alpha_y``, and at
+    ``x = π(y)`` with sign -1 when ``delta_y`` (``y`` is the path parent of
+    ``x``).
+
+    Returns ``(samples, targets, signs, terms, sums)``: ``sums`` holds the
+    ``(K, w)`` subtree sums, and term ``j`` adds ``signs[j] *
+    sums[terms[j]]`` to node ``targets[j]`` of sample ``samples[j]``.
+    """
+    parent = batch.parent
+    alpha = _path_edge_up(parent, path)
+    delta = _path_edge_down(parent, path)
+    samples, nodes = np.nonzero(alpha | delta)
+    sums = batch.subtree_sums(weights, samples, nodes)
+    ups = np.flatnonzero(alpha[samples, nodes])
+    downs = np.flatnonzero(delta[samples, nodes])
+    terms = np.concatenate([ups, downs])
+    targets = np.concatenate([nodes[ups], parent[samples[downs], nodes[downs]]])
+    signs = np.concatenate([np.ones(ups.size), -np.ones(downs.size)])
+    return samples[terms], targets, signs, terms, sums
+
+
+def _path_prefix(values: np.ndarray, path: PathSystem) -> None:
+    """In place along axis -2: each node's value becomes the sum over its
+    fixed path (itself included, roots contributing zero)."""
+    for nodes in path.levels()[1:]:
+        values[..., nodes, :] += values[..., path.parent[nodes], :]
 
 
 def batched_projected_estimates(batch: ForestBatch, path: PathSystem,
@@ -300,11 +393,12 @@ def batched_projected_estimates(batch: ForestBatch, path: PathSystem,
     """Per-forest projected estimators ``w_j^T inv(L_{-S}) e_u`` over a batch.
 
     Returns the ``(B, w, n)`` tensor whose slice ``i`` holds forest ``i``'s
-    unaggregated projected estimator rows under the fixed ``path`` system —
-    the quantity :meth:`ForestAccumulator._fold_batched` weight-sums over
-    the batch axis, exposed per forest so pooled consumers (the engine's
-    JL-projected gain evaluation) can cache rows per forest and fold only
-    fresh draws.  Columns of ``weights`` on roots are zeroed defensively.
+    unaggregated projected estimator rows under the fixed ``path`` system,
+    so pooled consumers (the engine's JL-projected gain evaluation) can
+    cache rows per forest and fold only fresh draws.  The subtree sums come
+    from the same preorder kernel as :meth:`ForestAccumulator._fold_batched`,
+    which sums these rows over the batch instead.  Columns of ``weights`` on
+    roots are zeroed defensively.
     """
     weights = np.asarray(weights, dtype=np.float64)
     n = path.n
@@ -316,30 +410,12 @@ def batched_projected_estimates(batch: ForestBatch, path: PathSystem,
         )
     weights = weights.copy()
     weights[:, path.roots] = 0.0
-    parent = batch.parent
-    size = batch.batch_size
-    bfs_parent = path.parent
-    nonroot = path.nonroot
-    alpha = np.zeros((size, n), dtype=bool)
-    beta = np.zeros((size, n), dtype=bool)
-    alpha[:, nonroot] = parent[:, nonroot] == bfs_parent[nonroot]
-    beta[:, nonroot] = parent[:, bfs_parent[nonroot]] == nonroot
-    subtree = batch.subtree_sums(weights)  # (B, w, n)
-    contribution = np.zeros_like(subtree)
-    contribution[:, :, nonroot] = (
-        subtree[:, :, nonroot] * alpha[:, None, nonroot]
-        - subtree[:, :, bfs_parent[nonroot]] * beta[:, None, nonroot]
-    )
-    projected = np.zeros_like(subtree)
-    levels = path.levels()
-    for level in range(1, len(levels)):
-        nodes = levels[level]
-        if nodes.size == 0:
-            continue
-        projected[:, :, nodes] = (
-            projected[:, :, bfs_parent[nodes]] + contribution[:, :, nodes]
-        )
-    return projected
+    samples, targets, signs, terms, sums = _projected_terms(batch, path, weights)
+    scatter = sp.csr_matrix((signs, (samples * n + targets, terms)),
+                            shape=(batch.batch_size * n, sums.shape[0]))
+    projected = (scatter @ sums).reshape(batch.batch_size, n, weights.shape[0])
+    _path_prefix(projected, path)
+    return projected.transpose(0, 2, 1)
 
 
 def rademacher_weights(rows: int, n: int, excluded: Sequence[int],
@@ -388,16 +464,10 @@ class ForestAccumulator:
         self.tau = int(self.tree.max_depth)
 
         n = graph.n
-        # The fixed path system (BFS-tree paths with Euler-tour intervals):
-        # the diagonal estimator walks each node's forest path and tests
-        # membership of the BFS path with the intervals, so no per-sample
-        # tour is ever needed.
+        # The fixed path system: BFS-tree paths, so every per-sample value
+        # is bounded by τ.
         self._path = PathSystem(self.tree.parent, self.roots)
         self._root_mask = self._path.root_mask
-        self._bfs_parent = self._path.parent
-        self._levels = self.tree.levels()
-        self._nonroot = self._path.nonroot
-        self._bfs_tin, self._bfs_tout = self._path.tin, self._path.tout
 
         if weights is None:
             weights = np.zeros((0, n))
@@ -430,17 +500,17 @@ class ForestAccumulator:
         """Sample ``batch_size`` forests and fold them into the running sums.
 
         Batches of two or more are drawn with the lockstep vectorised
-        sampler (in chunks sized so the batched subtree-sum tensor stays
-        memory-bounded) and folded through :meth:`add_batch`; a single
-        sample falls back to the scalar sampler.
+        sampler (in memory-bounded chunks) and folded through
+        :meth:`add_batch`; a single sample falls back to the scalar sampler.
         """
         remaining = int(batch_size)
         if remaining <= 0:
             return
         n = self.graph.n
         rows = max(self.weights.shape[0], 1)
-        # Bound both the sampler's (B, n) state and the (B, n, w) subtree
-        # tensor of the batched fold.
+        # Bound both the sampler's (B, n) state and the (K, w) subtree sums
+        # of the batched fold (K <= B * n).  The chunks also split the
+        # sampler's random stream, so this cap fixes which forests are drawn.
         chunk_cap = max(1, min(LOCKSTEP_STATE_LIMIT // max(n, 1),
                                (1 << 24) // max(n * rows, 1)))
         while remaining > 0:
@@ -479,12 +549,13 @@ class ForestAccumulator:
         """Fold a whole :class:`~repro.sampling.batch.ForestBatch` in at once.
 
         ``method="batched"`` (the default) runs the fully vectorised
-        ``(B, n)`` fold of :meth:`_fold_batched`: one batched subtree-sum /
-        root-map kernel plus a lane-compressed ancestor walk whose Python
-        loop runs over the *batch-wide* maximum forest depth instead of once
-        per forest.  ``method="scalar"`` folds each forest through the
-        per-forest reference :meth:`_fold` (the chi-square baseline); both
-        paths produce the same running sums up to float summation order.
+        ``(B, n)`` fold of :meth:`_fold_batched` on the batch's DFS
+        preorder: prefix-sum subtree sums reduced over the batch, and a
+        diagonal walk whose Python loop runs τ times (the longest fixed
+        path) for the whole batch.  ``method="scalar"`` folds each forest
+        through the per-forest reference :meth:`_fold` (the chi-square
+        baseline); both paths produce the same running sums up to float
+        summation order.
 
         ``weights`` optionally assigns each forest an importance weight
         (default 1), making every estimate a self-normalised weighted mean —
@@ -552,8 +623,9 @@ class ForestAccumulator:
         batched kernels' outputs.
         """
         n = self.graph.n
-        bfs_parent = self._bfs_parent
-        nonroot = self._nonroot
+        path = self._path
+        bfs_parent = path.parent
+        nonroot = path.nonroot
 
         alpha = np.zeros(n, dtype=bool)
         beta = np.zeros(n, dtype=bool)
@@ -572,10 +644,7 @@ class ForestAccumulator:
                 - subtree[:, bfs_parent[nonroot]] * beta[nonroot]
             )
             projected = np.zeros_like(subtree)
-            for level in range(1, len(self._levels)):
-                nodes = self._levels[level]
-                if nodes.size == 0:
-                    continue
+            for nodes in path.levels()[1:]:
                 projected[:, nodes] = projected[:, bfs_parent[nodes]] + contribution[:, nodes]
             self.projected_sum += weight * projected
 
@@ -586,30 +655,30 @@ class ForestAccumulator:
         #                                  - delta_x [pi_x in BFSpath(u)] )
         #
         # with delta_x = 1 iff bfs_parent(pi_x) = x.  Membership of the fixed
-        # BFS path is an Euler-interval test precomputed in the constructor,
-        # so every walk step below is a handful of vectorised array ops.
-        tin, tout = self._bfs_tin, self._bfs_tout
+        # BFS path is a preorder-interval test of the path tree, so every
+        # walk step below is a handful of vectorised array ops.
         delta = np.zeros(n, dtype=bool)
         has_parent = parent >= 0
         delta[has_parent] = bfs_parent[parent[has_parent]] == np.flatnonzero(has_parent)
         diag = np.zeros(n)
         cursor = nonroot.copy()
         active = nonroot.copy()
-        tin_active = tin[active]
+        pre_active = path.pre[active]
         while active.size:
             x = cursor
-            on_path_x = (tin[x] <= tin_active) & (tin_active <= tout[x])
+            on_path_x = _contains(path.pre[x], path.size[x], pre_active)
             pi_x = parent[x]
             safe_pi = np.where(pi_x >= 0, pi_x, x)
-            on_path_pi = (tin[safe_pi] <= tin_active) & (tin_active <= tout[safe_pi])
+            on_path_pi = _contains(path.pre[safe_pi], path.size[safe_pi],
+                                   pre_active)
             diag[active] += (
                 (alpha[x] & on_path_x).astype(np.float64)
                 - (delta[x] & on_path_pi & (pi_x >= 0)).astype(np.float64)
             )
-            keep = (pi_x >= 0) & ~self._root_mask[safe_pi]
+            keep = (pi_x >= 0) & ~path.root_mask[safe_pi]
             active = active[keep]
             cursor = pi_x[keep]
-            tin_active = tin_active[keep]
+            pre_active = pre_active[keep]
         self.diag_sum += weight * diag
         self.diag_sumsq += weight * (diag * diag)
 
@@ -623,31 +692,36 @@ class ForestAccumulator:
     def _fold_batched(self, batch: ForestBatch, weights: np.ndarray) -> None:
         """Fold a whole batch with ``(B, n)`` kernels (no per-forest pass).
 
-        Computes exactly the sums of running :meth:`_fold` over every row of
-        the batch (up to float summation order):
+        Computes the sums of running :meth:`_fold` over every row of the
+        batch (the diagonal sums exactly, the projected sums up to float
+        summation order):
 
-        * ``alpha``/``beta``/``delta`` indicators as ``(B, n)`` comparisons;
-        * the projected estimators via the batched subtree-sum kernel and a
-          BFS-level prefix fold vectorised over the batch axis;
-        * the diagonal estimators via a lane-compressed ancestor walk: one
-          lane per (sample, node) pair climbs its forest path, all lanes
-          advance together with fancy gathers, and finished lanes are
-          compressed away — so the Python loop runs ``max`` forest depth
-          times for the whole batch instead of once per forest;
+        * projected estimators: the subtree sums the estimator reads come
+          from one preorder prefix sum per forest; their signed,
+          forest-weighted terms are summed over the batch into one
+          ``(w, n)`` contribution, and the path-level prefix is applied
+          once to that total.  The prefix is linear, so this equals
+          prefixing every forest and summing, without ever building a
+          ``(B, w, n)`` tensor;
+        * diagonal estimators: every node's fixed path (at most τ steps) is
+          walked, with forest ancestry tested by preorder intervals;
         * rooted-at counts from the batched pointer-doubling root map.
 
         The per-forest ``weights`` multiply every contribution, which is
         what lets one kernel serve both the fresh-sample estimators and the
         importance-weighted pool evaluation.
         """
-        parent = batch.parent
-
+        n = self.graph.n
         if self.weights.shape[0]:
-            projected = batched_projected_estimates(batch, self._path,
-                                                    self.weights)
-            self.projected_sum += np.einsum("b,bwn->wn", weights, projected)
+            samples, targets, signs, terms, sums = _projected_terms(
+                batch, self._path, self.weights)
+            reduce = sp.csr_matrix((signs * weights[samples], (targets, terms)),
+                                   shape=(n, sums.shape[0]))
+            contribution = reduce @ sums
+            _path_prefix(contribution, self._path)
+            self.projected_sum += contribution.T
 
-        diag = batched_diag_estimates(parent, self._path)
+        diag = _path_walk_diag(batch, self._path)
         self.diag_sum += weights @ diag
         self.diag_sumsq += weights @ (diag * diag)
 

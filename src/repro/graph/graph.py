@@ -99,45 +99,30 @@ class Graph:
         self.edge_v = hi
         self._m = int(lo.size)
 
-        # Build CSR by counting degrees then filling neighbour slots.
-        degrees = np.zeros(n, dtype=np.int64)
-        np.add.at(degrees, lo, 1)
-        np.add.at(degrees, hi, 1)
+        # CSR: each node's slots list its incident edges in edge-id order
+        # (the samplers' draws depend on this neighbour order).  Directed
+        # slot j < m is edge j seen from lo[j], slot m + j from hi[j]; one
+        # sort by (source, edge id) places every slot.
+        sources = np.concatenate([lo, hi])
+        edge_ids = np.tile(np.arange(self._m, dtype=np.int64), 2)
+        order = np.lexsort((edge_ids, sources))
+        degrees = np.bincount(sources, minlength=n).astype(np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        adjacency = np.empty(2 * self._m, dtype=np.int64)
-        position_edge_id = np.empty(2 * self._m, dtype=np.int64)
-        cursor = indptr[:-1].copy()
-        for eid in range(self._m):
-            u, v = int(lo[eid]), int(hi[eid])
-            adjacency[cursor[u]] = v
-            position_edge_id[cursor[u]] = eid
-            cursor[u] += 1
-            adjacency[cursor[v]] = u
-            position_edge_id[cursor[v]] = eid
-            cursor[v] += 1
 
         self.indptr = indptr
-        self.adjacency = adjacency
+        self.adjacency = np.concatenate([hi, lo])[order]
         self.degrees = degrees
-        self._position_edge_id = position_edge_id
+        self._position_edge_id = edge_ids[order]
         self._py_indptr = None
         self._py_adjacency = None
         self._py_degrees = None
 
         # Reverse-position map: for position p storing directed edge (u -> v),
         # _reverse_position[p] is the position storing (v -> u).
-        reverse = np.full(2 * self._m, -1, dtype=np.int64)
-        first_position = np.full(self._m, -1, dtype=np.int64)
-        for p in range(2 * self._m):
-            eid = position_edge_id[p]
-            if first_position[eid] < 0:
-                first_position[eid] = p
-            else:
-                q = first_position[eid]
-                reverse[p] = q
-                reverse[q] = p
-        self._reverse_position = reverse
+        position = np.empty(2 * self._m, dtype=np.int64)
+        position[order] = np.arange(2 * self._m, dtype=np.int64)
+        self._reverse_position = np.roll(position, self._m)[order]
 
     # ------------------------------------------------------------------ basic
     @property

@@ -46,17 +46,22 @@ to the scalar finish, so the kernel degrades to roughly scalar speed
 instead of losing badly.
 
 The result is a :class:`ForestBatch`: a ``(B, n)`` parent matrix with
-*batched* post-processing kernels (pointer-doubling ``root_of``/``depths``,
-an ``np.add.at`` subtree-sum kernel over a ``(B, n, w)`` tensor), so the
-per-forest derived quantities the estimators need are also computed without
-a per-forest Python pass.
+*batched* post-processing kernels, so the per-forest derived quantities the
+estimators need are also computed without a per-forest Python pass:
+
+* pointer doubling gives ``root_of`` and ``depths``;
+* one batched DFS preorder gives every node's preorder position and subtree
+  size in every forest.  The subtree of ``x`` is then the preorder interval
+  ``[pre[x], pre[x] + size[x])``, so "is ``x`` a forest ancestor of ``u``"
+  is one interval test, and the forest-subtree sum of a weight row is the
+  difference of two entries of one prefix sum taken in preorder.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -96,6 +101,10 @@ _DRY_SHIFT = 6
 # hundreds of low-yield sweeps, so beyond the budget the kernel bails out
 # and lets the scalar finish complete the batch at scalar speed.
 _MAX_SWEEPS = 48
+# Preorder prefix sums are built for a few samples at a time, in a buffer of
+# at most this many float64 entries (8 MiB): small enough to stay in cache,
+# large enough that the per-chunk Python overhead is negligible.
+_PREFIX_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -119,6 +128,8 @@ class ForestBatch:
     roots: np.ndarray
     _root_of: Optional[np.ndarray] = field(default=None, repr=False)
     _depth: Optional[np.ndarray] = field(default=None, repr=False)
+    _pre: Optional[np.ndarray] = field(default=None, repr=False)
+    _size: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.parent = np.asarray(self.parent, dtype=np.int64)
@@ -171,8 +182,25 @@ class ForestBatch:
         counts = np.bincount(flat.ravel(), minlength=batch * n).reshape(batch, n)
         return counts[:, self.roots]
 
+    def preorder(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(pre, size)``: DFS preorder positions and subtree sizes.
+
+        Both are ``(B, n)`` int64 matrices.  Each sample's forest is walked
+        depth first, roots and children in ascending node order, so
+        ``pre[b]`` is a permutation of ``0 .. n - 1`` and the subtree of
+        ``x`` in sample ``b`` occupies the positions
+        ``pre[b, x] <= p < pre[b, x] + size[b, x]``.  Hence ``x`` is a forest
+        ancestor of ``u`` (or ``u`` itself) iff ``pre[b, u]`` lies in that
+        interval.
+        """
+        if self._pre is None:
+            self._compute_preorder()
+        return self._pre, self._size
+
     # ------------------------------------------------------------- aggregation
-    def subtree_sums(self, weights: np.ndarray) -> np.ndarray:
+    def subtree_sums(self, weights: np.ndarray,
+                     samples: Optional[np.ndarray] = None,
+                     nodes: Optional[np.ndarray] = None) -> np.ndarray:
         """Per-sample forest-subtree sums of shared per-node ``weights``.
 
         Parameters
@@ -180,16 +208,20 @@ class ForestBatch:
         weights:
             ``(n,)`` vector or ``(w, n)`` matrix of per-node weights, shared
             by every sample of the batch.
+        samples, nodes:
+            Optional equal-length index arrays of ``(sample, node)`` pairs;
+            only their sums are computed.
 
         Returns
         -------
-        ``(B, n)`` (vector input) or ``(B, w, n)`` (matrix input) array whose
-        entry for sample ``b`` and node ``x`` is
-        ``Σ_{v ∈ subtree_b(x)} weights[..., v]``.
+        Without pairs, a ``(B, n)`` (vector input) or ``(B, w, n)`` (matrix
+        input) array whose entry for sample ``b`` and node ``x`` is
+        ``Σ_{v ∈ subtree_b(x)} weights[..., v]``.  With pairs, a ``(K,)`` or
+        ``(K, w)`` array holding the sums of the ``K`` pairs in order.
 
-        One ``np.add.at`` scatter per depth level folds every sample at once,
-        so the Python-level loop runs over the *batch-wide* forest height
-        instead of once per forest.
+        Each sample's weight columns are summed once, in preorder; a
+        subtree is a preorder interval, so its sum is the difference of two
+        entries of that prefix sum.
         """
         weights = np.asarray(weights, dtype=np.float64)
         single = weights.ndim == 1
@@ -199,24 +231,56 @@ class ForestBatch:
             raise GraphError(
                 f"weights must have {self.n} columns, got shape {weights.shape}"
             )
-        batch = self.batch_size
+        batch, n = self.parent.shape
+        everything = samples is None
+        if everything:
+            samples = np.repeat(np.arange(batch, dtype=np.int64), n)
+            nodes = np.tile(np.arange(n, dtype=np.int64), batch)
+        samples = np.asarray(samples, dtype=np.int64)
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if samples.shape != nodes.shape or samples.ndim != 1:
+            raise InvalidParameterError(
+                "samples and nodes must be 1-D arrays of equal length"
+            )
+        if samples.size and (min(samples.min(), nodes.min()) < 0
+                             or samples.max() >= batch or nodes.max() >= n):
+            raise InvalidParameterError("(sample, node) pairs outside the batch")
         rows = weights.shape[0]
-        # (B, n, w) layout keeps the scatter axis contiguous per (sample, node).
-        totals = np.broadcast_to(weights.T, (batch, self.n, rows)).copy()
-        depth = self.depths()
-        max_depth = int(depth.max()) if depth.size else 0
-        for level in range(max_depth, 0, -1):
-            b_idx, nodes = np.nonzero(depth == level)
-            if b_idx.size == 0:
-                continue
-            parents = self.parent[b_idx, nodes]
-            np.add.at(totals, (b_idx, parents), totals[b_idx, nodes])
-        stacked = totals.transpose(0, 2, 1)
-        return stacked[:, 0, :] if single else stacked
+        sums = np.empty((samples.size, rows))
+        if samples.size:
+            pre, size = self.preorder()
+            # order[b, p] is the node at preorder position p of sample b.
+            order = np.empty_like(pre)
+            np.put_along_axis(order, pre,
+                              np.broadcast_to(np.arange(n), pre.shape), axis=1)
+            columns = np.ascontiguousarray(weights.T)
+            start = pre[samples, nodes]
+            stop = start + size[samples, nodes]
+            by_sample = np.argsort(samples, kind="stable")
+            chunk = max(1, _PREFIX_ENTRIES // ((n + 1) * max(rows, 1)))
+            cuts = np.searchsorted(samples[by_sample],
+                                   np.arange(0, batch + chunk, chunk))
+            # prefix[b, p] = sum of the weight columns at preorder positions
+            # < p of sample lo + b.
+            prefix = np.zeros((min(chunk, batch), n + 1, rows))
+            for index, lo in enumerate(range(0, batch, chunk)):
+                pairs = by_sample[cuts[index]:cuts[index + 1]]
+                if not pairs.size:
+                    continue
+                hi = min(lo + chunk, batch)
+                np.cumsum(columns[order[lo:hi]], axis=1,
+                          out=prefix[:hi - lo, 1:])
+                local = samples[pairs] - lo
+                sums[pairs] = (prefix[local, stop[pairs]]
+                               - prefix[local, start[pairs]])
+        if everything:
+            sums = sums.reshape(batch, n, rows).transpose(0, 2, 1)
+            return sums[:, 0, :] if single else sums
+        return sums[:, 0] if single else sums
 
     def subtree_sizes(self) -> np.ndarray:
         """``(B, n)`` number of nodes in each node's subtree (itself included)."""
-        return self.subtree_sums(np.ones(self.n)).astype(np.int64)
+        return self.preorder()[1].copy()
 
     # ----------------------------------------------------------- set algebra
     def uses_edge(self, u: int, v: int) -> np.ndarray:
@@ -231,8 +295,8 @@ class ForestBatch:
     def select(self, keep) -> "ForestBatch":
         """A new batch holding only the selected rows (mask or index array).
 
-        Cached derived matrices (root maps, depths) are sliced along, so
-        selection never forces a recompute.
+        Cached derived matrices (root maps, depths, preorder) are sliced
+        along, so selection never forces a recompute.
         """
         keep = np.asarray(keep)
         # Fancy indexing already yields fresh arrays — no defensive copies.
@@ -240,6 +304,9 @@ class ForestBatch:
         if self._root_of is not None:
             selected._root_of = self._root_of[keep]
             selected._depth = self._depth[keep]
+        if self._pre is not None:
+            selected._pre = self._pre[keep]
+            selected._size = self._size[keep]
         return selected
 
     def with_leaf(self, leaf_parents: np.ndarray) -> "ForestBatch":
@@ -250,7 +317,9 @@ class ForestBatch:
         forest of ``G + z`` in which ``z`` is a leaf is exactly a rooted
         forest of ``G`` plus an independent choice of ``z``'s parent, so the
         extension keeps every stored sample a valid spanning forest of the
-        grown graph.  Cached root maps and depths extend in O(B).
+        grown graph.  Cached root maps and depths extend in O(B); the
+        preorder is not carried over (the leaf shifts every later position),
+        and is recomputed on demand.
         """
         leaf_parents = np.asarray(leaf_parents, dtype=np.int64)
         if leaf_parents.shape != (self.batch_size,):
@@ -320,15 +389,21 @@ class ForestBatch:
             self._root_of = np.zeros((0, n), dtype=np.int64)
             self._depth = np.zeros((0, n), dtype=np.int64)
             return
-        identity = np.broadcast_to(np.arange(n, dtype=np.int64), (batch, n))
-        pointer = np.where(self.parent < 0, identity, self.parent)
-        distance = (self.parent >= 0).astype(np.int64)
+        if self.parent.max() >= n:
+            raise GraphError("forest parents outside node range")
+        # Pointers over flat (sample, node) ids, so each jump is one gather.
+        base = (np.arange(batch, dtype=np.int64) * n)[:, None]
+        pointer = (np.where(self.parent < 0, np.arange(n), self.parent)
+                   + base).ravel()
+        distance = (self.parent >= 0).astype(np.int64).ravel()
         for _ in range(max(int(np.ceil(np.log2(max(n, 2)))), 1) + 1):
-            next_pointer = np.take_along_axis(pointer, pointer, axis=1)
+            next_pointer = pointer[pointer]
             if np.array_equal(next_pointer, pointer):
                 break
-            distance = distance + np.take_along_axis(distance, pointer, axis=1)
+            distance += distance[pointer]
             pointer = next_pointer
+        pointer = pointer.reshape(batch, n) - base
+        distance = distance.reshape(batch, n)
         root_mask = np.zeros(n, dtype=bool)
         root_mask[self.roots] = True
         if np.any(self.parent[:, ~root_mask] < 0):
@@ -341,6 +416,52 @@ class ForestBatch:
             )
         self._root_of = pointer
         self._depth = distance
+
+    def _compute_preorder(self) -> None:
+        """Batched DFS preorder: sizes bottom-up, positions top-down.
+
+        One stable sort of every ``(sample, node)`` pair by (depth, parent)
+        makes each depth level contiguous and, inside it, each parent's
+        children adjacent in ascending node order.  Subtree sizes are added
+        onto the parents a level at a time from the deepest; a child's
+        offset below its parent is the total size of the siblings before it
+        (a running sum inside its sibling group); positions then fill in
+        from the roots down as ``pre[child] = pre[parent] + 1 + offset``.
+        The roots of a sample form one sibling group, so their offsets are
+        their positions.
+        """
+        batch, n = self.parent.shape
+        if batch == 0:
+            self._pre = np.zeros((0, n), dtype=np.int64)
+            self._size = np.zeros((0, n), dtype=np.int64)
+            return
+        total = batch * n
+        depth = self.depths().ravel()
+        samples = np.arange(batch, dtype=np.int64)
+        # Flat parent id of every pair; a sample's roots share the parent -1 - b.
+        group = np.where(self.parent >= 0, self.parent + (samples * n)[:, None],
+                         -1 - samples[:, None]).ravel()
+        order = np.argsort(depth * total + group, kind="stable")
+        group = group[order]
+        level_end = np.cumsum(np.bincount(depth))
+        size = np.ones(total, dtype=np.int64)
+        for level in range(level_end.size - 1, 0, -1):
+            lo, hi = level_end[level - 1], level_end[level]
+            np.add.at(size, group[lo:hi], size[order[lo:hi]])
+        sorted_size = size[order]
+        before = np.cumsum(sorted_size) - sorted_size
+        first = np.ones(total, dtype=bool)
+        first[1:] = group[1:] != group[:-1]
+        # `before` never decreases, so the running maximum of its values at
+        # group starts is the value at the current group's start.
+        offset = before - np.maximum.accumulate(np.where(first, before, 0))
+        pre = np.empty(total, dtype=np.int64)
+        pre[order[:level_end[0]]] = offset[:level_end[0]]
+        for level in range(1, level_end.size):
+            lo, hi = level_end[level - 1], level_end[level]
+            pre[order[lo:hi]] = pre[group[lo:hi]] + 1 + offset[lo:hi]
+        self._pre = pre.reshape(batch, n)
+        self._size = size.reshape(batch, n)
 
 
 def sample_forest_batch_vectorized(graph: Graph, roots, count: int,

@@ -5,9 +5,10 @@ Covers the three contracts the batch sampler must honour:
 * **Scalar regression** — the scalar sampler's fixed-seed output is locked,
   so vectorisation refactors cannot silently change the reference stream.
 * **Structural equivalence** — every batched derived quantity (``root_of``,
-  ``depths``, ``subtree_sums``, ``tree_sizes``) matches the per-forest
-  :class:`repro.sampling.Forest` computation exactly, and the accumulator's
-  batched fold reproduces the per-forest fold bit for bit.
+  ``depths``, ``preorder``, ``subtree_sums``, ``tree_sizes``) matches the
+  per-forest :class:`repro.sampling.Forest` computation, also after
+  ``select``/``with_leaf``, and the accumulator's batched fold reproduces
+  the per-forest fold.
 * **Distributional equivalence** — a chi-square test checks the lockstep
   sampler's empirical root distribution against the exact absorption matrix
   of Lemma 4.2, at the same thresholds the scalar sampler is held to.
@@ -125,24 +126,63 @@ class TestLockstepValidity:
 
 class TestForestBatchKernels:
     def test_derived_quantities_match_per_forest(self, karate):
-        batch = sample_forest_batch_vectorized(karate, [0, 33], 10, seed=3)
-        weights = rademacher_weights(4, karate.n, [0, 33],
+        drawn = sample_forest_batch_vectorized(karate, [0, 33], 10, seed=3)
+        primed = sample_forest_batch_vectorized(karate, [0, 33], 10, seed=3)
+        # Prime every cache, so the derived batches must slice or drop them.
+        primed.root_of()
+        primed.preorder()
+        leaf_parents = np.random.default_rng(4).integers(0, karate.n, 10)
+        for batch in (drawn, primed.select(np.array([7, 2, 2, 9, 0])),
+                      primed.with_leaf(leaf_parents)):
+            self._assert_matches_per_forest(batch)
+
+    @staticmethod
+    def _assert_matches_per_forest(batch):
+        weights = rademacher_weights(4, batch.n, [0, 33],
                                      np.random.default_rng(0))
         root_of = batch.root_of()
         depths = batch.depths()
+        pre, size = batch.preorder()
         sums = batch.subtree_sums(weights)
-        ones = batch.subtree_sums(np.ones(karate.n))
+        ones = batch.subtree_sums(np.ones(batch.n))
         sizes = batch.tree_sizes()
         for i in range(batch.batch_size):
             forest = Forest(parent=batch.parent[i].copy(),
                             roots=batch.roots.copy())
             assert np.array_equal(forest.root_of(), root_of[i])
             assert np.array_equal(forest.depths(), depths[i])
+            # The preorder is the Euler tour's entry order, and a subtree
+            # spans half the tour steps between entry and exit.
+            tin, tout = forest.euler_intervals()
+            assert np.array_equal(pre[i], np.argsort(np.argsort(tin)))
+            assert np.array_equal(size[i], (tout - tin + 1) // 2)
             assert np.allclose(forest.subtree_sums(weights), sums[i])
-            assert np.allclose(forest.subtree_sums(np.ones(karate.n)), ones[i])
+            assert np.allclose(forest.subtree_sums(np.ones(batch.n)), ones[i])
             expected_sizes = forest.tree_sizes()
             for j, root in enumerate(batch.roots):
                 assert int(sizes[i, j]) == expected_sizes[int(root)]
+
+    def test_subtree_sums_at_pairs_match_full(self, karate, monkeypatch):
+        batch = sample_forest_batch_vectorized(karate, [0, 33], 6, seed=11)
+        weights = rademacher_weights(3, karate.n, [0, 33],
+                                     np.random.default_rng(1))
+        full = batch.subtree_sums(weights)
+        rng = np.random.default_rng(2)
+        samples = rng.integers(0, batch.batch_size, 40)  # unsorted, repeats
+        nodes = rng.integers(0, karate.n, 40)
+        assert np.array_equal(batch.subtree_sums(weights, samples, nodes),
+                              full[samples, :, nodes])
+        assert np.array_equal(batch.subtree_sums(weights[0], samples, nodes),
+                              full[samples, 0, nodes])
+        assert batch.subtree_sums(weights, samples[:0], nodes[:0]).shape == (0, 3)
+        # One sample per prefix chunk gives the same sums bit for bit.
+        monkeypatch.setattr(batch_module, "_PREFIX_ENTRIES", 1)
+        rechunked = ForestBatch(parent=batch.parent, roots=batch.roots)
+        assert np.array_equal(rechunked.subtree_sums(weights), full)
+        with pytest.raises(InvalidParameterError):
+            batch.subtree_sums(weights, samples, nodes[:-1])
+        with pytest.raises(InvalidParameterError):
+            batch.subtree_sums(weights, samples, nodes + karate.n)
 
     def test_materialised_forests_carry_caches(self, karate):
         batch = sample_forest_batch_vectorized(karate, [0], 4, seed=8)

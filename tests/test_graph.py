@@ -122,6 +122,53 @@ class TestPositions:
             for position in karate.neighbor_positions(node):
                 assert karate.position_head(int(position)) == karate.adjacency[position]
 
+    @pytest.mark.parametrize("n, p, seed", [(1, 0.0, 0), (7, 0.0, 1),
+                                            (30, 0.2, 2), (80, 0.05, 3),
+                                            (120, 0.5, 4)])
+    def test_csr_arrays_match_per_edge_fill(self, n, p, seed):
+        rng = np.random.default_rng(seed)
+        edges = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        edges = [edges[i] for i in rng.permutation(len(edges))]
+        graph = Graph(n, edges)
+        indptr, adjacency, edge_id, reverse = _per_edge_csr(
+            n, graph.edge_u, graph.edge_v)
+        assert np.array_equal(graph.indptr, indptr)
+        assert np.array_equal(graph.adjacency, adjacency)
+        assert np.array_equal(graph._position_edge_id, edge_id)
+        assert np.array_equal(graph._reverse_position, reverse)
+
+
+def _per_edge_csr(n, lo, hi):
+    """Reference CSR fill: one pass per edge, then one per directed slot."""
+    m = lo.size
+    degrees = np.zeros(n, dtype=np.int64)
+    np.add.at(degrees, lo, 1)
+    np.add.at(degrees, hi, 1)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    adjacency = np.empty(2 * m, dtype=np.int64)
+    edge_id = np.empty(2 * m, dtype=np.int64)
+    cursor = indptr[:-1].copy()
+    for eid in range(m):
+        u, v = int(lo[eid]), int(hi[eid])
+        adjacency[cursor[u]] = v
+        edge_id[cursor[u]] = eid
+        cursor[u] += 1
+        adjacency[cursor[v]] = u
+        edge_id[cursor[v]] = eid
+        cursor[v] += 1
+    reverse = np.full(2 * m, -1, dtype=np.int64)
+    first_position = np.full(m, -1, dtype=np.int64)
+    for p in range(2 * m):
+        eid = edge_id[p]
+        if first_position[eid] < 0:
+            first_position[eid] = p
+        else:
+            reverse[p] = first_position[eid]
+            reverse[first_position[eid]] = p
+    return indptr, adjacency, edge_id, reverse
+
 
 class TestMatrices:
     def test_adjacency_matrix_symmetric(self, karate):

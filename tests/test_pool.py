@@ -18,7 +18,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.centrality.estimators import ForestAccumulator, rademacher_weights
+from repro.centrality.estimators import (
+    ForestAccumulator,
+    PathSystem,
+    batched_diag_estimates,
+    batched_projected_estimates,
+    rademacher_weights,
+)
 from repro.dynamic import DynamicCFCM, DynamicGraph
 from repro.exceptions import InvalidParameterError
 from repro.graph import generators
@@ -283,20 +289,42 @@ class TestDistributionalCorrectness:
 # Weight-aware batched estimator fold
 # ---------------------------------------------------------------------------
 
+def _fold_case(name: str, request):
+    """``(graph, roots, path)`` of a fold comparison; ``path`` is ``None``
+    for the BFS path system the accumulator builds itself."""
+    if name == "ring":  # adjacent roots: forest paths up to n - 2 long
+        return generators.cycle_graph(40), [0, 39], None
+    if name == "extended":
+        # The path system a pool keeps after a node join: the new node joins
+        # a root and the deepest node, and its fixed path runs through the
+        # deepest node instead of the one-edge BFS path to the root.
+        base = request.getfixturevalue("karate")
+        roots = [0, base.n - 1]
+        path = PathSystem.from_graph(base, roots)
+        deep = int(path.levels()[-1][0])
+        graph = Graph(base.n + 1,
+                      list(base.edges()) + [(deep, base.n), (0, base.n)])
+        return graph, roots, path.extended(deep)
+    graph = request.getfixturevalue(name)
+    return graph, [0, graph.n - 1], None
+
+
 class TestWeightedBatchedFold:
-    @pytest.mark.parametrize("graph_name", ["karate", "grid5x5"])
+    @pytest.mark.parametrize("graph_name",
+                             ["karate", "grid5x5", "ring", "extended"])
     def test_batched_fold_matches_scalar_reference(self, graph_name, request):
-        graph = request.getfixturevalue(graph_name)
-        roots = [0, graph.n - 1]
+        graph, roots, path = _fold_case(graph_name, request)
         jl = rademacher_weights(4, graph.n, roots, np.random.default_rng(0))
         batch = sample_forest_batch_vectorized(graph, roots, 15, seed=5)
         forest_weights = np.random.default_rng(1).uniform(0.05, 2.0, 15)
 
         scalar = ForestAccumulator(graph, roots, weights=jl,
                                    tracked_roots=[roots[1]], seed=0)
-        scalar.add_batch(batch, weights=forest_weights, method="scalar")
         batched = ForestAccumulator(graph, roots, weights=jl,
                                     tracked_roots=[roots[1]], seed=0)
+        if path is not None:
+            scalar._path = batched._path = path
+        scalar.add_batch(batch, weights=forest_weights, method="scalar")
         batched.add_batch(batch, weights=forest_weights)
 
         assert batched.count == pytest.approx(scalar.count)
@@ -307,6 +335,28 @@ class TestWeightedBatchedFold:
                                    atol=1e-9)
         np.testing.assert_allclose(batched.root_counts, scalar.root_counts,
                                    atol=1e-9)
+
+    @pytest.mark.parametrize("case", ["karate", "ring", "extended"])
+    def test_per_forest_rows_match_scalar_fold(self, case, request):
+        """The pools' per-forest kernels against the scalar fold of each
+        forest on its own, forest by forest."""
+        graph, roots, path = _fold_case(case, request)
+        jl = rademacher_weights(3, graph.n, roots, np.random.default_rng(2))
+        batch = sample_forest_batch_vectorized(graph, roots, 9, seed=8)
+        path = path or PathSystem.from_graph(graph, roots)
+        projected = batched_projected_estimates(batch, path, jl)
+        diag = batched_diag_estimates(batch.parent, path)
+        columns = [graph.n - 2, 3]
+        assert np.array_equal(
+            batched_diag_estimates(batch.parent, path, columns=columns),
+            diag[:, columns])
+        for index, forest in enumerate(batch):
+            single = ForestAccumulator(graph, roots, weights=jl, seed=0)
+            single._path = path
+            single.add_forest(forest)
+            np.testing.assert_allclose(projected[index], single.projected_sum,
+                                       rtol=1e-12, atol=1e-12)
+            assert np.array_equal(diag[index], single.diag_sum)
 
     def test_weighted_fold_equals_repeated_fold(self, karate):
         batch = sample_forest_batch_vectorized(karate, [0], 3, seed=6)
