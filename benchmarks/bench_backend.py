@@ -9,7 +9,7 @@ Both backends replay the *same* recorded edge-update journal through
 * **sparse** — a sparse grounded factorisation with low-rank corrections and
   JL-sketched Hutchinson diagonals (Õ(m) per sync, O(m + nt) memory).
 
-Three correctness gates keep the timings honest:
+Four correctness gates keep the timings honest:
 
 1. the dense replay must stay **bit-identical** to a hand-rolled replay of
    the pre-backend update functions (``grounded_inverse_edge_update`` /
@@ -17,7 +17,11 @@ Three correctness gates keep the timings honest:
    a single ULP on the incumbent path;
 2. the dense final trace must match a fresh ``grounded_trace`` to 1e-8;
 3. the sparse (sketched) final trace must agree with the exact inverse to
-   ``--tolerance`` relative error.
+   ``--tolerance`` relative error;
+4. the sparse tracker's exact diagonal (its factor plus the low-rank
+   correction, no sketch) must match a fresh dense inverse to
+   :data:`EXACT_TOLERANCE` relative error — the sketch cannot see a factor
+   error of 1e-6, this gate can.
 
 The ``--smoke`` run additionally gates on the sparse backend being at least
 1.5x faster than dense on the sync+evaluate path, which is what CI checks::
@@ -53,10 +57,13 @@ from repro.graph import generators
 from repro.linalg import (
     grounded_inverse_block_update,
     grounded_inverse_edge_update,
+    grounded_laplacian_dense,
 )
 
 GROUP = (0, 1, 2)
 SMOKE_SPEEDUP = 1.5
+#: Largest relative error of the sparse exact diagonal against a dense inverse.
+EXACT_TOLERANCE = 1e-10
 
 
 def _record_journal(base, bursts: int, t: int, seed: int) -> List[List[GraphUpdate]]:
@@ -196,9 +203,22 @@ def run_backend_comparison(n: int = 3000, bursts: int = 6, t: int = 32,
                 timings["dense"] / seconds if seconds else float("inf")
             )
             row["solver"] = tracker.backend.solver_used
+            exact_diag = np.diag(np.linalg.inv(
+                grounded_laplacian_dense(graph.snapshot(), group)[0]))
+            diag_err = float(
+                np.abs(tracker.diagonal(mode="exact") - exact_diag).max()
+                / np.abs(exact_diag).max())
+            row["exact_diagonal_relative_error"] = diag_err
+            if not diag_err <= EXACT_TOLERANCE:
+                raise AssertionError(
+                    f"sparse exact diagonal ({row['solver']}) drifted from the "
+                    f"dense inverse: rel err {diag_err:.3e} > {EXACT_TOLERANCE}"
+                )
         rows.append(row)
         if verbose:
-            extra = (f"  x{row['speedup_vs_dense']:.2f} vs dense"
+            extra = (f"  x{row['speedup_vs_dense']:.2f} vs dense, "
+                     f"{row['solver']}, exact diagonal rel err "
+                     f"{row['exact_diagonal_relative_error']:.1e}"
                      if backend == "sparse" else "  bit-identical")
             print(f"[bench_backend] {backend:>6}: {seconds:.4f}s over "
                   f"{bursts} bursts (rel err {rel_err:.2e}){extra}")
@@ -261,7 +281,8 @@ def main(argv=None) -> int:
         write_bench_artifact(rows, output, benchmark="backend_compare")
         write_obs_artifacts(metrics_prefix_for(output), label="bench_backend")
     print(f"[bench_backend] {len(rows)} backends compared; dense bit-identical, "
-          "sparse sketch within tolerance")
+          "sparse sketch within tolerance, sparse exact diagonal within "
+          f"{EXACT_TOLERANCE:g}")
     return 0
 
 

@@ -73,6 +73,7 @@ from repro.dynamic.engine import EngineStats, QueryFront, _lru_store, _op_timer
 from repro.dynamic.graph import REMOVE, DynamicGraph, GraphUpdate
 from repro.exceptions import GraphError, InvalidParameterError
 from repro.graph.graph import Graph
+from repro.linalg.backends import SOLVE_BLOCK
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracing import trace
 from repro.utils.rng import RandomState, as_rng
@@ -174,8 +175,9 @@ class _ShardCoupling:
         """``(active, W_a, A_i⁻¹W_a)`` over the nonzero columns of ``W_i``.
 
         Columns with no incident interior edge are identically zero, so only
-        the shard-adjacent separator columns are densified and solved (256
-        at a time) — on strip-like partitions a small fraction of ``|T'|``.
+        the shard-adjacent separator columns are densified and solved
+        (``SOLVE_BLOCK`` at a time) — on strip-like partitions a small
+        fraction of ``|T'|``.
         """
         backend = self.tracker.backend
         active = sorted({a for (_, a) in self.w})
@@ -184,8 +186,9 @@ class _ShardCoupling:
         for (r, a), val in self.w.items():
             dense[r, amap[a]] = val
         solved = np.empty_like(dense)
-        for lo in range(0, len(active), 256):
-            solved[:, lo:lo + 256] = backend.solve_many(dense[:, lo:lo + 256])
+        for lo in range(0, len(active), SOLVE_BLOCK):
+            block = slice(lo, lo + SOLVE_BLOCK)
+            solved[:, block] = backend.solve_many(dense[:, block])
         return active, dense, solved
 
     def fold(self, triples: List[Tuple[int, Optional[int], float]],

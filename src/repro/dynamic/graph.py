@@ -30,6 +30,7 @@ worlds:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
@@ -567,34 +568,47 @@ class DynamicGraph:
         self._journal.append(event)
         return event
 
-    def _reachable_count(self, start: int, skip_edge: Optional[Tuple[int, int]] = None,
-                         skip_node: Optional[int] = None) -> int:
-        """Nodes reachable from ``start``, optionally masking an edge or node."""
+    def _reaches_all(self, start: int, targets: Set[int],
+                     skip_edge: Optional[Tuple[int, int]] = None,
+                     skip_node: Optional[int] = None) -> bool:
+        """Whether a search from ``start`` reaches every node in ``targets``.
+
+        Stops as soon as the last target is found, so on a connected graph a
+        guard only walks the neighbourhood that closes a cycle around the
+        masked edge or node, not the whole graph.
+        """
+        missing = set(targets)
+        missing.discard(start)
         seen: Set[int] = {start}
-        frontier = [start]
-        while frontier:
-            current = frontier.pop()
+        frontier = deque([start])
+        while frontier and missing:
+            current = frontier.popleft()
             for neighbour in self._adjacency[current]:
-                if neighbour == skip_node:
+                if neighbour == skip_node or neighbour in seen:
                     continue
-                if skip_edge is not None and {current, neighbour} == set(skip_edge):
+                if skip_edge == (current, neighbour) or skip_edge == (neighbour, current):
                     continue
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    frontier.append(neighbour)
-        return len(seen)
+                seen.add(neighbour)
+                missing.discard(neighbour)
+                frontier.append(neighbour)
+        return not missing
 
     def _would_disconnect(self, key: Tuple[int, int]) -> bool:
-        """BFS over the current adjacency with edge ``key`` masked out."""
+        """Whether edge ``key`` is a bridge: ``v`` unreachable from ``u`` without it."""
         u, v = key
         if len(self._adjacency[u]) == 1 or len(self._adjacency[v]) == 1:
             return True
-        return self._reachable_count(u, skip_edge=key) != self._active_count
+        return not self._reaches_all(u, {v}, skip_edge=key)
 
     def _node_removal_disconnects(self, node: int) -> bool:
-        """BFS over the current adjacency with ``node`` masked out."""
+        """Whether ``node`` is a cut vertex: its neighbours split without it.
+
+        The graph is connected beforehand, so every node reaches ``node``
+        through one of its neighbours; removing it keeps the graph connected
+        exactly when all of them still reach one another.
+        """
         neighbours = self._adjacency[node]
         if not neighbours:
             return False
         start = next(iter(neighbours))
-        return self._reachable_count(start, skip_node=node) != self._active_count - 1
+        return not self._reaches_all(start, neighbours, skip_node=node)

@@ -8,6 +8,7 @@ from repro.linalg.laplacian import (
     transition_matrix,
 )
 from repro.linalg.pseudoinverse import laplacian_pseudoinverse, pseudoinverse_diagonal
+from repro.linalg.factor import factorize_spd
 from repro.linalg.solvers import (
     LaplacianSolver,
     PreconditionerCache,
@@ -46,6 +47,7 @@ __all__ = [
     "transition_matrix",
     "laplacian_pseudoinverse",
     "pseudoinverse_diagonal",
+    "factorize_spd",
     "LaplacianSolver",
     "PreconditionerCache",
     "SolverMethod",

@@ -14,8 +14,10 @@ the representation underneath is swapped:
   pre-protocol behaviour **bit for bit**: same update functions, called in
   the same order on the same operands.
 * :class:`SparseResistanceBackend` — never materialises the inverse.  It
-  keeps a sparse LU factorisation of the grounded Laplacian at the last
-  refactorisation (SciPy ``splu``; conjugate-gradient fallback through
+  keeps a sparse factorisation of the grounded Laplacian at the last
+  refactorisation (:func:`repro.linalg.factor.factorize_spd`: a
+  dense-Cholesky hub core on hub-heavy patterns, SciPy ``splu`` otherwise;
+  conjugate-gradient fallback through
   :class:`repro.linalg.solvers.LaplacianSolver` with a reusable
   preconditioner when the factorisation is unavailable) and absorbs journal
   bursts as an *implicit* low-rank correction: with base factor ``M₀`` and
@@ -46,6 +48,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.exceptions import InvalidParameterError
+from repro.linalg.factor import HubCoreFactor, factorize_spd, sparse_lu
 from repro.linalg.solvers import LaplacianSolver, PreconditionerCache, SolverMethod
 from repro.linalg.updates import (
     grounded_inverse_block_update,
@@ -71,6 +74,9 @@ _BACKEND_INFO = REGISTRY.gauge(
     "Active resistance backend (value is always 1; labels carry identity)",
     labels=("backend", "solver"),
 )
+
+#: Right-hand-side columns per solve when many unit columns are needed.
+SOLVE_BLOCK = 256
 
 #: `auto` picks the sparse backend at and beyond this many kept rows...
 AUTO_SPARSE_NODES = 1500
@@ -332,8 +338,11 @@ class SparseResistanceBackend(ResistanceBackend):
     Parameters
     ----------
     solver:
-        ``"auto"`` (sparse LU, falling back to preconditioned CG when the
-        factorisation fails), ``"splu"`` (LU or error) or ``"cg"``.
+        ``"auto"`` (:func:`repro.linalg.factor.factorize_spd`: the hub core
+        on hub-heavy patterns, sparse LU otherwise, falling back to
+        preconditioned CG when the factorisation fails), ``"splu"`` (LU or
+        error) or ``"cg"``.  :attr:`solver_used` reports ``"hub_core"``,
+        ``"splu"`` or ``"cg"``.
     probes:
         Rademacher probe count of the Hutchinson diagonal sketch.  Probe
         base solves are computed once per factorisation and cached; each
@@ -388,7 +397,7 @@ class SparseResistanceBackend(ResistanceBackend):
         self._pc_cache = PreconditionerCache(kind="jacobi")
         self._factor_count = 0
         self._solver_used = "none"
-        self._lu = None
+        self._lu: Optional[Union[HubCoreFactor, spla.SuperLU]] = None
         self._cg: Optional[LaplacianSolver] = None
         self._reset_lowrank()
         self.probe_count = int(probes)
@@ -424,14 +433,11 @@ class SparseResistanceBackend(ResistanceBackend):
         self._cg = None
         if self.solver in ("auto", "splu"):
             try:
-                # Grounded Laplacians are SPD: symmetric-mode SuperLU with a
-                # fill-reducing symmetric ordering keeps the factors sparse
-                # (COLAMD fills in badly on power-law graphs — order-of-
-                # magnitude slower factor/solve on hub-heavy topologies).
-                self._lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
-                                     diag_pivot_thresh=0.1,
-                                     options=dict(SymmetricMode=True))
-                self._solver_used = "splu"
+                self._lu = (factorize_spd(matrix) if self.solver == "auto"
+                            else sparse_lu(matrix))
+                self._solver_used = ("hub_core"
+                                     if isinstance(self._lu, HubCoreFactor)
+                                     else "splu")
             except (RuntimeError, ValueError) as exc:
                 if self.solver == "splu":
                     raise InvalidParameterError(
@@ -456,14 +462,17 @@ class SparseResistanceBackend(ResistanceBackend):
         self._diag_cache = None
 
     # ----------------------------------------------------------- base solves
-    def _base_solve_many(self, rhs: np.ndarray) -> np.ndarray:
-        """``M₀⁻¹ rhs`` against the base factor (no low-rank correction)."""
-        if self._lu is not None:
-            return self._lu.solve(np.ascontiguousarray(rhs, dtype=np.float64))
-        if self._cg is None:
+    def _require_factor(self) -> None:
+        if self._lu is None and self._cg is None:
             raise InvalidParameterError(
                 "backend has no factorisation yet; call factorize() first"
             )
+
+    def _base_solve_many(self, rhs: np.ndarray) -> np.ndarray:
+        """``M₀⁻¹ rhs`` against the base factor (no low-rank correction)."""
+        self._require_factor()
+        if self._lu is not None:
+            return self._lu.solve(np.ascontiguousarray(rhs, dtype=np.float64))
         return self._cg.solve_many(rhs)
 
     def _gather(self, block: np.ndarray) -> np.ndarray:
@@ -510,11 +519,17 @@ class SparseResistanceBackend(ResistanceBackend):
             epoch, cached_mode, values = self._diag_cache
             if epoch == self._epoch and cached_mode == mode:
                 return values.copy()
+        self._require_factor()
         start = clock()
         if mode == "exact":
-            values = np.einsum(
-                "ii->i", self.solve_many(np.eye(self._n, dtype=np.float64))
-            ).copy()
+            # Unit columns a block at a time: O(n·SOLVE_BLOCK) memory, not n².
+            values = np.empty(self._n, dtype=np.float64)
+            for lo in range(0, self._n, SOLVE_BLOCK):
+                width = min(SOLVE_BLOCK, self._n - lo)
+                unit = np.zeros((self._n, width), dtype=np.float64)
+                unit[lo + np.arange(width), np.arange(width)] = 1.0
+                values[lo:lo + width] = np.einsum(
+                    "ii->i", self.solve_many(unit)[lo:lo + width])
         elif mode == "sketch":
             values = self._sketched_diagonal()
         else:

@@ -5,7 +5,9 @@ Laplacian solver; the original code uses the Julia ``Laplacians.jl``
 approximate-Cholesky solver.  This module provides the substitute substrate:
 
 * dense Cholesky (small systems, exact baselines),
-* sparse LU factorisation (medium systems, many right-hand sides),
+* sparse factorisation (medium systems, many right-hand sides) through
+  :func:`repro.linalg.factor.factorize_spd`: a dense-Cholesky hub core on
+  hub-heavy patterns, symmetric-mode SuperLU otherwise,
 * Jacobi-preconditioned conjugate gradient (large sparse systems — the method
   the paper's Fig. 3 uses to evaluate CFCC on graphs where exact inversion is
   infeasible).
@@ -20,10 +22,12 @@ from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.exceptions import ConvergenceError, InvalidParameterError
+from repro.linalg.factor import factorize_spd
 from repro.utils.faultpoints import fault_point
 
 Matrix = Union[np.ndarray, sp.spmatrix]
@@ -48,8 +52,10 @@ class LaplacianSolver:
         Laplacians ``L_{-S}`` of connected graphs always qualify.
     method:
         One of :class:`SolverMethod`; ``AUTO`` selects dense Cholesky below
-        ``dense_threshold`` unknowns, sparse LU otherwise, falling back to CG
-        when factorisation memory would be prohibitive.
+        ``dense_threshold`` unknowns and ``SPARSE_LU`` otherwise.
+        ``SPARSE_LU`` factors through
+        :func:`repro.linalg.factor.factorize_spd` (a dense-Cholesky hub core
+        on hub-heavy patterns, symmetric-mode SuperLU otherwise).
     tol:
         Relative residual tolerance for the CG method.
     maxiter:
@@ -86,14 +92,13 @@ class LaplacianSolver:
         if method is SolverMethod.DENSE_CHOLESKY:
             dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, float)
             try:
-                self._dense_factor = np.linalg.cholesky(dense)
+                self._dense_factor = sla.cho_factor(dense, lower=True)
             except np.linalg.LinAlgError as exc:
                 raise InvalidParameterError(
                     "dense Cholesky requires a positive-definite matrix"
                 ) from exc
         elif method is SolverMethod.SPARSE_LU:
-            sparse = sp.csc_matrix(matrix, dtype=np.float64)
-            self._sparse_factor = spla.splu(sparse)
+            self._sparse_factor = factorize_spd(matrix)
         elif method is SolverMethod.CONJUGATE_GRADIENT:
             sparse = sp.csr_matrix(matrix, dtype=np.float64)
             self._sparse_matrix = sparse
@@ -118,8 +123,7 @@ class LaplacianSolver:
                 f"right-hand side must have shape ({self._n},), got {rhs.shape}"
             )
         if self.method is SolverMethod.DENSE_CHOLESKY:
-            half = np.linalg.solve(self._dense_factor, rhs)
-            return np.linalg.solve(self._dense_factor.T, half)
+            return sla.cho_solve(self._dense_factor, rhs)
         if self.method is SolverMethod.SPARSE_LU:
             return self._sparse_factor.solve(rhs)
         return self._solve_cg(rhs)
@@ -134,8 +138,7 @@ class LaplacianSolver:
                 f"right-hand sides must have {self._n} rows, got {rhs.shape[0]}"
             )
         if self.method is SolverMethod.DENSE_CHOLESKY:
-            half = np.linalg.solve(self._dense_factor, rhs)
-            return np.linalg.solve(self._dense_factor.T, half)
+            return sla.cho_solve(self._dense_factor, rhs)
         if self.method is SolverMethod.SPARSE_LU:
             return self._sparse_factor.solve(rhs)
         columns = [self._solve_cg(rhs[:, j]) for j in range(rhs.shape[1])]

@@ -149,7 +149,9 @@ def checkpoint_engine(engine, path: str) -> str:
         if isinstance(tracker.backend, SparseResistanceBackend):
             # Fold the implicit low-rank correction into a fresh base factor:
             # the restored side rebuilds the identical factorisation from the
-            # serialised graph (splu is deterministic on an identical matrix).
+            # serialised graph (both sparse LU and the hub core are pure
+            # functions of the matrix, so an identical matrix gives an
+            # identical factor).
             tracker._factorize()
 
     arrays: Dict[str, np.ndarray] = {}

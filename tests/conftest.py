@@ -46,6 +46,13 @@ def medium_ba() -> Graph:
 
 
 @pytest.fixture
+def hub_ba() -> Graph:
+    """200-node Barabási–Albert graph whose Laplacian grounded at {0, 1} is
+    hub-heavy (largest off-diagonal row count 13.5x the mean)."""
+    return generators.barabasi_albert(200, 2, seed=7)
+
+
+@pytest.fixture
 def grid5x5() -> Graph:
     """5x5 grid graph."""
     return generators.grid_graph(5, 5)

@@ -27,16 +27,21 @@ from repro.exceptions import (
     GraphError,
     InvalidParameterError,
 )
+from repro.graph import generators
 from repro.linalg import (
     DenseResistanceBackend,
+    LaplacianSolver,
     PreconditionerCache,
+    SolverMethod,
     SparseResistanceBackend,
     build_preconditioner,
     choose_backend,
     make_resistance_backend,
     solve_grounded,
 )
-from repro.linalg.backends import AUTO_SPARSE_NODES
+from repro.linalg.backends import AUTO_SPARSE_NODES, SOLVE_BLOCK
+from repro.linalg.factor import HubCoreFactor, factorize_spd
+from repro.linalg.laplacian import grounded_laplacian
 
 GROUP = [0, 1]
 
@@ -49,6 +54,18 @@ def _pair(graph, **sparse_options):
                                    backend="sparse",
                                    backend_options=sparse_options or None)
     return dense, sparse
+
+
+def _dense_grounded_inverse(graph, group):
+    """Fresh dense inverse of the grounded Laplacian: the oracle."""
+    grounded = set(group)
+    keep = [i for i, node in enumerate(graph.snapshot_mapping())
+            if int(node) not in grounded]
+    return np.linalg.inv(graph.laplacian_dense()[np.ix_(keep, keep)])
+
+
+def _relative_error(actual, expected) -> float:
+    return float(np.abs(actual - expected).max() / np.abs(expected).max())
 
 
 def _assert_close(dense, sparse, rtol=1e-6):
@@ -132,6 +149,18 @@ class TestSketchedDiagonal:
         np.testing.assert_allclose(sparse.diagonal(mode="exact"),
                                    dense.diagonal(), rtol=1e-8)
 
+    def test_exact_diagonal_solves_in_blocks(self):
+        graph = DynamicGraph(generators.barabasi_albert(600, 2, seed=0))
+        tracker = IncrementalResistance(graph, GROUP, refresh_interval=10**9,
+                                        backend="sparse")
+        random_update_journal(graph, 4, np.random.default_rng(3))
+        tracker.sync()
+        backend = tracker.backend
+        assert 2 * SOLVE_BLOCK < backend.n <= 3 * SOLVE_BLOCK
+        one_shot = np.diag(backend.solve_many(np.eye(backend.n)))
+        np.testing.assert_allclose(backend.diagonal(mode="exact"), one_shot,
+                                   rtol=1e-12, atol=0)
+
     def test_sketch_is_deterministic_and_cached(self, small_ba):
         graph = DynamicGraph(small_ba)
         backend = SparseResistanceBackend(diag_mode="sketch", probes=32, seed=9)
@@ -201,6 +230,99 @@ class TestCGFallback:
         with pytest.raises(BackendUnavailableError):
             IncrementalResistance(graph, GROUP, backend="sparse",
                                   backend_options={"solver": "splu"})
+
+
+class TestHubCore:
+    """Independent-set elimination onto a dense Cholesky core."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_queries_match_dense_inverse(self, hub_ba, weighted):
+        rng = np.random.default_rng(31)
+        weights = None
+        if weighted:
+            weights = {(int(u), int(v)): float(rng.uniform(0.5, 3.0))
+                       for u, v in hub_ba.edge_array()}
+        graph = DynamicGraph(hub_ba, weights=weights)
+        tracker = IncrementalResistance(graph, GROUP, refresh_interval=10**9,
+                                        backend="sparse")
+        backend = tracker.backend
+        assert backend.solver_used == "hub_core"
+        random_update_journal(graph, 8, rng)
+        tracker.sync()
+        assert backend.correction_rank > 0
+        reference = _dense_grounded_inverse(graph, GROUP)
+
+        rhs = rng.standard_normal((backend.n, 3))
+        assert _relative_error(backend.solve_many(rhs), reference @ rhs) < 1e-10
+        assert _relative_error(backend.diagonal(mode="exact"),
+                               np.diag(reference)) < 1e-10
+        for index in (0, backend.n // 2, backend.n - 1):
+            assert _relative_error(backend.column(index),
+                                   reference[:, index]) < 1e-10
+        count = backend.correction_rank
+        rows_i, rows_j, _, corrected = backend.correction_columns(count)
+        incidence = np.zeros((backend.n, count))
+        incidence[rows_i, np.arange(count)] = 1.0
+        grounded = rows_j < 0
+        incidence[rows_j[~grounded], np.arange(count)[~grounded]] = -1.0
+        assert _relative_error(corrected, reference @ incidence) < 1e-10
+
+    def test_selection_follows_the_degree_ratio(self, hub_ba):
+        lattice = IncrementalResistance(
+            DynamicGraph(generators.grid_graph(12, 12)), [0], backend="sparse")
+        assert lattice.backend.solver_used == "splu"
+        hub = IncrementalResistance(DynamicGraph(hub_ba), GROUP,
+                                    backend="sparse")
+        assert hub.backend.solver_used == "hub_core"
+        # An explicit "splu" keeps sparse LU whatever the pattern.
+        forced = IncrementalResistance(DynamicGraph(hub_ba), GROUP,
+                                       backend="sparse",
+                                       backend_options={"solver": "splu"})
+        assert forced.backend.solver_used == "splu"
+
+    @pytest.mark.parametrize("breakage", ["cholesky", "core_cap"])
+    def test_falls_back_to_sparse_lu(self, hub_ba, monkeypatch, breakage):
+        import repro.linalg.factor as factor_module
+
+        if breakage == "cholesky":
+            def broken(*args, **kwargs):
+                raise np.linalg.LinAlgError("core is not positive definite")
+
+            monkeypatch.setattr(factor_module.sla, "cho_factor", broken)
+        else:
+            monkeypatch.setattr(factor_module, "MAX_CORE_ROWS", 1)
+        graph = DynamicGraph(hub_ba)
+        tracker = IncrementalResistance(graph, GROUP, backend="sparse")
+        assert tracker.backend.solver_used == "splu"
+        assert tracker.stats.failovers == 0
+        assert _relative_error(tracker.diagonal(mode="exact"),
+                               np.diag(_dense_grounded_inverse(graph, GROUP))
+                               ) < 1e-10
+
+    @pytest.mark.parametrize("defect", ["pivot", "asymmetric"])
+    def test_matrices_outside_the_core_contract_get_lu(self, hub_ba, defect):
+        matrix, _ = grounded_laplacian(hub_ba, GROUP)
+        matrix = matrix.tolil()
+        leaf = int(np.argmin(hub_ba.degrees[2:]))
+        if defect == "pivot":
+            matrix[leaf, leaf] = -matrix[leaf, leaf]
+        else:
+            other = next(c for c in matrix.rows[leaf] if c != leaf)
+            matrix[leaf, other] = 2.0 * matrix[leaf, other]
+        matrix = matrix.tocsc()
+        factor = factorize_spd(matrix)
+        assert not isinstance(factor, HubCoreFactor)
+        rhs = np.linspace(-1.0, 1.0, matrix.shape[0])
+        assert _relative_error(factor.solve(rhs),
+                               np.linalg.solve(matrix.toarray(), rhs)) < 1e-10
+
+    def test_laplacian_solver_sparse_method_uses_the_core(self, hub_ba):
+        matrix, _ = grounded_laplacian(hub_ba, GROUP)
+        solver = LaplacianSolver(matrix, method=SolverMethod.SPARSE_LU)
+        assert isinstance(solver._sparse_factor, HubCoreFactor)
+        rhs = np.random.default_rng(5).standard_normal((matrix.shape[0], 4))
+        assert _relative_error(solver.solve_many(rhs),
+                               np.linalg.solve(matrix.toarray(), rhs)) < 1e-10
 
 
 class TestSingularUpdates:

@@ -21,6 +21,23 @@ from repro.graph import generators
 from repro.linalg.updates import grounded_inverse_edge_update
 
 
+def _reachable_count(graph, start, skip_edge=None, skip_node=None):
+    """Full traversal from ``start``: the reference for the early-exit guards."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        current = frontier.pop()
+        for neighbour in graph.neighbors(current):
+            if neighbour == skip_node:
+                continue
+            if skip_edge is not None and {current, neighbour} == set(skip_edge):
+                continue
+            if neighbour not in seen:
+                seen.add(neighbour)
+                frontier.append(neighbour)
+    return len(seen)
+
+
 class TestDynamicGraph:
     def test_initial_state_mirrors_seed_graph(self, karate):
         graph = DynamicGraph(karate)
@@ -64,6 +81,35 @@ class TestDynamicGraph:
             graph.remove_edge(1, 2)
         assert graph.has_edge(1, 2)
         assert graph.version == 0  # rejected edits leave no journal trace
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_guards_match_a_full_traversal(self, seed):
+        # A random tree plus a few chords: a mix of bridges and cycle edges,
+        # cut vertices and removable nodes, with some ids tombstoned.
+        rng = np.random.default_rng(seed)
+        graph = DynamicGraph(generators.random_tree(40, seed=seed))
+        for _ in range(int(rng.integers(4, 16))):
+            u, v = (int(x) for x in rng.choice(40, size=2, replace=False))
+            if not graph.has_edge(u, v):
+                graph.add_edge(u, v)
+        for node in rng.permutation(40)[:6]:
+            if _reachable_count(graph, next(iter(graph.neighbors(int(node)))),
+                                skip_node=int(node)) == graph.n - 1:
+                graph.remove_node(int(node))
+        bridges = []
+        for u, v in graph.edges():
+            expected = _reachable_count(graph, u, skip_edge=(u, v)) != graph.n
+            assert graph._would_disconnect((u, v)) == expected
+            bridges.append(expected)
+        cuts = []
+        for node in (int(x) for x in graph.node_ids()):
+            start = graph.neighbors(node)[0]
+            expected = (_reachable_count(graph, start, skip_node=node)
+                        != graph.n - 1)
+            assert graph._node_removal_disconnects(node) == expected
+            cuts.append(expected)
+        assert any(bridges) and not all(bridges)
+        assert any(cuts) and not all(cuts)
 
     def test_update_weight_journals_delta(self, cycle5):
         graph = DynamicGraph(cycle5)

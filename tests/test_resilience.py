@@ -402,6 +402,36 @@ class TestCheckpointRecovery:
         restored.graph.add_edge(u, v)
         assert restored.evaluate_exact(GROUP) == live
 
+    def test_checkpoint_restore_hub_core_backend(self, tmp_path, hub_ba):
+        graph = DynamicGraph(hub_ba)
+        engine = DynamicCFCM(graph, seed=5, pool_size=8, backend="sparse")
+        engine.evaluate_exact(GROUP)
+        assert engine.tracker(GROUP).backend.solver_used == "hub_core"
+        path = str(tmp_path / "engine.npz")
+        engine.checkpoint(path)
+
+        # An edge event folds into the restored factor as a low-rank
+        # correction; the node join refactorises on both sides.
+        u, v = missing_edge(graph)
+        probe = hub_ba.n - 1  # a kept node: its column is not all zero
+        graph.add_edge(u, v)
+        live_edge = engine.evaluate_exact(GROUP)
+        live_column = engine.tracker(GROUP).resistance_column(probe)
+        graph.add_node([u, v])
+        live_node = engine.evaluate_exact(GROUP)
+        live_node_column = engine.tracker(GROUP).resistance_column(probe)
+
+        restored = DynamicCFCM.restore(path)
+        restored.graph.add_edge(u, v)
+        assert restored.evaluate_exact(GROUP) == live_edge
+        np.testing.assert_array_equal(
+            restored.tracker(GROUP).resistance_column(probe), live_column)
+        restored.graph.add_node([u, v])
+        assert restored.evaluate_exact(GROUP) == live_node
+        np.testing.assert_array_equal(
+            restored.tracker(GROUP).resistance_column(probe), live_node_column)
+        assert restored.tracker(GROUP).backend.solver_used == "hub_core"
+
     def test_checkpoint_write_is_atomic(self, tmp_path):
         graph = DynamicGraph(generators.barabasi_albert(20, 2, seed=13))
         engine = DynamicCFCM(graph, seed=0, pool_size=4)
