@@ -1,8 +1,9 @@
 """ApproxGreedy — the state-of-the-art baseline of Li et al. (WWW 2019).
 
-ApproxGreedy runs the same greedy loop as the exact algorithm but estimates
-the required diagonals with Johnson–Lindenstrauss projections whose image is
-computed by solving Laplacian linear systems:
+ApproxGreedy runs the greedy loop it shares with SchurCFCM and ForestCFCM
+(:class:`repro.centrality.result.GreedyCFCM`), but estimates the required
+diagonals with Johnson–Lindenstrauss projections whose image is computed by
+solving Laplacian linear systems:
 
 * ``(inv(L_{-S})^2)_uu = ||inv(L_{-S}) e_u||^2 ≈ ||Q inv(L_{-S}) e_u||^2``
   where each row of ``Q inv(L_{-S})`` is one linear solve;
@@ -21,23 +22,21 @@ behaviour the paper's efficiency comparison exercises.
 
 from __future__ import annotations
 
-from repro.utils.timer import clock
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.graph.graph import Graph
 from repro.graph.traversal import require_connected
-from repro.centrality.result import CFCMResult
+from repro.centrality.result import GreedyCFCM
 from repro.linalg.incidence import grounded_incidence_factor
 from repro.linalg.jl import jl_dimension
 from repro.linalg.laplacian import grounded_laplacian
 from repro.linalg.solvers import LaplacianSolver, SolverMethod
 from repro.utils.rng import RandomState, as_rng
-from repro.utils.validation import check_integer
 
 
-class ApproxGreedy:
+class ApproxGreedy(GreedyCFCM):
     """JL + Laplacian-solver greedy baseline.
 
     Parameters
@@ -68,48 +67,8 @@ class ApproxGreedy:
         self.jl_rows = jl_dimension(graph.n, eps, constant=jl_constant,
                                     maximum=max_jl_dimension)
 
-    # ----------------------------------------------------------------- greedy
-    def run(self, k: int) -> CFCMResult:
-        """Select ``k`` nodes greedily with solver-based estimated gains."""
-        check_integer("k", k, minimum=1, maximum=self.graph.n - 1)
-        start = clock()
-        iteration_log: List[Dict[str, object]] = []
-
-        first, first_scores = self._first_pick()
-        group = [first]
-        iteration_log.append({
-            "iteration": 0,
-            "node": first,
-            "score": float(first_scores[first]),
-            "solves": self.jl_rows + 1,
-        })
-
-        for iteration in range(1, k):
-            gains = self._estimate_gains(group)
-            node = max(gains, key=gains.get)
-            group.append(int(node))
-            iteration_log.append({
-                "iteration": iteration,
-                "node": int(node),
-                "gain": float(gains[node]),
-                "solves": 2 * self.jl_rows,
-            })
-
-        runtime = clock() - start
-        return CFCMResult(
-            method=self.method_name,
-            group=group,
-            runtime_seconds=runtime,
-            parameters={"eps": self.eps, "jl_rows": self.jl_rows},
-            iteration_log=iteration_log,
-        )
-
-    # -------------------------------------------------------------- internals
-    def _signs(self, rows: int, cols: int) -> np.ndarray:
-        scale = 1.0 / np.sqrt(rows)
-        return np.where(self.rng.random((rows, cols)) < 0.5, -scale, scale)
-
-    def _first_pick(self) -> tuple:
+    # ------------------------------------------------------------ greedy hooks
+    def _first_pick(self) -> Tuple[int, np.ndarray, Dict[str, object]]:
         """First pick via Lemma 3.5 with the max-degree node grounded."""
         graph = self.graph
         n = graph.n
@@ -129,9 +88,10 @@ class ApproxGreedy:
         scores = np.zeros(n)
         scores[kept] = diag_estimate - (2.0 / n) * column_sums
         scores[anchor] = 0.0
-        return int(np.argmin(scores)), scores
+        return int(np.argmin(scores)), scores, {"solves": self.jl_rows + 1}
 
-    def _estimate_gains(self, group: List[int]) -> Dict[int, float]:
+    def _gains(self, group: List[int]
+               ) -> Tuple[Dict[int, float], Dict[str, object]]:
         graph = self.graph
         matrix, kept = grounded_laplacian(graph, group)
         solver = LaplacianSolver(matrix, method=self.solver_method)
@@ -152,4 +112,13 @@ class ApproxGreedy:
         floors = 1.0 / np.maximum(degrees, 1)
         denominators = np.maximum(denominators, floors)
         gains = numerators / denominators
-        return {int(kept[i]): float(gains[i]) for i in range(size)}
+        return ({int(kept[i]): float(gains[i]) for i in range(size)},
+                {"solves": 2 * self.jl_rows})
+
+    def _parameters(self) -> Dict[str, object]:
+        return {"eps": self.eps, "jl_rows": self.jl_rows}
+
+    # -------------------------------------------------------------- internals
+    def _signs(self, rows: int, cols: int) -> np.ndarray:
+        scale = 1.0 / np.sqrt(rows)
+        return np.where(self.rng.random((rows, cols)) < 0.5, -scale, scale)

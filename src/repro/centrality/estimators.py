@@ -1,7 +1,7 @@
 """Spanning-forest estimators of grounded-Laplacian quantities.
 
-This module implements the statistical core shared by ForestCFCM and
-SchurCFCM:
+This module implements the statistical core of SchurCFCM, and so of
+ForestCFCM, which is SchurCFCM with no extra roots:
 
 * ``Phi_{u,S}(v)`` — the unbiased estimator of ``(inv(L_{-S}))_{uv}`` built
   from edge-current counts of sampled rooted forests (Lemma 3.3).  The fixed
@@ -12,7 +12,10 @@ SchurCFCM:
   (Section III-B), from which ``diag(inv(L_{-S})^2)`` is recovered as squared
   projected column norms.
 * the rooted-probability matrix ``F`` and the sampled Schur complement
-  ``S_T(L_{-S})`` of Section IV (Lemma 4.2 and Eq. 15).
+  ``S_T(L_{-S})`` of Section IV (Lemma 4.2 and Eq. 15), from which
+  :func:`schur_reassembly` rebuilds the ``S``-grounded quantities (Eq. 11);
+* :func:`marginal_gain_estimates`, the one ``Δ(u, S)`` formula that
+  ForestDelta, SchurDelta and the dynamic engine's pooled ForestDelta share.
 
 Implementation note (documented substitution): the paper's C++ code maintains
 per-directed-edge counters ``N~^{a->b}_{u,S}`` incrementally in O(1) amortised
@@ -60,7 +63,7 @@ import scipy.sparse as sp
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.graph import Graph
-from repro.graph.traversal import BFSTree, bfs_tree
+from repro.graph.traversal import bfs_tree
 from repro.linalg.jl import jl_dimension
 from repro.obs.tracing import trace
 from repro.sampling.batch import (
@@ -458,16 +461,13 @@ class ForestAccumulator:
         if not self.roots:
             raise InvalidParameterError("root set must be non-empty")
         self.rng = as_rng(seed)
-        self.tree: BFSTree = bfs_tree(graph, self.roots)
-        if np.any(self.tree.depth < 0):
-            raise InvalidParameterError("graph must be connected for forest sampling")
-        self.tau = int(self.tree.max_depth)
+        # The fixed path system: BFS-tree paths, so every per-sample value
+        # is bounded by the depth τ of the BFS tree.
+        self._path = PathSystem.from_graph(graph, self.roots)
+        self._root_mask = self._path.root_mask
+        self.tau = len(self._path.levels()) - 1
 
         n = graph.n
-        # The fixed path system: BFS-tree paths, so every per-sample value
-        # is bounded by τ.
-        self._path = PathSystem(self.tree.parent, self.roots)
-        self._root_mask = self._path.root_mask
 
         if weights is None:
             weights = np.zeros((0, n))
@@ -859,6 +859,26 @@ def estimate_first_pick(graph: Graph, config: SamplingConfig,
     return best, scores, diagnostics
 
 
+def marginal_gain_estimates(columns: np.ndarray, diagonal: np.ndarray,
+                            degrees: np.ndarray, group: Sequence[int],
+                            ) -> Dict[int, float]:
+    """``Δ(u, S) = ||column_u||² / max(diag_u, 1/d_u)`` for every ``u ∉ S``.
+
+    ``columns`` estimates the ``(w, n)`` block ``W inv(L_{-S})`` of a JL
+    matrix ``W``, so its squared column norms estimate
+    ``(inv(L_{-S})^2)_uu``; ``diagonal`` estimates ``(inv(L_{-S}))_uu``.
+    Since ``(inv(L_{-S}))_uu >= 1/d_u`` (Neumann series), ``1/d_u`` is a
+    sound floor for the denominator when the sampled estimate is noisy or
+    non-positive.  Keys ascend, so ties in the greedy argmax go to the
+    smallest node id.
+    """
+    numerators = np.sum(columns * columns, axis=0)
+    gains = numerators / np.maximum(diagonal, 1.0 / np.maximum(degrees, 1))
+    candidates = np.ones(gains.size, dtype=bool)
+    candidates[list(group)] = False
+    return {int(u): float(gains[u]) for u in np.flatnonzero(candidates)}
+
+
 def estimate_forest_delta(graph: Graph, group: Sequence[int],
                           config: SamplingConfig, seed: RandomState = None,
                           ) -> Tuple[Dict[int, float], Dict[str, float]]:
@@ -876,19 +896,9 @@ def estimate_forest_delta(graph: Graph, group: Sequence[int],
     weights = rademacher_weights(rows, n, group, rng)
     accumulator = ForestAccumulator(graph, group, weights=weights, seed=rng)
     diagnostics = run_adaptive_sampling(accumulator, config)
-
-    projected = accumulator.projected_estimates()
-    diagonal = accumulator.diag_estimates()
-    numerators = np.sum(projected * projected, axis=0)
-    gains: Dict[int, float] = {}
-    for u in range(n):
-        if u in group:
-            continue
-        # (inv(L_{-S}))_uu >= 1/d_u (Neumann series), a sound floor for the
-        # denominator when the sampled estimate is noisy or non-positive.
-        floor = 1.0 / max(graph.degrees[u], 1)
-        denominator = max(float(diagonal[u]), floor)
-        gains[u] = float(numerators[u]) / denominator
+    gains = marginal_gain_estimates(accumulator.projected_estimates(),
+                                    accumulator.diag_estimates(),
+                                    graph.degrees, group)
     return gains, diagnostics
 
 
@@ -900,7 +910,8 @@ def estimate_schur_delta(graph: Graph, group: Sequence[int], extra_roots: Sequen
     The forests are rooted at ``S ∪ T`` — cheaper to sample and better
     conditioned — and ``inv(L_{-S})`` is reassembled through the Eq. (11)
     block representation with the sampled rooted-probability matrix ``F`` and
-    the sampled Schur complement of Eq. (15).
+    the sampled Schur complement of Eq. (15).  Extra roots inside ``S`` are
+    dropped; when none is left this is ForestDelta.
     """
     rng = as_rng(seed)
     group = sorted(set(int(v) for v in group))
@@ -909,47 +920,63 @@ def estimate_schur_delta(graph: Graph, group: Sequence[int], extra_roots: Sequen
         return estimate_forest_delta(graph, group, config, seed=rng)
 
     n = graph.n
-    roots = sorted(set(group) | set(extras))
     rows = config.jl_rows(n)
     # One Rademacher matrix over all non-grounded coordinates; the columns on
-    # U act as the paper's W block and the columns on T as its Q block.
-    full_weights = rademacher_weights(rows, n, group, rng)
-    interior_weights = full_weights.copy()
-    interior_weights[:, roots] = 0.0
-    q_block = full_weights[:, extras]
-
+    # U act as the paper's W block and the columns on T as its Q block.  The
+    # accumulator zeroes its own copy on S ∪ T.
+    weights = rademacher_weights(rows, n, group, rng)
     accumulator = ForestAccumulator(
-        graph, roots, weights=interior_weights, tracked_roots=extras, seed=rng
+        graph, group + extras, weights=weights, tracked_roots=extras, seed=rng
     )
     diagnostics = run_adaptive_sampling(accumulator, config)
 
-    projected = accumulator.projected_estimates()
-    diagonal = accumulator.diag_estimates()
     fractions = accumulator.root_fractions()  # (n, |T|), zero rows on roots
-
     schur = _sampled_schur_complement(graph, group, extras, fractions)
-    inv_schur = _robust_inverse(schur)
-
-    # (w, |T|) combination (W F + Q) used by both the U and T columns.
-    combined = interior_weights @ fractions + q_block
-
-    gains: Dict[int, float] = {}
-    extras_index = {t: i for i, t in enumerate(extras)}
-    for u in range(n):
-        if u in group:
-            continue
-        floor = 1.0 / max(graph.degrees[u], 1)
-        if u in extras_index:
-            idx = extras_index[u]
-            column = combined @ inv_schur[:, idx]
-            denominator = max(float(inv_schur[idx, idx]), floor)
-        else:
-            f_row = fractions[u]
-            correction = inv_schur @ f_row
-            column = projected[:, u] + combined @ correction
-            denominator = max(float(diagonal[u]) + float(f_row @ correction), floor)
-        gains[u] = float(column @ column) / denominator
+    columns, diagonal = schur_reassembly(
+        accumulator.projected_estimates(), accumulator.diag_estimates(),
+        fractions, weights, extras, _robust_inverse(schur),
+    )
+    gains = marginal_gain_estimates(columns, diagonal, graph.degrees, group)
     return gains, diagnostics
+
+
+def schur_reassembly(projected: np.ndarray, diagonal: np.ndarray,
+                     fractions: np.ndarray, weights: np.ndarray,
+                     extras: Sequence[int], inv_schur: np.ndarray,
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Eq. (11): ``W inv(L_{-S})`` and ``diag(inv(L_{-S}))`` from the blocks
+    of the enlarged root set ``S ∪ T``.
+
+    With ``U = V \\ (S ∪ T)``, ``F = -inv(L_UU) L_UT`` and the Schur
+    complement ``S_T = L_TT + L_TU F``,
+
+    ``inv(L_{-S}) = [[inv(L_UU) + F inv(S_T) Fᵀ, F inv(S_T)],
+    [inv(S_T) Fᵀ, inv(S_T)]]``.
+
+    Parameters
+    ----------
+    projected, diagonal:
+        ``(w, n)`` ``W inv(L_UU)`` and ``(n,)`` ``diag(inv(L_UU))``, zero
+        outside ``U``.
+    fractions:
+        ``(n, |T|)`` ``F``, zero rows outside ``U``.
+    weights:
+        ``(w, n)`` ``W``, zero on ``S``; its ``T`` columns are the ``Q``
+        block.
+    extras, inv_schur:
+        ``T`` and ``inv(S_T)`` (rows and columns in the order of ``T``).
+
+    Returns ``(w, n)`` columns and the ``(n,)`` diagonal, zero on ``S``.
+    """
+    extras = list(extras)
+    # (w, |T|) W_U F + Q, shared by the U and the T columns.
+    combined = weights @ fractions + weights[:, extras]
+    corrections = inv_schur @ fractions.T  # (|T|, n): inv(S_T) f_u
+    columns = projected + combined @ corrections
+    diag = diagonal + np.einsum("uj,ju->u", fractions, corrections)
+    columns[:, extras] = combined @ inv_schur
+    diag[extras] = np.diagonal(inv_schur)
+    return columns, diag
 
 
 def _sampled_schur_complement(graph: Graph, group: Sequence[int],

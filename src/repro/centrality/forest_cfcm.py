@@ -13,24 +13,19 @@ BFS-path current estimators of Lemma 3.3, JL projections (Lemma 3.4) for the
 numerator and the empirical-Bernstein adaptive stopping rule (Lemma 3.6).
 The algorithm achieves the ``1 - (k/(k-1))/e - eps`` approximation factor of
 Theorem 3.11.
+
+ForestDelta is SchurDelta with an empty auxiliary root set ``T``, so both
+names here are :mod:`repro.centrality.schur_cfcm` with ``T = ∅``.
 """
 
 from __future__ import annotations
 
-from repro.utils.timer import clock
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from repro.exceptions import InvalidParameterError
 from repro.graph.graph import Graph
-from repro.graph.traversal import require_connected
-from repro.centrality.estimators import (
-    SamplingConfig,
-    estimate_first_pick,
-    estimate_forest_delta,
-)
-from repro.centrality.result import CFCMResult
-from repro.utils.rng import RandomState, as_rng
-from repro.utils.validation import check_integer
+from repro.centrality.estimators import SamplingConfig
+from repro.centrality.schur_cfcm import SchurCFCM, schur_delta
+from repro.utils.rng import RandomState
 
 
 def forest_delta(graph: Graph, group: Sequence[int], eps: float = 0.2,
@@ -52,15 +47,10 @@ def forest_delta(graph: Graph, group: Sequence[int], eps: float = 0.2,
     config:
         Full :class:`SamplingConfig`; overrides ``eps``.
     """
-    require_connected(graph)
-    if not group:
-        raise InvalidParameterError("ForestDelta requires a non-empty group S")
-    config = config or SamplingConfig(eps=eps)
-    gains, _ = estimate_forest_delta(graph, group, config, seed=seed)
-    return gains
+    return schur_delta(graph, group, (), eps=eps, seed=seed, config=config)
 
 
-class ForestCFCM:
+class ForestCFCM(SchurCFCM):
     """Greedy CFCM solver based purely on spanning-forest sampling.
 
     Parameters
@@ -88,58 +78,5 @@ class ForestCFCM:
 
     def __init__(self, graph: Graph, eps: float = 0.2, seed: RandomState = None,
                  config: Optional[SamplingConfig] = None):
-        require_connected(graph)
-        self.graph = graph
-        self.config = config or SamplingConfig(eps=eps)
-        self.rng = as_rng(seed)
-
-    # ----------------------------------------------------------------- greedy
-    def run(self, k: int) -> CFCMResult:
-        """Select a group of ``k`` nodes maximising (approximately) CFCC."""
-        check_integer("k", k, minimum=1, maximum=self.graph.n - 1)
-        start = clock()
-        iteration_log = []
-
-        first, scores, diagnostics = estimate_first_pick(
-            self.graph, self.config, seed=self.rng
-        )
-        group = [first]
-        iteration_log.append({
-            "iteration": 0,
-            "node": first,
-            "score": float(scores[first]),
-            "samples": int(diagnostics["samples"]),
-            "stopped_early": bool(diagnostics["stopped_early"]),
-        })
-
-        for iteration in range(1, k):
-            node, gain, diag = self._next_node(group)
-            group.append(node)
-            iteration_log.append({
-                "iteration": iteration,
-                "node": node,
-                "gain": gain,
-                "samples": int(diag["samples"]),
-                "stopped_early": bool(diag["stopped_early"]),
-            })
-
-        runtime = clock() - start
-        return CFCMResult(
-            method=self.method_name,
-            group=group,
-            runtime_seconds=runtime,
-            parameters={
-                "eps": self.config.eps,
-                "max_samples": self.config.max_samples,
-                "jl_rows": self.config.jl_rows(self.graph.n),
-            },
-            iteration_log=iteration_log,
-        )
-
-    # -------------------------------------------------------------- internals
-    def _next_node(self, group: Sequence[int]) -> Tuple[int, float, Dict[str, float]]:
-        gains, diagnostics = estimate_forest_delta(
-            self.graph, group, self.config, seed=self.rng
-        )
-        node = max(gains, key=gains.get)
-        return int(node), float(gains[node]), diagnostics
+        super().__init__(graph, eps=eps, extra_roots=(), seed=seed,
+                         config=config)

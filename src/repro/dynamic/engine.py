@@ -54,6 +54,7 @@ from repro.centrality.estimators import (
     SamplingConfig,
     batched_diag_estimates,
     batched_projected_estimates,
+    marginal_gain_estimates,
     rademacher_weights,
 )
 from repro.linalg.backends import ResistanceBackend
@@ -471,51 +472,7 @@ class DynamicCFCM(QueryFront):
         the pool is topped up with fresh lockstep draws whenever its
         effective sample size falls below the ESS floor.
         """
-        if not self.graph.is_unit_weighted:
-            raise InvalidParameterError(
-                "forest evaluation assumes unit edge weights; use mode='exact'"
-            )
-        roots = self.graph.validate_group(group)
-        with trace("engine.evaluate_forest", roots=_pool_key(roots)) as span, \
-                _op_timer("evaluate_forest"):
-            self.sync()
-            cache_key = ("forest", roots)
-            cached = self._eval_cache.get(cache_key)
-            if cached is not None and cached[0] == self.graph.version:
-                self.stats.eval_hits += 1
-                span.set(cache="hit")
-                _lru_store(self._eval_cache, cache_key, cached,
-                           self.cache_capacity)
-                return cached[1]
-            self.stats.eval_misses += 1
-            span.set(cache="miss")
-
-            snapshot = self.graph.snapshot()
-            compact_roots = self.graph.compact_nodes(roots)
-            pool = self._require_pool(roots, compact_roots)
-            self.stats.forests_kept += pool.size
-            self._top_up(pool, snapshot, compact_roots)
-
-            # One weight-aware batched fold — and only over the forests whose
-            # trace contribution is not already cached against the pool's
-            # path system (fresh draws, or everything after a path
-            # invalidation).
-            path = pool.require_path(snapshot)
-            stale = np.flatnonzero(~pool.trace_valid)
-            if stale.size:
-                with trace("estimator.fold", forests=int(stale.size)):
-                    diag = batched_diag_estimates(pool.batch().parent[stale],
-                                                  path)
-                    pool.set_traces(stale, diag.sum(axis=1))
-                _FOLD_FORESTS.observe(int(stale.size))
-                self.stats.forests_folded += int(stale.size)
-            weights = pool.weights()
-            pooled = float(weights @ pool.traces) / float(weights.sum())
-            value = self.graph.n / pooled
-            _lru_store(self._eval_cache, cache_key,
-                       (self.graph.version, value), self.cache_capacity)
-            self._record_pool_health(roots, pool)
-            return value
+        return self._pooled("forest", group, self._fold_trace)
 
     def evaluate_forest_delta(self, group: Sequence[int]) -> Dict[int, float]:
         """ForestDelta gains ``Δ(u, S)`` for every ``u ∉ S``, from the pool.
@@ -530,71 +487,7 @@ class DynamicCFCM(QueryFront):
         incremental contract :meth:`evaluate_forest` has for traces.  Keys
         are stable node ids.
         """
-        if not self.graph.is_unit_weighted:
-            raise InvalidParameterError(
-                "forest evaluation assumes unit edge weights; use mode='exact'"
-            )
-        roots = self.graph.validate_group(group)
-        with trace("engine.evaluate_forest_delta", roots=_pool_key(roots)) \
-                as span, _op_timer("evaluate_forest_delta"):
-            self.sync()
-            cache_key = ("forest_delta", roots)
-            cached = self._eval_cache.get(cache_key)
-            if cached is not None and cached[0] == self.graph.version:
-                self.stats.eval_hits += 1
-                span.set(cache="hit")
-                _lru_store(self._eval_cache, cache_key, cached,
-                           self.cache_capacity)
-                return dict(cached[1])
-            self.stats.eval_misses += 1
-            span.set(cache="miss")
-
-            snapshot = self.graph.snapshot()
-            compact_roots = self.graph.compact_nodes(roots)
-            pool = self._require_pool(roots, compact_roots)
-            self.stats.forests_kept += pool.size
-            self._top_up(pool, snapshot, compact_roots)
-            path = pool.require_path(snapshot)
-
-            rows = (self.config or SamplingConfig()).jl_rows(snapshot.n)
-            if pool.jl is None or pool.jl.shape != (rows, snapshot.n):
-                pool.jl = rademacher_weights(rows, snapshot.n, compact_roots,
-                                             self.rng)
-            jl = pool.jl
-            stale = np.flatnonzero(~pool.projected_valid)
-            if stale.size:
-                with trace("estimator.fold_projected", forests=int(stale.size)):
-                    mask = np.zeros(pool.size, dtype=bool)
-                    mask[stale] = True
-                    sub = pool.batch().select(mask)
-                    projected = batched_projected_estimates(sub, path, jl)
-                    diag = batched_diag_estimates(sub.parent, path)
-                    pool.set_projected(stale, projected, diag)
-                _FOLD_FORESTS.observe(int(stale.size))
-                self.stats.forests_folded += int(stale.size)
-            weights = pool.weights()
-            total = float(weights.sum())
-            mean_projected = np.einsum("b,bwn->wn", weights,
-                                       pool.projected) / total
-            mean_diag = (weights @ pool.projected_diag) / total
-            numerators = np.sum(mean_projected * mean_projected, axis=0)
-
-            mapping = self.graph.snapshot_mapping()
-            degrees = snapshot.degrees
-            compact_set = set(int(r) for r in compact_roots)
-            gains: Dict[int, float] = {}
-            for u in range(snapshot.n):
-                if u in compact_set:
-                    continue
-                # Same denominator floor as the batch estimator:
-                # (inv(L_{-S}))_uu >= 1/d_u by the Neumann series.
-                floor = 1.0 / max(int(degrees[u]), 1)
-                denominator = max(float(mean_diag[u]), floor)
-                gains[int(mapping[u])] = float(numerators[u]) / denominator
-            _lru_store(self._eval_cache, cache_key,
-                       (self.graph.version, gains), self.cache_capacity)
-            self._record_pool_health(roots, pool)
-            return dict(gains)
+        return dict(self._pooled("forest_delta", group, self._fold_gains))
 
     def refill_pool(self, group: Sequence[int]) -> int:
         """Top the forest pool of ``group`` up; returns the number drawn.
@@ -602,15 +495,10 @@ class DynamicCFCM(QueryFront):
         The sampling half of :meth:`evaluate_forest`, exposed so a front end
         can refresh pools ahead of query traffic (prefetching).
         """
-        if not self.graph.is_unit_weighted:
-            raise InvalidParameterError(
-                "forest pools assume unit edge weights; use mode='exact'"
-            )
-        roots = self.graph.validate_group(group)
+        roots = self._pool_roots(group)
         self.sync()
-        compact_roots = self.graph.compact_nodes(roots)
-        pool = self._require_pool(roots, compact_roots)
-        drawn = self._top_up(pool, self.graph.snapshot(), compact_roots)
+        pool, snapshot, compact_roots = self._pool_for(roots)
+        drawn = self._top_up(pool, snapshot, compact_roots)
         self._record_pool_health(roots, pool)
         return drawn
 
@@ -659,10 +547,107 @@ class DynamicCFCM(QueryFront):
             seed=zlib.crc32(_pool_key(key).encode("utf-8")),
         )
 
+    # ------------------------------------------------------------ pooled reads
+    def _pool_roots(self, group: Sequence[int]) -> Tuple[int, ...]:
+        """Validate a pooled read's group: unit weights, live stable ids."""
+        if not self.graph.is_unit_weighted:
+            raise InvalidParameterError(
+                "forest evaluation assumes unit edge weights; use mode='exact'"
+            )
+        return self.graph.validate_group(group)
+
+    def _pooled(self, kind: str, group: Sequence[int], fold: Callable):
+        """validate → sync → cache → top-up → fold, for one pooled read.
+
+        ``kind`` names the span (``engine.evaluate_<kind>``), the op label
+        and the cache slot.  On a miss, ``fold(pool, snapshot,
+        compact_roots)`` turns the topped-up pool into the answer, which is
+        cached until the graph version moves.
+        """
+        roots = self._pool_roots(group)
+        op = f"evaluate_{kind}"
+        with trace(f"engine.{op}", roots=_pool_key(roots)) as span, \
+                _op_timer(op):
+            self.sync()
+            cache_key = (kind, roots)
+            cached = self._eval_cache.get(cache_key)
+            if cached is not None and cached[0] == self.graph.version:
+                self.stats.eval_hits += 1
+                span.set(cache="hit")
+                _lru_store(self._eval_cache, cache_key, cached,
+                           self.cache_capacity)
+                return cached[1]
+            self.stats.eval_misses += 1
+            span.set(cache="miss")
+
+            pool, snapshot, compact_roots = self._pool_for(roots)
+            self.stats.forests_kept += pool.size
+            self._top_up(pool, snapshot, compact_roots)
+            value = fold(pool, snapshot, compact_roots)
+            _lru_store(self._eval_cache, cache_key,
+                       (self.graph.version, value), self.cache_capacity)
+            self._record_pool_health(roots, pool)
+            return value
+
+    def _fold_trace(self, pool: WeightedForestPool, snapshot: Graph,
+                    compact_roots: Sequence[int]) -> float:
+        """Group CFCC ``n / Tr`` from the pool's per-forest traces.
+
+        One weight-aware batched fold, and only over the forests whose trace
+        is not already cached against the pool's path system (fresh draws,
+        or everything after a path invalidation).
+        """
+        path = pool.require_path(snapshot)
+        stale = np.flatnonzero(~pool.trace_valid)
+        if stale.size:
+            with trace("estimator.fold", forests=int(stale.size)):
+                diag = batched_diag_estimates(pool.batch().parent[stale], path)
+                pool.set_traces(stale, diag.sum(axis=1))
+            self._count_folded(stale.size)
+        weights = pool.weights()
+        pooled = float(weights @ pool.traces) / float(weights.sum())
+        return self.graph.n / pooled
+
+    def _fold_gains(self, pool: WeightedForestPool, snapshot: Graph,
+                    compact_roots: Sequence[int]) -> Dict[int, float]:
+        """ForestDelta gains, keyed by stable id, from the pool's cached
+        per-forest projected and diagonal rows."""
+        path = pool.require_path(snapshot)
+        rows = (self.config or SamplingConfig()).jl_rows(snapshot.n)
+        if pool.jl is None or pool.jl.shape != (rows, snapshot.n):
+            pool.jl = rademacher_weights(rows, snapshot.n, compact_roots,
+                                         self.rng)
+        stale = np.flatnonzero(~pool.projected_valid)
+        if stale.size:
+            with trace("estimator.fold_projected", forests=int(stale.size)):
+                mask = np.zeros(pool.size, dtype=bool)
+                mask[stale] = True
+                sub = pool.batch().select(mask)
+                projected = batched_projected_estimates(sub, path, pool.jl)
+                diag = batched_diag_estimates(sub.parent, path)
+                pool.set_projected(stale, projected, diag)
+            self._count_folded(stale.size)
+        weights = pool.weights()
+        total = float(weights.sum())
+        gains = marginal_gain_estimates(
+            np.einsum("b,bwn->wn", weights, pool.projected) / total,
+            (weights @ pool.projected_diag) / total,
+            snapshot.degrees, compact_roots,
+        )
+        mapping = self.graph.snapshot_mapping()
+        return {int(mapping[u]): gain for u, gain in gains.items()}
+
+    def _count_folded(self, forests: int) -> None:
+        _FOLD_FORESTS.observe(int(forests))
+        self.stats.forests_folded += int(forests)
+
     # ------------------------------------------------------------ maintenance
-    def _require_pool(self, roots: Tuple[int, ...],
-                      compact_roots: Sequence[int]) -> WeightedForestPool:
-        """The pool for ``roots``, recreated when empty (fresh compact ids)."""
+    def _pool_for(self, roots: Tuple[int, ...]
+                  ) -> Tuple[WeightedForestPool, Graph, Sequence[int]]:
+        """``(pool, snapshot, compact_roots)`` for ``roots``; the pool is
+        recreated when empty (fresh compact ids)."""
+        snapshot = self.graph.snapshot()
+        compact_roots = self.graph.compact_nodes(roots)
         pool = self._pools.get(roots)
         if pool is None or pool.size == 0:
             # An empty pool is rebuilt entirely from the current snapshot, so
@@ -672,7 +657,7 @@ class DynamicCFCM(QueryFront):
                                       adaptive_floor=self.adaptive_ess_floor)
         _lru_store(self._pools, roots, pool, self.cache_capacity,
                    on_evict=self._on_pool_evicted)
-        return pool
+        return pool, snapshot, compact_roots
 
     def _top_up(self, pool: WeightedForestPool, snapshot: Graph,
                 compact_roots: Sequence[int]) -> int:

@@ -38,7 +38,7 @@ def run_table2(graphs: Optional[Dict[str, Graph]] = None, k: int = 10,
             "nodes": graph.n,
             "edges": graph.m,
             "tau": diameter(graph),
-            "extra_roots": extra_root_size(graph, max_size=64),
+            "extra_roots": extra_root_size(graph),
         }
         exact = run_method(graph, k, RunSpec("exact"), seed=seed)
         row["exact_seconds"] = exact.runtime_seconds if exact else None

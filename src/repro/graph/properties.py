@@ -65,13 +65,19 @@ def global_clustering(graph: Graph) -> float:
     return 3.0 * (triangles / 3.0) / wedges if wedges else 0.0
 
 
-def extra_root_size(graph: Graph, max_size: int | None = None) -> int:
+#: Largest ``|T*|`` scanned by :func:`extra_root_size`: SchurCFCM inverts a
+#: dense ``|T| x |T|`` Schur complement every round.
+EXTRA_ROOT_CAP = 64
+
+
+def extra_root_size(graph: Graph, max_size: int | None = EXTRA_ROOT_CAP) -> int:
     """Size ``|T*|`` of the additional root set used by SchurCFCM.
 
     The paper sets ``|T*| = argmin_{|T|} { |T| - dmax(T) }`` where ``T`` always
     consists of the highest-degree nodes and ``dmax(T)`` is the maximum degree
     of the graph after removing ``T``.  The function scans the degree-sorted
-    prefix sizes and returns the minimiser.
+    prefix sizes up to ``max_size`` (``None``: all of them) and returns the
+    minimiser.
     """
     if graph.n <= 2:
         return 1
@@ -92,7 +98,7 @@ def extra_root_size(graph: Graph, max_size: int | None = None) -> int:
 
 
 def summarize(graph: Graph, exact_diameter: bool | None = None,
-              max_extra_roots: int | None = 256) -> GraphSummary:
+              max_extra_roots: int | None = EXTRA_ROOT_CAP) -> GraphSummary:
     """Compute the Table II metadata columns for ``graph``."""
     if exact_diameter is None:
         exact_diameter = graph.n <= 400

@@ -18,8 +18,8 @@ the representation underneath is swapped:
   refactorisation (:func:`repro.linalg.factor.factorize_spd`: a
   dense-Cholesky hub core on hub-heavy patterns, SciPy ``splu`` otherwise;
   conjugate-gradient fallback through
-  :class:`repro.linalg.solvers.LaplacianSolver` with a reusable
-  preconditioner when the factorisation is unavailable) and absorbs journal
+  :class:`repro.linalg.solvers.LaplacianSolver`, Jacobi-preconditioned once
+  per factorisation, when the factorisation is unavailable) and absorbs journal
   bursts as an *implicit* low-rank correction: with base factor ``M₀`` and
   accumulated perturbation ``B D Bᵀ`` (one signed incidence column and one
   signed weight per edge event),
@@ -49,7 +49,7 @@ import scipy.sparse.linalg as spla
 
 from repro.exceptions import InvalidParameterError
 from repro.linalg.factor import HubCoreFactor, factorize_spd, sparse_lu
-from repro.linalg.solvers import LaplacianSolver, PreconditionerCache, SolverMethod
+from repro.linalg.solvers import LaplacianSolver, SolverMethod
 from repro.linalg.updates import (
     grounded_inverse_block_update,
     grounded_inverse_downdate,
@@ -394,7 +394,6 @@ class SparseResistanceBackend(ResistanceBackend):
         self.rtol = float(rtol)
         self.maxiter = maxiter
         self.seed = int(seed)
-        self._pc_cache = PreconditionerCache(kind="jacobi")
         self._factor_count = 0
         self._solver_used = "none"
         self._lu: Optional[Union[HubCoreFactor, spla.SuperLU]] = None
@@ -444,12 +443,11 @@ class SparseResistanceBackend(ResistanceBackend):
                         f"sparse LU factorisation failed: {exc}"
                     ) from exc
         if self._lu is None:
-            # CG fallback: the Jacobi preconditioner is built once per
-            # factorisation and shared by every solve against it.
+            # CG fallback: the solver builds its Jacobi preconditioner once
+            # per factorisation and shares it across every solve against it.
             self._cg = LaplacianSolver(
                 matrix, method=SolverMethod.CONJUGATE_GRADIENT,
                 tol=self.rtol, maxiter=self.maxiter,
-                preconditioner=self._pc_cache.get(matrix, self._factor_count),
             )
             self._solver_used = "cg"
         self._reset_lowrank()

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidNodeError, InvalidParameterError
 from repro.graph import datasets
 from repro.centrality.api import maximize_cfcc
 from repro.centrality.approx_greedy import ApproxGreedy
 from repro.centrality.cfcc import group_cfcc
-from repro.centrality.estimators import SamplingConfig
+from repro.centrality.estimators import ForestAccumulator, SamplingConfig
 from repro.centrality.exact_greedy import ExactGreedy
 from repro.centrality.forest_cfcm import ForestCFCM, forest_delta
 from repro.centrality.heuristics import degree_group, top_cfcc_group
@@ -166,6 +166,35 @@ class TestSchurCFCM:
         roots = choose_extra_roots(karate)
         assert len(roots) >= 1
         assert len(roots) <= karate.n - 1
+
+
+class TestBadNodeIds:
+    """Out-of-range node ids raise a typed error before any forest is drawn."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a forest was drawn before validation")
+
+        monkeypatch.setattr(ForestAccumulator, "add_samples", refuse)
+
+    @pytest.mark.parametrize("node", [34, -1])
+    def test_forest_delta_group(self, karate, node):
+        with pytest.raises(InvalidNodeError):
+            forest_delta(karate, [node], eps=0.3)
+
+    @pytest.mark.parametrize("group, extras", [([34], [33]), ([0], [34]),
+                                               ([0], [-1])])
+    def test_schur_delta_group_and_extra_roots(self, karate, group, extras):
+        with pytest.raises(InvalidNodeError):
+            schur_delta(karate, group, extras, eps=0.3)
+
+    @pytest.mark.parametrize("extra", [34, -1])
+    def test_schur_cfcm_extra_roots(self, karate, extra):
+        with pytest.raises(InvalidNodeError):
+            maximize_cfcc(karate, 2, method="schur", extra_roots=[33, extra])
+        with pytest.raises(InvalidNodeError):
+            SchurCFCM(karate, extra_roots=[extra])
 
 
 class TestHeuristics:

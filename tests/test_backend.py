@@ -31,7 +31,6 @@ from repro.graph import generators
 from repro.linalg import (
     DenseResistanceBackend,
     LaplacianSolver,
-    PreconditionerCache,
     SolverMethod,
     SparseResistanceBackend,
     build_preconditioner,
@@ -439,20 +438,6 @@ class TestBackendSelection:
 
 
 class TestPreconditionerPlumbing:
-    def test_cache_reuses_builds_per_version(self, small_ba):
-        graph = DynamicGraph(small_ba)
-        lap = sp.csc_matrix(graph.laplacian_dense()[2:, 2:])
-        cache = PreconditionerCache(kind="jacobi")
-        first = cache.get(lap, version=1)
-        assert cache.get(lap, version=1) is first
-        assert (cache.builds, cache.hits) == (1, 1)
-        second = cache.get(lap, version=2)
-        assert second is not first
-        assert cache.builds == 2
-        cache.invalidate()
-        cache.get(lap, version=2)
-        assert cache.builds == 3
-
     def test_build_preconditioner_kinds(self, small_ba):
         lap = sp.csc_matrix(DynamicGraph(small_ba).laplacian_dense()[2:, 2:])
         for kind in ("jacobi", "ilu"):

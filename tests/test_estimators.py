@@ -13,10 +13,11 @@ from repro.centrality.estimators import (
     estimate_schur_delta,
     rademacher_weights,
     run_adaptive_sampling,
+    schur_reassembly,
 )
 from repro.centrality.marginal import marginal_gains_all
 from repro.linalg.pseudoinverse import pseudoinverse_diagonal
-from repro.linalg.schur import absorption_probabilities
+from repro.linalg.schur import absorption_probabilities, grounded_inverse_block
 from repro.linalg.updates import grounded_inverse
 
 
@@ -203,6 +204,34 @@ class TestDeltaEstimators:
         config = SamplingConfig(eps=0.3, max_samples=64)
         gains, _ = estimate_schur_delta(small_ba, group, [0], config, seed=5)
         assert set(gains) == set(range(small_ba.n)) - {0}
+
+    @pytest.mark.parametrize("group", [[0], [0, 5]])
+    def test_schur_reassembly_is_exact_on_exact_blocks(self, hub_ba, group):
+        """Fed the exact Eq. (11) blocks, the reassembly returns exactly
+        ``W inv(L_{-S})`` and ``diag(inv(L_{-S}))``."""
+        n = hub_ba.n
+        extras = [int(v) for v in np.argsort(-hub_ba.degrees, kind="stable")
+                  if v not in group][:3]
+        blocks = grounded_inverse_block(hub_ba, group, extras)
+        interior = blocks.interior
+        weights = rademacher_weights(8, n, group, np.random.default_rng(0))
+        projected = np.zeros((8, n))
+        projected[:, interior] = weights[:, interior] @ blocks.inv_interior
+        diagonal = np.zeros(n)
+        diagonal[interior] = np.diag(blocks.inv_interior)
+        fractions = np.zeros((n, len(extras)))
+        fractions[interior] = blocks.absorption
+
+        columns, diag = schur_reassembly(projected, diagonal, fractions,
+                                         weights, extras, blocks.inv_schur)
+
+        inverse, kept = grounded_inverse(hub_ba, group)
+        expected_columns = np.zeros((8, n))
+        expected_columns[:, kept] = weights[:, kept] @ inverse
+        expected_diag = np.zeros(n)
+        expected_diag[kept] = np.diag(inverse)
+        np.testing.assert_allclose(columns, expected_columns, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(diag, expected_diag, rtol=0, atol=1e-10)
 
     def test_estimates_are_positive(self, small_ba):
         config = SamplingConfig(eps=0.3, max_samples=128)
