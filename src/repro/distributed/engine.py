@@ -134,12 +134,17 @@ class _ShardCoupling:
     minus the group) to its tracker row; ``w`` holds ``W_i`` as
     ``{(row, tcol): -w}`` over ``T'`` positions, and :attr:`csr` is a CSR
     view of it that :meth:`shift` drops whenever an entry changes.
+
+    Tracker rows and ``kept`` positions coincide: shard trackers only ever
+    see edge events (the engine rebuilds on node events), so their factors
+    never carry spare or tombstoned rows (``backend.n == len(kept)``).
     """
 
     def __init__(self, shard: ShardState, tracker, tp: int):
         self.shard = shard
         self.tracker = tracker
         self.kept = np.asarray(tracker.kept, dtype=np.int64).copy()
+        assert tracker.backend.n == len(self.kept)
         self.rows: Dict[int, int] = {shard.l2g[x]: r
                                      for r, x in enumerate(self.kept)}
         self.w: Dict[Tuple[int, int], float] = {}
@@ -206,6 +211,7 @@ class _ShardCoupling:
                               self.kept):
             raise _StitchInvalid("kept-row order moved under the coupling")
         backend = tracker.backend
+        assert backend.n == len(self.kept)
         tp = self.tp
         n = len(self.kept)
         cols: List[np.ndarray] = []

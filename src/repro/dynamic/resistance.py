@@ -8,18 +8,28 @@ edge events is one rank-``t`` Laplacian perturbation ``B D Bᵀ``, handed to
 the backend as a single batch: the ``dense`` backend folds it with an
 explicit-inverse Woodbury solve (O(n²t) in one BLAS-3 pass, bit-identical to
 the historical engine), the ``sparse`` backend accumulates it as an implicit
-low-rank correction over a sparse LU base factor (Õ(m·t)).  Node events
-bracket the edge batches:
+low-rank correction over a sparse base factor (Õ(m·t)).
 
-* ``add_node`` *grows* the state by one row/column after a batched diagonal
-  correction for the kept neighbours' new degrees;
-* ``remove_node`` *downdates* the removed row and then batch-corrects the
-  neighbours' diagonals — removing a node deletes its edges, which grounding
-  alone would not reflect.
+Node events take one route per backend:
 
-Backends that do not implement incremental grow/downdate (the sparse one)
-answer node events with a refactorisation instead — at Õ(m) that is cheaper
-there than the dense-style surgery would be.
+* **dense** (the historical engine, and the oracle): ``add_node`` *grows*
+  the inverse by one row/column after a batched diagonal correction for the
+  kept neighbours' new degrees; ``remove_node`` *downdates* the removed row
+  and then batch-corrects the neighbours' diagonals.  Node events split the
+  suffix into edge batches.
+* **sparse**: the factor keeps its size between factorisations and a node
+  event becomes rank-(deg+1) triples on it.  A leave of row ``r`` removes
+  each incident edge ``(y, w)`` as ``(r, y, −w)`` (``y`` is ``None`` when
+  grounded) and adds ``(r, None, +1)``, leaving ``r`` an isolated identity
+  row — a *tombstone*.  A join takes the lowest free row (a tombstone or a
+  spare identity row), clears it with ``(r, None, −1)`` and adds
+  ``(r, y, +w)`` per edge.  The whole suffix, edge and node events in
+  journal order, is one ``apply_triples`` call.  Spare rows are lazy: a
+  tracker starts with none, and only a join that finds no free row
+  refactorises, appending twice as many spare rows as the joins seen since
+  the previous factorisation.  Free rows stay inside the tracker:
+  :attr:`~IncrementalResistance.kept`, :meth:`~IncrementalResistance.trace`
+  and every query cover live rows only.
 
 Staleness policy
 ----------------
@@ -27,9 +37,14 @@ Low-rank updates are exact in exact arithmetic but accumulate floating-point
 drift, and long journals eventually cost more than one clean factorisation.
 The tracker therefore refreshes (re-factorises from the current graph state)
 
-* when the pending suffix would push the low-rank updates since the last
-  factorisation past ``refresh_interval`` (clamped to the backend's own
-  ``max_updates`` correction-rank cap, when it has one),
+* on the dense backend, when the pending suffix would push the low-rank
+  updates since the last factorisation past ``refresh_interval``;
+* on the sparse backend, once the correction columns solved since the last
+  factorisation have reached the factor's own break-even estimate
+  (:attr:`repro.linalg.ResistanceBackend.break_even`, factorisation cost
+  over per-column solve cost), or when one burst alone would pass it.  The
+  estimate is a pure function of the factor, so two trackers replaying one
+  journal refactorise at the same bursts;
 * whenever a batch is singular (its capacitance matrix is not invertible),
   which for deletions means the grounded graph lost its last path to ground —
   the connectivity guards of :class:`DynamicGraph` make this rare, but
@@ -46,10 +61,12 @@ no longer exists) and raises :class:`repro.exceptions.GraphError`;
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.exceptions import (
     BackendUnavailableError,
@@ -58,7 +75,7 @@ from repro.exceptions import (
     InvalidParameterError,
     NumericalDriftError,
 )
-from repro.dynamic.graph import ADD_NODE, DynamicGraph, GraphUpdate
+from repro.dynamic.graph import ADD_NODE, REMOVE_NODE, DynamicGraph, GraphUpdate
 from repro.linalg.backends import (
     DenseResistanceBackend,
     ResistanceBackend,
@@ -132,11 +149,11 @@ class IncrementalResistance:
         Grounded node group ``S`` (non-empty strict subset of the active
         nodes, by stable id).
     refresh_interval:
-        Staleness budget ``r``: when the pending journal suffix would push
-        the number of low-rank updates since the last factorisation past
-        ``r``, the synchronisation re-factorises from scratch instead.  The
-        effective budget is ``min(r, backend.max_updates)`` when the backend
-        caps its own correction rank.
+        Staleness budget ``r`` of the dense backend: when the pending journal
+        suffix would push the number of low-rank updates since the last
+        factorisation past ``r``, the synchronisation re-factorises the
+        current graph instead.  Other backends refresh at their factor's
+        break-even (see the module docstring).
     backend:
         Resistance backend spec: ``"dense"`` (explicit inverse, the
         default — bit-identical to the historical engine), ``"sparse"``
@@ -149,9 +166,10 @@ class IncrementalResistance:
     Attributes
     ----------
     kept:
-        Stable node ids of the tracked (non-grounded) rows, in row order.
-        Sorted after a factorisation; rows appended by ``add_node`` events
-        keep arrival order until the next refresh.
+        Stable node ids of the tracked (non-grounded) nodes in row order —
+        the index of :meth:`diagonal` and :meth:`resistance_column`.  Sorted
+        after a factorisation.  A join lands at its row: appended on the
+        dense backend, at a free row (possibly mid-array) on the sparse one.
     """
 
     def __init__(self, graph: DynamicGraph, group: Sequence[int],
@@ -169,26 +187,25 @@ class IncrementalResistance:
         self.watchdog = watchdog
         self.stats = ResistanceStats()
         self._updates_since_refresh = 0
+        self._joins = 0
         self._synced_version = -1
         self._probing = False
         self._factorize()
 
     @property
-    def _budget(self) -> int:
-        """Effective staleness budget (tracker policy ∧ backend rank cap)."""
-        cap = self.backend.max_updates
-        if cap is None:
-            return self.refresh_interval
-        return min(self.refresh_interval, cap)
+    def kept(self) -> np.ndarray:
+        """Stable ids of the live rows, in row order (see the class docstring)."""
+        return self._rows if self._live is None else self._rows[self._live]
 
     # ---------------------------------------------------------------- syncing
     def sync(self) -> "IncrementalResistance":
         """Fold any pending journal events into the inverse; returns ``self``.
 
-        Consecutive edge events are applied as one rank-``t`` Woodbury batch;
-        node events split the suffix into segments (each grows or downdates a
-        row between batches).  Any singular update falls back to a fresh
-        factorisation of the current state.
+        On the dense backend consecutive edge events are applied as one
+        rank-``t`` Woodbury batch and node events split the suffix (each
+        grows or downdates a row between batches); on the others the whole
+        suffix is one batch of triples.  Any singular update falls back to a
+        fresh factorisation of the current state.
         """
         graph = self.graph
         if self._synced_version < graph.version:
@@ -212,72 +229,133 @@ class IncrementalResistance:
                 self._probing = False
         return self
 
-    def _sync_pending(self, graph: DynamicGraph) -> "IncrementalResistance":
+    def _sync_pending(self, graph: DynamicGraph) -> None:
         """The replay half of :meth:`sync` (pending events guaranteed)."""
         if self._synced_version < graph.journal_floor:
             # The suffix we need was compacted away; rebuild from scratch.
-            self._factorize()
-            self.stats.refreshes += 1
-            return self
+            self._refresh()
+            return
         events = graph.journal_since(self._synced_version)
         self.stats.events_seen += len(events)
 
-        # Relevant low-rank work in the suffix: edge events touching at least
-        # one kept row (grounded–grounded edges never enter L_{-S}) count 1;
-        # node events count their true cost — one grow/downdate plus one
-        # diagonal correction per kept neighbour.  Group membership is fixed,
-        # so relevance is decided up front; local row indices are resolved
-        # batch by batch because node events reshape the row set mid-suffix.
+        # Edge events touching at least one kept row are relevant
+        # (grounded–grounded edges never enter L_{-S}), and so is every node
+        # event.  Group membership is fixed, so relevance is decided up front.
         grounded = set(self.group)
         relevant: List[GraphUpdate] = []
-        cost = 0
-        node_events = False
         for event in events:
             if event.is_node_event:
+                if event.node in grounded:
+                    raise GraphError(
+                        f"grounded node {event.node} was removed from the "
+                        f"graph; the tracked group {self.group} no longer exists"
+                    )
                 relevant.append(event)
-                node_events = True
-                cost += 1 + sum(neighbour not in grounded
-                                for neighbour, _ in event.edges)
             elif event.u not in grounded or event.v not in grounded:
                 relevant.append(event)
-                cost += 1
-        if node_events and not self.backend.supports_node_updates:
-            # Backends without incremental grow/downdate (sparse) answer
-            # node churn with a clean factorisation — Õ(m) there.  A removed
-            # *grounded* node still surfaces as the usual GraphError, raised
-            # by the missing-group check inside the factorisation.
-            self._factorize()
-            self.stats.refreshes += 1
-            return self
-        if self._updates_since_refresh + cost > self._budget:
-            self._factorize()
-            self.stats.refreshes += 1
-            return self
-
+        fold = (self._replay if isinstance(self.backend, DenseResistanceBackend)
+                else self._absorb)
         try:
-            batch: List[GraphUpdate] = []
-            for event in relevant:
-                if not event.is_node_event:
-                    batch.append(event)
-                    continue
-                self._apply_edge_batch(batch)
-                batch = []
-                if event.kind == ADD_NODE:
-                    self._apply_node_add(event)
-                else:
-                    self._apply_node_remove(event)
-            self._apply_edge_batch(batch)
+            folded = fold(relevant)
         except (InvalidParameterError, ConvergenceError) as exc:
             # Singular capacitance or a solver that failed mid-batch: the
             # backend contract guarantees nothing was committed, so a fresh
             # factorisation of the current state is always a valid answer.
-            self._factorize()
-            self.stats.refreshes += 1
+            self._refresh()
             if isinstance(exc, InvalidParameterError):
                 self.stats.singular_refreshes += 1
-            return self
-        self._synced_version = graph.version
-        return self
+            return
+        if folded:
+            self._synced_version = graph.version
+        else:
+            self._refresh()
+
+    def _replay(self, events: List[GraphUpdate]) -> bool:
+        """Dense path: edge batches split by node grows and downdates.
+
+        Folds nothing and returns False when the suffix's low-rank work —
+        1 per edge event; 1 grow/downdate plus one diagonal correction per
+        kept neighbour per node event — would pass ``refresh_interval``.
+        """
+        grounded = set(self.group)
+        cost = sum(1 + sum(neighbour not in grounded
+                           for neighbour, _ in event.edges)
+                   if event.is_node_event else 1 for event in events)
+        if self._updates_since_refresh + cost > self.refresh_interval:
+            return False
+        batch: List[GraphUpdate] = []
+        for event in events:
+            if not event.is_node_event:
+                batch.append(event)
+                continue
+            self._apply_edge_batch(batch)
+            batch = []
+            if event.kind == ADD_NODE:
+                self._apply_node_add(event)
+            else:
+                self._apply_node_remove(event)
+        self._apply_edge_batch(batch)
+        return True
+
+    def _absorb(self, events: List[GraphUpdate]) -> bool:
+        """Sparse path: the whole suffix as one batch of triples.
+
+        Folds nothing and returns False when a join finds no free row, when
+        the columns solved since the last factorisation have reached the
+        factor's break-even, or when this burst alone would pass it.
+        """
+        joins = sum(event.kind == ADD_NODE for event in events)
+        self._joins += joins
+        batch = self._node_triples(events)
+        if batch is None:
+            return False
+        triples, rows, local = batch
+        limit = self.backend.break_even
+        if triples and (self._updates_since_refresh >= limit
+                        or len(triples) > limit):
+            return False
+        self._apply_triples(triples)
+        self._adopt_rows(rows, local)
+        self.stats.node_grows += joins
+        self.stats.node_downdates += sum(event.kind == REMOVE_NODE
+                                         for event in events)
+        return True
+
+    def _node_triples(self, events: List[GraphUpdate]
+                      ) -> Optional[Tuple[List[_Triple], np.ndarray,
+                                          Dict[int, int]]]:
+        """The suffix as triples on the fixed-size row table, in journal order.
+
+        Returns the triples with the row table and id → row map they leave
+        behind, or ``None`` when a join finds no free row.  A leave frees
+        its row as a tombstone, which a later join in the suffix may take.
+        """
+        rows = self._rows.copy()
+        local = dict(self._local)
+        free = np.flatnonzero(rows < 0).tolist()  # ascending, so a heap
+        triples: List[_Triple] = []
+        for event in events:
+            if not event.is_node_event:
+                triples.append(_edge_triple(event, local))
+                continue
+            node = int(event.node)
+            if event.kind == ADD_NODE:
+                if not free:
+                    return None
+                row = heapq.heappop(free)
+                rows[row] = node
+                local[node] = row
+                triples.append((row, None, -1.0))
+                triples.extend((row, local.get(neighbour), weight)
+                               for neighbour, weight in event.edges)
+            else:
+                row = local.pop(node)
+                triples.extend((row, local.get(neighbour), -weight)
+                               for neighbour, weight in event.edges)
+                triples.append((row, None, 1.0))
+                rows[row] = -1
+                heapq.heappush(free, row)
+        return triples, rows, local
 
     # ---------------------------------------------------------------- queries
     def trace(self) -> float:
@@ -288,7 +366,11 @@ class IncrementalResistance:
         :meth:`diagonal` with ``mode="exact"`` instead.
         """
         self.sync()
-        return self.backend.trace()
+        if self._live is None:
+            return self.backend.trace()
+        # Free rows are skipped, not counted as 1 each: a sketched estimate
+        # of a tombstone's diagonal is only approximately 1.
+        return float(self.backend.diagonal()[self._live].sum())
 
     def group_cfcc(self) -> float:
         """Current group CFCC ``C(S) = n / Tr(inv(L_{-S}))``."""
@@ -302,7 +384,8 @@ class IncrementalResistance:
         Hutchinson estimate where supported, ``"auto"`` the backend default.
         """
         self.sync()
-        return self.backend.diagonal(mode=mode)
+        values = self.backend.diagonal(mode=mode)
+        return values if self._live is None else values[self._live]
 
     def resistance_to_group(self, node: int) -> float:
         """Effective resistance ``R(u, S)`` of one node to the grounded group."""
@@ -316,16 +399,18 @@ class IncrementalResistance:
     def resistance_column(self, node: int) -> np.ndarray:
         """Column of ``inv(L_{-S})`` for one kept node, by stable id.
 
-        Lazily materialised and version-cached by the backend, so repeated
-        single-column walks only pay for the columns they actually touch.
-        The all-grounded convention returns a zero column.
+        Indexed by :attr:`kept`.  Lazily materialised and version-cached by
+        the backend, so repeated single-column walks only pay for the
+        columns they actually touch.  The all-grounded convention returns a
+        zero column.
         """
         node = self.graph._check_active(node)
         self.sync()
         local = self._local.get(node)
         if local is None:
             return np.zeros(len(self.kept), dtype=np.float64)
-        return np.asarray(self.backend.column(local), dtype=np.float64).copy()
+        column = np.asarray(self.backend.column(local), dtype=np.float64)
+        return column.copy() if self._live is None else column[self._live]
 
     @property
     def inverse(self) -> np.ndarray:
@@ -354,9 +439,10 @@ class IncrementalResistance:
 
         Solves one sampled unit system against the tracked factorisation and
         measures the residual against the *actual* grounded Laplacian of the
-        current graph.  Past ``threshold`` (default: the watchdog's, else
-        ``1e-6``), ``repair=True`` auto-refactorises from scratch while
-        ``repair=False`` raises
+        current graph, in the factor's row layout (free rows included, as
+        the identity rows they should be).  Past ``threshold`` (default: the
+        watchdog's, else ``1e-6``), ``repair=True`` refactorises the current
+        graph while ``repair=False`` raises
         :class:`repro.exceptions.NumericalDriftError`.  Returns the observed
         residual (``inf`` when the solver could not even answer the probe).
         """
@@ -387,8 +473,7 @@ class IncrementalResistance:
                 )
             if self.watchdog is not None:
                 self.watchdog.count_trip()
-            self._factorize()
-            self.stats.refreshes += 1
+            self._refresh()
             self.stats.drift_refreshes += 1
         return residual
 
@@ -396,26 +481,20 @@ class IncrementalResistance:
         return ",".join(str(int(node)) for node in self.group)
 
     def _grounded_matrix(self):
-        """The current grounded Laplacian in this tracker's row order."""
+        """The current grounded Laplacian in the backend's row layout."""
         graph = self.graph
         mapping = graph.snapshot_mapping()
         position = {int(x): i for i, x in enumerate(mapping)}
-        rows = np.fromiter((position[int(x)] for x in self.kept),
-                           dtype=np.int64, count=len(self.kept))
+        kept = self.kept
+        rows = np.fromiter((position[int(x)] for x in kept),
+                           dtype=np.int64, count=len(kept))
         full = graph.laplacian_sparse()
-        return full[rows][:, rows].tocsr()
+        return _embed(full[rows][:, rows].tocsr(), self._rows)
 
     # -------------------------------------------------------------- internals
     def _apply_edge_batch(self, batch: List[GraphUpdate]) -> None:
         """Fold one run of (relevant) edge events in as a rank-``t`` update."""
-        triples: List[_Triple] = []
-        for event in batch:
-            i = self._local.get(event.u, -1)
-            j = self._local.get(event.v, -1)
-            if i < 0:
-                i, j = j, -1
-            triples.append((i, None if j < 0 else j, event.delta))
-        self._apply_triples(triples)
+        self._apply_triples([_edge_triple(event, self._local) for event in batch])
 
     def _apply_triples(self, triples: List[_Triple]) -> None:
         if not triples:
@@ -443,7 +522,7 @@ class IncrementalResistance:
             for neighbour, weight in event.edges
             if neighbour in self._local
         ])
-        rows = len(self.kept)
+        rows = len(self._rows)
         column = np.zeros(rows, dtype=np.float64)
         for neighbour, weight in event.edges:
             local = self._local.get(neighbour)
@@ -452,21 +531,15 @@ class IncrementalResistance:
         degree = sum(weight for _, weight in event.edges)
         self.backend.grow(column, degree)
         self._local[int(event.node)] = rows
-        self.kept = np.append(self.kept, int(event.node))
+        self._rows = np.append(self._rows, int(event.node))
         self.stats.node_grows += 1
         self._updates_since_refresh += 1
 
     def _apply_node_remove(self, event: GraphUpdate) -> None:
         """Downdate the removed node's row, then fix its neighbours' degrees."""
-        node = int(event.node)
-        if node in self.group:
-            raise GraphError(
-                f"grounded node {node} was removed from the graph; the "
-                f"tracked group {self.group} no longer exists"
-            )
-        local = self._local.pop(node)
+        local = self._local.pop(int(event.node))
         self.backend.downdate(local)
-        self.kept = np.delete(self.kept, local)
+        self._rows = np.delete(self._rows, local)
         for other, row in self._local.items():
             if row > local:
                 self._local[other] = row - 1
@@ -478,8 +551,29 @@ class IncrementalResistance:
             if neighbour in self._local
         ])
 
-    def _factorize(self) -> None:
+    def _adopt_rows(self, rows: np.ndarray,
+                    local: Optional[Dict[int, int]] = None) -> None:
+        """Install a row table: the node id of each backend row, -1 if free."""
+        self._rows = rows
+        self._local = (local if local is not None else
+                       {x: r for r, x in enumerate(rows.tolist()) if x >= 0})
+        live = rows >= 0
+        self._live = None if live.all() else np.flatnonzero(live)
+
+    def _refresh(self) -> None:
+        """Refactorise from the current graph state, counted as a refresh."""
+        self._factorize()
+        self.stats.refreshes += 1
+
+    def _factorize(self, spares: Optional[int] = None) -> None:
+        """Factorise the current graph state, with ``spares`` free rows appended.
+
+        ``spares`` defaults to twice the joins seen since the previous
+        factorisation — zero on the dense backend, which grows rows instead.
+        """
         graph = self.graph
+        if spares is None:
+            spares = 2 * self._joins
         mapping = graph.snapshot_mapping()
         missing = [node for node in self.group if not graph.has_node(node)]
         if missing:
@@ -490,6 +584,8 @@ class IncrementalResistance:
         grounded = set(self.group)
         keep_mask = np.array([int(x) not in grounded for x in mapping])
         positions = np.flatnonzero(keep_mask)
+        rows = np.concatenate([mapping[keep_mask].astype(np.int64),
+                               np.full(spares, -1, dtype=np.int64)])
         if self.backend.wants_sparse:
             full = graph.laplacian_sparse()
             matrix = full[positions][:, positions].tocsc()
@@ -497,19 +593,22 @@ class IncrementalResistance:
             full = graph.laplacian_dense()
             matrix = full[np.ix_(positions, positions)]
         try:
-            self.backend.factorize(matrix)
+            self.backend.factorize(_embed(matrix, rows))
         except (RuntimeError, ConvergenceError, InvalidParameterError,
                 np.linalg.LinAlgError) as exc:
             self._failover(matrix, exc)
-        self.kept = mapping[keep_mask].copy()
-        self._local = {int(x): row for row, x in enumerate(self.kept)}
+            rows = rows[:positions.size]
+        self._adopt_rows(rows)
         self._updates_since_refresh = 0
+        self._joins = 0
         self._synced_version = graph.version
 
     def _failover(self, matrix, exc: Exception) -> None:
         """Degrade after a failed factorisation: sparse → dense, dense → retry.
 
-        The failed backend committed nothing (its factorize raises before
+        ``matrix`` holds the live rows only: the dense engine grows and
+        downdates rows, so it never carries spare rows or tombstones.  The
+        failed backend committed nothing (its factorize raises before
         swapping state in), so retrying — on the dense fallback, or once
         more on the dense backend itself — is always sound.  A second
         failure is terminal: :class:`BackendUnavailableError`.
@@ -529,3 +628,31 @@ class IncrementalResistance:
         self.backend = fallback
         self.stats.failovers += 1
         record_failover(failed)
+
+
+def _edge_triple(event: GraphUpdate, local: Dict[int, int]) -> _Triple:
+    """One relevant edge event as ``(i, j, δ)``; ``j`` is None when grounded."""
+    i = local.get(event.u, -1)
+    j = local.get(event.v, -1)
+    if i < 0:
+        i, j = j, -1
+    return (i, None if j < 0 else j, event.delta)
+
+
+def _embed(matrix, rows: np.ndarray):
+    """``matrix`` (over the live rows) laid out on the row table ``rows``.
+
+    Free rows (``rows < 0``) hold an isolated identity row — the state of a
+    spare row or a tombstone.  Without free rows ``matrix`` is returned as is.
+    """
+    free = np.flatnonzero(rows < 0)
+    if free.size == 0:
+        return matrix
+    live = np.flatnonzero(rows >= 0)
+    coo = sp.coo_matrix(matrix)
+    return sp.csc_matrix(
+        (np.concatenate([coo.data, np.ones(free.size)]),
+         (np.concatenate([live[coo.row], free]),
+          np.concatenate([live[coo.col], free]))),
+        shape=(rows.size, rows.size),
+    )

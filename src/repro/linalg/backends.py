@@ -27,12 +27,16 @@ the representation underneath is swapped:
   ``inv(M₀ + B D Bᵀ) x = y − U · C⁻¹ D Bᵀ y``,  ``y = M₀⁻¹ x``
 
   where ``U = M₀⁻¹ B`` (one sparse solve per new event column) and
-  ``C = I + D Bᵀ U`` is the rank-``t`` capacitance matrix.  A refactorisation
-  threshold (``max_rank``) bounds the correction rank; diagonals are served
-  by JL-sketched Hutchinson estimates (solver matvecs only, probe solves
-  cached per factorisation) with an exact-column escape hatch; single
-  columns are lazily materialised and version-cached.  Syncs cost Õ(m·t)
-  instead of O(n²·t).
+  ``C = I + D Bᵀ U`` is the rank-``t`` capacitance matrix.  The factor's
+  size never changes between factorisations: node joins and leaves reach it
+  as triples on spare or tombstoned identity rows (see
+  :class:`repro.dynamic.IncrementalResistance`).  :attr:`break_even` is the
+  factor's own estimate of the correction columns worth one refactorisation
+  (:func:`repro.linalg.factor.break_even`).  Diagonals are served by
+  JL-sketched Hutchinson estimates (solver matvecs only, probe solves cached
+  per factorisation) with an exact-column escape hatch; single columns are
+  lazily materialised and version-cached.  Syncs cost Õ(m·t) instead of
+  O(n²·t).
 
 ``choose_backend`` implements the ``auto`` policy (dense while the dense
 inverse is small enough to win, sparse beyond); ``make_resistance_backend``
@@ -48,7 +52,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.exceptions import InvalidParameterError
-from repro.linalg.factor import HubCoreFactor, factorize_spd, sparse_lu
+from repro.linalg.factor import (
+    HubCoreFactor,
+    break_even,
+    factorize_spd,
+    sparse_lu,
+)
 from repro.linalg.solvers import LaplacianSolver, SolverMethod
 from repro.linalg.updates import (
     grounded_inverse_block_update,
@@ -89,9 +98,10 @@ class ResistanceBackend:
 
     The tracker drives the lifecycle: :meth:`factorize` with the current
     grounded matrix (dense or sparse per :attr:`wants_sparse`), then a
-    sequence of :meth:`apply_triples` / :meth:`grow` / :meth:`downdate`
-    mutations, with queries (:meth:`trace`, :meth:`diagonal`,
-    :meth:`column`, :meth:`diag_entry`, :meth:`solve_many`) in between.
+    sequence of :meth:`apply_triples` mutations (plus
+    :meth:`DenseResistanceBackend.grow` / ``downdate`` on the dense engine),
+    with queries (:meth:`trace`, :meth:`diagonal`, :meth:`column`,
+    :meth:`diag_entry`, :meth:`solve_many`) in between.
     Mutations that would make the matrix singular must raise
     :class:`repro.exceptions.InvalidParameterError` *without committing*,
     which the tracker answers with a fresh factorisation.
@@ -107,12 +117,10 @@ class ResistanceBackend:
     name = "abstract"
     #: Whether :meth:`factorize` expects a scipy sparse matrix (else dense).
     wants_sparse = False
-    #: Whether :meth:`grow` / :meth:`downdate` are implemented; when False
-    #: the tracker refactorises on node events instead.
-    supports_node_updates = False
-    #: Optional cap on low-rank updates between factorisations; the tracker
-    #: folds this into its refresh budget (``None`` = no backend-side cap).
-    max_updates: Optional[int] = None
+    #: Correction columns that cost as much to solve as one factorisation;
+    #: the tracker refactorises a non-dense backend once it has absorbed
+    #: this many since the last one (0: refactorise on every burst).
+    break_even = 0.0
 
     def __init__(self) -> None:
         self._n = 0
@@ -237,26 +245,15 @@ class ResistanceBackend:
 
     # ------------------------------------------------------------- mutations
     def apply_triples(self, triples: Sequence[Triple]) -> None:
-        """Fold a burst of edge events ``M += Σ δ_k b_k b_kᵀ`` in.
+        """Fold a burst of rank-one terms ``M += Σ δ_k b_k b_kᵀ`` in.
+
+        ``b_k = e_i − e_j`` (``e_i`` alone when ``j`` is ``None``): an edge
+        event, or one term of a node join or leave on the sparse engine.
 
         Raises :class:`InvalidParameterError` (without committing) when the
         batch would make ``M`` singular.
         """
         raise NotImplementedError
-
-    def grow(self, column: np.ndarray, diagonal: float) -> None:
-        """Append one trailing row/column (node insertion)."""
-        raise InvalidParameterError(
-            f"backend {self.name!r} does not support incremental node "
-            f"insertion; refactorise instead"
-        )
-
-    def downdate(self, local_index: int) -> None:
-        """Remove one row/column (node removal)."""
-        raise InvalidParameterError(
-            f"backend {self.name!r} does not support incremental node "
-            f"removal; refactorise instead"
-        )
 
 
 class DenseResistanceBackend(ResistanceBackend):
@@ -270,7 +267,6 @@ class DenseResistanceBackend(ResistanceBackend):
 
     name = "dense"
     wants_sparse = False
-    supports_node_updates = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -322,11 +318,13 @@ class DenseResistanceBackend(ResistanceBackend):
         self._invalidate()
 
     def grow(self, column: np.ndarray, diagonal: float) -> None:
+        """Append one trailing row/column (node insertion)."""
         self.inverse = grounded_inverse_grow(self.inverse, column, diagonal)
         self._n += 1
         self._invalidate()
 
     def downdate(self, local_index: int) -> None:
+        """Remove one row/column (node removal)."""
         self.inverse = grounded_inverse_downdate(self.inverse, local_index)
         self._n -= 1
         self._invalidate()
@@ -353,10 +351,6 @@ class SparseResistanceBackend(ResistanceBackend):
         sketched beyond — small systems stay exact for free).
     exact_threshold:
         Row count below which ``auto`` serves exact diagonals.
-    max_rank:
-        Refactorisation threshold on the accumulated low-rank correction;
-        surfaced to the tracker through :attr:`max_updates` so a burst that
-        would exceed it triggers a (cheap, Õ(m)) refactorisation instead.
     rtol, maxiter:
         Forwarded to the CG fallback.
     seed:
@@ -365,12 +359,11 @@ class SparseResistanceBackend(ResistanceBackend):
 
     name = "sparse"
     wants_sparse = True
-    supports_node_updates = False
 
     def __init__(self, solver: str = "auto", probes: int = 24,
                  diag_mode: str = "auto", exact_threshold: int = 1024,
-                 max_rank: int = 96, rtol: float = 1e-10,
-                 maxiter: Optional[int] = None, seed: int = 0):
+                 rtol: float = 1e-10, maxiter: Optional[int] = None,
+                 seed: int = 0):
         super().__init__()
         solver = str(solver).lower()
         if solver not in ("auto", "splu", "cg"):
@@ -384,13 +377,10 @@ class SparseResistanceBackend(ResistanceBackend):
             )
         if int(probes) < 1:
             raise InvalidParameterError(f"probes must be >= 1, got {probes}")
-        if int(max_rank) < 1:
-            raise InvalidParameterError(f"max_rank must be >= 1, got {max_rank}")
         self.solver = solver
         self.probes = int(probes)
         self.diag_mode = diag_mode
         self.exact_threshold = int(exact_threshold)
-        self.max_updates = int(max_rank)
         self.rtol = float(rtol)
         self.maxiter = maxiter
         self.seed = int(seed)
@@ -418,7 +408,6 @@ class SparseResistanceBackend(ResistanceBackend):
     def _reset_lowrank(self) -> None:
         self._deltas = np.zeros(0, dtype=np.float64)
         self._left = np.zeros((self._n, 0), dtype=np.float64)   # U = M0^-1 B
-        self._gram = np.zeros((0, 0), dtype=np.float64)          # B^T U
         self._capacitance = np.zeros((0, 0), dtype=np.float64)
         self._rows_i = np.zeros(0, dtype=np.int64)
         self._rows_j = np.zeros(0, dtype=np.int64)               # -1: grounded
@@ -445,11 +434,16 @@ class SparseResistanceBackend(ResistanceBackend):
         if self._lu is None:
             # CG fallback: the solver builds its Jacobi preconditioner once
             # per factorisation and shares it across every solve against it.
+            # Rebuilding it costs less than one iterative column solve, so
+            # every burst refactorises (break_even 0).
             self._cg = LaplacianSolver(
                 matrix, method=SolverMethod.CONJUGATE_GRADIENT,
                 tol=self.rtol, maxiter=self.maxiter,
             )
             self._solver_used = "cg"
+            self.break_even = 0.0
+        else:
+            self.break_even = break_even(self._lu, matrix)
         self._reset_lowrank()
         self._probe_z = None
         self._probe_base = None
@@ -628,7 +622,6 @@ class SparseResistanceBackend(ResistanceBackend):
         self._deltas = deltas
         self._rows_i = rows_i
         self._rows_j = rows_j
-        self._gram = gram
         self._capacitance = capacitance
         self._invalidate()
 

@@ -30,6 +30,11 @@ matrix, a non-positive pivot, a Cholesky failure or a core over
 ties in the independent-set choice are broken by a fixed pseudo-random order
 of row ids, so an identical matrix always yields an identical factor (the
 checkpoint → restore → replay contract refactorises on restore).
+
+:func:`break_even` estimates, from a factor's structure alone, how many
+right-hand-side columns cost as much to solve as the factor cost to build.
+It is a pure function of the matrix too, so a refresh schedule built on it
+is deterministic.
 """
 
 from __future__ import annotations
@@ -50,6 +55,18 @@ CORE_DENSITY = 0.05
 STALL_FRACTION = 0.01
 #: Cores larger than this fall back to sparse LU (Cholesky is O(c³)).
 MAX_CORE_ROWS = 4096
+
+# Cost-model constants of break_even, in dense-flop equivalents (one flop of
+# LAPACK Cholesky or a blocked triangular solve).  Fitted once on a 2-vCPU
+# VM with one BLAS thread: hub-core rounds spent ~0.65 µs per input nonzero
+# and ~5.4 ns per coupling nonzero and solved column, while dense kernels
+# ran at ~20 GFlop/s.
+#: One stored nonzero touched by a sparse kernel (scipy products, gathers,
+#: SuperLU's numeric factorisation and triangular solves).
+SPARSE_ENTRY_FLOPS = 27.0
+#: One nonzero of the input analysed at factorisation time: the hub core's
+#: elimination rounds, SuperLU's minimum-degree ordering and symbolic pass.
+ANALYSIS_ENTRY_FLOPS = 13000.0
 
 # Multiplier of the fixed pseudo-random row order (Knuth's multiplicative
 # hash); raw indices would pick corners-only sets on regular patterns.
@@ -166,6 +183,32 @@ class HubCoreFactor:
             full[picked] = y - (coupling @ work) / pivots[:, None]
             work = full
         return work.reshape(rhs.shape)
+
+
+def break_even(factor: Union[HubCoreFactor, "spla.SuperLU"],
+               matrix: sp.spmatrix) -> float:
+    """Solved columns that cost as much as building ``factor`` from ``matrix``.
+
+    Both costs come from the factor's structure, in dense-flop equivalents:
+
+    * hub core with ``c`` core rows: ``c³/3`` Cholesky flops plus the
+      elimination rounds' analysis to build; ``2c²`` for the core solve plus
+      four passes over every round coupling per column;
+    * SuperLU with ``f = nnz(L + U)`` over ``n`` rows: the ordering and
+      symbolic analysis plus about ``f²/n`` numeric entry updates to build;
+      two passes over ``f`` per column.
+    """
+    analysis = ANALYSIS_ENTRY_FLOPS * matrix.nnz
+    if isinstance(factor, HubCoreFactor):
+        couplings = sum(rnd[3].nnz for rnd in factor.rounds)
+        core = float(factor.core_rows)
+        build = core ** 3 / 3.0 + analysis
+        column = 2.0 * core ** 2 + 4.0 * SPARSE_ENTRY_FLOPS * couplings
+    else:
+        fill = float(factor.nnz)
+        build = SPARSE_ENTRY_FLOPS * fill * fill / factor.shape[0] + analysis
+        column = 2.0 * SPARSE_ENTRY_FLOPS * fill
+    return build / max(column, 1.0)
 
 
 def factorize_spd(matrix: sp.spmatrix) -> Union[HubCoreFactor, "spla.SuperLU"]:

@@ -19,7 +19,8 @@ place, so a crash mid-checkpoint never leaves a truncated archive behind.
 Quiescing: :func:`checkpoint_engine` first folds every pending journal
 event into every cached consumer and refactorises solver-backed (sparse)
 trackers, so their implicit low-rank correction is empty and the base
-factor is fully determined by the (serialised) graph.  Dense trackers keep
+factor is fully determined by the (serialised) graph and the tracker's
+spare-row count, which the archive carries.  Dense trackers keep
 their Woodbury-accumulated inverse verbatim — a refactorisation would *not*
 be bit-equal to the drifted product the live engine continues from.  The
 projected (JL-sketched) estimator caches are deliberately dropped: they are
@@ -39,7 +40,7 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 
 #: Bump when the archive layout changes; restore refuses unknown versions.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 # ------------------------------------------------------------------ helpers
@@ -147,11 +148,11 @@ def checkpoint_engine(engine, path: str) -> str:
     for tracker in engine._trackers.values():
         tracker.sync()
         if isinstance(tracker.backend, SparseResistanceBackend):
-            # Fold the implicit low-rank correction into a fresh base factor:
-            # the restored side rebuilds the identical factorisation from the
-            # serialised graph (both sparse LU and the hub core are pure
-            # functions of the matrix, so an identical matrix gives an
-            # identical factor).
+            # Fold the implicit low-rank correction (and any tombstones) into
+            # a fresh base factor: the restored side rebuilds the identical
+            # factorisation from the serialised graph and spare-row count
+            # (both sparse LU and the hub core are pure functions of the
+            # matrix, so an identical matrix gives an identical factor).
             tracker._factorize()
 
     arrays: Dict[str, np.ndarray] = {}
@@ -233,6 +234,7 @@ def checkpoint_engine(engine, path: str) -> str:
             # The sketched-diagonal probe stream is seeded by the factor
             # counter; carrying it over keeps post-restore sketches bit-equal.
             entry["factor_count"] = int(backend._factor_count)
+            entry["spare_rows"] = int(backend.n - len(tracker.kept))
         trackers.append(entry)
     meta["trackers"] = trackers
 
@@ -323,14 +325,6 @@ def restore_engine(path: str):
                 graph, group, refresh_interval=spec["refresh_interval"],
                 backend=kind, backend_options=options, watchdog=watchdog,
             )
-            tracker.kept = np.asarray(data[f"trk{j}_kept"], dtype=np.int64)
-            tracker._local = {int(x): row for row, x in
-                              enumerate(tracker.kept)}
-            tracker._synced_version = int(entry["synced_version"])
-            tracker._updates_since_refresh = int(
-                entry["updates_since_refresh"]
-            )
-            _restore_stats(tracker.stats, entry["stats"])
             if kind == "dense":
                 backend = tracker.backend
                 assert isinstance(backend, DenseResistanceBackend)
@@ -338,7 +332,16 @@ def restore_engine(path: str):
                                              dtype=np.float64)
                 backend._n = int(backend.inverse.shape[0])
                 backend._invalidate()
+                tracker._adopt_rows(np.asarray(data[f"trk{j}_kept"],
+                                               dtype=np.int64))
             else:
+                if entry["spare_rows"]:
+                    tracker._factorize(entry["spare_rows"])
                 tracker.backend._factor_count = int(entry["factor_count"])
+            tracker._synced_version = int(entry["synced_version"])
+            tracker._updates_since_refresh = int(
+                entry["updates_since_refresh"]
+            )
+            _restore_stats(tracker.stats, entry["stats"])
             engine._trackers[group] = tracker
     return engine

@@ -69,8 +69,12 @@ def _relative_error(actual, expected) -> float:
 
 def _assert_close(dense, sparse, rtol=1e-6):
     assert sparse.synced_version == dense.synced_version
-    np.testing.assert_allclose(sparse.diagonal(mode="exact"),
-                               dense.diagonal(), rtol=rtol, atol=1e-12)
+    # Rows are matched by node id: a sparse join takes a free row, possibly
+    # mid-array, where the dense engine appends one.
+    np.testing.assert_array_equal(np.sort(sparse.kept), np.sort(dense.kept))
+    np.testing.assert_allclose(
+        sparse.diagonal(mode="exact")[np.argsort(sparse.kept)],
+        dense.diagonal()[np.argsort(dense.kept)], rtol=rtol, atol=1e-12)
     assert sparse.trace() == pytest.approx(dense.trace(), rel=rtol)
 
 
@@ -91,13 +95,21 @@ class TestDenseSparseParity:
         graph = DynamicGraph(small_ba)
         dense, sparse = _pair(graph)
         rng = np.random.default_rng(11)
+        history = []
         for _ in range(5):
             random_churn_journal(graph, 6, rng, node_probability=0.4,
                                  protected=GROUP)
             _assert_close(dense.sync(), sparse.sync())
-        # Node events refactorise the sparse backend (no incremental
-        # grow/downdate there) while the dense one grows/downdates in place.
-        assert sparse.stats.refreshes > 0
+            stats = sparse.stats
+            history.append((stats.refreshes, stats.node_grows,
+                            stats.node_downdates))
+        # The first bursts' joins find no free row, so each refactorises and
+        # adds spare rows.  After that, the later bursts' joins and leaves
+        # are absorbed as triples on the fixed-size factor, with no
+        # refactorisation, while the dense one grows/downdates in place.
+        assert history[1][0] == history[-1][0] > 0
+        assert history[-1][1] > history[1][1]
+        assert history[-1][2] > history[1][2]
 
     def test_compaction_replay_agrees(self, small_ba):
         graph = DynamicGraph(small_ba)
@@ -109,19 +121,26 @@ class TestDenseSparseParity:
         random_update_journal(graph, 4, rng)
         _assert_close(dense.sync(), sparse.sync())
 
-    def test_long_journal_hits_rank_cap(self, small_ba):
+    def test_long_journal_refactorises_at_break_even(self, small_ba):
         graph = DynamicGraph(small_ba)
         sparse = IncrementalResistance(graph, GROUP, refresh_interval=10**9,
-                                       backend="sparse",
-                                       backend_options={"max_rank": 8})
+                                       backend="sparse")
+        limit = sparse.backend.break_even
+        assert 6 < limit < 1000
         rng = np.random.default_rng(17)
-        for _ in range(4):
+        for _ in range(1000):
+            solved = sparse.backend.correction_rank
             random_update_journal(graph, 6, rng)
             sparse.sync()
-        # 6-event bursts against an 8-update budget: every other burst
-        # overflows into a (cheap) refactorisation rather than raising.
-        assert sparse.stats.refreshes > 0
-        assert sparse.backend.correction_rank <= 8
+            # Bursts are absorbed until the columns solved since the last
+            # factorisation reach the factor's break-even; the next burst
+            # refactorises instead (refresh_interval plays no part).
+            if sparse.stats.refreshes:
+                break
+            assert solved < limit
+        assert sparse.stats.refreshes == 1
+        assert limit <= solved < limit + 6
+        assert sparse.backend.correction_rank == 0
         expected = grounded_trace(graph.snapshot(), graph.compact_nodes(GROUP))
         assert sparse.trace() == pytest.approx(expected, rel=1e-8)
 
@@ -133,6 +152,106 @@ class TestDenseSparseParity:
         for u, v in edges:
             graph.update_weight(u, v, float(rng.uniform(0.5, 3.0)))
         _assert_close(dense.sync(), sparse.sync())
+
+
+def _oracle_error(tracker, graph, group, probes) -> float:
+    """Worst relative error of exact diagonals and columns vs a fresh inverse."""
+    grounded = set(group)
+    reference = _dense_grounded_inverse(graph, group)
+    position = {int(x): i for i, x in enumerate(
+        x for x in graph.snapshot_mapping() if int(x) not in grounded)}
+    rows = np.array([position[int(x)] for x in tracker.kept])
+    errors = [_relative_error(tracker.diagonal(mode="exact"),
+                              np.diag(reference)[rows])]
+    for node in probes:
+        errors.append(_relative_error(tracker.resistance_column(node),
+                                      reference[rows, position[node]]))
+    return max(errors)
+
+
+def _remove_a_neighbour(graph, anchor, group):
+    """Remove the first neighbour of ``anchor`` whose departure keeps connectivity."""
+    for node in sorted(graph.neighbors(anchor)):
+        if node not in group and not graph._node_removal_disconnects(node):
+            return graph.remove_node(node)
+    raise AssertionError("no removable neighbour")
+
+
+class TestSparseNodeChurnOracle:
+    """Node joins and leaves as triples on a fixed-size factor, both kinds."""
+
+    @pytest.fixture(params=["hub_core", "splu"])
+    def world(self, request, hub_ba):
+        if request.param == "hub_core":
+            return DynamicGraph(hub_ba), [0, 1], "hub_core"
+        return DynamicGraph(generators.grid_graph(8, 8)), [0, 27], "splu"
+
+    def _check(self, tracker, graph, group, probes):
+        tracker.sync()
+        assert len(tracker.kept) == len(tracker.diagonal()) \
+            == graph.n - len(group)
+        assert _oracle_error(tracker, graph, group, probes) < 1e-10
+
+    def test_joins_and_leaves_match_a_fresh_inverse(self, world):
+        graph, group, solver = world
+        tracker = IncrementalResistance(graph, group, backend="sparse")
+        assert tracker.backend.solver_used == solver
+        assert tracker.backend.n == len(tracker.kept)
+
+        # A join that finds no free row refactorises and adds spare rows,
+        # twice the joins seen since the previous factorisation.
+        first = graph.add_node([2, 5]).node
+        self._check(tracker, graph, group, [first, 3])
+        assert tracker.stats.refreshes == 1
+        assert tracker.backend.n == len(tracker.kept) + 2
+
+        # One burst: a leave of a neighbour of the group; a join onto a
+        # grounded node, which reuses the fresh tombstone; an edge event;
+        # and a leave of a node that joined in the same burst.
+        departed = _remove_a_neighbour(graph, group[0], group).node
+        slot = list(tracker.kept).index(departed)
+        reused = graph.add_node([group[0], first]).node
+        passing = graph.add_node([reused, 4]).node
+        graph.add_edge(passing, 6)
+        graph.remove_node(passing)
+        self._check(tracker, graph, group, [reused, first, 3])
+        assert list(tracker.kept).index(reused) == slot
+        assert tracker.stats.refreshes == 1
+        assert tracker.stats.node_grows == 2
+        assert tracker.stats.node_downdates == 2
+        assert tracker.backend.correction_rank > 0
+
+        # One join more than there are free rows: refactorise again, sized
+        # by the joins since the first refactorisation (2 before, spare + 1
+        # now).
+        spare = tracker.backend.n - len(tracker.kept)
+        for anchor in range(spare + 1):
+            graph.add_node([first, 7 + anchor])
+        self._check(tracker, graph, group, [first])
+        assert tracker.stats.refreshes == 2
+        assert tracker.backend.n - len(tracker.kept) == 2 * (2 + spare + 1)
+        assert tracker.trace() == pytest.approx(
+            np.trace(_dense_grounded_inverse(graph, group)), rel=1e-10)
+
+    def test_verify_probes_free_rows(self, world):
+        graph, group, _ = world
+        tracker = IncrementalResistance(graph, group, backend="sparse")
+        graph.add_node([2, 5])
+        tracker.sync()
+        _remove_a_neighbour(graph, 3, group)
+        tracker.sync()
+        assert tracker.backend.n > len(tracker.kept) + 1  # a tombstone too
+        assert tracker.verify(repair=False) < 1e-10
+
+    def test_edge_only_tracker_keeps_no_free_rows(self, world):
+        graph, group, _ = world
+        tracker = IncrementalResistance(graph, group, backend="sparse")
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            random_update_journal(graph, 5, rng)
+            tracker.sync()
+            assert tracker.backend.n == len(tracker.kept) == graph.n - len(group)
+        assert _oracle_error(tracker, graph, group, [3]) < 1e-10
 
 
 class TestSketchedDiagonal:
@@ -433,8 +552,6 @@ class TestBackendSelection:
             SparseResistanceBackend(diag_mode="guess")
         with pytest.raises(InvalidParameterError):
             SparseResistanceBackend(probes=0)
-        with pytest.raises(InvalidParameterError):
-            SparseResistanceBackend(max_rank=0)
 
 
 class TestPreconditionerPlumbing:

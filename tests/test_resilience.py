@@ -6,7 +6,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.dynamic import DynamicCFCM, DynamicGraph, IncrementalResistance
+from repro.dynamic import (
+    DynamicCFCM,
+    DynamicGraph,
+    IncrementalResistance,
+    apply_event,
+    random_churn_journal,
+)
 from repro.exceptions import (
     ConvergenceError,
     InjectedFaultError,
@@ -411,26 +417,97 @@ class TestCheckpointRecovery:
         engine.checkpoint(path)
 
         # An edge event folds into the restored factor as a low-rank
-        # correction; the node join refactorises on both sides.
+        # correction.  So do a leave and a join: the leave tombstones its
+        # row, the join takes it, and neither side refactorises.
         u, v = missing_edge(graph)
         probe = hub_ba.n - 1  # a kept node: its column is not all zero
+        leaver = next(x for x in range(hub_ba.n - 2, 1, -1)
+                      if x not in (u, v)
+                      and not graph._node_removal_disconnects(x))
         graph.add_edge(u, v)
         live_edge = engine.evaluate_exact(GROUP)
         live_column = engine.tracker(GROUP).resistance_column(probe)
+        refreshes = engine.tracker(GROUP).stats.refreshes
+        graph.remove_node(leaver)
         graph.add_node([u, v])
         live_node = engine.evaluate_exact(GROUP)
         live_node_column = engine.tracker(GROUP).resistance_column(probe)
+        stats = engine.tracker(GROUP).stats
+        assert (stats.refreshes, stats.node_grows, stats.node_downdates) \
+            == (refreshes, 1, 1)
 
         restored = DynamicCFCM.restore(path)
         restored.graph.add_edge(u, v)
         assert restored.evaluate_exact(GROUP) == live_edge
         np.testing.assert_array_equal(
             restored.tracker(GROUP).resistance_column(probe), live_column)
+        restored.graph.remove_node(leaver)
         restored.graph.add_node([u, v])
         assert restored.evaluate_exact(GROUP) == live_node
         np.testing.assert_array_equal(
             restored.tracker(GROUP).resistance_column(probe), live_node_column)
-        assert restored.tracker(GROUP).backend.solver_used == "hub_core"
+        tracker = restored.tracker(GROUP)
+        assert tracker.backend.solver_used == "hub_core"
+        assert tracker.stats.as_dict() == stats.as_dict()
+
+    def test_checkpoint_carries_spare_rows(self, tmp_path, hub_ba):
+        graph = DynamicGraph(hub_ba)
+        engine = DynamicCFCM(graph, seed=5, pool_size=8, backend="sparse")
+        engine.evaluate_exact(GROUP)
+        graph.add_node([3, 4])  # no free row: refactorise with 2 spares
+        engine.evaluate_exact(GROUP)
+        graph.add_node([5, 6])  # absorbed into a spare row
+        engine.evaluate_exact(GROUP)
+        path = str(tmp_path / "engine.npz")
+        engine.checkpoint(path)
+        # The quiesce refactorises with spares sized from that one join;
+        # the restored tracker rebuilds the same padded factor.
+        restored = DynamicCFCM.restore(path)
+        for side in (engine, restored):
+            tracker = side.tracker(GROUP)
+            assert tracker.backend.n == len(tracker.kept) + 2
+
+        reads = []
+        for side in (engine, restored):
+            side.graph.add_node([7, 8])  # takes the other spare row
+            reads.append((side.evaluate_exact(GROUP),
+                          side.tracker(GROUP).resistance_column(9)))
+        (live, live_column), (value, column) = reads
+        assert value == live
+        np.testing.assert_array_equal(column, live_column)
+        assert (restored.tracker(GROUP).stats.as_dict()
+                == engine.tracker(GROUP).stats.as_dict())
+        assert engine.tracker(GROUP).stats.refreshes == 1
+        assert engine.tracker(GROUP).stats.node_grows == 2
+
+    def test_same_churn_journal_replays_bit_equal(self, hub_ba):
+        # The refresh schedule (spare rows, break-even) depends on the
+        # journal alone, so two engines fed one journal refactorise at the
+        # same bursts and read the same floats.
+        rng = np.random.default_rng(23)
+        probe = hub_ba.n - 1
+        recorder = DynamicGraph(hub_ba)
+        journal = [random_churn_journal(recorder, 32, rng, node_probability=0.3,
+                                        protected=(*GROUP, probe))
+                   for _ in range(16)]
+        engines = [DynamicCFCM(DynamicGraph(hub_ba), seed=5, pool_size=8,
+                               backend="sparse") for _ in range(2)]
+        for burst in journal:
+            reads = []
+            for engine in engines:
+                for event in burst:
+                    apply_event(engine.graph, event)
+                tracker = engine.tracker(GROUP)
+                reads.append((engine.evaluate_exact(GROUP),
+                              tracker.resistance_to_group(probe),
+                              tracker.resistance_column(probe)))
+            assert reads[0][:2] == reads[1][:2]
+            np.testing.assert_array_equal(reads[0][2], reads[1][2])
+        first, second = (engine.tracker(GROUP).stats for engine in engines)
+        assert first.as_dict() == second.as_dict()
+        # The first join's spare rows, then at least one break-even refresh.
+        assert first.refreshes >= 2
+        assert first.node_grows > 0 and first.node_downdates > 0
 
     def test_checkpoint_write_is_atomic(self, tmp_path):
         graph = DynamicGraph(generators.barabasi_albert(20, 2, seed=13))
