@@ -4,8 +4,6 @@
   forests rooted at ``S ∪ T``; sweeping |T| shows the trade-off between
   cheaper walks (larger |T|) and the cubic cost of inverting the sampled
   Schur complement.
-* **Adaptive versus fixed sampling** — the empirical-Bernstein rule
-  (Lemma 3.6) versus simply drawing the full sample budget.
 * **JL dimension** — the numerator estimate needs O(eps^-2 log n) random
   directions; halving the cap halves the per-sample cost at some accuracy
   loss.
@@ -47,19 +45,6 @@ class TestExtraRootSetSize:
     def test_t_automatic(self, benchmark, sparse_graph, bench_config):
         benchmark(lambda: SchurCFCM(sparse_graph, seed=5,
                                     config=bench_config).run(K))
-
-
-@pytest.mark.benchmark(group="ablation-sampling-schedule")
-class TestAdaptiveVersusFixedSampling:
-    def test_adaptive_bernstein(self, benchmark, smallworld_graph):
-        adaptive = config(max_samples=64, min_samples=8)
-        benchmark(lambda: SchurCFCM(smallworld_graph, seed=6,
-                                    config=adaptive).run(K))
-
-    def test_fixed_full_budget(self, benchmark, smallworld_graph):
-        # min_samples == max_samples disables early stopping entirely.
-        fixed = config(max_samples=64, min_samples=64)
-        benchmark(lambda: SchurCFCM(smallworld_graph, seed=6, config=fixed).run(K))
 
 
 @pytest.mark.benchmark(group="ablation-jl-dimension")

@@ -1,8 +1,10 @@
 """Fig. 4 / Fig. 5 benchmarks — behaviour as the error parameter eps varies.
 
 Fig. 4 shape: running time of both sampling algorithms grows as eps shrinks
-(more JL directions, more samples before the Bernstein rule fires), with
-SchurCFCM at or below ForestCFCM at every eps.
+(more JL directions and more forests per round), with SchurCFCM at or below
+ForestCFCM at every eps.  A round's forest budget, ``ceil(8 / eps^2)``,
+exceeds every tier's ``max_samples``, so the per-tier caps (24, 32 and 48
+forests) stand in for it and keep the step short.
 
 Fig. 5 shape: solution quality relative to the exact greedy improves (the
 relative difference shrinks) as eps decreases; the assertions bound the

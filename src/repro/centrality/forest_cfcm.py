@@ -9,8 +9,11 @@ The greedy loop:
    add the maximiser.
 
 Both steps draw rooted spanning forests with Wilson's algorithm, use the
-BFS-path current estimators of Lemma 3.3, JL projections (Lemma 3.4) for the
-numerator and the empirical-Bernstein adaptive stopping rule (Lemma 3.6).
+BFS-path current estimators of Lemma 3.3 and JL projections (Lemma 3.4) for
+the numerator, Jacobi-smooth the sampled columns, and draw a fixed budget of
+``ceil(8 / eps^2)`` forests per step (see
+:meth:`repro.centrality.estimators.SamplingConfig.sample_cap`; this replaces
+the per-node empirical-Bernstein rule of Lemma 3.6).
 The algorithm achieves the ``1 - (k/(k-1))/e - eps`` approximation factor of
 Theorem 3.11.
 
@@ -58,8 +61,8 @@ class ForestCFCM(SchurCFCM):
     graph:
         Connected undirected graph.
     eps:
-        Error parameter in ``(0, 1)`` controlling JL dimension and the
-        adaptive stopping rule.
+        Error parameter in ``(0, 1)`` controlling the JL dimension and the
+        forests drawn per step.
     seed:
         Seed or generator for all randomness.
     config:

@@ -629,10 +629,12 @@ class DynamicCFCM(QueryFront):
             self._count_folded(stale.size)
         weights = pool.weights()
         total = float(weights.sum())
+        # The cached per-forest rows stay raw; only the pooled mean is
+        # Jacobi-smoothed, on the snapshot the forests span.
         gains = marginal_gain_estimates(
+            snapshot, compact_roots, pool.jl,
             np.einsum("b,bwn->wn", weights, pool.projected) / total,
             (weights @ pool.projected_diag) / total,
-            snapshot.degrees, compact_roots,
         )
         mapping = self.graph.snapshot_mapping()
         return {int(mapping[u]): gain for u, gain in gains.items()}

@@ -559,6 +559,7 @@ class IncrementalResistance:
                        {x: r for r, x in enumerate(rows.tolist()) if x >= 0})
         live = rows >= 0
         self._live = None if live.all() else np.flatnonzero(live)
+        self.backend.free_rows = int(live.size - np.count_nonzero(live))
 
     def _refresh(self) -> None:
         """Refactorise from the current graph state, counted as a refresh."""

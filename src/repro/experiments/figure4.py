@@ -2,9 +2,9 @@
 
 For each graph the two sampling algorithms are run with eps swept over
 [0.4, 0.15].  The shape to reproduce: cost grows roughly like ``eps^-2``
-(smaller eps means more JL directions and more sampled forests before the
-Bernstein rule fires) and SchurCFCM stays at or below ForestCFCM, with its
-advantage growing as eps shrinks.
+(smaller eps means more JL directions and a larger per-round forest budget,
+``ceil(8 / eps^2)`` up to ``max_samples``) and SchurCFCM stays at or below
+ForestCFCM, with its advantage growing as eps shrinks.
 """
 
 from __future__ import annotations

@@ -128,6 +128,10 @@ class ResistanceBackend:
         self._columns: Dict[int, np.ndarray] = {}
         #: Unit-vector solves actually performed (cache misses), for tests.
         self.column_solves = 0
+        #: Rows that stand for no node: the spare and tombstoned identity
+        #: rows a tracker keeps on a fixed-size factor (it sets this after
+        #: every factorisation and node burst; 0 otherwise).
+        self.free_rows = 0
 
     # ------------------------------------------------------------- lifecycle
     @property
@@ -506,7 +510,10 @@ class SparseResistanceBackend(ResistanceBackend):
         if mode == "auto":
             mode = self.diag_mode
         if mode == "auto":
-            mode = "exact" if self._n <= self.exact_threshold else "sketch"
+            # Decide on the live rows: free identity rows cost solves but
+            # are not part of the graph the threshold is about.
+            live = self._n - self.free_rows
+            mode = "exact" if live <= self.exact_threshold else "sketch"
         if self._diag_cache is not None:
             epoch, cached_mode, values = self._diag_cache
             if epoch == self._epoch and cached_mode == mode:

@@ -274,8 +274,12 @@ def restore_engine(path: str):
             )
         graph = _restore_graph(meta["graph"], data)
         spec = meta["engine"]
-        config = (None if spec["config"] is None
-                  else SamplingConfig(**spec["config"]))
+        config = spec["config"]
+        if config is not None:
+            # Archives of this version written before the fixed forest
+            # budget carry the retired failure probability `delta`.
+            config.pop("delta", None)
+            config = SamplingConfig(**config)
         engine = DynamicCFCM(
             graph, seed=0, config=config, pool_size=spec["pool_size"],
             refresh_interval=spec["refresh_interval"],

@@ -253,6 +253,21 @@ class TestSparseNodeChurnOracle:
             assert tracker.backend.n == len(tracker.kept) == graph.n - len(group)
         assert _oracle_error(tracker, graph, group, [3]) < 1e-10
 
+    def test_auto_diagonal_decides_on_live_rows(self):
+        """Spare and tombstoned rows do not push a tracker that fits under
+        ``exact_threshold`` onto sketched diagonals."""
+        graph = DynamicGraph(generators.barabasi_albert(120, 3, seed=1))
+        tracker = IncrementalResistance(
+            graph, [0], backend="sparse",
+            backend_options={"exact_threshold": 120})
+        graph.remove_node(119)
+        graph.add_node([1, 2])
+        graph.add_node([3, 4])
+        tracker.sync()
+        assert len(tracker.kept) == 120 and tracker.backend.n == 124
+        assert tracker.trace() == pytest.approx(
+            np.trace(_dense_grounded_inverse(graph, [0])), rel=0, abs=1e-10)
+
 
 class TestSketchedDiagonal:
     def test_sketch_tracks_exact_within_tolerance(self, medium_ba):

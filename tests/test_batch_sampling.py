@@ -237,7 +237,6 @@ class TestAccumulatorBatchFold:
         assert batched.count == one_by_one.count == 12
         assert np.allclose(batched.projected_sum, one_by_one.projected_sum)
         assert np.allclose(batched.diag_sum, one_by_one.diag_sum)
-        assert np.allclose(batched.diag_sumsq, one_by_one.diag_sumsq)
         assert np.allclose(batched.root_counts, one_by_one.root_counts)
 
     def test_add_batch_validates_roots_and_size(self, karate):

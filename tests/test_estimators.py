@@ -33,17 +33,9 @@ class TestSamplingConfig:
         with pytest.raises(InvalidParameterError):
             SamplingConfig(eps=1.5)
 
-    def test_invalid_delta(self):
-        with pytest.raises(InvalidParameterError):
-            SamplingConfig(delta=0.0)
-
     def test_invalid_max_samples(self):
         with pytest.raises(InvalidParameterError):
             SamplingConfig(max_samples=0)
-
-    def test_failure_probability_default(self):
-        assert SamplingConfig().failure_probability(100) == pytest.approx(0.01)
-        assert SamplingConfig(delta=0.2).failure_probability(100) == pytest.approx(0.2)
 
     def test_jl_rows_scaling(self):
         config = SamplingConfig(eps=0.2, max_jl_dimension=1000, jl_constant=1.0)
@@ -133,24 +125,6 @@ class TestForestAccumulator:
         with pytest.raises(InvalidParameterError):
             ForestAccumulator(karate, [0], weights=np.ones((2, 7)), seed=0)
 
-    def test_half_widths_shrink(self, karate):
-        accumulator = ForestAccumulator(karate, [0], seed=3)
-        accumulator.add_samples(50)
-        wide = accumulator.diag_half_widths(0.05).mean()
-        accumulator.add_samples(450)
-        narrow = accumulator.diag_half_widths(0.05).mean()
-        assert narrow < wide
-        # Lemma 3.6's empirical-Bernstein half-width, with the per-sample
-        # range bounded by the BFS depth tau.
-        delta = 0.05
-        log_term = np.log(3.0 / delta)
-        expected = (np.sqrt(2.0 * accumulator.diag_variances() * log_term
-                            / accumulator.count)
-                    + 3.0 * max(accumulator.tau, 1) * log_term
-                    / accumulator.count)
-        assert np.allclose(accumulator.diag_half_widths(delta), expected,
-                           rtol=1e-12, atol=0.0)
-
 
 class TestAdaptiveSamplingLoop:
     def test_respects_cap(self, karate):
@@ -166,10 +140,10 @@ class TestAdaptiveSamplingLoop:
                                 initial_batch=32)
         accumulator = ForestAccumulator(star, [0], seed=2)
         diagnostics = run_adaptive_sampling(accumulator, config)
-        # Star rooted at the hub: every estimate is deterministic (variance 0),
-        # so the Bernstein rule must fire long before the cap.
+        # eps, not max_samples, ends the round: 8 / 0.5^2 = 32 forests,
+        # the first batch.
         assert diagnostics["stopped_early"] == 1.0
-        assert diagnostics["samples"] < 4096
+        assert diagnostics["samples"] == 32 == config.sample_cap(star.n)
 
 
 class TestDeltaEstimators:

@@ -331,8 +331,6 @@ class TestWeightedBatchedFold:
         np.testing.assert_allclose(batched.projected_sum, scalar.projected_sum,
                                    atol=1e-9)
         np.testing.assert_allclose(batched.diag_sum, scalar.diag_sum, atol=1e-9)
-        np.testing.assert_allclose(batched.diag_sumsq, scalar.diag_sumsq,
-                                   atol=1e-9)
         np.testing.assert_allclose(batched.root_counts, scalar.root_counts,
                                    atol=1e-9)
 
