@@ -68,7 +68,7 @@ async def _drive_async(base, ops, rate, query_fraction, workers, seed):
     return report, float(final.result), wall, stats
 
 
-def _replay_sync(base, report, seed):
+def _sync_baseline(base, report, seed):
     """Sync baseline: identical journal, evaluations at the same versions."""
     graph = DynamicGraph(base)
     engine = DynamicCFCM(graph, seed=seed)
@@ -110,7 +110,7 @@ def run_async_comparison(n=240, ops=160, rate=500.0, query_fraction=0.5,
     try:
         report, async_final, async_wall, stats = asyncio.run(
             _drive_async(base, ops, rate, query_fraction, workers, seed))
-        sync_final, sync_wall, sync_latencies = _replay_sync(base, report, seed)
+        sync_final, sync_wall, sync_latencies = _sync_baseline(base, report, seed)
     finally:
         if own_registry:
             obs.REGISTRY.disable()

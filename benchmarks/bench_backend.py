@@ -63,6 +63,7 @@ from repro.experiments.report import (
 )
 from repro.graph import generators
 from repro.linalg import (
+    DenseResistanceBackend,
     grounded_inverse_block_update,
     grounded_inverse_edge_update,
     grounded_laplacian_dense,
@@ -84,16 +85,17 @@ def _record_journal(base, bursts: int, t: int, seed: int) -> List[List[GraphUpda
 
 
 def _reference_dense_replay(base, journal: Sequence[Sequence[GraphUpdate]],
-                            group: Sequence[int],
-                            refresh_interval: int) -> np.ndarray:
+                            group: Sequence[int]) -> np.ndarray:
     """Replay the journal with the pre-backend dense update kernels.
 
     Mirrors the tracker's sync exactly — one rank-``t`` batch per burst
     (single-event batches through the Sherman–Morrison path), a fresh
-    ``np.linalg.inv`` of the grounded slice whenever the staleness budget
-    overflows — so the result must be bit-identical to the dense backend's
-    inverse.  The journal is edge-only, so the kept-row mapping is fixed.
+    ``np.linalg.inv`` of the grounded slice once the updates since the last
+    one reach the dense budget of 64 or a burst alone passes it — so the
+    result must be bit-identical to the dense backend's inverse.  The
+    journal is edge-only, so the kept-row mapping is fixed.
     """
+    budget = DenseResistanceBackend.break_even
     graph = DynamicGraph(base)
     mapping = graph.snapshot_mapping()
     grounded = set(int(v) for v in group)
@@ -116,7 +118,7 @@ def _reference_dense_replay(base, journal: Sequence[Sequence[GraphUpdate]],
             triples.append((i, None if j < 0 else j, event.delta))
         if not triples:
             continue
-        if updates + len(triples) > refresh_interval:
+        if updates >= budget or len(triples) > budget:
             inverse = np.linalg.inv(
                 graph.laplacian_dense()[np.ix_(positions, positions)])
             updates = 0
@@ -132,14 +134,14 @@ def _reference_dense_replay(base, journal: Sequence[Sequence[GraphUpdate]],
 def run_backend_comparison(n: int = 3000, bursts: int = 6, t: int = 32,
                            seed: int = 0, probes: int = 24,
                            tolerance: float = 0.1,
-                           refresh_interval: int = 64,
                            verbose: bool = True) -> List[Dict[str, object]]:
     """Time dense vs sparse backends on one shared monitoring workload.
 
-    ``refresh_interval`` bounds the staleness budget of *both* trackers, so
-    the replay models sustained churn: low-rank folds between refreshes, a
-    periodic refactorisation when the budget overflows — O(n³) on dense,
-    Õ(m) on sparse, which is exactly the gap this benchmark exists to show.
+    Each tracker refactorises at its backend's break-even (a fixed 64
+    updates on dense, the factor's own estimate on sparse), so the replay
+    models sustained churn: low-rank folds between refreshes, a periodic
+    refactorisation — O(n³) on dense, Õ(m) on sparse, which is exactly the
+    gap this benchmark exists to show.
     Returns one row per backend; the sparse row carries the sync+evaluate
     speedup over dense.  Raises ``AssertionError`` when a correctness gate
     fails (backends drifting apart is a bug, not a data point).
@@ -154,9 +156,7 @@ def run_backend_comparison(n: int = 3000, bursts: int = 6, t: int = 32,
     for backend in ("dense", "sparse"):
         options = {"probes": probes, "seed": seed} if backend == "sparse" else None
         graph = DynamicGraph(base)
-        tracker = IncrementalResistance(graph, group,
-                                        refresh_interval=refresh_interval,
-                                        backend=backend,
+        tracker = IncrementalResistance(graph, group, backend=backend,
                                         backend_options=options)
         tracker.trace()  # factorisation warm-up outside the timed region
         latencies: List[float] = []
@@ -179,7 +179,6 @@ def run_backend_comparison(n: int = 3000, bursts: int = 6, t: int = 32,
             "t": t,
             "events": events_total,
             "probes": probes if backend == "sparse" else None,
-            "refresh_interval": refresh_interval,
             "sync_evaluate_seconds": seconds,
             "burst_latency": percentiles_ms(latencies),
             "group_cfcc": value,
@@ -194,8 +193,7 @@ def run_backend_comparison(n: int = 3000, bursts: int = 6, t: int = 32,
                     f"dense backend drifted from the exact inverse: "
                     f"{value!r} vs {exact!r} (rel err {rel_err:.3e})"
                 )
-            reference = _reference_dense_replay(base, journal, group,
-                                                refresh_interval)
+            reference = _reference_dense_replay(base, journal, group)
             if not np.array_equal(reference, tracker.inverse):
                 worst = float(np.abs(reference - tracker.inverse).max())
                 raise AssertionError(
@@ -317,8 +315,6 @@ def main(argv=None) -> int:
     parser.add_argument("--bursts", type=int, default=6,
                         help="update bursts to replay")
     parser.add_argument("--t", type=int, default=32, help="events per burst")
-    parser.add_argument("--refresh-interval", type=int, default=64,
-                        help="staleness budget before a refactorisation")
     parser.add_argument("--probes", type=int, default=24,
                         help="Hutchinson probes of the sparse backend")
     parser.add_argument("--tolerance", type=float, default=0.1,
@@ -342,8 +338,7 @@ def main(argv=None) -> int:
             output = output or "BENCH_backend.json"
             rows = run_backend_comparison(n=1600, bursts=6, t=32,
                                           seed=args.seed, probes=args.probes,
-                                          tolerance=args.tolerance,
-                                          refresh_interval=64)
+                                          tolerance=args.tolerance)
             sparse = next(r for r in rows if r["backend"] == "sparse")
             if not sparse["speedup_vs_dense"] >= SMOKE_SPEEDUP:
                 raise AssertionError(
@@ -356,8 +351,7 @@ def main(argv=None) -> int:
             rows = run_backend_comparison(n=args.n, bursts=args.bursts,
                                           t=args.t, seed=args.seed,
                                           probes=args.probes,
-                                          tolerance=args.tolerance,
-                                          refresh_interval=args.refresh_interval)
+                                          tolerance=args.tolerance)
             rows.append(run_node_churn(n=args.n, bursts=args.bursts, t=args.t,
                                        seed=args.seed, probes=args.probes))
     except AssertionError as exc:

@@ -6,7 +6,9 @@ batch recomputation it replaces:
 * maintaining ``Tr(inv(L_{-S}))`` across a burst of ``t`` edge updates three
   ways: **batched** (one rank-``t`` Woodbury sync per burst), **sequential**
   (a Sherman–Morrison sync after every single event) and **refactorise** (a
-  fresh O(n³) inversion per burst);
+  fresh O(n³) inversion per burst).  The two incremental strategies include
+  the tracker's own budget refreshes: on the dense backend a
+  refactorisation once 64 updates have been absorbed, or on a burst of more;
 * answering a repeated CFCM query on an unchanged graph: version-aware cache
   hit versus re-running the batch algorithm;
 * an update-heavy monitoring workload (updates interleaved with group-CFCC
@@ -56,8 +58,7 @@ class TestIncrementalResistanceMaintenance:
     def test_batched_sync_per_burst(self, benchmark, sparse_graph):
         def run():
             graph = _dynamic_copy(sparse_graph)
-            tracker = IncrementalResistance(graph, list(GROUP),
-                                            refresh_interval=10_000)
+            tracker = IncrementalResistance(graph, list(GROUP))
             rng = np.random.default_rng(0)
             for _ in range(4):
                 random_update_journal(graph, UPDATE_BURST, rng)
@@ -69,8 +70,7 @@ class TestIncrementalResistanceMaintenance:
     def test_sequential_sync_per_event(self, benchmark, sparse_graph):
         def run():
             graph = _dynamic_copy(sparse_graph)
-            tracker = IncrementalResistance(graph, list(GROUP),
-                                            refresh_interval=10_000)
+            tracker = IncrementalResistance(graph, list(GROUP))
             rng = np.random.default_rng(0)
             for _ in range(4):
                 for _ in range(UPDATE_BURST):
@@ -166,9 +166,7 @@ def run_burst_comparison(n: int = 400, bursts: int = 4,
             graph = DynamicGraph(base)
             tracker = None
             if strategy != "refactorise":
-                tracker = IncrementalResistance(graph, group,
-                                                refresh_interval=10**9,
-                                                backend=backend)
+                tracker = IncrementalResistance(graph, group, backend=backend)
             value = 0.0
             start = time.perf_counter()
             for _ in range(repeats):

@@ -7,8 +7,9 @@ close to every peer serve requests over short, redundant paths).  Peers then
 churn — join with a few connections, leave with all of them — in bursts,
 interleaved with link churn.  The :class:`repro.dynamic.DynamicCFCM` engine
 absorbs each burst as a single rank-``t`` Woodbury update of the tracked
-grounded inverse (plus row grow/downdates for the node events) instead of
-re-factorising, and replicas hosted on departed peers are re-placed.
+grounded inverse (node events included, as terms on spare or tombstoned
+rows) instead of re-factorising at every burst, and replicas hosted on
+departed peers are re-placed.
 
 Run with::
 
@@ -71,9 +72,10 @@ def main() -> None:
     print(f"  journal retained     {len(overlay.journal())} events "
           f"(floor {overlay.journal_floor} of {overlay.version})")
     print("\nEach churn burst was folded into the tracked grounded inverse as")
-    print("one rank-t Woodbury batch; peer joins grew a row, departures")
-    print("downdated one, and the engine compacted the journal prefix every")
-    print("consumer had already replayed.")
+    print("one rank-t Woodbury batch; peer joins took a row departures left")
+    print("free (a join that found none refactorised once, adding spare rows),")
+    print("and the engine compacted the journal prefix every consumer had")
+    print("already replayed.")
 
 
 if __name__ == "__main__":

@@ -391,17 +391,18 @@ class ShardedCFCM(QueryFront):
     executor:
         Only ``"serial"`` is accepted: per-shard folds and traces run back
         to back in shard order.
-    seed, config, pool_size, refresh_interval, cache_capacity, ess_floor,
-    backend, backend_options:
+    seed, config, pool_size, cache_capacity, ess_floor, backend,
+    backend_options:
         Forwarded to the per-shard :class:`DynamicCFCM` engines (pools run
-        with adaptive ESS floors).
+        with adaptive ESS floors; trackers refactorise at their backend's
+        break-even).
     """
 
     def __init__(self, graph: DynamicGraph | Graph, shards: int = 2,
                  seed: RandomState = None,
                  config: Optional[SamplingConfig] = None,
-                 pool_size: int = 24, refresh_interval: int = 64,
-                 cache_capacity: int = 16, ess_floor: float = 0.5,
+                 pool_size: int = 24, cache_capacity: int = 16,
+                 ess_floor: float = 0.5,
                  backend: str = "auto",
                  backend_options: Optional[Dict[str, object]] = None,
                  executor: str = "serial", seeds: Sequence[int] = ()):
@@ -416,8 +417,6 @@ class ShardedCFCM(QueryFront):
         self.rng = as_rng(seed)
         self.config = config
         self.pool_size = check_integer("pool_size", pool_size, minimum=1)
-        self.refresh_interval = check_integer(
-            "refresh_interval", refresh_interval, minimum=1)
         self.cache_capacity = check_integer(
             "cache_capacity", cache_capacity, minimum=1)
         self.ess_floor = float(ess_floor)
@@ -454,7 +453,6 @@ class ShardedCFCM(QueryFront):
             self._shards.append(ShardState(
                 graph, si, interior, partition.separator, seed=child_seed,
                 config=self.config, pool_size=self.pool_size,
-                refresh_interval=self.refresh_interval,
                 cache_capacity=self.cache_capacity, ess_floor=self.ess_floor,
                 backend=self.backend, backend_options=self.backend_options,
             ))
@@ -611,9 +609,10 @@ class ShardedCFCM(QueryFront):
                 link = gs.links.get(si)
                 if link is None:
                     continue
-                # Tracker rows in the orientation of
-                # IncrementalResistance._apply_edge_batch, so fold columns
-                # line up with the backend's accumulated correction columns.
+                # Tracker rows in the orientation of the tracker's own edge
+                # triples (repro.dynamic.resistance._edge_triple), so fold
+                # columns line up with the backend's accumulated correction
+                # columns.
                 i = link.rows.get(event.u)
                 j = link.rows.get(event.v)
                 if i is None:

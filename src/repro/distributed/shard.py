@@ -47,16 +47,15 @@ class ShardState:
         Stable global ids of the interior nodes owned by this shard.
     separator:
         Stable global ids of the full separator ``T`` (replicated).
-    seed, config, pool_size, refresh_interval, cache_capacity, backend,
-    backend_options:
+    seed, config, pool_size, cache_capacity, backend, backend_options:
         Forwarded to the shard's :class:`DynamicCFCM`.
     """
 
     def __init__(self, graph: DynamicGraph, index: int,
                  interior: Sequence[int], separator: Sequence[int],
                  seed: int = 0, config: Optional[SamplingConfig] = None,
-                 pool_size: int = 24, refresh_interval: int = 64,
-                 cache_capacity: int = 64, ess_floor: float = 0.5,
+                 pool_size: int = 24, cache_capacity: int = 64,
+                 ess_floor: float = 0.5,
                  backend: str = "dense",
                  backend_options: Optional[Dict[str, object]] = None):
         self.index = int(index)
@@ -96,8 +95,8 @@ class ShardState:
         self.mirror = mirror
         self.engine = DynamicCFCM(
             mirror, seed=seed, config=config, pool_size=pool_size,
-            refresh_interval=refresh_interval, cache_capacity=cache_capacity,
-            ess_floor=ess_floor, adaptive_ess_floor=True,
+            cache_capacity=cache_capacity, ess_floor=ess_floor,
+            adaptive_ess_floor=True,
             backend=backend, backend_options=backend_options,
         )
 

@@ -10,10 +10,11 @@ keeps their state alive while the graph mutates:
 * :class:`IncrementalResistance` — grounded-Laplacian inverse maintained
   through a pluggable :class:`repro.linalg.backends.ResistanceBackend`:
   the dense backend folds rank-``t`` Woodbury batches (one BLAS-3 pass per
-  journal suffix) with block-inverse grow/downdate on node events, the
-  sparse backend absorbs the same journal as low-rank corrections against
-  a sparse factorisation (``backend="dense" | "sparse" | "auto"``), both
-  under a configurable staleness policy;
+  journal suffix), the sparse backend absorbs the same journal as low-rank
+  corrections against a sparse factorisation (``backend="dense" |
+  "sparse" | "auto"``); on both, node events are triples of the same batch
+  on spare or tombstoned rows, and the tracker refactorises at the
+  backend's break-even;
 * :class:`DynamicCFCM` — cached ``query(k, method, eps)`` engine with
   importance-weighted forest pools (ESS-floor top-ups instead of flushes),
   node-churn-aware eviction and hit/miss/batching statistics;

@@ -40,6 +40,7 @@ Hit/miss, reweighting/top-up counters and per-pool ESS are exposed via
 from __future__ import annotations
 
 import copy
+import math
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -259,8 +260,6 @@ class DynamicCFCM(QueryFront):
         Optional :class:`SamplingConfig` forwarded to the sampling methods.
     pool_size:
         Number of forests kept per evaluation root set.
-    refresh_interval:
-        Staleness budget of the per-group incremental inverses.
     cache_capacity:
         Maximum entries per cache (query results, forest pools, incremental
         inverses); least-recently-used entries are evicted beyond it so a
@@ -282,6 +281,9 @@ class DynamicCFCM(QueryFront):
         materialises the inverse) or ``"auto"`` (picks by graph
         size/sparsity); forwarded to every
         :class:`~repro.dynamic.IncrementalResistance` this engine creates.
+        Each tracker refactorises at its backend's break-even (a fixed 64
+        updates on dense, the factor's own estimate on sparse), and the
+        journal is compacted past any tracker that lags further behind.
     backend_options:
         Keyword arguments for the backend constructor (sparse backend only).
     watchdog_interval:
@@ -296,7 +298,6 @@ class DynamicCFCM(QueryFront):
 
     def __init__(self, graph: DynamicGraph | Graph, seed: RandomState = None,
                  config: Optional[SamplingConfig] = None, pool_size: int = 24,
-                 refresh_interval: int = 64,
                  cache_capacity: int = 64, ess_floor: float = 0.5,
                  adaptive_ess_floor: bool = False,
                  backend: str | ResistanceBackend = "dense",
@@ -332,8 +333,6 @@ class DynamicCFCM(QueryFront):
                 f"ess_floor must lie in [0, 1], got {ess_floor}"
             )
         self.adaptive_ess_floor = bool(adaptive_ess_floor)
-        self.refresh_interval = check_integer("refresh_interval", refresh_interval,
-                                              minimum=1)
         self.cache_capacity = check_integer("cache_capacity", cache_capacity,
                                             minimum=1)
         self.watchdog_interval = check_integer("watchdog_interval",
@@ -438,8 +437,7 @@ class DynamicCFCM(QueryFront):
         if tracker is None:
             self.stats.eval_misses += 1
             tracker = IncrementalResistance(
-                self.graph, key, refresh_interval=self.refresh_interval,
-                backend=self.backend,
+                self.graph, key, backend=self.backend,
                 backend_options=self.backend_options,
                 watchdog=self._make_watchdog(key))
         else:
@@ -715,14 +713,16 @@ class DynamicCFCM(QueryFront):
     def _compact_journal(self) -> None:
         """Ask the graph to drop the journal prefix all consumers have seen.
 
-        A cached tracker lagging more than ``refresh_interval`` events will
-        refresh from the snapshot rather than replay on its next sync, so it
-        never needs the old suffix — don't let it pin the floor (and the
+        Every relevant event is at least one triple, so a cached tracker
+        lagging more than its backend's break-even in events will refresh
+        from the snapshot rather than replay on its next sync: it never
+        needs the old suffix — don't let it pin the floor (and the
         journal's memory) at its stale version forever.
         """
-        lag_floor = self.graph.version - self.refresh_interval
+        version = self.graph.version
         floor = self._pool_version
         for tracker in self._trackers.values():
+            lag_floor = version - math.ceil(tracker.backend.break_even)
             floor = min(floor, max(tracker.synced_version, lag_floor))
         self.graph.compact(floor)
 

@@ -3,33 +3,26 @@
 :class:`IncrementalResistance` maintains the grounded-Laplacian inverse
 ``inv(L_{-S})`` of a :class:`repro.dynamic.DynamicGraph` for a fixed grounded
 group ``S`` — *through* a pluggable :class:`repro.linalg.ResistanceBackend`
-rather than one hard-coded representation.  A pending journal suffix of ``t``
-edge events is one rank-``t`` Laplacian perturbation ``B D Bᵀ``, handed to
-the backend as a single batch: the ``dense`` backend folds it with an
-explicit-inverse Woodbury solve (O(n²t) in one BLAS-3 pass, bit-identical to
-the historical engine), the ``sparse`` backend accumulates it as an implicit
-low-rank correction over a sparse base factor (Õ(m·t)).
+rather than one hard-coded representation.  A pending journal suffix is one
+low-rank Laplacian perturbation ``B D Bᵀ``, handed to the backend as a single
+batch of triples: the ``dense`` backend folds it with an explicit-inverse
+Woodbury solve (O(n²t) in one BLAS-3 pass; edge-only journals stay
+bit-identical to the historical engine), the ``sparse`` backend accumulates
+it as an implicit low-rank correction over a sparse base factor (Õ(m·t)).
 
-Node events take one route per backend:
-
-* **dense** (the historical engine, and the oracle): ``add_node`` *grows*
-  the inverse by one row/column after a batched diagonal correction for the
-  kept neighbours' new degrees; ``remove_node`` *downdates* the removed row
-  and then batch-corrects the neighbours' diagonals.  Node events split the
-  suffix into edge batches.
-* **sparse**: the factor keeps its size between factorisations and a node
-  event becomes rank-(deg+1) triples on it.  A leave of row ``r`` removes
-  each incident edge ``(y, w)`` as ``(r, y, −w)`` (``y`` is ``None`` when
-  grounded) and adds ``(r, None, +1)``, leaving ``r`` an isolated identity
-  row — a *tombstone*.  A join takes the lowest free row (a tombstone or a
-  spare identity row), clears it with ``(r, None, −1)`` and adds
-  ``(r, y, +w)`` per edge.  The whole suffix, edge and node events in
-  journal order, is one ``apply_triples`` call.  Spare rows are lazy: a
-  tracker starts with none, and only a join that finds no free row
-  refactorises, appending twice as many spare rows as the joins seen since
-  the previous factorisation.  Free rows stay inside the tracker:
-  :attr:`~IncrementalResistance.kept`, :meth:`~IncrementalResistance.trace`
-  and every query cover live rows only.
+Node events take the same route on every backend: the factor keeps its size
+between factorisations and a node event becomes rank-(deg+1) triples on it.
+A leave of row ``r`` removes each incident edge ``(y, w)`` as ``(r, y, −w)``
+(``y`` is ``None`` when grounded) and adds ``(r, None, +1)``, leaving ``r``
+an isolated identity row — a *tombstone*.  A join takes the lowest free row
+(a tombstone or a spare identity row), clears it with ``(r, None, −1)`` and
+adds ``(r, y, +w)`` per edge.  The whole suffix, edge and node events in
+journal order, is one ``apply_triples`` call.  Spare rows are lazy: a
+tracker starts with none, and only a join that finds no free row
+refactorises, appending twice as many spare rows as the joins seen since
+the previous factorisation.  Free rows stay inside the tracker:
+:attr:`~IncrementalResistance.kept`, :meth:`~IncrementalResistance.trace`
+and every query cover live rows only.
 
 Staleness policy
 ----------------
@@ -37,14 +30,14 @@ Low-rank updates are exact in exact arithmetic but accumulate floating-point
 drift, and long journals eventually cost more than one clean factorisation.
 The tracker therefore refreshes (re-factorises from the current graph state)
 
-* on the dense backend, when the pending suffix would push the low-rank
-  updates since the last factorisation past ``refresh_interval``;
-* on the sparse backend, once the correction columns solved since the last
-  factorisation have reached the factor's own break-even estimate
-  (:attr:`repro.linalg.ResistanceBackend.break_even`, factorisation cost
-  over per-column solve cost), or when one burst alone would pass it.  The
-  estimate is a pure function of the factor, so two trackers replaying one
-  journal refactorise at the same bursts;
+* once the update columns absorbed since the last factorisation have
+  reached the backend's :attr:`~repro.linalg.ResistanceBackend.break_even`,
+  or when one burst alone would pass it.  On the sparse backend that is the
+  factor's own estimate (factorisation cost over per-column solve cost), a
+  pure function of the factor, so two trackers replaying one journal
+  refactorise at the same bursts; on the dense backend, whose updates cost
+  the same however many came before, it is a fixed drift budget of 64;
+* when a join finds no free row;
 * whenever a batch is singular (its capacitance matrix is not invertible),
   which for deletions means the grounded graph lost its last path to ground —
   the connectivity guards of :class:`DynamicGraph` make this rare, but
@@ -87,7 +80,6 @@ from repro.resilience.policy import record_failover
 from repro.resilience.watchdog import ResidualWatchdog
 from repro.utils.faultpoints import fault_point
 from repro.utils.timer import clock
-from repro.utils.validation import check_integer
 
 _SYNC_SECONDS = REGISTRY.histogram(
     "repro_resistance_sync_seconds",
@@ -148,12 +140,6 @@ class IncrementalResistance:
     group:
         Grounded node group ``S`` (non-empty strict subset of the active
         nodes, by stable id).
-    refresh_interval:
-        Staleness budget ``r`` of the dense backend: when the pending journal
-        suffix would push the number of low-rank updates since the last
-        factorisation past ``r``, the synchronisation re-factorises the
-        current graph instead.  Other backends refresh at their factor's
-        break-even (see the module docstring).
     backend:
         Resistance backend spec: ``"dense"`` (explicit inverse, the
         default — bit-identical to the historical engine), ``"sparse"``
@@ -168,19 +154,16 @@ class IncrementalResistance:
     kept:
         Stable node ids of the tracked (non-grounded) nodes in row order —
         the index of :meth:`diagonal` and :meth:`resistance_column`.  Sorted
-        after a factorisation.  A join lands at its row: appended on the
-        dense backend, at a free row (possibly mid-array) on the sparse one.
+        after a factorisation.  A join lands at a free row, possibly
+        mid-array.
     """
 
     def __init__(self, graph: DynamicGraph, group: Sequence[int],
-                 refresh_interval: int = 64,
                  backend: Union[str, ResistanceBackend] = "dense",
                  backend_options: Optional[Dict[str, object]] = None,
                  watchdog: Optional[ResidualWatchdog] = None):
         self.graph = graph
         self.group = list(graph.validate_group(group))
-        self.refresh_interval = check_integer("refresh_interval", refresh_interval,
-                                              minimum=1)
         self.backend = make_resistance_backend(
             backend, n=graph.n, m=graph.m, options=backend_options,
         )
@@ -201,11 +184,9 @@ class IncrementalResistance:
     def sync(self) -> "IncrementalResistance":
         """Fold any pending journal events into the inverse; returns ``self``.
 
-        On the dense backend consecutive edge events are applied as one
-        rank-``t`` Woodbury batch and node events split the suffix (each
-        grows or downdates a row between batches); on the others the whole
-        suffix is one batch of triples.  Any singular update falls back to a
-        fresh factorisation of the current state.
+        The whole suffix, edge and node events in journal order, is one
+        batch of triples.  Any singular update falls back to a fresh
+        factorisation of the current state.
         """
         graph = self.graph
         if self._synced_version < graph.version:
@@ -253,10 +234,8 @@ class IncrementalResistance:
                 relevant.append(event)
             elif event.u not in grounded or event.v not in grounded:
                 relevant.append(event)
-        fold = (self._replay if isinstance(self.backend, DenseResistanceBackend)
-                else self._absorb)
         try:
-            folded = fold(relevant)
+            folded = self._absorb(relevant)
         except (InvalidParameterError, ConvergenceError) as exc:
             # Singular capacitance or a solver that failed mid-batch: the
             # backend contract guarantees nothing was committed, so a fresh
@@ -270,39 +249,12 @@ class IncrementalResistance:
         else:
             self._refresh()
 
-    def _replay(self, events: List[GraphUpdate]) -> bool:
-        """Dense path: edge batches split by node grows and downdates.
-
-        Folds nothing and returns False when the suffix's low-rank work —
-        1 per edge event; 1 grow/downdate plus one diagonal correction per
-        kept neighbour per node event — would pass ``refresh_interval``.
-        """
-        grounded = set(self.group)
-        cost = sum(1 + sum(neighbour not in grounded
-                           for neighbour, _ in event.edges)
-                   if event.is_node_event else 1 for event in events)
-        if self._updates_since_refresh + cost > self.refresh_interval:
-            return False
-        batch: List[GraphUpdate] = []
-        for event in events:
-            if not event.is_node_event:
-                batch.append(event)
-                continue
-            self._apply_edge_batch(batch)
-            batch = []
-            if event.kind == ADD_NODE:
-                self._apply_node_add(event)
-            else:
-                self._apply_node_remove(event)
-        self._apply_edge_batch(batch)
-        return True
-
     def _absorb(self, events: List[GraphUpdate]) -> bool:
-        """Sparse path: the whole suffix as one batch of triples.
+        """Fold the whole suffix in as one batch of triples.
 
         Folds nothing and returns False when a join finds no free row, when
-        the columns solved since the last factorisation have reached the
-        factor's break-even, or when this burst alone would pass it.
+        the columns absorbed since the last factorisation have reached the
+        backend's break-even, or when this burst alone would pass it.
         """
         joins = sum(event.kind == ADD_NODE for event in events)
         self._joins += joins
@@ -414,14 +366,17 @@ class IncrementalResistance:
 
     @property
     def inverse(self) -> np.ndarray:
-        """The explicit dense inverse — dense backend only.
+        """The explicit dense inverse over the live rows, indexed by :attr:`kept`.
 
-        The sparse backend never materialises it; callers needing matrix
-        entries should go through :meth:`diagonal` /
+        Dense backend only.  The sparse backend never materialises it;
+        callers needing matrix entries should go through :meth:`diagonal` /
         :meth:`resistance_column` instead.
         """
         if isinstance(self.backend, DenseResistanceBackend):
-            return self.backend.inverse
+            inverse = self.backend.inverse
+            if self._live is None:
+                return inverse
+            return inverse[np.ix_(self._live, self._live)]
         raise InvalidParameterError(
             f"backend {self.backend.name!r} does not materialise the dense "
             f"inverse; query diagonal()/resistance_column() instead"
@@ -492,10 +447,6 @@ class IncrementalResistance:
         return _embed(full[rows][:, rows].tocsr(), self._rows)
 
     # -------------------------------------------------------------- internals
-    def _apply_edge_batch(self, batch: List[GraphUpdate]) -> None:
-        """Fold one run of (relevant) edge events in as a rank-``t`` update."""
-        self._apply_triples([_edge_triple(event, self._local) for event in batch])
-
     def _apply_triples(self, triples: List[_Triple]) -> None:
         if not triples:
             return
@@ -507,49 +458,6 @@ class IncrementalResistance:
             self.stats.batch_updates += 1
             self.stats.batched_events += len(triples)
         self._updates_since_refresh += len(triples)
-
-    def _apply_node_add(self, event: GraphUpdate) -> None:
-        """Grow one row for the new node, after fixing its neighbours' degrees.
-
-        The grown grounded Laplacian is ``[[M + ΔD, c], [cᵀ, d]]``: the kept
-        neighbours' diagonals gain the new edge weights (``ΔD``, applied as a
-        Woodbury batch of ``e_y e_yᵀ`` terms), the coupling column ``c`` holds
-        ``-w`` at kept neighbours, and ``d`` is the node's weighted degree
-        (edges to grounded nodes contribute to ``d`` only).
-        """
-        self._apply_triples([
-            (self._local[neighbour], None, weight)
-            for neighbour, weight in event.edges
-            if neighbour in self._local
-        ])
-        rows = len(self._rows)
-        column = np.zeros(rows, dtype=np.float64)
-        for neighbour, weight in event.edges:
-            local = self._local.get(neighbour)
-            if local is not None:
-                column[local] = -weight
-        degree = sum(weight for _, weight in event.edges)
-        self.backend.grow(column, degree)
-        self._local[int(event.node)] = rows
-        self._rows = np.append(self._rows, int(event.node))
-        self.stats.node_grows += 1
-        self._updates_since_refresh += 1
-
-    def _apply_node_remove(self, event: GraphUpdate) -> None:
-        """Downdate the removed node's row, then fix its neighbours' degrees."""
-        local = self._local.pop(int(event.node))
-        self.backend.downdate(local)
-        self._rows = np.delete(self._rows, local)
-        for other, row in self._local.items():
-            if row > local:
-                self._local[other] = row - 1
-        self.stats.node_downdates += 1
-        self._updates_since_refresh += 1
-        self._apply_triples([
-            (self._local[neighbour], None, -weight)
-            for neighbour, weight in event.edges
-            if neighbour in self._local
-        ])
 
     def _adopt_rows(self, rows: np.ndarray,
                     local: Optional[Dict[int, int]] = None) -> None:
@@ -570,7 +478,7 @@ class IncrementalResistance:
         """Factorise the current graph state, with ``spares`` free rows appended.
 
         ``spares`` defaults to twice the joins seen since the previous
-        factorisation — zero on the dense backend, which grows rows instead.
+        factorisation.
         """
         graph = self.graph
         if spares is None:
@@ -593,12 +501,12 @@ class IncrementalResistance:
         else:
             full = graph.laplacian_dense()
             matrix = full[np.ix_(positions, positions)]
+        matrix = _embed(matrix, rows)
         try:
-            self.backend.factorize(_embed(matrix, rows))
+            self.backend.factorize(matrix)
         except (RuntimeError, ConvergenceError, InvalidParameterError,
                 np.linalg.LinAlgError) as exc:
             self._failover(matrix, exc)
-            rows = rows[:positions.size]
         self._adopt_rows(rows)
         self._updates_since_refresh = 0
         self._joins = 0
@@ -607,19 +515,18 @@ class IncrementalResistance:
     def _failover(self, matrix, exc: Exception) -> None:
         """Degrade after a failed factorisation: sparse → dense, dense → retry.
 
-        ``matrix`` holds the live rows only: the dense engine grows and
-        downdates rows, so it never carries spare rows or tombstones.  The
-        failed backend committed nothing (its factorize raises before
-        swapping state in), so retrying — on the dense fallback, or once
-        more on the dense backend itself — is always sound.  A second
-        failure is terminal: :class:`BackendUnavailableError`.
+        ``matrix`` is laid out on the row table, spare rows included, so the
+        fallback keeps the failed backend's layout.  The failed backend
+        committed nothing (its factorize raises before swapping state in),
+        so retrying — on the dense fallback, or once more on the dense
+        backend itself — is always sound.  A second failure is terminal:
+        :class:`BackendUnavailableError`.
         """
         failed = self.backend.name
         fallback = (self.backend if isinstance(self.backend, DenseResistanceBackend)
                     else DenseResistanceBackend())
-        dense = matrix.toarray() if hasattr(matrix, "toarray") else matrix
         try:
-            fallback.factorize(np.asarray(dense, dtype=np.float64))
+            fallback.factorize(matrix)
         except (RuntimeError, ConvergenceError, InvalidParameterError,
                 np.linalg.LinAlgError) as retry_exc:
             raise BackendUnavailableError(

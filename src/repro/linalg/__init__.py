@@ -35,7 +35,6 @@ from repro.linalg.updates import (
     grounded_inverse_block_update,
     grounded_inverse_downdate,
     grounded_inverse_edge_update,
-    grounded_inverse_grow,
 )
 
 __all__ = [
@@ -68,5 +67,4 @@ __all__ = [
     "grounded_inverse_block_update",
     "grounded_inverse_downdate",
     "grounded_inverse_edge_update",
-    "grounded_inverse_grow",
 ]

@@ -5,14 +5,20 @@ forest-pool estimator folds, the per-node resistance queries — only ever
 needs matvecs with the inverse, single columns, diagonal entries and
 low-rank updates.  :class:`ResistanceBackend` captures exactly that contract
 so :class:`repro.dynamic.IncrementalResistance` can speak one protocol while
-the representation underneath is swapped:
+the representation underneath is swapped.  Both backends keep their size
+between factorisations: node joins and leaves reach them as triples on
+spare or tombstoned identity rows (see
+:class:`repro.dynamic.IncrementalResistance`), and :attr:`break_even` is
+how many update columns the tracker absorbs before it refactorises.
 
 * :class:`DenseResistanceBackend` — the historical engine: an explicit dense
   ``(n, n)`` inverse maintained by Sherman–Morrison / Woodbury updates
   (:mod:`repro.linalg.updates`).  O(n²) per sync and per refactorisation
-  O(n³), but every query is a plain array read.  This backend reproduces the
-  pre-protocol behaviour **bit for bit**: same update functions, called in
-  the same order on the same operands.
+  O(n³), but every query is a plain array read.  On edge-only journals this
+  backend reproduces the pre-protocol behaviour **bit for bit**: same update
+  functions, called in the same order on the same operands.  A dense update
+  costs the same however many came before it, so its :attr:`break_even` is
+  a fixed drift budget of 64.
 * :class:`SparseResistanceBackend` — never materialises the inverse.  It
   keeps a sparse factorisation of the grounded Laplacian at the last
   refactorisation (:func:`repro.linalg.factor.factorize_spd`: a
@@ -27,16 +33,13 @@ the representation underneath is swapped:
   ``inv(M₀ + B D Bᵀ) x = y − U · C⁻¹ D Bᵀ y``,  ``y = M₀⁻¹ x``
 
   where ``U = M₀⁻¹ B`` (one sparse solve per new event column) and
-  ``C = I + D Bᵀ U`` is the rank-``t`` capacitance matrix.  The factor's
-  size never changes between factorisations: node joins and leaves reach it
-  as triples on spare or tombstoned identity rows (see
-  :class:`repro.dynamic.IncrementalResistance`).  :attr:`break_even` is the
-  factor's own estimate of the correction columns worth one refactorisation
-  (:func:`repro.linalg.factor.break_even`).  Diagonals are served by
-  JL-sketched Hutchinson estimates (solver matvecs only, probe solves cached
-  per factorisation) with an exact-column escape hatch; single columns are
-  lazily materialised and version-cached.  Syncs cost Õ(m·t) instead of
-  O(n²·t).
+  ``C = I + D Bᵀ U`` is the rank-``t`` capacitance matrix.
+  :attr:`break_even` is the factor's own estimate of the correction columns
+  worth one refactorisation (:func:`repro.linalg.factor.break_even`).
+  Diagonals are served by JL-sketched Hutchinson estimates (solver matvecs
+  only, probe solves cached per factorisation) with an exact-column escape
+  hatch; single columns are lazily materialised and version-cached.  Syncs
+  cost Õ(m·t) instead of O(n²·t).
 
 ``choose_backend`` implements the ``auto`` policy (dense while the dense
 inverse is small enough to win, sparse beyond); ``make_resistance_backend``
@@ -59,12 +62,7 @@ from repro.linalg.factor import (
     sparse_lu,
 )
 from repro.linalg.solvers import LaplacianSolver, SolverMethod
-from repro.linalg.updates import (
-    grounded_inverse_block_update,
-    grounded_inverse_downdate,
-    grounded_inverse_edge_update,
-    grounded_inverse_grow,
-)
+from repro.linalg.updates import grounded_inverse_block_update
 from repro.obs.metrics import REGISTRY
 from repro.utils.faultpoints import fault_point
 from repro.utils.timer import clock
@@ -98,13 +96,12 @@ class ResistanceBackend:
 
     The tracker drives the lifecycle: :meth:`factorize` with the current
     grounded matrix (dense or sparse per :attr:`wants_sparse`), then a
-    sequence of :meth:`apply_triples` mutations (plus
-    :meth:`DenseResistanceBackend.grow` / ``downdate`` on the dense engine),
-    with queries (:meth:`trace`, :meth:`diagonal`, :meth:`column`,
-    :meth:`diag_entry`, :meth:`solve_many`) in between.
-    Mutations that would make the matrix singular must raise
-    :class:`repro.exceptions.InvalidParameterError` *without committing*,
-    which the tracker answers with a fresh factorisation.
+    sequence of :meth:`apply_triples` mutations, with queries
+    (:meth:`trace`, :meth:`diagonal`, :meth:`column`, :meth:`diag_entry`,
+    :meth:`solve_many`) in between.  Mutations that would make the matrix
+    singular must raise :class:`repro.exceptions.InvalidParameterError`
+    *without committing*, which the tracker answers with a fresh
+    factorisation.
 
     The base class owns the lazily materialised, version-cached column
     store: :meth:`column` solves a unit right-hand side on first access and
@@ -117,9 +114,9 @@ class ResistanceBackend:
     name = "abstract"
     #: Whether :meth:`factorize` expects a scipy sparse matrix (else dense).
     wants_sparse = False
-    #: Correction columns that cost as much to solve as one factorisation;
-    #: the tracker refactorises a non-dense backend once it has absorbed
-    #: this many since the last one (0: refactorise on every burst).
+    #: Update columns worth one refactorisation: the tracker refactorises
+    #: once it has absorbed this many since the last one, or on a burst of
+    #: more (0: refactorise on every burst).
     break_even = 0.0
 
     def __init__(self) -> None:
@@ -252,7 +249,7 @@ class ResistanceBackend:
         """Fold a burst of rank-one terms ``M += Σ δ_k b_k b_kᵀ`` in.
 
         ``b_k = e_i − e_j`` (``e_i`` alone when ``j`` is ``None``): an edge
-        event, or one term of a node join or leave on the sparse engine.
+        event, or one term of a node join or leave.
 
         Raises :class:`InvalidParameterError` (without committing) when the
         batch would make ``M`` singular.
@@ -263,14 +260,18 @@ class ResistanceBackend:
 class DenseResistanceBackend(ResistanceBackend):
     """The historical engine: an explicit dense inverse under Woodbury updates.
 
-    Kept bit-identical to the pre-protocol :class:`IncrementalResistance`
-    internals: a single event goes through the Sherman–Morrison fast path,
-    a burst through the rank-``t`` block update, node events through
-    grow/downdate — same functions, same operand order, same float results.
+    Every burst goes through the rank-``t`` block update, whose single-event
+    case is the Sherman–Morrison fast path, so edge-only journals stay
+    bit-identical to the pre-protocol :class:`IncrementalResistance`
+    internals — same functions, same operand order, same float results.
     """
 
     name = "dense"
     wants_sparse = False
+    #: A fixed drift budget: a dense update costs the same however many
+    #: came before it, so only floating-point drift bounds how many the
+    #: tracker absorbs between factorisations.
+    break_even = 64.0
 
     def __init__(self) -> None:
         super().__init__()
@@ -315,22 +316,7 @@ class DenseResistanceBackend(ResistanceBackend):
         if not triples:
             return
         fault_point("backend.apply", subject=self, backend=self.name)
-        if len(triples) == 1:
-            self.inverse = grounded_inverse_edge_update(self.inverse, *triples[0])
-        else:
-            self.inverse = grounded_inverse_block_update(self.inverse, triples)
-        self._invalidate()
-
-    def grow(self, column: np.ndarray, diagonal: float) -> None:
-        """Append one trailing row/column (node insertion)."""
-        self.inverse = grounded_inverse_grow(self.inverse, column, diagonal)
-        self._n += 1
-        self._invalidate()
-
-    def downdate(self, local_index: int) -> None:
-        """Remove one row/column (node removal)."""
-        self.inverse = grounded_inverse_downdate(self.inverse, local_index)
-        self._n -= 1
+        self.inverse = grounded_inverse_block_update(self.inverse, triples)
         self._invalidate()
 
 

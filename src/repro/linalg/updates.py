@@ -25,9 +25,9 @@ into the inverse with a single Woodbury solve
 ``inv(M + B D Bᵀ) = inv(M) - inv(M) B inv(I + D Bᵀ inv(M) B) D Bᵀ inv(M)``
 
 at O(n²t) in one BLAS-3 pass instead of ``t`` sequential O(n²) outer products
-— see :func:`grounded_inverse_block_update`.  Finally, growing the node set
-appends a row/column to ``M``, whose inverse follows from the block-inverse
-identity (the dual of the downdate) — see :func:`grounded_inverse_grow`.
+— see :func:`grounded_inverse_block_update`.  Node joins and leaves are such
+bursts too: the tracker keeps the matrix's size fixed and writes a node event
+as rank-(deg+1) terms on spare or tombstoned identity rows.
 """
 
 from __future__ import annotations
@@ -227,71 +227,6 @@ def grounded_inverse_block_update(
         )
     core = np.linalg.solve(capacitance, deltas[:, None] * right)
     return inverse - left @ core
-
-
-def grounded_inverse_grow(inverse: np.ndarray, column: np.ndarray,
-                          diagonal: float,
-                          row: Optional[np.ndarray] = None) -> np.ndarray:
-    """Block-inverse *append* of one trailing row/column (dual of the downdate).
-
-    Given ``inv(M)`` of shape ``(n, n)``, returns the inverse of
-
-    ``M' = [[M, c], [rᵀ, d]]``
-
-    of shape ``(n + 1, n + 1)`` via the scalar Schur complement
-    ``s = d - rᵀ inv(M) c``.  For a grounded Laplacian gaining a node, ``c``
-    holds ``-w`` at the kept neighbours of the new node and ``d`` is its
-    weighted degree (edges to grounded nodes contribute to ``d`` only).
-
-    Parameters
-    ----------
-    inverse:
-        ``inv(M)`` for an invertible matrix ``M``.
-    column:
-        New trailing column ``c`` of length ``n``.
-    diagonal:
-        New diagonal entry ``d``.
-    row:
-        New trailing row ``r`` (defaults to ``column`` — the symmetric case).
-
-    Raises
-    ------
-    InvalidParameterError
-        When the Schur complement is numerically zero (an isolated node, or a
-        grow that would make the matrix singular).
-    """
-    inverse = np.asarray(inverse, dtype=np.float64)
-    n = inverse.shape[0]
-    if inverse.ndim != 2 or inverse.shape[1] != n:
-        raise InvalidParameterError("inverse must be a square matrix")
-    column = np.asarray(column, dtype=np.float64).reshape(-1)
-    if column.shape[0] != n:
-        raise InvalidParameterError(
-            f"column must have length {n}, got {column.shape[0]}"
-        )
-    if row is None:
-        row = column
-    else:
-        row = np.asarray(row, dtype=np.float64).reshape(-1)
-        if row.shape[0] != n:
-            raise InvalidParameterError(
-                f"row must have length {n}, got {row.shape[0]}"
-            )
-    left = inverse @ column          # inv(M) c
-    right = row @ inverse            # rᵀ inv(M)
-    schur = float(diagonal) - float(row @ left)
-    if abs(schur) < 1e-12:
-        raise InvalidParameterError(
-            "singular grow: the Schur complement d - r^T inv(M) c is "
-            "numerically zero (the appended node would make the grounded "
-            "matrix singular)"
-        )
-    grown = np.empty((n + 1, n + 1), dtype=np.float64)
-    grown[:n, :n] = inverse + np.outer(left, right) / schur
-    grown[:n, n] = -left / schur
-    grown[n, :n] = -right / schur
-    grown[n, n] = 1.0 / schur
-    return grown
 
 
 class GroundedInverseTracker:

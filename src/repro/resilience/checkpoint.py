@@ -17,15 +17,15 @@ an untrusted store.  Writes go to a temporary sibling and are renamed into
 place, so a crash mid-checkpoint never leaves a truncated archive behind.
 
 Quiescing: :func:`checkpoint_engine` first folds every pending journal
-event into every cached consumer and refactorises solver-backed (sparse)
-trackers, so their implicit low-rank correction is empty and the base
-factor is fully determined by the (serialised) graph and the tracker's
-spare-row count, which the archive carries.  Dense trackers keep
-their Woodbury-accumulated inverse verbatim — a refactorisation would *not*
-be bit-equal to the drifted product the live engine continues from.  The
-projected (JL-sketched) estimator caches are deliberately dropped: they are
-deterministic functions of serialised state and are rebuilt on first use
-without consuming randomness.
+event into every cached consumer and refactorises every tracker, so no
+low-rank correction or tombstone is pending and each tracker's layout is
+its live rows followed by a spare-row count, which the archive carries.  A
+sparse base factor is then fully determined by the (serialised) graph and
+that count; a dense inverse is stored verbatim all the same, because it is
+the value the live engine continues from.  The projected (JL-sketched)
+estimator caches are deliberately dropped: they are deterministic functions
+of serialised state and are rebuilt on first use without consuming
+randomness.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 
 #: Bump when the archive layout changes; restore refuses unknown versions.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 # ------------------------------------------------------------------ helpers
@@ -138,22 +138,21 @@ def checkpoint_engine(engine, path: str) -> str:
     """Serialise ``engine`` (quiesced) to ``path``; returns the path written.
 
     Quiesces first: pending journal events are folded into every pool and
-    tracker, and sparse trackers refactorise so their base factor matches
-    the serialised graph exactly.  The engine remains fully usable — the
+    tracker, and every tracker refactorises so its factor matches the
+    serialised graph exactly.  The engine remains fully usable — the
     quiesce is the same maintenance any query would have performed.
     """
-    from repro.linalg.backends import DenseResistanceBackend, SparseResistanceBackend
+    from repro.linalg.backends import DenseResistanceBackend
 
     engine.sync()
     for tracker in engine._trackers.values():
         tracker.sync()
-        if isinstance(tracker.backend, SparseResistanceBackend):
-            # Fold the implicit low-rank correction (and any tombstones) into
-            # a fresh base factor: the restored side rebuilds the identical
-            # factorisation from the serialised graph and spare-row count
-            # (both sparse LU and the hub core are pure functions of the
-            # matrix, so an identical matrix gives an identical factor).
-            tracker._factorize()
+        # Fold any low-rank correction and tombstones into a fresh factor:
+        # the restored side rebuilds the identical sparse factorisation from
+        # the serialised graph and spare-row count (both sparse LU and the
+        # hub core are pure functions of the matrix, so an identical matrix
+        # gives an identical factor) and reads a dense inverse verbatim.
+        tracker._factorize()
 
     arrays: Dict[str, np.ndarray] = {}
     meta: Dict[str, Any] = {
@@ -163,7 +162,6 @@ def checkpoint_engine(engine, path: str) -> str:
             "pool_size": int(engine.pool_size),
             "ess_floor": float(engine.ess_floor),
             "adaptive_ess_floor": bool(engine.adaptive_ess_floor),
-            "refresh_interval": int(engine.refresh_interval),
             "cache_capacity": int(engine.cache_capacity),
             "backend": engine.backend,
             "backend_options": engine.backend_options,
@@ -225,6 +223,7 @@ def checkpoint_engine(engine, path: str) -> str:
             "stats": _stats_to_dict(tracker.stats),
             "watchdog": (None if tracker.watchdog is None
                          else tracker.watchdog.state_dict()),
+            "spare_rows": int(backend.n - len(tracker.kept)),
         }
         arrays[f"trk{j}_kept"] = np.asarray(tracker.kept, dtype=np.int64)
         if dense:
@@ -234,7 +233,6 @@ def checkpoint_engine(engine, path: str) -> str:
             # The sketched-diagonal probe stream is seeded by the factor
             # counter; carrying it over keeps post-restore sketches bit-equal.
             entry["factor_count"] = int(backend._factor_count)
-            entry["spare_rows"] = int(backend.n - len(tracker.kept))
         trackers.append(entry)
     meta["trackers"] = trackers
 
@@ -251,11 +249,11 @@ def restore_engine(path: str):
     """Rebuild a :class:`repro.dynamic.DynamicCFCM` from a checkpoint.
 
     The restored engine continues bit-equal with the checkpointed one: same
-    RNG stream, same cached state, same factor state (dense inverses are
-    restored verbatim; sparse base factors are re-derived from the identical
-    serialised graph).  Journal events recorded after the checkpoint can be
-    replayed onto :attr:`DynamicCFCM.graph` to reconverge with a crashed
-    primary.
+    RNG stream, same cached state, same factor state on the same row layout
+    (dense inverses are restored verbatim; sparse base factors are
+    re-derived from the identical serialised graph).  Journal events
+    recorded after the checkpoint can be replayed onto
+    :attr:`DynamicCFCM.graph` to reconverge with a crashed primary.
     """
     from repro.centrality.estimators import SamplingConfig
     from repro.dynamic.engine import DynamicCFCM
@@ -276,13 +274,9 @@ def restore_engine(path: str):
         spec = meta["engine"]
         config = spec["config"]
         if config is not None:
-            # Archives of this version written before the fixed forest
-            # budget carry the retired failure probability `delta`.
-            config.pop("delta", None)
             config = SamplingConfig(**config)
         engine = DynamicCFCM(
             graph, seed=0, config=config, pool_size=spec["pool_size"],
-            refresh_interval=spec["refresh_interval"],
             cache_capacity=spec["cache_capacity"],
             ess_floor=spec["ess_floor"], backend=spec["backend"],
             backend_options=spec["backend_options"],
@@ -326,9 +320,10 @@ def restore_engine(path: str):
                         else ResidualWatchdog.from_state(entry["watchdog"]))
             options = spec["backend_options"] if kind == "sparse" else None
             tracker = IncrementalResistance(
-                graph, group, refresh_interval=spec["refresh_interval"],
-                backend=kind, backend_options=options, watchdog=watchdog,
+                graph, group, backend=kind, backend_options=options,
+                watchdog=watchdog,
             )
+            spares = int(entry["spare_rows"])
             if kind == "dense":
                 backend = tracker.backend
                 assert isinstance(backend, DenseResistanceBackend)
@@ -336,11 +331,12 @@ def restore_engine(path: str):
                                              dtype=np.float64)
                 backend._n = int(backend.inverse.shape[0])
                 backend._invalidate()
-                tracker._adopt_rows(np.asarray(data[f"trk{j}_kept"],
-                                               dtype=np.int64))
+                tracker._adopt_rows(np.concatenate([
+                    np.asarray(data[f"trk{j}_kept"], dtype=np.int64),
+                    np.full(spares, -1, dtype=np.int64)]))
             else:
-                if entry["spare_rows"]:
-                    tracker._factorize(entry["spare_rows"])
+                if spares:
+                    tracker._factorize(spares)
                 tracker.backend._factor_count = int(entry["factor_count"])
             tracker._synced_version = int(entry["synced_version"])
             tracker._updates_since_refresh = int(

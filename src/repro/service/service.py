@@ -145,7 +145,7 @@ class AsyncCFCMService:
         recovery).
     engine_kwargs:
         Extra :class:`repro.dynamic.DynamicCFCM` options (``pool_size``,
-        ``refresh_interval``, ``backend_options``, ...).
+        ``cache_capacity``, ``backend_options``, ...).
     """
 
     def __init__(

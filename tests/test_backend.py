@@ -47,10 +47,8 @@ GROUP = [0, 1]
 
 def _pair(graph, **sparse_options):
     """Dense and sparse trackers over the same DynamicGraph journal."""
-    dense = IncrementalResistance(graph, GROUP, refresh_interval=10**9,
-                                  backend="dense")
-    sparse = IncrementalResistance(graph, GROUP, refresh_interval=10**9,
-                                   backend="sparse",
+    dense = IncrementalResistance(graph, GROUP, backend="dense")
+    sparse = IncrementalResistance(graph, GROUP, backend="sparse",
                                    backend_options=sparse_options or None)
     return dense, sparse
 
@@ -69,8 +67,8 @@ def _relative_error(actual, expected) -> float:
 
 def _assert_close(dense, sparse, rtol=1e-6):
     assert sparse.synced_version == dense.synced_version
-    # Rows are matched by node id: a sparse join takes a free row, possibly
-    # mid-array, where the dense engine appends one.
+    # Rows are matched by node id: a join takes a free row, possibly
+    # mid-array, and the two backends may hold different free rows.
     np.testing.assert_array_equal(np.sort(sparse.kept), np.sort(dense.kept))
     np.testing.assert_allclose(
         sparse.diagonal(mode="exact")[np.argsort(sparse.kept)],
@@ -106,7 +104,7 @@ class TestDenseSparseParity:
         # The first bursts' joins find no free row, so each refactorises and
         # adds spare rows.  After that, the later bursts' joins and leaves
         # are absorbed as triples on the fixed-size factor, with no
-        # refactorisation, while the dense one grows/downdates in place.
+        # refactorisation.
         assert history[1][0] == history[-1][0] > 0
         assert history[-1][1] > history[1][1]
         assert history[-1][2] > history[1][2]
@@ -123,8 +121,7 @@ class TestDenseSparseParity:
 
     def test_long_journal_refactorises_at_break_even(self, small_ba):
         graph = DynamicGraph(small_ba)
-        sparse = IncrementalResistance(graph, GROUP, refresh_interval=10**9,
-                                       backend="sparse")
+        sparse = IncrementalResistance(graph, GROUP, backend="sparse")
         limit = sparse.backend.break_even
         assert 6 < limit < 1000
         rng = np.random.default_rng(17)
@@ -134,7 +131,7 @@ class TestDenseSparseParity:
             sparse.sync()
             # Bursts are absorbed until the columns solved since the last
             # factorisation reach the factor's break-even; the next burst
-            # refactorises instead (refresh_interval plays no part).
+            # refactorises instead.
             if sparse.stats.refreshes:
                 break
             assert solved < limit
@@ -177,14 +174,17 @@ def _remove_a_neighbour(graph, anchor, group):
     raise AssertionError("no removable neighbour")
 
 
-class TestSparseNodeChurnOracle:
-    """Node joins and leaves as triples on a fixed-size factor, both kinds."""
+class TestNodeChurnOracle:
+    """Node joins and leaves as triples on a fixed-size factor, every backend."""
 
-    @pytest.fixture(params=["hub_core", "splu"])
+    @pytest.fixture(params=["dense", "hub_core", "splu"])
     def world(self, request, hub_ba):
+        if request.param == "dense":
+            return DynamicGraph(hub_ba), [0, 1], "dense", "dense_inverse"
         if request.param == "hub_core":
-            return DynamicGraph(hub_ba), [0, 1], "hub_core"
-        return DynamicGraph(generators.grid_graph(8, 8)), [0, 27], "splu"
+            return DynamicGraph(hub_ba), [0, 1], "sparse", "hub_core"
+        return (DynamicGraph(generators.grid_graph(8, 8)), [0, 27], "sparse",
+                "splu")
 
     def _check(self, tracker, graph, group, probes):
         tracker.sync()
@@ -193,8 +193,8 @@ class TestSparseNodeChurnOracle:
         assert _oracle_error(tracker, graph, group, probes) < 1e-10
 
     def test_joins_and_leaves_match_a_fresh_inverse(self, world):
-        graph, group, solver = world
-        tracker = IncrementalResistance(graph, group, backend="sparse")
+        graph, group, backend, solver = world
+        tracker = IncrementalResistance(graph, group, backend=backend)
         assert tracker.backend.solver_used == solver
         assert tracker.backend.n == len(tracker.kept)
 
@@ -219,7 +219,7 @@ class TestSparseNodeChurnOracle:
         assert tracker.stats.refreshes == 1
         assert tracker.stats.node_grows == 2
         assert tracker.stats.node_downdates == 2
-        assert tracker.backend.correction_rank > 0
+        assert tracker.stats.batch_updates == 1
 
         # One join more than there are free rows: refactorise again, sized
         # by the joins since the first refactorisation (2 before, spare + 1
@@ -233,9 +233,22 @@ class TestSparseNodeChurnOracle:
         assert tracker.trace() == pytest.approx(
             np.trace(_dense_grounded_inverse(graph, group)), rel=1e-10)
 
+    def test_join_attached_only_to_the_group(self, world):
+        # Every edge of the join goes to the grounded set, so its only path
+        # to ground is those edges: R(u, S) = 1/d.
+        graph, group, backend, _ = world
+        tracker = IncrementalResistance(graph, group, backend=backend)
+        _remove_a_neighbour(graph, 3, group)  # a tombstone for the join
+        joined = graph.add_node([(group[0], 0.5), (group[1], 1.5)]).node
+        self._check(tracker, graph, group, [joined, 3])
+        assert tracker.stats.refreshes == 0
+        assert tracker.stats.node_grows == 1
+        assert tracker.resistance_to_group(joined) == pytest.approx(
+            0.5, rel=1e-10)
+
     def test_verify_probes_free_rows(self, world):
-        graph, group, _ = world
-        tracker = IncrementalResistance(graph, group, backend="sparse")
+        graph, group, backend, _ = world
+        tracker = IncrementalResistance(graph, group, backend=backend)
         graph.add_node([2, 5])
         tracker.sync()
         _remove_a_neighbour(graph, 3, group)
@@ -244,14 +257,18 @@ class TestSparseNodeChurnOracle:
         assert tracker.verify(repair=False) < 1e-10
 
     def test_edge_only_tracker_keeps_no_free_rows(self, world):
-        graph, group, _ = world
-        tracker = IncrementalResistance(graph, group, backend="sparse")
+        graph, group, backend, _ = world
+        tracker = IncrementalResistance(graph, group, backend=backend)
         rng = np.random.default_rng(3)
         for _ in range(3):
             random_update_journal(graph, 5, rng)
             tracker.sync()
             assert tracker.backend.n == len(tracker.kept) == graph.n - len(group)
         assert _oracle_error(tracker, graph, group, [3]) < 1e-10
+
+
+class TestSparseNodeChurnOracle:
+    """What node churn leaves on the sparse engine's diagonal policy."""
 
     def test_auto_diagonal_decides_on_live_rows(self):
         """Spare and tombstoned rows do not push a tracker that fits under
@@ -273,7 +290,7 @@ class TestSketchedDiagonal:
     def test_sketch_tracks_exact_within_tolerance(self, medium_ba):
         graph = DynamicGraph(medium_ba)
         sparse = IncrementalResistance(
-            graph, GROUP, refresh_interval=10**9, backend="sparse",
+            graph, GROUP, backend="sparse",
             backend_options={"diag_mode": "sketch", "probes": 256, "seed": 5})
         exact = grounded_trace(graph.snapshot(), graph.compact_nodes(GROUP))
         assert sparse.trace() == pytest.approx(exact, rel=0.1)
@@ -284,8 +301,7 @@ class TestSketchedDiagonal:
 
     def test_exact_diagonal_solves_in_blocks(self):
         graph = DynamicGraph(generators.barabasi_albert(600, 2, seed=0))
-        tracker = IncrementalResistance(graph, GROUP, refresh_interval=10**9,
-                                        backend="sparse")
+        tracker = IncrementalResistance(graph, GROUP, backend="sparse")
         random_update_journal(graph, 4, np.random.default_rng(3))
         tracker.sync()
         backend = tracker.backend
@@ -310,7 +326,7 @@ class TestCGFallback:
         graph = DynamicGraph(small_ba)
         dense = IncrementalResistance(graph, GROUP, backend="dense")
         cg = IncrementalResistance(
-            graph, GROUP, refresh_interval=10**9, backend="sparse",
+            graph, GROUP, backend="sparse",
             backend_options={"solver": "cg", "rtol": 1e-12})
         assert cg.backend.solver_used == "cg"
         rng = np.random.default_rng(23)
@@ -376,8 +392,7 @@ class TestHubCore:
             weights = {(int(u), int(v)): float(rng.uniform(0.5, 3.0))
                        for u, v in hub_ba.edge_array()}
         graph = DynamicGraph(hub_ba, weights=weights)
-        tracker = IncrementalResistance(graph, GROUP, refresh_interval=10**9,
-                                        backend="sparse")
+        tracker = IncrementalResistance(graph, GROUP, backend="sparse")
         backend = tracker.backend
         assert backend.solver_used == "hub_core"
         random_update_journal(graph, 8, rng)
@@ -477,8 +492,7 @@ class TestSingularUpdates:
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_near_singular_reweight_falls_back_to_refresh(self, star6, backend):
         graph = DynamicGraph(star6)
-        tracker = IncrementalResistance(graph, [0], refresh_interval=10**9,
-                                        backend=backend)
+        tracker = IncrementalResistance(graph, [0], backend=backend)
         tracker.sync()
         graph.update_weight(0, 3, 1e-13)
         tracker.sync()

@@ -228,7 +228,7 @@ class TestEdgeUpdateRoutine:
 class TestIncrementalResistance:
     def test_matches_fresh_trace_after_random_journal(self, medium_ba):
         graph = DynamicGraph(medium_ba)
-        tracker = IncrementalResistance(graph, [0, 5], refresh_interval=1000)
+        tracker = IncrementalResistance(graph, [0, 5])
         rng = np.random.default_rng(99)
         events = random_update_journal(graph, 50, rng)
         assert len(events) == 50
@@ -244,8 +244,9 @@ class TestIncrementalResistance:
 
     def test_refresh_policy_triggers(self, small_ba):
         graph = DynamicGraph(small_ba)
-        tracker = IncrementalResistance(graph, [0], refresh_interval=4)
-        random_update_journal(graph, 12, np.random.default_rng(1))
+        tracker = IncrementalResistance(graph, [0])
+        # 72 relevant events in one burst: past the dense budget of 64.
+        random_update_journal(graph, 72, np.random.default_rng(1))
         tracker.trace()
         assert tracker.stats.refreshes >= 1
         assert tracker.trace() == pytest.approx(
@@ -283,26 +284,24 @@ class TestIncrementalResistance:
 
     def test_grounded_grounded_edge_skipped(self, karate):
         graph = DynamicGraph(karate)
-        tracker = IncrementalResistance(graph, [0, 9], refresh_interval=1)
+        tracker = IncrementalResistance(graph, [0, 9])
         assert not graph.has_edge(0, 9)
         graph.add_edge(0, 9)  # both endpoints grounded: inverse unaffected
-        graph.update_weight(0, 9, 3.0)
-        graph.update_weight(0, 9, 5.0)
+        for step in range(70):
+            graph.update_weight(0, 9, 2.0 + step % 2)
         before = tracker.stats.rank1_updates
         assert tracker.trace() == pytest.approx(
             grounded_trace(graph.snapshot(), [0, 9]), rel=1e-9
         )
         assert tracker.stats.rank1_updates == before
         # Irrelevant events must not count against the staleness budget either
-        # (three events > refresh_interval=1, yet no refresh happened).
+        # (71 events > the dense budget of 64, yet no refresh happened).
         assert tracker.stats.refreshes == 0
 
     def test_invalid_group_rejected(self, karate):
         graph = DynamicGraph(karate)
         with pytest.raises(InvalidParameterError):
             IncrementalResistance(graph, [])
-        with pytest.raises(InvalidParameterError):
-            IncrementalResistance(graph, [0], refresh_interval=0)
 
 
 class TestDynamicCFCM:

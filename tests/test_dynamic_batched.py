@@ -1,5 +1,5 @@
 """Tests for the generalised incremental-update stack: rank-t Woodbury
-batches, block-inverse grow, and the fully mutable node set."""
+batches and the fully mutable node set."""
 
 import numpy as np
 import pytest
@@ -20,11 +20,10 @@ from repro.exceptions import (
 )
 from repro.graph import generators
 from repro.linalg.laplacian import grounded_laplacian_dense, laplacian_dense
+from repro.linalg.backends import DenseResistanceBackend
 from repro.linalg.updates import (
     grounded_inverse_block_update,
-    grounded_inverse_downdate,
     grounded_inverse_edge_update,
-    grounded_inverse_grow,
 )
 
 
@@ -124,54 +123,6 @@ class TestBlockUpdate:
             grounded_inverse_block_update(inverse, [(4, 4, 1.0), (0, 1, 1.0)])
         with pytest.raises(InvalidParameterError):
             grounded_inverse_block_update(np.ones((2, 3)), [(0, 1, 1.0)])
-
-
-class TestGrow:
-    """Block-inverse row/column append, the dual of the downdate."""
-
-    def test_grow_matches_fresh(self, karate):
-        matrix, kept = grounded_laplacian_dense(karate, [0])
-        inverse = np.linalg.inv(matrix)
-        n = matrix.shape[0]
-        column = np.zeros(n)
-        column[3] = -1.0
-        column[7] = -2.0
-        grown = grounded_inverse_grow(inverse, column, 4.5)
-        bigger = np.zeros((n + 1, n + 1))
-        bigger[:n, :n] = matrix
-        bigger[:n, n] = column
-        bigger[n, :n] = column
-        bigger[n, n] = 4.5
-        assert np.allclose(grown, np.linalg.inv(bigger), atol=1e-8)
-
-    def test_grow_after_downdate_round_trips(self, karate):
-        matrix, _ = grounded_laplacian_dense(karate, [0])
-        inverse = np.linalg.inv(matrix)
-        n = matrix.shape[0]
-        # Downdate the *last* row, then grow it back with the original
-        # coupling column: the round trip must restore the inverse exactly.
-        reduced = grounded_inverse_downdate(inverse, n - 1)
-        restored = grounded_inverse_grow(
-            reduced, matrix[:-1, -1], float(matrix[-1, -1])
-        )
-        assert np.allclose(restored, inverse, atol=1e-8)
-
-    def test_grow_attached_only_to_ground(self, karate):
-        # A node whose every edge goes to the grounded set: c = 0, d = Σw,
-        # and its resistance to the group is 1/d.
-        matrix, _ = grounded_laplacian_dense(karate, [0])
-        inverse = np.linalg.inv(matrix)
-        grown = grounded_inverse_grow(inverse, np.zeros(matrix.shape[0]), 2.0)
-        assert grown[-1, -1] == pytest.approx(0.5)
-        assert np.allclose(grown[:-1, :-1], inverse, atol=1e-12)
-
-    def test_singular_and_invalid_grows_rejected(self, karate):
-        matrix, _ = grounded_laplacian_dense(karate, [0])
-        inverse = np.linalg.inv(matrix)
-        with pytest.raises(InvalidParameterError, match="singular"):
-            grounded_inverse_grow(inverse, np.zeros(matrix.shape[0]), 0.0)
-        with pytest.raises(InvalidParameterError):
-            grounded_inverse_grow(inverse, np.zeros(3), 1.0)
 
 
 class TestDynamicGraphNodes:
@@ -333,7 +284,7 @@ class TestJournalCompaction:
 
     def test_tracker_recovers_from_compaction(self, small_ba):
         graph = DynamicGraph(small_ba)
-        tracker = IncrementalResistance(graph, [0], refresh_interval=1000)
+        tracker = IncrementalResistance(graph, [0])
         random_update_journal(graph, 6, np.random.default_rng(0))
         graph.compact(graph.version)  # drop the suffix the tracker needs
         assert tracker.trace() == pytest.approx(
@@ -357,17 +308,18 @@ class TestJournalCompaction:
 
     def test_stale_tracker_does_not_pin_journal(self, small_ba):
         graph = DynamicGraph(small_ba)
-        engine = DynamicCFCM(graph, seed=0, refresh_interval=8)
+        engine = DynamicCFCM(graph, seed=0)
+        budget = DenseResistanceBackend.break_even
         engine.evaluate_exact([0])  # this tracker then goes idle forever
         rng = np.random.default_rng(3)
-        for _ in range(10):
+        for _ in range(40):
             random_update_journal(graph, 4, rng)
             engine.evaluate_exact([1, 2])
-        # The idle tracker lags far beyond refresh_interval, so it would
-        # refresh (not replay) anyway; the journal must stay bounded.
-        assert graph.version == 40
-        assert graph.version - graph.journal_floor <= 2 * engine.refresh_interval
-        assert len(graph.journal()) <= 2 * engine.refresh_interval
+        # The idle tracker lags far beyond the dense budget of 64, so it
+        # would refresh (not replay) anyway; the journal must stay bounded.
+        assert graph.version == 160
+        assert graph.version - graph.journal_floor <= budget
+        assert len(graph.journal()) <= budget
         # And the stale tracker still answers correctly via its refresh path.
         assert engine.evaluate_exact([0]) == pytest.approx(
             graph.n / fresh_grounded_trace(graph, [0]), rel=1e-9
@@ -395,7 +347,7 @@ class TestBatchedSyncEquivalence:
         base = generators.barabasi_albert(70, 3, seed=seed)
         graph = DynamicGraph(base)
         group = [0, 5, 9]
-        tracker = IncrementalResistance(graph, group, refresh_interval=10_000)
+        tracker = IncrementalResistance(graph, group)
         for _ in range(6):
             events = random_churn_journal(graph, 12, rng,
                                           node_probability=0.25,
@@ -410,12 +362,11 @@ class TestBatchedSyncEquivalence:
             )
         stats = tracker.stats
         assert stats.batch_updates > 0
-        assert stats.refreshes == 0
         assert stats.node_grows + stats.node_downdates > 0
 
     def test_pure_edge_burst_is_one_batch(self, medium_ba):
         graph = DynamicGraph(medium_ba)
-        tracker = IncrementalResistance(graph, [0, 5], refresh_interval=1000)
+        tracker = IncrementalResistance(graph, [0, 5])
         random_update_journal(graph, 16, np.random.default_rng(2))
         tracker.trace()
         assert tracker.stats.batch_updates == 1
@@ -424,7 +375,7 @@ class TestBatchedSyncEquivalence:
 
     def test_singular_batch_falls_back_to_refresh(self, small_ba, monkeypatch):
         graph = DynamicGraph(small_ba)
-        tracker = IncrementalResistance(graph, [0], refresh_interval=1000)
+        tracker = IncrementalResistance(graph, [0])
         random_update_journal(graph, 8, np.random.default_rng(4))
 
         import repro.linalg.backends as backends_module
@@ -443,7 +394,7 @@ class TestBatchedSyncEquivalence:
     def test_grow_after_downdate_round_trip_through_tracker(self, karate):
         graph = DynamicGraph(karate)
         group = [0, 33]
-        tracker = IncrementalResistance(graph, group, refresh_interval=1000)
+        tracker = IncrementalResistance(graph, group)
         before = tracker.trace()
         removal = graph.remove_node(11)
         tracker.trace()
@@ -455,12 +406,16 @@ class TestBatchedSyncEquivalence:
         assert after == pytest.approx(before, abs=1e-8)
         assert tracker.stats.refreshes == 0
 
-    def test_node_events_count_true_cost_against_budget(self, karate):
-        graph = DynamicGraph(karate)
-        tracker = IncrementalResistance(graph, [0], refresh_interval=8)
-        # One add_node with 8 kept attachments costs 1 grow + 8 diagonal
-        # corrections = 9 > 8 low-rank updates: must refresh, not replay.
-        graph.add_node(list(range(1, 9)))
+    def test_node_events_count_true_cost_against_budget(self, medium_ba):
+        graph = DynamicGraph(medium_ba)
+        tracker = IncrementalResistance(graph, [0])
+        # A leave frees a tombstone row, so the join below finds a free row.
+        graph.remove_node(medium_ba.n - 1)
+        tracker.sync()
+        assert tracker.stats.refreshes == 0
+        # One add_node with 64 kept attachments costs 1 row clear + 64
+        # edge terms = 65 > 64 low-rank updates: must refresh, not replay.
+        graph.add_node(list(range(1, 65)))
         assert tracker.trace() == pytest.approx(
             fresh_grounded_trace(graph, [0]), rel=1e-9
         )
@@ -469,7 +424,7 @@ class TestBatchedSyncEquivalence:
 
     def test_removing_grounded_node_invalidates_tracker(self, small_ba):
         graph = DynamicGraph(small_ba)
-        tracker = IncrementalResistance(graph, [3], refresh_interval=1000)
+        tracker = IncrementalResistance(graph, [3])
         graph.remove_node(3)
         with pytest.raises(GraphError, match="no longer exists"):
             tracker.trace()

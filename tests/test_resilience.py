@@ -198,12 +198,12 @@ class TestFailover:
         u, v = missing_edge(engine.graph)
         engine.graph.add_edge(u, v)
 
-        original = tracker._apply_edge_batch
+        original = tracker._apply_triples
 
-        def broken(batch):
+        def broken(triples):
             raise RuntimeError("injected mid-sync crash")
 
-        tracker._apply_edge_batch = broken
+        tracker._apply_triples = broken
         with pytest.raises(RuntimeError):
             engine.evaluate_exact(GROUP)
         # Nothing committed: same synced version, bit-identical inverse.
@@ -211,7 +211,7 @@ class TestFailover:
         np.testing.assert_array_equal(tracker.backend.inverse, inverse_before)
 
         # Recovery: the retried read matches a never-faulted engine exactly.
-        tracker._apply_edge_batch = original
+        tracker._apply_triples = original
         recovered = engine.evaluate_exact(GROUP)
         clean_graph = DynamicGraph(base)
         clean = DynamicCFCM(clean_graph, seed=2, backend="dense")
@@ -450,9 +450,10 @@ class TestCheckpointRecovery:
         assert tracker.backend.solver_used == "hub_core"
         assert tracker.stats.as_dict() == stats.as_dict()
 
-    def test_checkpoint_carries_spare_rows(self, tmp_path, hub_ba):
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_checkpoint_carries_spare_rows(self, tmp_path, hub_ba, backend):
         graph = DynamicGraph(hub_ba)
-        engine = DynamicCFCM(graph, seed=5, pool_size=8, backend="sparse")
+        engine = DynamicCFCM(graph, seed=5, pool_size=8, backend=backend)
         engine.evaluate_exact(GROUP)
         graph.add_node([3, 4])  # no free row: refactorise with 2 spares
         engine.evaluate_exact(GROUP)
@@ -461,7 +462,7 @@ class TestCheckpointRecovery:
         path = str(tmp_path / "engine.npz")
         engine.checkpoint(path)
         # The quiesce refactorises with spares sized from that one join;
-        # the restored tracker rebuilds the same padded factor.
+        # the restored tracker holds the same padded factor.
         restored = DynamicCFCM.restore(path)
         for side in (engine, restored):
             tracker = side.tracker(GROUP)
