@@ -9,8 +9,9 @@ absorption time of a random walk into a grounded node group is
 closeness make excellent replica sets.
 
 The script builds a scale-free overlay, selects replica sets with several
-strategies and measures (a) the group CFCC and (b) the empirical mean number
-of hops a random walk needs to hit the replica set.
+strategies and reports (a) the group CFCC and (b) the expected number of
+hops a random walk started at a uniformly random peer needs to hit the
+replica set.
 
 Run with::
 
@@ -24,23 +25,8 @@ import argparse
 import numpy as np
 
 import repro
+from repro.centrality.absorbing import mean_group_hitting_time
 from repro.graph import generators
-
-
-def mean_hitting_time(graph, targets, walks: int = 300, seed: int = 0) -> float:
-    """Empirical mean number of hops for a random walk to reach ``targets``."""
-    rng = np.random.default_rng(seed)
-    target_set = set(int(t) for t in targets)
-    indptr, adjacency, degrees = graph.adjacency_lists()
-    totals = 0.0
-    for _ in range(walks):
-        node = int(rng.integers(0, graph.n))
-        hops = 0
-        while node not in target_set and hops < 20 * graph.n:
-            node = adjacency[indptr[node] + int(rng.integers(0, degrees[node]))]
-            hops += 1
-        totals += hops
-    return totals / walks
 
 
 def main() -> None:
@@ -69,7 +55,7 @@ def main() -> None:
     print(f"{'strategy':<12} {'group CFCC':>11} {'mean hops to replica':>22}")
     for label, replicas in strategies.items():
         value = repro.group_cfcc(graph, replicas)
-        hops = mean_hitting_time(graph, replicas, seed=args.seed)
+        hops = mean_group_hitting_time(graph, replicas)
         print(f"{label:<12} {value:>11.4f} {hops:>22.2f}")
     print("\nHigher CFCC should coincide with fewer hops for search walks —")
     print("the connection between CFCC and random-walk accessibility that")

@@ -1,0 +1,190 @@
+#!/usr/bin/env python
+"""Which functions under ``src/repro`` does the repo's traffic execute?
+
+Traffic is every input the code serves: the four perfbench workloads, the
+CI experiment and bench smokes, the paper-artefact CLI and the examples.
+Each source runs in a subprocess of its own, with a fresh temporary
+directory as its working directory (so no ``BENCH_*``, ``METRICS_*`` or
+``WORLDS_*`` artifact lands in the repository) and BLAS pinned to one
+thread.  A profile hook (``sys.setprofile`` and ``threading.setprofile``)
+records every Python function that starts.  The script then prints, per
+module, the ``src/repro`` functions that no source executed, with their
+line counts, and one line per source: its exit status, how many src
+functions it executed and a digest of that set of qualified names, so two
+commits can be compared source by source.
+
+It uses the standard library and the repo only, takes several minutes and
+is not a CI step::
+
+    python scripts/traffic_trace.py
+
+Work in processes that a source starts itself is not seen; none of the
+sources below starts one that runs the library.
+"""
+
+from __future__ import annotations
+
+import ast
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from collections import defaultdict
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
+BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+TIMEOUT_S = 1800
+
+# (label, "module" | "path", target, arguments)
+SOURCES = [
+    *((f"perfbench {name}", "module", "perfbench.child",
+       ["--workload", name, "--seed", "1", "--seconds", "4", "--trace", "0"])
+      for name in ("select", "serve_churn", "shard_lattice", "serve_mixed")),
+    ("experiments serve --smoke", "module", "repro.experiments",
+     ["serve", "--smoke"]),
+    ("experiments worlds --smoke", "module", "repro.experiments",
+     ["worlds", "--smoke"]),
+    ("experiments worlds --smoke --faults", "module", "repro.experiments",
+     ["worlds", "--smoke", "--faults"]),
+    ("experiments all --quick", "module", "repro.experiments",
+     ["all", "--quick"]),
+    ("experiments dynamic --quick", "module", "repro.experiments",
+     ["dynamic", "--quick"]),
+    *((f"bench_{name} --smoke", "path",
+       str(REPO / "benchmarks" / f"bench_{name}.py"), ["--smoke"])
+      for name in ("dynamic", "async", "sampling", "pool", "backend",
+                   "distributed", "worlds")),
+    *((f"example {path.stem}", "path", str(path), [])
+      for path in sorted((REPO / "examples").glob("*.py"))),
+]
+
+# Runs in the child: argv is (kind, target, output file, *arguments).
+CHILD = r"""
+import json, runpy, sys, threading
+kind, target, output, src = sys.argv[1:5]
+sys.argv = [target] + sys.argv[5:]
+seen = set()
+
+def hook(frame, event, arg):
+    if event == "call":
+        seen.add(frame.f_code)
+
+sys.setprofile(hook)
+threading.setprofile(hook)
+status = 0
+try:
+    if kind == "module":
+        runpy.run_module(target, run_name="__main__", alter_sys=True)
+    else:
+        runpy.run_path(target, run_name="__main__")
+except SystemExit as exc:
+    status = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+finally:
+    sys.setprofile(None)
+    threading.setprofile(None)
+    with open(output, "w") as handle:
+        json.dump(sorted({(code.co_filename, code.co_firstlineno)
+                          for code in seen if code.co_filename.startswith(src)}),
+                  handle)
+sys.exit(status)
+"""
+
+
+def src_functions() -> dict:
+    """``(file, first line) -> (module, qualname, line count)`` of every def.
+
+    The first line is that of the first decorator, as in ``co_firstlineno``.
+    """
+    functions = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([child.lineno]
+                                + [d.lineno for d in child.decorator_list])
+                    qualname = f"{prefix}{child.name}"
+                    functions[(str(path), first)] = (
+                        module, qualname, child.end_lineno - first + 1)
+                    visit(child, f"{qualname}.<locals>.")
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.")
+                else:
+                    visit(child, prefix)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return functions
+
+
+def run_source(kind: str, target: str, arguments: list) -> tuple:
+    """Run one source under the hook; returns (exit status, executed keys)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO)])
+    for key in BLAS_ENV:
+        env[key] = "1"
+    with tempfile.TemporaryDirectory() as workdir:
+        output = Path(workdir) / "executed.json"
+        try:
+            status = subprocess.run(
+                [sys.executable, "-c", CHILD, kind, target, str(output),
+                 str(SRC), *arguments],
+                cwd=workdir, env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+        except subprocess.TimeoutExpired:
+            status = "timeout"
+        executed = ({tuple(key) for key in json.loads(output.read_text())}
+                    if output.exists() else None)
+    return status, executed
+
+
+def main() -> int:
+    functions = src_functions()
+    executed_any = set()
+    rows = []
+    untraced = 0
+    for label, kind, target, arguments in SOURCES:
+        status, executed = run_source(kind, target, arguments)
+        if executed is None:
+            untraced += 1
+            rows.append(f"{label}: exit {status}, no trace written")
+        else:
+            executed_any |= executed
+            names = sorted(f"{functions[key][0]}:{functions[key][1]}"
+                           for key in executed if key in functions)
+            digest = hashlib.sha256("\n".join(names).encode()).hexdigest()[:16]
+            rows.append(f"{label}: exit {status}, {len(names)} src functions, "
+                        f"digest {digest}")
+        print(rows[-1], file=sys.stderr, flush=True)
+
+    unexecuted = defaultdict(list)
+    lines_all = defaultdict(set)
+    lines_unexecuted = defaultdict(set)
+    for (path, first), (module, qualname, count) in functions.items():
+        span = range(first, first + count)
+        lines_all[path].update(span)
+        if (path, first) not in executed_any:
+            unexecuted[module].append((first, qualname, count))
+            lines_unexecuted[path].update(span)
+
+    print("\nsrc functions no source executed (line count, qualified name):")
+    for module in sorted(unexecuted):
+        print(module)
+        for _, qualname, count in sorted(unexecuted[module]):
+            print(f"  {count:5d}  {qualname}")
+    total = sum(len(entries) for entries in unexecuted.values())
+    print(f"\n{total} of {len(functions)} src functions ran in no source; they "
+          f"hold {sum(map(len, lines_unexecuted.values()))} of the "
+          f"{sum(map(len, lines_all.values()))} lines inside functions.")
+    print("\nper source:")
+    for row in rows:
+        print(f"  {row}")
+    return 1 if untraced else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -34,13 +34,7 @@ from repro.centrality import (
     ForestCFCM,
     METHODS,
     SchurCFCM,
-    approximation_ratio,
-    compare_methods,
     degree_group,
-    effectiveness_curve,
-    group_overlap,
-    ranking_agreement,
-    relative_difference,
     first_pick_objective,
     forest_delta,
     group_cfcc,
@@ -53,7 +47,6 @@ from repro.centrality import (
     resistance_distance,
     resistance_to_group,
     schur_delta,
-    single_cfcc,
     single_cfcc_all,
     top_cfcc_group,
     total_group_resistance,
@@ -99,7 +92,6 @@ __all__ = [
     "group_cfcc",
     "group_cfcc_estimate",
     "grounded_trace",
-    "single_cfcc",
     "single_cfcc_all",
     "resistance_distance",
     "resistance_to_group",
@@ -107,11 +99,4 @@ __all__ = [
     "marginal_gain",
     "marginal_gains_all",
     "first_pick_objective",
-    # evaluation metrics
-    "approximation_ratio",
-    "compare_methods",
-    "effectiveness_curve",
-    "group_overlap",
-    "ranking_agreement",
-    "relative_difference",
 ]

@@ -4,7 +4,6 @@ from repro.centrality.cfcc import (
     group_cfcc,
     group_cfcc_estimate,
     grounded_trace,
-    single_cfcc,
     single_cfcc_all,
 )
 from repro.centrality.resistance import (
@@ -25,20 +24,11 @@ from repro.centrality.schur_cfcm import SchurCFCM, schur_delta, choose_extra_roo
 from repro.centrality.heuristics import degree_group, top_cfcc_group
 from repro.centrality.optimum import optimum_cfcm
 from repro.centrality.api import maximize_cfcc, METHODS
-from repro.centrality.evaluation import (
-    approximation_ratio,
-    compare_methods,
-    effectiveness_curve,
-    group_overlap,
-    ranking_agreement,
-    relative_difference,
-)
 
 __all__ = [
     "group_cfcc",
     "group_cfcc_estimate",
     "grounded_trace",
-    "single_cfcc",
     "single_cfcc_all",
     "resistance_distance",
     "resistance_to_group",
@@ -59,10 +49,4 @@ __all__ = [
     "optimum_cfcm",
     "maximize_cfcc",
     "METHODS",
-    "approximation_ratio",
-    "compare_methods",
-    "effectiveness_curve",
-    "group_overlap",
-    "ranking_agreement",
-    "relative_difference",
 ]

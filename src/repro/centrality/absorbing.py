@@ -16,8 +16,8 @@ This module exposes them directly:
   "search cost" companion to ``C(S)``;
 * :func:`expected_wilson_visits` — ``Tr((I - P_{-S})^{-1})``, the Lemma 3.7
   bound on the sampler's work;
-* :func:`simulate_hitting_time` — Monte Carlo cross-check used in tests and
-  by the P2P example.
+* :func:`weighted_group_resistance_identity` — the degree-weighted diagonal
+  of ``inv(L_{-S})``, which equals that trace.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 from repro.graph.graph import Graph
 from repro.graph.traversal import require_connected
 from repro.linalg.laplacian import grounded_transition_matrix
-from repro.utils.rng import RandomState, as_rng
 from repro.utils.validation import check_group
 
 
@@ -84,28 +83,3 @@ def weighted_group_resistance_identity(graph: Graph, group: Sequence[int]) -> fl
     degrees = graph.degrees[kept].astype(np.float64)
     return float(np.sum(degrees * np.diag(inverse)))
 
-
-def simulate_hitting_time(graph: Graph, group: Sequence[int], walks: int = 200,
-                          seed: RandomState = None,
-                          max_steps_factor: int = 50) -> float:
-    """Monte Carlo estimate of the mean absorption time into ``group``.
-
-    Starts each walk at a uniformly random node (group members contribute 0
-    steps) and follows the simple random walk until a group node is reached.
-    """
-    require_connected(graph)
-    group = set(check_group(group, graph.n))
-    if walks <= 0:
-        raise ValueError("walks must be positive")
-    rng = as_rng(seed)
-    indptr, adjacency, degrees = graph.adjacency_lists()
-    cap = max_steps_factor * graph.n
-    total = 0.0
-    for _ in range(walks):
-        node = int(rng.integers(0, graph.n))
-        steps = 0
-        while node not in group and steps < cap:
-            node = adjacency[indptr[node] + int(rng.integers(0, degrees[node]))]
-            steps += 1
-        total += steps
-    return total / walks

@@ -22,7 +22,7 @@ from repro.graph.traversal import require_connected
 from repro.linalg.laplacian import grounded_laplacian, grounded_laplacian_dense
 from repro.linalg.pseudoinverse import laplacian_pseudoinverse
 from repro.linalg.solvers import LaplacianSolver, SolverMethod, estimate_trace_of_inverse
-from repro.utils.validation import check_group, check_node
+from repro.utils.validation import check_group
 
 
 def grounded_trace(graph: Graph, group: Sequence[int]) -> float:
@@ -66,14 +66,6 @@ def group_cfcc_solver(graph: Graph, group: Sequence[int],
     matrix, _ = grounded_laplacian(graph, group)
     solver = LaplacianSolver(matrix, method=method)
     return graph.n / solver.trace_of_inverse()
-
-
-def single_cfcc(graph: Graph, node: int) -> float:
-    """Exact single-node CFCC ``C(u) = n / (Tr(L†) + n L†_uu)``."""
-    require_connected(graph)
-    check_node(node, graph.n)
-    pinv = laplacian_pseudoinverse(graph)
-    return graph.n / (float(np.trace(pinv)) + graph.n * float(pinv[node, node]))
 
 
 def single_cfcc_all(graph: Graph) -> np.ndarray:

@@ -97,7 +97,6 @@ from repro.sampling.batch import (
     LOCKSTEP_STATE_LIMIT,
     sample_forest_batch_vectorized,
 )
-from repro.sampling.wilson import sample_rooted_forest
 from repro.utils.rng import RandomState, as_rng
 
 
@@ -532,9 +531,8 @@ class ForestAccumulator:
     def add_samples(self, batch_size: int) -> None:
         """Sample ``batch_size`` forests and fold them into the running sums.
 
-        Batches of two or more are drawn with the lockstep vectorised
-        sampler (in memory-bounded chunks) and folded through
-        :meth:`add_batch`; a single sample falls back to the scalar sampler.
+        Forests are drawn with the lockstep vectorised sampler, in
+        memory-bounded chunks, and folded through :meth:`add_batch`.
         """
         remaining = int(batch_size)
         if remaining <= 0:
@@ -548,33 +546,10 @@ class ForestAccumulator:
                                (1 << 24) // max(n * rows, 1)))
         while remaining > 0:
             take = min(remaining, chunk_cap)
-            if take == 1:
-                forest = sample_rooted_forest(self.graph, self.roots, seed=self.rng)
-                self._process(forest)
-            else:
-                batch = sample_forest_batch_vectorized(self.graph, self.roots,
-                                                       take, seed=self.rng)
-                self.add_batch(batch)
+            batch = sample_forest_batch_vectorized(self.graph, self.roots,
+                                                   take, seed=self.rng)
+            self.add_batch(batch)
             remaining -= take
-
-    def add_forest(self, forest, weight: float = 1.0) -> None:
-        """Fold one externally sampled forest into the running sums.
-
-        The forest must be rooted at this accumulator's root set; this is the
-        entry point for callers that manage their own forest pool (batch
-        sampling workers, the dynamic engine's importance-weighted cache).
-        ``weight`` is the forest's importance weight (1 for a fresh sample).
-        """
-        if forest.n != self.graph.n:
-            raise InvalidParameterError(
-                f"forest has {forest.n} nodes, graph has {self.graph.n}"
-            )
-        if [int(r) for r in forest.roots] != self.roots:
-            raise InvalidParameterError(
-                f"forest roots {forest.roots.tolist()} do not match the "
-                f"accumulator root set {self.roots}"
-            )
-        self._process(forest, weight=float(weight))
 
     def add_batch(self, batch: ForestBatch,
                   weights: Optional[np.ndarray] = None,
@@ -591,8 +566,9 @@ class ForestAccumulator:
         summation order.
 
         ``weights`` optionally assigns each forest an importance weight
-        (default 1), making every estimate a self-normalised weighted mean —
-        this is how the dynamic engine's reweighted pools are evaluated.
+        (default 1), making every estimate a self-normalised weighted mean.
+        The dynamic engine does not fold its reweighted pools here: it
+        weights cached per-forest traces from :func:`batched_diag_estimates`.
         """
         if batch.n != self.graph.n:
             raise InvalidParameterError(
@@ -637,11 +613,6 @@ class ForestAccumulator:
                     None if root_of is None else root_of[index],
                     weight=float(weights[index]),
                 )
-
-    def _process(self, forest, weight: float = 1.0) -> None:
-        subtree = forest.subtree_sums(self.weights) if self.weights.shape[0] else None
-        root_of = forest.root_of() if self.tracked_roots else None
-        self._fold(forest.parent, subtree, root_of, weight=weight)
 
     def _fold(self, parent: np.ndarray, subtree: Optional[np.ndarray],
               root_of: Optional[np.ndarray], weight: float = 1.0) -> None:
@@ -739,9 +710,8 @@ class ForestAccumulator:
           walked, with forest ancestry tested by preorder intervals;
         * rooted-at counts from the batched pointer-doubling root map.
 
-        The per-forest ``weights`` multiply every contribution, which is
-        what lets one kernel serve both the fresh-sample estimators and the
-        importance-weighted pool evaluation.
+        The per-forest ``weights`` (1 for a fresh sample) multiply every
+        contribution.
         """
         n = self.graph.n
         if self.weights.shape[0]:
@@ -822,7 +792,6 @@ def run_adaptive_sampling(accumulator: ForestAccumulator, config: SamplingConfig
 
 def estimate_first_pick(graph: Graph, config: SamplingConfig,
                         seed: RandomState = None,
-                        anchor: Optional[int] = None,
                         ) -> Tuple[int, np.ndarray, Dict[str, float]]:
     """First greedy pick shared by ForestCFCM and SchurCFCM (Algorithm 3/5, lines 1-14).
 
@@ -846,7 +815,7 @@ def estimate_first_pick(graph: Graph, config: SamplingConfig,
     """
     rng = as_rng(seed)
     n = graph.n
-    s = int(np.argmax(graph.degrees)) if anchor is None else int(anchor)
+    s = int(np.argmax(graph.degrees))
     ones = np.ones((1, n))
     ones[0, s] = 0.0
     accumulator = ForestAccumulator(graph, [s], weights=ones, seed=rng)

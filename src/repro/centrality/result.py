@@ -45,10 +45,6 @@ class CFCMResult:
         """Number of selected nodes."""
         return len(self.group)
 
-    def as_set(self) -> set:
-        """Selected nodes as a set."""
-        return set(self.group)
-
     def prefix(self, size: int) -> Sequence[int]:
         """First ``size`` selected nodes (greedy prefix)."""
         if size < 0 or size > len(self.group):

@@ -70,9 +70,6 @@ class Partition:
         """``separator`` as a frozenset, for O(1) membership tests."""
         return frozenset(self.separator)
 
-    def is_separator(self, node: int) -> bool:
-        return int(node) in self.separator_set
-
     def describe(self) -> Dict[str, object]:
         """Summary dict for logs and bench artifacts."""
         return {

@@ -162,18 +162,37 @@ class IncrementalResistance:
                  backend: Union[str, ResistanceBackend] = "dense",
                  backend_options: Optional[Dict[str, object]] = None,
                  watchdog: Optional[ResidualWatchdog] = None):
+        self._install(graph, group, make_resistance_backend(
+            backend, n=graph.n, m=graph.m, options=backend_options,
+        ), watchdog)
+        self._factorize()
+
+    @classmethod
+    def _restored(cls, graph: DynamicGraph, group: Sequence[int],
+                  backend: ResistanceBackend,
+                  watchdog: Optional[ResidualWatchdog] = None,
+                  ) -> "IncrementalResistance":
+        """A tracker around ``backend`` that has factorised nothing yet.
+
+        Checkpoint restore builds trackers here and then installs the stored
+        factor and row table, so no factorisation is thrown away.
+        """
+        tracker = cls.__new__(cls)
+        tracker._install(graph, group, backend, watchdog)
+        return tracker
+
+    def _install(self, graph: DynamicGraph, group: Sequence[int],
+                 backend: ResistanceBackend,
+                 watchdog: Optional[ResidualWatchdog]) -> None:
         self.graph = graph
         self.group = list(graph.validate_group(group))
-        self.backend = make_resistance_backend(
-            backend, n=graph.n, m=graph.m, options=backend_options,
-        )
+        self.backend = backend
         self.watchdog = watchdog
         self.stats = ResistanceStats()
         self._updates_since_refresh = 0
         self._joins = 0
         self._synced_version = -1
         self._probing = False
-        self._factorize()
 
     @property
     def kept(self) -> np.ndarray:

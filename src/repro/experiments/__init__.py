@@ -29,7 +29,6 @@ Graphs are synthetic stand-ins for the paper's datasets (see DESIGN.md);
 """
 
 from repro.experiments.networks import (
-    experiment_suite,
     small_suite,
     medium_suite,
     tiny_suite,
@@ -44,7 +43,6 @@ from repro.experiments.figure5 import run_figure5
 from repro.experiments.worlds import run_worlds
 
 __all__ = [
-    "experiment_suite",
     "small_suite",
     "medium_suite",
     "tiny_suite",

@@ -16,7 +16,7 @@ and documented in DESIGN.md.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.exceptions import InvalidParameterError
 from repro.graph import datasets, generators
@@ -98,25 +98,3 @@ def eps_sweep_suite(scale: str = "small") -> Dict[str, Graph]:
         if name in small:
             picked[name] = small[name]
     return picked
-
-
-def experiment_suite(name: str, scale: str = "small") -> Dict[str, Graph]:
-    """Look up a suite by name (``tiny/small/medium/sparse/table2/eps``)."""
-    suites = {
-        "tiny": lambda: tiny_suite(),
-        "small": lambda: small_suite(scale),
-        "medium": lambda: medium_suite(scale),
-        "sparse": lambda: sparse_suite(scale),
-        "table2": lambda: table2_suite(scale),
-        "eps": lambda: eps_sweep_suite(scale),
-    }
-    if name not in suites:
-        raise InvalidParameterError(
-            f"unknown suite {name!r}; available: {sorted(suites)}"
-        )
-    return suites[name]()
-
-
-def suite_summaries(graphs: Dict[str, Graph]) -> List[Tuple[str, int, int]]:
-    """Compact (name, n, m) listing of a suite, for report headers."""
-    return [(name, graph.n, graph.m) for name, graph in graphs.items()]

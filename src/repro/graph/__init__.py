@@ -8,11 +8,9 @@ from repro.graph.builders import (
     to_networkx,
 )
 from repro.graph.traversal import (
-    bfs_order,
     bfs_tree,
     connected_components,
     diameter,
-    eccentricity,
     is_connected,
     largest_connected_component,
 )
@@ -27,11 +25,9 @@ __all__ = [
     "from_networkx",
     "from_adjacency_matrix",
     "to_networkx",
-    "bfs_order",
     "bfs_tree",
     "connected_components",
     "diameter",
-    "eccentricity",
     "is_connected",
     "largest_connected_component",
     "generators",

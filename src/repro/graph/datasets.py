@@ -22,7 +22,7 @@ large for a pure-Python reproduction, so this module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.graph import Graph
@@ -207,11 +207,3 @@ def paper_network(name: str) -> Graph:
             f"unknown paper network {name!r}; available: {sorted(PAPER_NETWORKS)}"
         )
     return PAPER_NETWORKS[name].build()
-
-
-def networks_by_tier(tier: str) -> List[NetworkSpec]:
-    """All registry entries in a given tier (``tiny/small/medium/large/xlarge``)."""
-    tiers = {spec.tier for spec in PAPER_NETWORKS.values()}
-    if tier not in tiers:
-        raise InvalidParameterError(f"unknown tier {tier!r}; available: {sorted(tiers)}")
-    return [spec for spec in PAPER_NETWORKS.values() if spec.tier == tier]

@@ -22,7 +22,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -133,16 +133,6 @@ class Graph:
     @property
     def m(self) -> int:
         """Number of undirected edges."""
-        return self._m
-
-    @property
-    def number_of_nodes(self) -> int:
-        """Alias of :attr:`n` for networkx-style call sites."""
-        return self._n
-
-    @property
-    def number_of_edges(self) -> int:
-        """Alias of :attr:`m` for networkx-style call sites."""
         return self._m
 
     def __len__(self) -> int:
@@ -281,8 +271,3 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash((self._n, self._m, self.edge_u.tobytes(), self.edge_v.tobytes()))
-
-
-def degree_sequence(graph: Graph) -> List[int]:
-    """Sorted (descending) degree sequence of ``graph``."""
-    return sorted((int(d) for d in graph.degrees), reverse=True)

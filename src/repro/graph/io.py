@@ -80,10 +80,3 @@ def write_edge_list(graph: Graph, path: PathLike,
             handle.write(f"# {line}\n")
         for u, v in graph.edges():
             handle.write(f"{u} {v}\n")
-
-
-def roundtrip(graph: Graph, path: PathLike) -> Graph:
-    """Write then re-read ``graph``; useful for IO tests and format checks."""
-    write_edge_list(graph, path)
-    reread, _ = read_edge_list(path)
-    return reread

@@ -2,8 +2,7 @@
 
 Table II of the paper reports, for every dataset, the node count, edge count,
 diameter τ and the chosen additional-root-set size ``|T*|``.  This module
-computes those summary statistics plus a few auxiliary quantities (degree
-distribution moments, clustering) used in the documentation and tests.
+computes those summary statistics plus the degree moments beside them.
 """
 
 from __future__ import annotations
@@ -42,27 +41,6 @@ class GraphSummary:
 def mean_degree(graph: Graph) -> float:
     """Average degree ``2m / n``."""
     return 2.0 * graph.m / graph.n if graph.n else 0.0
-
-
-def degree_histogram(graph: Graph) -> np.ndarray:
-    """``hist[d]`` = number of nodes of degree ``d``."""
-    return np.bincount(graph.degrees)
-
-
-def global_clustering(graph: Graph) -> float:
-    """Global clustering coefficient (transitivity), O(sum of degree^2)."""
-    adjacency_sets = [set(graph.neighbors(u).tolist()) for u in range(graph.n)]
-    triangles = 0
-    wedges = 0
-    for u in range(graph.n):
-        neighbours = sorted(adjacency_sets[u])
-        deg = len(neighbours)
-        wedges += deg * (deg - 1) // 2
-        for i, a in enumerate(neighbours):
-            for b in neighbours[i + 1:]:
-                if b in adjacency_sets[a]:
-                    triangles += 1
-    return 3.0 * (triangles / 3.0) / wedges if wedges else 0.0
 
 
 #: Largest ``|T*|`` scanned by :func:`extra_root_size`: SchurCFCM inverts a

@@ -46,14 +46,6 @@ class BFSTree:
         reachable = self.depth[self.depth >= 0]
         return int(reachable.max()) if reachable.size else 0
 
-    def levels(self) -> List[np.ndarray]:
-        """Nodes grouped by depth, ``levels()[d]`` listing nodes at depth ``d``."""
-        grouped: List[np.ndarray] = []
-        for d in range(self.max_depth + 1):
-            grouped.append(np.flatnonzero(self.depth == d))
-        return grouped
-
-
 def bfs_tree(graph: Graph, roots: Sequence[int]) -> BFSTree:
     """Breadth-first search from a set of root nodes.
 
@@ -90,11 +82,6 @@ def bfs_tree(graph: Graph, roots: Sequence[int]) -> BFSTree:
         parent=parent,
         depth=depth,
     )
-
-
-def bfs_order(graph: Graph, roots: Sequence[int]) -> np.ndarray:
-    """Nodes reachable from ``roots`` in BFS visiting order."""
-    return bfs_tree(graph, roots).order
 
 
 def connected_components(graph: Graph) -> List[np.ndarray]:
@@ -134,13 +121,6 @@ def largest_connected_component(graph: Graph) -> Tuple[Graph, np.ndarray]:
     """Largest connected component as a new graph plus the label mapping."""
     components = connected_components(graph)
     return graph.subgraph(components[0])
-
-
-def eccentricity(graph: Graph, node: int) -> int:
-    """Eccentricity (largest BFS distance) of ``node``; requires connectivity."""
-    require_connected(graph)
-    tree = bfs_tree(graph, [node])
-    return tree.max_depth
 
 
 def diameter(graph: Graph, exact: bool = False, samples: int = 16,

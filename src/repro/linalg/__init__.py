@@ -14,9 +14,8 @@ from repro.linalg.solvers import (
     SolverMethod,
     build_preconditioner,
     estimate_trace_of_inverse,
-    solve_grounded,
 )
-from repro.linalg.jl import JLProjection, jl_dimension
+from repro.linalg.jl import jl_dimension
 from repro.linalg.backends import (
     DenseResistanceBackend,
     ResistanceBackend,
@@ -29,7 +28,7 @@ from repro.linalg.schur import (
     schur_onto,
     grounded_inverse_block,
 )
-from repro.linalg.incidence import incidence_factor, grounded_incidence_factor
+from repro.linalg.incidence import grounded_incidence_factor
 from repro.linalg.updates import (
     grounded_inverse,
     grounded_inverse_block_update,
@@ -50,8 +49,6 @@ __all__ = [
     "SolverMethod",
     "build_preconditioner",
     "estimate_trace_of_inverse",
-    "solve_grounded",
-    "JLProjection",
     "jl_dimension",
     "ResistanceBackend",
     "DenseResistanceBackend",
@@ -61,7 +58,6 @@ __all__ = [
     "schur_complement",
     "schur_onto",
     "grounded_inverse_block",
-    "incidence_factor",
     "grounded_incidence_factor",
     "grounded_inverse",
     "grounded_inverse_block_update",

@@ -222,28 +222,6 @@ class ResistanceBackend:
         """
         return None
 
-    #: Probe columns served by :meth:`probe_block`.
-    probe_count = 24
-
-    def probe_block(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Deterministic Rademacher probes ``Z`` and their solves ``inv(M) Z``.
-
-        Shared by Hutchinson-style consumers (trace sketches, the sharded
-        engine's coupling estimates) so they agree on one probe stream and
-        one cached solve block per epoch.  The generic implementation pays
-        ``probe_count`` solves on first use per epoch; backends holding a
-        cheaper path (cached base solves plus a correction) override it.
-        """
-        cached = getattr(self, "_probe_cache", None)
-        if cached is not None and cached[0] == self._epoch \
-                and cached[1].shape[0] == self._n:
-            return cached[1], cached[2]
-        rng = np.random.default_rng(9176 + self._n)
-        z = np.where(rng.random((self._n, self.probe_count)) < 0.5, -1.0, 1.0)
-        y = self.solve_many(z)
-        self._probe_cache = (self._epoch, z, y)
-        return z, y
-
     # ------------------------------------------------------------- mutations
     def apply_triples(self, triples: Sequence[Triple]) -> None:
         """Fold a burst of rank-one terms ``M += Σ δ_k b_k b_kᵀ`` in.
@@ -281,6 +259,13 @@ class DenseResistanceBackend(ResistanceBackend):
         if sp.issparse(matrix):
             matrix = matrix.toarray()
         self.inverse = np.linalg.inv(np.asarray(matrix, dtype=np.float64))
+
+    def adopt_inverse(self, inverse: np.ndarray) -> None:
+        """Install a stored inverse (a checkpoint's) in place of a factorisation."""
+        self.inverse = np.asarray(inverse, dtype=np.float64)
+        self._n = int(self.inverse.shape[0])
+        self._invalidate()
+        _BACKEND_INFO.set(1.0, backend=self.name, solver=self.solver_used)
 
     def solve_many(self, rhs: np.ndarray) -> np.ndarray:
         if self.inverse is None:
@@ -379,7 +364,6 @@ class SparseResistanceBackend(ResistanceBackend):
         self._lu: Optional[Union[HubCoreFactor, spla.SuperLU]] = None
         self._cg: Optional[LaplacianSolver] = None
         self._reset_lowrank()
-        self.probe_count = int(probes)
         self._probe_z: Optional[np.ndarray] = None
         self._probe_base: Optional[np.ndarray] = None
         self._probe_corrected: Optional[Tuple[int, np.ndarray]] = None
@@ -537,7 +521,11 @@ class SparseResistanceBackend(ResistanceBackend):
         return np.mean(z * solved, axis=1)
 
     def probe_block(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Probes fixed per factorisation; solves = cached base + correction."""
+        """Rademacher probes ``Z``, fixed per factorisation, and ``inv(M) Z``.
+
+        Shared by the sketched diagonal and the sharded engine's coupling
+        estimates; the solves are the cached base block plus the correction.
+        """
         if self._probe_z is None or self._probe_z.shape[0] != self._n:
             rng = np.random.default_rng(self.seed + 7919 * self._factor_count)
             self._probe_z = np.where(

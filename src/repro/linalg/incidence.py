@@ -1,4 +1,4 @@
-"""Incidence factorisations ``L = B^T B`` of (grounded) Laplacians.
+"""Incidence factorisation ``L_{-S} = C^T C`` of a grounded Laplacian.
 
 The ApproxGreedy baseline estimates ``diag(inv(L_{-S}))`` through the identity
 
@@ -20,19 +20,6 @@ import scipy.sparse as sp
 from repro.graph.graph import Graph
 from repro.linalg.laplacian import complement_indices
 from repro.utils.validation import check_group
-
-
-def incidence_factor(graph: Graph) -> sp.csr_matrix:
-    """Edge-node incidence matrix ``B`` with ``B^T B = L``.
-
-    Row ``e`` for edge ``(u, v)`` has ``+1`` at ``u`` and ``-1`` at ``v``
-    (orientation ``u < v``).
-    """
-    m, n = graph.m, graph.n
-    rows = np.repeat(np.arange(m), 2)
-    cols = np.concatenate([graph.edge_u[:, None], graph.edge_v[:, None]], axis=1).ravel()
-    data = np.tile(np.array([1.0, -1.0]), m)
-    return sp.csr_matrix((data, (rows, cols)), shape=(m, n))
 
 
 def grounded_incidence_factor(graph: Graph, group: Sequence[int]

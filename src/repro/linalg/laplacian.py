@@ -79,14 +79,3 @@ def grounded_transition_matrix(graph: Graph, group: Sequence[int]
     kept = complement_indices(graph.n, group)
     full = transition_matrix(graph)
     return full[kept][:, kept].tocsr(), kept
-
-
-def is_symmetric_diagonally_dominant(matrix: np.ndarray, tol: float = 1e-9) -> bool:
-    """Check symmetry and (weak) diagonal dominance of a dense matrix."""
-    arr = np.asarray(matrix, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        return False
-    if not np.allclose(arr, arr.T, atol=tol):
-        return False
-    off_diag = np.sum(np.abs(arr), axis=1) - np.abs(np.diag(arr))
-    return bool(np.all(np.abs(np.diag(arr)) + tol >= off_diag))

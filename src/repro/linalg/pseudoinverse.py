@@ -8,8 +8,6 @@ first greedy pick of every CFCM algorithm (Eq. 4).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.graph.graph import Graph
@@ -32,13 +30,6 @@ def laplacian_pseudoinverse(graph: Graph) -> np.ndarray:
 def pseudoinverse_diagonal(graph: Graph) -> np.ndarray:
     """Diagonal of ``L†`` (used for single-node CFCC and the first greedy pick)."""
     return np.diag(laplacian_pseudoinverse(graph)).copy()
-
-
-def pseudoinverse_entry(graph: Graph, u: int, v: int) -> float:
-    """Single entry ``L†_{uv}``; convenience wrapper for tests and examples."""
-    check_node(u, graph.n)
-    check_node(v, graph.n)
-    return float(laplacian_pseudoinverse(graph)[u, v])
 
 
 def pseudoinverse_diagonal_grounded(graph: Graph, anchor: int) -> np.ndarray:
@@ -80,10 +71,3 @@ def effective_resistance_matrix(graph: Graph) -> np.ndarray:
 def kirchhoff_index(graph: Graph) -> float:
     """Kirchhoff index ``Kf = n * Tr(L†)`` = sum of all pairwise resistances / 1."""
     return float(graph.n * np.trace(laplacian_pseudoinverse(graph)))
-
-
-def top_pseudoinverse_nodes(graph: Graph, count: int) -> Sequence[int]:
-    """Nodes with the smallest ``L†_uu`` (the best single spreaders)."""
-    diag = pseudoinverse_diagonal(graph)
-    order = np.argsort(diag, kind="stable")
-    return [int(v) for v in order[:count]]

@@ -32,6 +32,9 @@ from repro.utils.faultpoints import fault_point
 
 Matrix = Union[np.ndarray, sp.spmatrix]
 
+#: ``AUTO`` factors systems of up to this many unknowns by dense Cholesky.
+DENSE_THRESHOLD = 600
+
 
 class SolverMethod(str, Enum):
     """Available factorisation / iteration strategies."""
@@ -51,27 +54,22 @@ class LaplacianSolver:
         The SPD matrix (dense array or scipy sparse matrix).  Grounded
         Laplacians ``L_{-S}`` of connected graphs always qualify.
     method:
-        One of :class:`SolverMethod`; ``AUTO`` selects dense Cholesky below
-        ``dense_threshold`` unknowns and ``SPARSE_LU`` otherwise.
+        One of :class:`SolverMethod`; ``AUTO`` selects dense Cholesky up to
+        :data:`DENSE_THRESHOLD` unknowns and ``SPARSE_LU`` otherwise.
         ``SPARSE_LU`` factors through
         :func:`repro.linalg.factor.factorize_spd` (a dense-Cholesky hub core
         on hub-heavy patterns, symmetric-mode SuperLU otherwise).
     tol:
         Relative residual tolerance for the CG method.
     maxiter:
-        CG iteration cap (``None`` lets scipy pick ``10 n``).
-    preconditioner:
-        Optional pre-built preconditioner for the CG method (e.g. from
-        :func:`build_preconditioner`); when omitted a Jacobi preconditioner
-        is built from the matrix diagonal.
+        CG iteration cap (``None`` lets scipy pick ``10 n``).  CG is
+        preconditioned with :func:`build_preconditioner`.
     """
 
     def __init__(self, matrix: Matrix,
                  method: Union[SolverMethod, str] = SolverMethod.AUTO,
                  tol: float = 1e-10,
-                 maxiter: Optional[int] = None,
-                 dense_threshold: int = 600,
-                 preconditioner: Optional[spla.LinearOperator] = None):
+                 maxiter: Optional[int] = None):
         method = SolverMethod(method)
         self.tol = float(tol)
         self.maxiter = maxiter
@@ -80,7 +78,7 @@ class LaplacianSolver:
             raise InvalidParameterError("solver matrix must be square")
 
         if method is SolverMethod.AUTO:
-            method = (SolverMethod.DENSE_CHOLESKY if self._n <= dense_threshold
+            method = (SolverMethod.DENSE_CHOLESKY if self._n <= DENSE_THRESHOLD
                       else SolverMethod.SPARSE_LU)
         self.method = method
 
@@ -102,10 +100,7 @@ class LaplacianSolver:
         elif method is SolverMethod.CONJUGATE_GRADIENT:
             sparse = sp.csr_matrix(matrix, dtype=np.float64)
             self._sparse_matrix = sparse
-            if preconditioner is not None:
-                self._preconditioner = preconditioner
-            else:
-                self._preconditioner = build_preconditioner(sparse, kind="jacobi")
+            self._preconditioner = build_preconditioner(sparse)
         else:  # pragma: no cover - exhaustive enum
             raise InvalidParameterError(f"unsupported solver method {method}")
 
@@ -182,48 +177,16 @@ def _cg(matrix, rhs, rtol, maxiter, M):
         return spla.cg(matrix, rhs, tol=rtol, maxiter=maxiter, M=M)
 
 
-def build_preconditioner(matrix: Matrix, kind: str = "jacobi",
-                         drop_tol: float = 1e-4,
-                         fill_factor: float = 10.0) -> spla.LinearOperator:
-    """Build a CG preconditioner for an SPD (grounded-Laplacian) matrix.
-
-    ``kind`` is ``"jacobi"`` (inverse diagonal — cheap, always applicable to
-    grounded Laplacians) or ``"ilu"`` (incomplete LU via ``spilu`` — costlier
-    to build, stronger on ill-conditioned systems).
-    """
-    kind = str(kind).lower()
-    if kind == "jacobi":
-        sparse = matrix if sp.issparse(matrix) else sp.csr_matrix(matrix)
-        diagonal = np.asarray(sparse.diagonal(), dtype=np.float64)
-        if np.any(diagonal <= 0):
-            raise InvalidParameterError(
-                "CG with Jacobi preconditioning requires positive diagonal entries"
-            )
-        inverse_diag = 1.0 / diagonal
-        return spla.LinearOperator(sparse.shape, matvec=lambda x: inverse_diag * x)
-    if kind == "ilu":
-        sparse = sp.csc_matrix(matrix, dtype=np.float64)
-        factor = spla.spilu(sparse, drop_tol=drop_tol, fill_factor=fill_factor)
-        return spla.LinearOperator(sparse.shape, matvec=factor.solve)
-    raise InvalidParameterError(
-        f"preconditioner kind must be 'jacobi' or 'ilu', got {kind!r}"
-    )
-
-
-def solve_grounded(matrix: Matrix, rhs: np.ndarray,
-                   method: Union[SolverMethod, str] = SolverMethod.AUTO,
-                   rtol: float = 1e-10,
-                   maxiter: Optional[int] = None,
-                   preconditioner: Optional[spla.LinearOperator] = None,
-                   ) -> np.ndarray:
-    """One-shot convenience wrapper: factor ``matrix`` and solve for ``rhs``.
-
-    ``rtol``/``maxiter``/``preconditioner`` reach the CG method when it is
-    selected; the direct methods ignore them.
-    """
-    solver = LaplacianSolver(matrix, method=method, tol=rtol, maxiter=maxiter,
-                             preconditioner=preconditioner)
-    return solver.solve(np.asarray(rhs, float))
+def build_preconditioner(matrix: Matrix) -> spla.LinearOperator:
+    """Jacobi (inverse-diagonal) CG preconditioner of an SPD grounded Laplacian."""
+    sparse = matrix if sp.issparse(matrix) else sp.csr_matrix(matrix)
+    diagonal = np.asarray(sparse.diagonal(), dtype=np.float64)
+    if np.any(diagonal <= 0):
+        raise InvalidParameterError(
+            "CG with Jacobi preconditioning requires positive diagonal entries"
+        )
+    inverse_diag = 1.0 / diagonal
+    return spla.LinearOperator(sparse.shape, matvec=lambda x: inverse_diag * x)
 
 
 def estimate_trace_of_inverse(matrix: Matrix, probes: int = 32,

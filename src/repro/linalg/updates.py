@@ -257,10 +257,6 @@ class GroundedInverseTracker:
         """``Tr(inv(L_{-S}))`` for the current group."""
         return float(np.trace(self.inverse))
 
-    def squared_diagonal(self) -> np.ndarray:
-        """Diagonal of ``inv(L_{-S})^2`` (squared column norms), by kept index."""
-        return np.sum(self.inverse * self.inverse, axis=0)
-
     def add_node(self, node: int) -> None:
         """Ground one more node and downdate the inverse accordingly."""
         local = self.local_index(node)

@@ -159,9 +159,6 @@ class Gauge(_Metric):
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + float(amount)
 
-    def dec(self, amount: float = 1.0, **labels) -> None:
-        self.inc(-amount, **labels)
-
     def value(self, **labels) -> float:
         return self._values.get(self._key(labels), 0.0)
 
@@ -197,8 +194,7 @@ class Histogram(_Metric):
     overflow bucket is always appended.  Besides the bucket counts the
     histogram keeps exact ``sum``/``count``/``min``/``max``, so means are
     exact and percentile interpolation is clamped to the observed range.
-    Standalone instances (no registry) are always enabled — that is what
-    :class:`repro.utils.timer.Timer` builds on.
+    Standalone instances (no registry) are always enabled.
     """
 
     kind = "histogram"
@@ -305,41 +301,6 @@ class Histogram(_Metric):
             label = f"p{q:g}".replace(".", "_")
             result[label] = self.percentile(q, **labels)
         return result
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold ``other``'s observations into this histogram (same buckets).
-
-        Series are matched by label values; this is what
-        :meth:`repro.utils.timer.Timer.merge` uses to combine per-worker
-        timers into one distribution.  Returns ``self``.
-        """
-        if not isinstance(other, Histogram):
-            raise MetricError(f"cannot merge {type(other).__name__} into a histogram")
-        if other.buckets != self.buckets:
-            raise MetricError(
-                f"histogram {self.name!r} bucket mismatch: "
-                f"{other.buckets} != {self.buckets}"
-            )
-        if other.label_names != self.label_names:
-            raise MetricError(
-                f"histogram {self.name!r} label mismatch: "
-                f"{other.label_names} != {self.label_names}"
-            )
-        with other._lock:
-            pairs = [(key, state.counts[:], state.sum, state.count,
-                      state.min, state.max)
-                     for key, state in other._states.items()]
-        with self._lock:
-            for key, counts, total, count, minimum, maximum in pairs:
-                state = self._states.get(key)
-                if state is None:
-                    state = self._states[key] = _HistogramState(len(self.buckets))
-                state.counts = [a + b for a, b in zip(state.counts, counts)]
-                state.sum += total
-                state.count += count
-                state.min = min(state.min, minimum)
-                state.max = max(state.max, maximum)
-        return self
 
     def clear(self) -> None:
         with self._lock:

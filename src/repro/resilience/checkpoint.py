@@ -22,7 +22,9 @@ low-rank correction or tombstone is pending and each tracker's layout is
 its live rows followed by a spare-row count, which the archive carries.  A
 sparse base factor is then fully determined by the (serialised) graph and
 that count; a dense inverse is stored verbatim all the same, because it is
-the value the live engine continues from.  The projected (JL-sketched)
+the value the live engine continues from.  Restore installs that inverse
+without inverting anything, and factorises each sparse tracker exactly
+once, spare rows included.  The projected (JL-sketched)
 estimator caches are deliberately dropped: they are deterministic functions
 of serialised state and are rebuilt on first use without consuming
 randomness.
@@ -258,7 +260,7 @@ def restore_engine(path: str):
     from repro.centrality.estimators import SamplingConfig
     from repro.dynamic.engine import DynamicCFCM
     from repro.dynamic.resistance import IncrementalResistance
-    from repro.linalg.backends import DenseResistanceBackend
+    from repro.linalg.backends import make_resistance_backend
     from repro.resilience.watchdog import ResidualWatchdog
     from repro.sampling.pool import WeightedForestPool
 
@@ -319,24 +321,19 @@ def restore_engine(path: str):
             watchdog = (None if entry["watchdog"] is None
                         else ResidualWatchdog.from_state(entry["watchdog"]))
             options = spec["backend_options"] if kind == "sparse" else None
-            tracker = IncrementalResistance(
-                graph, group, backend=kind, backend_options=options,
+            tracker = IncrementalResistance._restored(
+                graph, group,
+                make_resistance_backend(kind, options=options),
                 watchdog=watchdog,
             )
             spares = int(entry["spare_rows"])
             if kind == "dense":
-                backend = tracker.backend
-                assert isinstance(backend, DenseResistanceBackend)
-                backend.inverse = np.asarray(data[f"trk{j}_inverse"],
-                                             dtype=np.float64)
-                backend._n = int(backend.inverse.shape[0])
-                backend._invalidate()
+                tracker.backend.adopt_inverse(data[f"trk{j}_inverse"])
                 tracker._adopt_rows(np.concatenate([
                     np.asarray(data[f"trk{j}_kept"], dtype=np.int64),
                     np.full(spares, -1, dtype=np.int64)]))
             else:
-                if spares:
-                    tracker._factorize(spares)
+                tracker._factorize(spares)
                 tracker.backend._factor_count = int(entry["factor_count"])
             tracker._synced_version = int(entry["synced_version"])
             tracker._updates_since_refresh = int(

@@ -1,6 +1,6 @@
 """Rooted spanning-forest sampling and importance-weighted forest pools."""
 
-from repro.sampling.wilson import sample_rooted_forest, sample_many_forests
+from repro.sampling.wilson import sample_rooted_forest
 from repro.sampling.forest import Forest
 from repro.sampling.batch import (
     ForestBatch,
@@ -18,7 +18,6 @@ __all__ = [
     "edge_inclusion_prior",
     "node_internal_prior",
     "sample_rooted_forest",
-    "sample_many_forests",
     "Forest",
     "ForestBatch",
     "LOCKSTEP_STATE_LIMIT",

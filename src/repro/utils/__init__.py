@@ -1,7 +1,7 @@
-"""Shared utilities: RNG handling, validation helpers, timers and logging."""
+"""Shared utilities: RNG handling, validation helpers and the clock."""
 
-from repro.utils.rng import as_rng, spawn_rngs
-from repro.utils.timer import Timer, clock
+from repro.utils.rng import as_rng
+from repro.utils.timer import clock
 from repro.utils.validation import (
     check_group,
     check_integer,
@@ -12,8 +12,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "as_rng",
-    "spawn_rngs",
-    "Timer",
     "clock",
     "check_group",
     "check_integer",

@@ -7,7 +7,7 @@ normalises those inputs so that algorithms never have to special-case them.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -26,32 +26,3 @@ def as_rng(seed: RandomState = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: RandomState, count: int) -> Sequence[np.random.Generator]:
-    """Create ``count`` statistically independent generators derived from ``seed``.
-
-    Useful for batch-parallel sampling where each batch needs its own stream
-    that is reproducible from a single user-supplied seed.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative, got %d" % count)
-    root = np.random.SeedSequence(seed if isinstance(seed, int) else None)
-    if isinstance(seed, np.random.Generator):
-        # Derive children from the generator itself to preserve reproducibility.
-        children = seed.spawn(count) if hasattr(seed, "spawn") else None
-        if children is not None:
-            return list(children)
-        root = np.random.SeedSequence(int(seed.integers(0, 2**63 - 1)))
-    return [np.random.default_rng(s) for s in root.spawn(count)]
-
-
-def random_signs(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:
-    """Return an array of ``+scale`` / ``-scale`` entries with equal probability."""
-    return np.where(rng.random(shape) < 0.5, -scale, scale)
-
-
-def sample_seed(rng: Optional[np.random.Generator]) -> int:
-    """Draw a fresh integer seed from ``rng`` (or from OS entropy when ``None``)."""
-    generator = rng if rng is not None else np.random.default_rng()
-    return int(generator.integers(0, 2**63 - 1))

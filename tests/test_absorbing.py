@@ -8,7 +8,6 @@ from repro.centrality.absorbing import (
     expected_wilson_visits,
     hitting_times_to_group,
     mean_group_hitting_time,
-    simulate_hitting_time,
     weighted_group_resistance_identity,
 )
 from repro.centrality.exact_greedy import ExactGreedy
@@ -34,15 +33,6 @@ class TestHittingTimes:
         single = mean_group_hitting_time(karate, [0])
         double = mean_group_hitting_time(karate, [0, 33])
         assert double < single
-
-    def test_simulation_matches_exact(self, karate):
-        exact = mean_group_hitting_time(karate, [0, 33])
-        simulated = simulate_hitting_time(karate, [0, 33], walks=2000, seed=1)
-        assert simulated == pytest.approx(exact, rel=0.2)
-
-    def test_simulation_validates_inputs(self, karate):
-        with pytest.raises(ValueError):
-            simulate_hitting_time(karate, [0], walks=0)
 
 
 class TestWilsonCostIdentities:

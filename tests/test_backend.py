@@ -36,7 +36,6 @@ from repro.linalg import (
     build_preconditioner,
     choose_backend,
     make_resistance_backend,
-    solve_grounded,
 )
 from repro.linalg.backends import AUTO_SPARSE_NODES, SOLVE_BLOCK
 from repro.linalg.factor import HubCoreFactor, factorize_spd
@@ -586,22 +585,20 @@ class TestBackendSelection:
 class TestPreconditionerPlumbing:
     def test_build_preconditioner_kinds(self, small_ba):
         lap = sp.csc_matrix(DynamicGraph(small_ba).laplacian_dense()[2:, 2:])
-        for kind in ("jacobi", "ilu"):
-            operator = build_preconditioner(lap, kind=kind)
-            applied = operator.matvec(np.ones(lap.shape[0]))
-            assert np.all(np.isfinite(applied))
+        operator = build_preconditioner(lap)
+        applied = operator.matvec(np.ones(lap.shape[0]))
+        np.testing.assert_allclose(applied, 1.0 / lap.diagonal())
         with pytest.raises(InvalidParameterError):
-            build_preconditioner(lap, kind="amg")
+            build_preconditioner(sp.csc_matrix(np.diag([1.0, 0.0])))
 
     def test_solve_grounded_tolerances(self, small_ba):
-        lap = DynamicGraph(small_ba).laplacian_dense()[2:, 2:]
+        lap = sp.csc_matrix(DynamicGraph(small_ba).laplacian_dense()[2:, 2:])
         rhs = np.ones(lap.shape[0])
-        direct = np.linalg.solve(lap, rhs)
-        via_cg = solve_grounded(sp.csc_matrix(lap), rhs, method="cg",
-                                rtol=1e-12)
+        direct = np.linalg.solve(lap.toarray(), rhs)
+        via_cg = LaplacianSolver(lap, method="cg", tol=1e-12).solve(rhs)
         np.testing.assert_allclose(via_cg, direct, rtol=1e-6)
         with pytest.raises(ConvergenceError):
-            solve_grounded(sp.csc_matrix(lap), rhs, method="cg", maxiter=1)
+            LaplacianSolver(lap, method="cg", maxiter=1).solve(rhs)
 
 
 class TestEngineWiring:

@@ -228,8 +228,9 @@ class TestAccumulatorBatchFold:
 
         one_by_one = ForestAccumulator(karate, roots, weights=weights,
                                        tracked_roots=[33], seed=0)
-        for forest in batch:
-            one_by_one.add_forest(forest)
+        for index in range(batch.batch_size):
+            one_by_one.add_batch(batch.select([index]), weights=[1.0],
+                                 method="scalar")
         batched = ForestAccumulator(karate, roots, weights=weights,
                                     tracked_roots=[33], seed=0)
         batched.add_batch(batch)

@@ -14,7 +14,6 @@ from repro.centrality.cfcc import (
     group_cfcc_estimate,
     group_cfcc_solver,
     grounded_trace,
-    single_cfcc,
     single_cfcc_all,
 )
 from repro.centrality.marginal import (
@@ -92,11 +91,6 @@ class TestSingleCFCC:
         ours = single_cfcc_all(karate)
         for node, value in reference.items():
             assert ours[node] == pytest.approx(value * karate.n, rel=1e-6)
-
-    def test_single_matches_vectorised(self, karate):
-        values = single_cfcc_all(karate)
-        for node in (0, 15, 33):
-            assert single_cfcc(karate, node) == pytest.approx(values[node])
 
     def test_hub_more_central_than_leaf(self, star6):
         values = single_cfcc_all(star6)

@@ -222,9 +222,3 @@ class TestFirstPick:
         order = np.argsort(diag)
         assert node in set(int(v) for v in order[:5])
         assert scores.shape == (karate.n,)
-
-    def test_first_pick_anchor_override(self, karate):
-        config = SamplingConfig(eps=0.3, max_samples=64)
-        node, _, diagnostics = estimate_first_pick(karate, config, seed=8, anchor=5)
-        assert 0 <= node < karate.n
-        assert diagnostics["samples"] > 0

@@ -54,19 +54,9 @@ class TestNetworks:
         suite = networks.eps_sweep_suite("small")
         assert 3 <= len(suite) <= 6
 
-    def test_experiment_suite_lookup(self):
-        assert networks.experiment_suite("tiny")
-        with pytest.raises(InvalidParameterError):
-            networks.experiment_suite("huge")
-
     def test_invalid_scale(self):
         with pytest.raises(InvalidParameterError):
             networks.small_suite("galactic")
-
-    def test_suite_summaries(self, mini_graphs):
-        rows = networks.suite_summaries(mini_graphs)
-        assert rows[0][0] == "mini-ba"
-        assert rows[0][1] == 60
 
 
 class TestReport:

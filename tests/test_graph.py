@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import GraphError, InvalidNodeError
-from repro.graph.graph import Graph, degree_sequence
+from repro.graph.graph import Graph
 from repro.graph import generators
 
 
@@ -15,11 +15,6 @@ class TestConstruction:
         assert graph.n == 4
         assert graph.m == 3
         assert len(graph) == 4
-
-    def test_aliases(self):
-        graph = Graph(3, [(0, 1)])
-        assert graph.number_of_nodes == 3
-        assert graph.number_of_edges == 1
 
     def test_isolated_nodes_allowed(self):
         graph = Graph(5, [(0, 1)])
@@ -217,11 +212,6 @@ class TestEquality:
 
     def test_not_equal_to_other_types(self):
         assert Graph(2, [(0, 1)]) != "graph"
-
-
-class TestDegreeSequence:
-    def test_degree_sequence_sorted(self, star6):
-        assert degree_sequence(star6) == [5, 1, 1, 1, 1, 1]
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,7 +3,7 @@
 Covers the metrics registry (get-or-create semantics, thread safety under
 both raw threads and the async service's worker pool, snapshot/Prometheus
 exposition round-trip), span tracing (nesting, thread isolation, pipeline
-reconstruction from a churn run), the health bindings, the Timer shim, the
+reconstruction from a churn run), the health bindings, the
 ``ServiceResponse.stats`` aliasing regression, and the disabled-mode
 overhead bound on the bench-smoke sampling config.
 """
@@ -25,16 +25,14 @@ from repro.dynamic import (
 )
 from repro.graph import generators
 from repro.obs import (
-    Histogram,
     MetricError,
     MetricsRegistry,
     bind_engine_health,
     trace,
 )
-from repro.obs.metrics import LATENCY_BUCKETS, SIZE_BUCKETS
 from repro.sampling import sample_forest_batch_vectorized
 from repro.service import AsyncCFCMService
-from repro.utils.timer import Timer, clock
+from repro.utils.timer import clock
 
 GROUP = (0, 1, 2)
 
@@ -159,22 +157,6 @@ class TestHistogram:
         # No labels on a labelled histogram: the merged view of all series.
         assert histogram.count() == 2
         assert histogram.sum() == pytest.approx(0.101)
-
-    def test_merge_requires_matching_buckets_and_labels(self, fresh):
-        a = fresh.histogram("a_seconds", buckets=LATENCY_BUCKETS)
-        b = Histogram("b_seconds", buckets=LATENCY_BUCKETS)
-        b.observe(0.01)
-        b.observe(0.02)
-        a.observe(0.04)
-        a.merge(b)
-        assert a.count() == 3
-        assert a.sum() == pytest.approx(0.07)
-        sized = Histogram("sizes", buckets=SIZE_BUCKETS)
-        with pytest.raises(MetricError):
-            a.merge(sized)
-        labelled = Histogram("lab", buckets=LATENCY_BUCKETS, labels=("x",))
-        with pytest.raises(MetricError):
-            a.merge(labelled)
 
 
 class TestExposition:
@@ -445,40 +427,6 @@ class TestServiceObservability:
         engine.evaluate_forest((0, 1))
         assert snapshot["pool_ess"] == before
         assert len(engine.stats.pool_ess) == 2
-
-
-# --------------------------------------------------------------------------
-# Timer shim
-# --------------------------------------------------------------------------
-
-class TestTimer:
-    def test_percentile_tracks_records(self):
-        timer = Timer()
-        for value in (0.001, 0.002, 0.004, 0.2):
-            timer.record("op", value)
-        p50 = timer.percentile("op", 50)
-        p99 = timer.percentile("op", 99)
-        assert 0.001 <= p50 <= p99 <= 0.2
-        assert timer.percentile("unknown", 99) == 0.0
-        assert timer.count("op") == 4
-        assert timer.total("op") == pytest.approx(0.207)
-
-    def test_merge_combines_records_and_histograms(self):
-        ours, theirs = Timer(), Timer()
-        ours.record("op", 0.001)
-        theirs.record("op", 0.1)
-        theirs.record("other", 0.01)
-        assert ours.merge(theirs) is ours
-        assert ours.count("op") == 2
-        assert ours.total("other") == pytest.approx(0.01)
-        assert ours.percentile("op", 100) == pytest.approx(0.1)
-
-    def test_measure_records_through_clock(self):
-        timer = Timer()
-        with timer.measure("phase"):
-            pass
-        assert timer.count("phase") == 1
-        assert timer.percentile("phase", 50) >= 0.0
 
 
 # --------------------------------------------------------------------------

@@ -348,10 +348,11 @@ class TestWeightedBatchedFold:
         assert np.array_equal(
             batched_diag_estimates(batch.parent, path, columns=columns),
             diag[:, columns])
-        for index, forest in enumerate(batch):
+        for index in range(batch.batch_size):
             single = ForestAccumulator(graph, roots, weights=jl, seed=0)
             single._path = path
-            single.add_forest(forest)
+            single.add_batch(batch.select([index]), weights=[1.0],
+                             method="scalar")
             np.testing.assert_allclose(projected[index], single.projected_sum,
                                        rtol=1e-12, atol=1e-12)
             assert np.array_equal(diag[index], single.diag_sum)
@@ -361,9 +362,10 @@ class TestWeightedBatchedFold:
         doubled = ForestAccumulator(karate, [0], seed=0)
         doubled.add_batch(batch, weights=np.array([2.0, 2.0, 2.0]))
         repeated = ForestAccumulator(karate, [0], seed=0)
-        for forest in batch:
-            repeated.add_forest(forest)
-            repeated.add_forest(forest)
+        for index in range(batch.batch_size):
+            for _ in range(2):
+                repeated.add_batch(batch.select([index]), weights=[1.0],
+                                   method="scalar")
         assert doubled.count == pytest.approx(repeated.count)
         np.testing.assert_allclose(doubled.diag_sum, repeated.diag_sum,
                                    atol=1e-9)

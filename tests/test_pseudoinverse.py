@@ -13,8 +13,6 @@ from repro.linalg.pseudoinverse import (
     laplacian_pseudoinverse,
     pseudoinverse_diagonal,
     pseudoinverse_diagonal_grounded,
-    pseudoinverse_entry,
-    top_pseudoinverse_nodes,
 )
 
 
@@ -41,21 +39,12 @@ class TestPseudoinverse:
     def test_diagonal_positive(self, karate):
         assert np.all(pseudoinverse_diagonal(karate) > 0)
 
-    def test_entry_helper(self, karate):
-        pinv = laplacian_pseudoinverse(karate)
-        assert pseudoinverse_entry(karate, 2, 5) == pytest.approx(pinv[2, 5])
-
     def test_grounded_reformulation_matches(self, karate):
         """Lemma 3.5: L+ diagonal recovered from the grounded inverse."""
         direct = pseudoinverse_diagonal(karate)
         for anchor in (0, 33, 12):
             via_grounded = pseudoinverse_diagonal_grounded(karate, anchor)
             assert np.allclose(via_grounded, direct, atol=1e-8)
-
-    def test_top_nodes_sorted_by_diagonal(self, karate):
-        diag = pseudoinverse_diagonal(karate)
-        top = top_pseudoinverse_nodes(karate, 3)
-        assert list(top) == list(np.argsort(diag, kind="stable")[:3])
 
 
 class TestResistanceIdentities:

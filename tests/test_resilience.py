@@ -22,7 +22,7 @@ from repro.exceptions import (
     ServiceOverloadedError,
 )
 from repro.graph import generators
-from repro.linalg.backends import DenseResistanceBackend
+from repro.linalg.backends import DenseResistanceBackend, ResistanceBackend
 from repro.resilience import (
     FAULT_REGIMES,
     CircuitBreaker,
@@ -480,6 +480,36 @@ class TestCheckpointRecovery:
                 == engine.tracker(GROUP).stats.as_dict())
         assert engine.tracker(GROUP).stats.refreshes == 1
         assert engine.tracker(GROUP).stats.node_grows == 2
+
+    @pytest.mark.parametrize("joins", [0, 2])
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_restore_factorises_each_sparse_tracker_once(
+            self, tmp_path, hub_ba, monkeypatch, backend, joins):
+        graph = DynamicGraph(hub_ba)
+        engine = DynamicCFCM(graph, seed=5, pool_size=8, backend=backend)
+        for group in (GROUP, (0, 1)):
+            engine.evaluate_exact(group)
+        for edges in ([3, 4], [5, 6])[:joins]:
+            graph.add_node(edges)
+            engine.evaluate_exact(GROUP)
+        path = str(tmp_path / "engine.npz")
+        engine.checkpoint(path)
+
+        factorised = []
+        factorize = ResistanceBackend.factorize
+
+        def counting(backend_self, matrix):
+            factorised.append(backend_self.name)
+            return factorize(backend_self, matrix)
+
+        monkeypatch.setattr(ResistanceBackend, "factorize", counting)
+        restored = DynamicCFCM.restore(path)
+        assert len(restored._trackers) == 2
+        assert factorised == ([] if backend == "dense" else ["sparse"] * 2)
+        tracker = restored._trackers[GROUP]
+        assert tracker.backend.n - len(tracker.kept) == (2 if joins else 0)
+        for group, tracker in restored._trackers.items():
+            assert tracker.trace() == engine.tracker(group).trace()
 
     def test_same_churn_journal_replays_bit_equal(self, hub_ba):
         # The refresh schedule (spare rows, break-even) depends on the

@@ -1,7 +1,5 @@
 """Tests for the result container and the shared utilities."""
 
-import time
-
 import numpy as np
 import pytest
 
@@ -12,8 +10,7 @@ from repro.exceptions import (
     ReproError,
 )
 from repro.centrality.result import CFCMResult
-from repro.utils.rng import as_rng, random_signs, sample_seed, spawn_rngs
-from repro.utils.timer import Timer
+from repro.utils.rng import as_rng
 from repro.utils.validation import (
     check_group,
     check_integer,
@@ -35,7 +32,6 @@ class TestCFCMResult:
     def test_basic_fields(self):
         result = self.make()
         assert result.k == 3
-        assert result.as_set() == {1, 3, 7}
         assert result.samples_used() == 60
 
     def test_prefix(self):
@@ -73,39 +69,6 @@ class TestRng:
 
     def test_as_rng_none(self):
         assert isinstance(as_rng(None), np.random.Generator)
-
-    def test_spawn_rngs_independent(self):
-        children = spawn_rngs(7, 3)
-        assert len(children) == 3
-        values = [child.integers(0, 10**9) for child in children]
-        assert len(set(values)) == 3
-
-    def test_spawn_rngs_negative(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_random_signs(self):
-        signs = random_signs(as_rng(0), (100,), scale=2.0)
-        assert set(np.unique(signs)) <= {-2.0, 2.0}
-
-    def test_sample_seed_range(self):
-        seed = sample_seed(as_rng(1))
-        assert 0 <= seed < 2**63
-
-
-class TestTimer:
-    def test_measure_accumulates(self):
-        timer = Timer()
-        with timer.measure("phase"):
-            time.sleep(0.01)
-        with timer.measure("phase"):
-            pass
-        assert timer.count("phase") == 2
-        assert timer.total("phase") >= 0.01
-        assert "phase" in timer.summary()
-
-    def test_unknown_label_zero(self):
-        assert Timer().total("missing") == 0.0
 
 
 class TestValidation:

@@ -10,7 +10,6 @@ from repro.linalg.solvers import (
     LaplacianSolver,
     SolverMethod,
     estimate_trace_of_inverse,
-    solve_grounded,
 )
 
 
@@ -63,10 +62,6 @@ class TestSolveMethods:
         matrix, _ = grounded_laplacian(graph, [0])
         solver = LaplacianSolver(matrix, method=SolverMethod.AUTO)
         assert solver.method is SolverMethod.SPARSE_LU
-
-    def test_solve_grounded_helper(self, grounded_system):
-        matrix, rhs, reference = grounded_system
-        assert np.allclose(solve_grounded(matrix, rhs), reference, atol=1e-6)
 
 
 class TestValidation:

@@ -9,11 +9,9 @@ from repro.graph.builders import to_networkx
 from repro.graph.graph import Graph
 from repro.graph import generators
 from repro.graph.traversal import (
-    bfs_order,
     bfs_tree,
     connected_components,
     diameter,
-    eccentricity,
     is_connected,
     largest_connected_component,
     require_connected,
@@ -45,13 +43,9 @@ class TestBFS:
         assert sorted(tree.order[:2].tolist()) == [3, 7]
         assert len(tree.order) == karate.n
 
-    def test_levels_partition_nodes(self, karate):
-        tree = bfs_tree(karate, [0])
-        total = sum(level.size for level in tree.levels())
-        assert total == karate.n
-
     def test_bfs_order_deterministic(self, karate):
-        assert np.array_equal(bfs_order(karate, [1]), bfs_order(karate, [1]))
+        assert np.array_equal(bfs_tree(karate, [1]).order,
+                              bfs_tree(karate, [1]).order)
 
     def test_empty_roots_raises(self, karate):
         with pytest.raises(InvalidNodeError):
@@ -120,15 +114,3 @@ class TestDiameter:
     def test_disconnected_raises(self):
         with pytest.raises(DisconnectedGraphError):
             diameter(Graph(3, [(0, 1)]))
-
-
-class TestEccentricity:
-    def test_path_endpoints(self):
-        graph = generators.path_graph(6)
-        assert eccentricity(graph, 0) == 5
-        assert eccentricity(graph, 3) == 3
-
-    def test_matches_networkx(self, karate):
-        nx_graph = to_networkx(karate)
-        for node in (0, 10, 33):
-            assert eccentricity(karate, node) == nx.eccentricity(nx_graph, node)

@@ -11,7 +11,6 @@ from repro.linalg.schur import absorption_probabilities
 from repro.sampling.wilson import (
     empirical_root_distribution,
     expected_sampling_cost,
-    sample_many_forests,
     sample_rooted_forest,
 )
 
@@ -69,16 +68,6 @@ class TestForestValidity:
         graph = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraphError):
             sample_rooted_forest(graph, [0], seed=0)
-
-    def test_sample_many(self, karate):
-        forests = sample_many_forests(karate, [0], 5, seed=0)
-        assert len(forests) == 5
-        for forest in forests:
-            forest.validate_against(karate)
-
-    def test_sample_many_negative_count(self, karate):
-        with pytest.raises(InvalidParameterError):
-            sample_many_forests(karate, [0], -1)
 
 
 class TestDistribution:
