@@ -64,6 +64,7 @@ from repro.experiments.report import (
 from repro.graph import generators
 from repro.linalg import (
     DenseResistanceBackend,
+    SparseResistanceBackend,
     grounded_inverse_block_update,
     grounded_inverse_edge_update,
     grounded_laplacian_dense,
@@ -154,10 +155,10 @@ def run_backend_comparison(n: int = 3000, bursts: int = 6, t: int = 32,
     rows: List[Dict[str, object]] = []
     timings: Dict[str, float] = {}
     for backend in ("dense", "sparse"):
-        options = {"probes": probes, "seed": seed} if backend == "sparse" else None
         graph = DynamicGraph(base)
-        tracker = IncrementalResistance(graph, group, backend=backend,
-                                        backend_options=options)
+        tracker = IncrementalResistance(graph, group, backend=(
+            SparseResistanceBackend(probes=probes, seed=seed)
+            if backend == "sparse" else backend))
         tracker.trace()  # factorisation warm-up outside the timed region
         latencies: List[float] = []
         value = 0.0
@@ -252,9 +253,8 @@ def run_node_churn(n: int = 3000, bursts: int = 6, t: int = 32,
                                     protected=group)
                for _ in range(bursts)]
     graph = DynamicGraph(base)
-    tracker = IncrementalResistance(graph, group, backend="sparse",
-                                    backend_options={"probes": probes,
-                                                     "seed": seed})
+    tracker = IncrementalResistance(
+        graph, group, backend=SparseResistanceBackend(probes=probes, seed=seed))
     tracker.trace()  # factorisation warm-up outside the timed region
     latencies: List[float] = []
     for burst in journal:

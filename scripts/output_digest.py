@@ -1,0 +1,126 @@
+"""One SHA-256 digest per engine path over its exact float outputs.
+
+Runs three fixed-seed paths through the library and hashes every value they
+return, floats as ``float.hex`` so that a digest changes with any bit:
+
+* ``select``: SchurCFCM (k = 4, eps = 0.2, seeds 1-5) on the ``select``
+  workload's graph, powerlaw_cluster(1000, 4, 0.3, seed 7): groups and
+  iteration logs;
+* ``dynamic``: ``DynamicCFCM(backend="auto")`` on BA(2000, 3), which picks
+  the sparse backend: 240 edge and node events in 6 bursts, each followed by
+  exact reads and per-node resistances;
+* ``sharded``: ``ShardedCFCM`` with 4 shards on a 40x40 lattice: 6 bursts
+  of edge-weight toggles, each followed by exact reads and resistances.
+
+Point ``PYTHONPATH`` at two commits' ``src`` directories to check that a
+change keeps every output bit-identical::
+
+    PYTHONPATH=src python scripts/output_digest.py
+    PYTHONPATH=/path/to/parent/src python scripts/output_digest.py
+
+Uses the standard library and the library under test only; about 7 s on a
+2-vCPU VM.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import numbers
+
+import repro
+from repro.distributed import ShardedCFCM
+from repro.dynamic import DynamicCFCM, random_churn_journal
+from repro.graph import generators
+from repro.utils.rng import as_rng
+
+
+class Digest:
+    """SHA-256 over a stream of numbers, strings and nested sequences."""
+
+    def __init__(self) -> None:
+        self._hash = hashlib.sha256()
+
+    def add(self, value) -> None:
+        if isinstance(value, dict):
+            for key in sorted(value, key=str):
+                self.add(str(key))
+                self.add(value[key])
+        elif isinstance(value, (list, tuple)):
+            self._hash.update(b"[")
+            for item in value:
+                self.add(item)
+            self._hash.update(b"]")
+        elif isinstance(value, (bool, str)) or value is None:
+            self._hash.update(repr(value).encode())
+        elif isinstance(value, numbers.Integral):  # NumPy integers too
+            self._hash.update(str(int(value)).encode())
+        else:
+            self._hash.update(float(value).hex().encode())
+        self._hash.update(b";")
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
+def select_path() -> str:
+    graph = generators.powerlaw_cluster(1000, 4, 0.3, seed=7)
+    digest = Digest()
+    for seed in range(1, 6):
+        result = repro.maximize_cfcc(graph, 4, method="schur", eps=0.2, seed=seed)
+        digest.add(list(result.group))
+        digest.add(result.iteration_log)
+    return digest.hexdigest()
+
+
+def _probe_nodes(graph, group, count):
+    """``count`` live non-group nodes, spread over the id range."""
+    nodes = [int(v) for v in graph.node_ids() if int(v) not in group]
+    step = max(1, len(nodes) // count)
+    return nodes[::step][:count]
+
+
+def dynamic_path() -> str:
+    engine = DynamicCFCM(generators.barabasi_albert(2000, 3, seed=0), seed=3,
+                         backend="auto")
+    graph = engine.graph
+    degrees = {int(v): graph.degree(int(v)) for v in graph.node_ids()}
+    hubs = sorted(degrees, key=lambda v: (-degrees[v], v))[:2]
+    groups = [tuple(sorted(hubs)), (5, 600, 1400)]
+    rng = as_rng(11)
+    digest = Digest()
+    for _ in range(6):
+        events = random_churn_journal(graph, 40, rng, node_probability=0.2,
+                                      protected=[v for g in groups for v in g])
+        digest.add(len(events))
+        for group in groups:
+            digest.add(engine.evaluate_exact(group))
+            tracker = engine.tracker(group)
+            digest.add([tracker.resistance_to_group(v)
+                        for v in _probe_nodes(graph, group, 8)])
+    return digest.hexdigest()
+
+
+def sharded_path() -> str:
+    engine = ShardedCFCM(generators.grid_graph(40, 40), shards=4, seed=0)
+    graph = engine.graph
+    edges = sorted(graph.edges())[::37]
+    groups = [(0, 820), (41, 777, 1558)]
+    digest = Digest()
+    for burst in range(6):
+        for u, v in edges[burst % 3::3]:
+            graph.update_weight(u, v, 2.0 if graph.weight(u, v) == 1.0 else 1.0)
+        for group in groups:
+            digest.add(engine.evaluate_exact(group))
+            digest.add([engine.resistance_to_group(v, group)
+                        for v in _probe_nodes(graph, group, 8)])
+    return digest.hexdigest()
+
+
+def main() -> None:
+    for name, path in (("select", select_path), ("dynamic", dynamic_path),
+                       ("sharded", sharded_path)):
+        print(f"{name:8s} {path()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -62,14 +62,16 @@ def maximize_cfcc(graph: Graph, k: int, method: str = "schur", eps: float = 0.2,
                   seed: RandomState = None,
                   config: Optional[SamplingConfig] = None,
                   extra_roots: Optional[Sequence[int]] = None,
-                  evaluate: bool | str = False,
-                  engine: Optional[object] = None) -> CFCMResult:
+                  evaluate: bool | str = False) -> CFCMResult:
     """Approximately solve CFCM: pick ``k`` nodes maximising group CFCC.
 
     Parameters
     ----------
     graph:
-        Connected undirected :class:`repro.Graph`.
+        Connected undirected :class:`repro.Graph` (a unit-weighted
+        :class:`repro.dynamic.DynamicGraph` is frozen to a snapshot).  To
+        select through a :class:`repro.dynamic.DynamicCFCM`'s version-aware
+        cache, call its ``query`` instead.
     k:
         Group cardinality constraint (``k << n``).
     method:
@@ -100,13 +102,6 @@ def maximize_cfcc(graph: Graph, k: int, method: str = "schur", eps: float = 0.2,
         ``False`` (default) leaves ``result.cfcc`` empty; ``True`` or
         ``"exact"`` fills it with the exact CFCC of the selected group;
         ``"estimate"`` uses the sparse-solver estimate (large graphs).
-    engine:
-        Optional :class:`repro.dynamic.DynamicCFCM`.  When given, the call is
-        routed through the engine's version-aware cache (repeat queries on an
-        unchanged graph are O(1) hits) instead of running a batch algorithm
-        directly; ``graph`` must then be the engine's dynamic graph (or
-        ``None``), and ``seed`` / ``config`` / ``extra_roots`` must be unset —
-        the engine owns those.
 
     Returns
     -------
@@ -118,27 +113,9 @@ def maximize_cfcc(graph: Graph, k: int, method: str = "schur", eps: float = 0.2,
             f"unknown method {method!r}; valid methods: {METHODS}"
         )
 
-    if graph is None and engine is None:
-        raise InvalidParameterError(
-            "graph is required (it may only be None when engine= is given)"
-        )
-    n = engine.graph.n if (engine is not None and graph is None) else graph.n
-    k = validate_cfcm_parameters(n, k, method, eps, config)
-
-    if engine is not None:
-        if seed is not None or config is not None or extra_roots is not None:
-            raise InvalidParameterError(
-                "seed/config/extra_roots cannot be combined with engine=: the "
-                "engine owns its random stream and sampling configuration "
-                "(set them on the DynamicCFCM constructor)"
-            )
-        if graph is not None and graph is not engine.graph \
-                and graph is not engine.graph.snapshot():
-            raise InvalidParameterError(
-                "graph does not match engine.graph; pass the engine's dynamic "
-                "graph (or None) when routing through engine="
-            )
-        return engine.query(k, method=method, eps=eps, evaluate=evaluate)
+    if graph is None:
+        raise InvalidParameterError("graph is required")
+    k = validate_cfcm_parameters(graph.n, k, method, eps, config)
 
     # A DynamicGraph (or anything snapshot-able) is frozen to an immutable
     # CSR graph so the batch algorithms below run unmodified.  The snapshot

@@ -28,9 +28,9 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.graph.traversal import require_connected
+from repro.centrality.estimators import SamplingConfig
 from repro.centrality.result import GreedyCFCM
 from repro.linalg.incidence import grounded_incidence_factor
-from repro.linalg.jl import jl_dimension
 from repro.linalg.laplacian import grounded_laplacian
 from repro.linalg.solvers import LaplacianSolver, SolverMethod
 from repro.utils.rng import RandomState, as_rng
@@ -44,28 +44,25 @@ class ApproxGreedy(GreedyCFCM):
     graph:
         Connected undirected graph.
     eps:
-        Error parameter controlling the number of JL rows (and hence solves).
+        Error parameter controlling the number of JL rows (and hence
+        solves): the sampling methods' :meth:`SamplingConfig.jl_rows`.
     seed:
         Seed or generator for the random projections.
     solver_method:
         Which Laplacian solver backend to use for the linear systems
         (``auto`` picks dense Cholesky for small graphs, sparse LU otherwise).
-    jl_constant / max_jl_dimension:
-        Practical-scale JL sizing, mirroring :class:`SamplingConfig`.
     """
 
     method_name = "approx"
 
     def __init__(self, graph: Graph, eps: float = 0.2, seed: RandomState = None,
-                 solver_method: SolverMethod | str = SolverMethod.AUTO,
-                 jl_constant: float = 1.0, max_jl_dimension: int = 96):
+                 solver_method: SolverMethod | str = SolverMethod.AUTO):
         require_connected(graph)
         self.graph = graph
         self.eps = float(eps)
         self.rng = as_rng(seed)
         self.solver_method = solver_method
-        self.jl_rows = jl_dimension(graph.n, eps, constant=jl_constant,
-                                    maximum=max_jl_dimension)
+        self.jl_rows = SamplingConfig(eps=self.eps).jl_rows(graph.n)
 
     # ------------------------------------------------------------ greedy hooks
     def _first_pick(self) -> Tuple[int, np.ndarray, Dict[str, object]]:

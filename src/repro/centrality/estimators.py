@@ -98,6 +98,7 @@ from repro.sampling.batch import (
     sample_forest_batch_vectorized,
 )
 from repro.utils.rng import RandomState, as_rng
+from repro.utils.validation import check_integer
 
 
 #: Forests per estimation round, times ``eps^2``.  At 8 (200 forests at
@@ -129,46 +130,40 @@ class SamplingConfig:
     min_samples / initial_batch:
         Floor of the per-round budget and first batch size of the doubling
         schedule that draws it.
-    jl_constant / max_jl_dimension:
-        JL dimension is ``min(ceil(jl_constant * eps^-2 * log n),
-        max_jl_dimension)``; set ``theoretical_constants=True`` to use the
-        paper's ``24 (eps/7)^-2 log n`` without a cap (only sensible for very
-        small graphs).
+    max_jl_dimension:
+        Cap of the JL dimension ``min(ceil(eps^-2 * log n),
+        max_jl_dimension)``, Lemma 3.4's bound with its constant 24
+        lowered to 1.
     """
 
     eps: float = 0.2
     max_samples: int = 512
     min_samples: int = 16
     initial_batch: int = 16
-    jl_constant: float = 1.0
     max_jl_dimension: int = 96
-    theoretical_constants: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps < 1.0:
             raise InvalidParameterError(f"eps must lie in (0, 1), got {self.eps}")
         if self.max_samples < 1:
             raise InvalidParameterError("max_samples must be >= 1")
+        self.max_jl_dimension = check_integer(
+            "max_jl_dimension", self.max_jl_dimension, minimum=1)
         self.min_samples = max(1, min(self.min_samples, self.max_samples))
         self.initial_batch = max(1, self.initial_batch)
 
     def jl_rows(self, n: int) -> int:
         """Number of JL projection rows for a graph with ``n`` nodes."""
-        if self.theoretical_constants:
-            return jl_dimension(n, self.eps / 7.0, constant=24.0)
-        return jl_dimension(n, self.eps, constant=self.jl_constant,
+        return jl_dimension(n, self.eps, constant=1.0,
                             maximum=self.max_jl_dimension)
 
     def sample_cap(self, n: int) -> int:
         """Forests one estimation round draws on a graph with ``n`` nodes.
 
         ``ceil(FOREST_BUDGET / eps^2)``, clamped to ``[min_samples,
-        max_samples]``; ``max_samples`` with ``theoretical_constants``.
-        Unlike the paper's bound it has no ``log n`` term, which only a
-        guarantee holding for all ``n`` nodes at once needs.
+        max_samples]``.  Unlike the paper's bound it has no ``log n`` term,
+        which only a guarantee holding for all ``n`` nodes at once needs.
         """
-        if self.theoretical_constants:
-            return self.max_samples  # even then, keep the explicit cap
         scaled = int(math.ceil(FOREST_BUDGET * self.eps ** -2))
         return int(min(self.max_samples, max(self.min_samples, scaled)))
 
@@ -519,10 +514,8 @@ class ForestAccumulator:
             )
 
         rows = weights.shape[0]
-        # `count` is the total *importance weight* folded in (a float): plain
-        # samples contribute 1 each, pooled forests their self-normalising
-        # importance weight, so every estimate below is a weighted mean.
-        self.count = 0.0
+        #: Forests folded in so far.
+        self.count = 0
         self.projected_sum = np.zeros((rows, n))
         self.diag_sum = np.zeros(n)
         self.root_counts = np.zeros((n, len(self.tracked_roots)))
@@ -551,9 +544,7 @@ class ForestAccumulator:
             self.add_batch(batch)
             remaining -= take
 
-    def add_batch(self, batch: ForestBatch,
-                  weights: Optional[np.ndarray] = None,
-                  method: str = "batched") -> None:
+    def add_batch(self, batch: ForestBatch, method: str = "batched") -> None:
         """Fold a whole :class:`~repro.sampling.batch.ForestBatch` in at once.
 
         ``method="batched"`` (the default) runs the fully vectorised
@@ -565,10 +556,9 @@ class ForestAccumulator:
         baseline); both paths produce the same running sums up to float
         summation order.
 
-        ``weights`` optionally assigns each forest an importance weight
-        (default 1), making every estimate a self-normalised weighted mean.
-        The dynamic engine does not fold its reweighted pools here: it
-        weights cached per-forest traces from :func:`batched_diag_estimates`.
+        The dynamic engine does not fold its importance-weighted pools
+        here: it weights cached per-forest traces from
+        :func:`batched_diag_estimates` itself.
         """
         if batch.n != self.graph.n:
             raise InvalidParameterError(
@@ -581,19 +571,6 @@ class ForestAccumulator:
             )
         if batch.batch_size == 0:
             return
-        if weights is None:
-            weights = np.ones(batch.batch_size, dtype=np.float64)
-        else:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != (batch.batch_size,):
-                raise InvalidParameterError(
-                    f"per-forest weights must have shape "
-                    f"({batch.batch_size},), got {weights.shape}"
-                )
-            if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
-                raise InvalidParameterError(
-                    "per-forest weights must be finite and non-negative"
-                )
         method = str(method).lower()
         if method not in ("batched", "scalar"):
             raise InvalidParameterError(
@@ -601,7 +578,7 @@ class ForestAccumulator:
             )
         with trace("estimator.fold", forests=batch.batch_size, method=method):
             if method == "batched":
-                self._fold_batched(batch, weights)
+                self._fold_batched(batch)
                 return
             subtree = (batch.subtree_sums(self.weights)
                        if self.weights.shape[0] else None)
@@ -611,11 +588,10 @@ class ForestAccumulator:
                     batch.parent[index],
                     None if subtree is None else subtree[index],
                     None if root_of is None else root_of[index],
-                    weight=float(weights[index]),
                 )
 
     def _fold(self, parent: np.ndarray, subtree: Optional[np.ndarray],
-              root_of: Optional[np.ndarray], weight: float = 1.0) -> None:
+              root_of: Optional[np.ndarray]) -> None:
         """Fold one forest, given its precomputed derived arrays.
 
         The scalar reference path: :meth:`_fold_batched` computes the same
@@ -650,7 +626,7 @@ class ForestAccumulator:
             projected = np.zeros_like(subtree)
             for nodes in path.levels()[1:]:
                 projected[:, nodes] = projected[:, bfs_parent[nodes]] + contribution[:, nodes]
-            self.projected_sum += weight * projected
+            self.projected_sum += projected
 
         # Diagonal estimators.  Rewriting the Lemma 3.3 path sum so that the
         # outer iteration runs over each node's *forest* ancestors gives
@@ -683,16 +659,16 @@ class ForestAccumulator:
             active = active[keep]
             cursor = pi_x[keep]
             pre_active = pre_active[keep]
-        self.diag_sum += weight * diag
+        self.diag_sum += diag
 
         # Rooted probabilities for the tracked (Schur) roots.
         if root_of is not None:
             for idx, target in enumerate(self.tracked_roots):
-                self.root_counts[:, idx] += weight * (root_of == target)
+                self.root_counts[:, idx] += root_of == target
 
-        self.count += weight
+        self.count += 1
 
-    def _fold_batched(self, batch: ForestBatch, weights: np.ndarray) -> None:
+    def _fold_batched(self, batch: ForestBatch) -> None:
         """Fold a whole batch with ``(B, n)`` kernels (no per-forest pass).
 
         Computes the sums of running :meth:`_fold` over every row of the
@@ -700,39 +676,34 @@ class ForestAccumulator:
         summation order):
 
         * projected estimators: the subtree sums the estimator reads come
-          from one preorder prefix sum per forest; their signed,
-          forest-weighted terms are summed over the batch into one
-          ``(w, n)`` contribution, and the path-level prefix is applied
-          once to that total.  The prefix is linear, so this equals
-          prefixing every forest and summing, without ever building a
-          ``(B, w, n)`` tensor;
+          from one preorder prefix sum per forest; their signed terms are
+          summed over the batch into one ``(w, n)`` contribution, and the
+          path-level prefix is applied once to that total.  The prefix is
+          linear, so this equals prefixing every forest and summing,
+          without ever building a ``(B, w, n)`` tensor;
         * diagonal estimators: every node's fixed path (at most τ steps) is
           walked, with forest ancestry tested by preorder intervals;
         * rooted-at counts from the batched pointer-doubling root map.
-
-        The per-forest ``weights`` (1 for a fresh sample) multiply every
-        contribution.
         """
         n = self.graph.n
         if self.weights.shape[0]:
-            samples, targets, signs, terms, sums = _projected_terms(
+            _, targets, signs, terms, sums = _projected_terms(
                 batch, self._path, self.weights)
-            reduce = sp.csr_matrix((signs * weights[samples], (targets, terms)),
+            reduce = sp.csr_matrix((signs, (targets, terms)),
                                    shape=(n, sums.shape[0]))
             contribution = reduce @ sums
             _path_prefix(contribution, self._path)
             self.projected_sum += contribution.T
 
-        self.diag_sum += weights @ _path_walk_diag(batch, self._path)
+        self.diag_sum += _path_walk_diag(batch, self._path).sum(axis=0)
 
         if self.tracked_roots:
             root_of = batch.root_of()
             for idx, target in enumerate(self.tracked_roots):
-                self.root_counts[:, idx] += (
-                    weights @ (root_of == target).astype(np.float64)
-                )
+                self.root_counts[:, idx] += np.count_nonzero(
+                    root_of == target, axis=0)
 
-        self.count += float(weights.sum())
+        self.count += batch.batch_size
 
     # ------------------------------------------------------------------ results
     def projected_estimates(self) -> np.ndarray:
@@ -757,7 +728,7 @@ class ForestAccumulator:
         return fractions
 
     def _require_samples(self) -> None:
-        if self.count <= 0.0:
+        if self.count <= 0:
             raise InvalidParameterError("no forests sampled yet")
 
 

@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.centrality.cfcc import grounded_trace
 from repro.graph.graph import Graph
 from repro.graph.traversal import require_connected
 from repro.linalg.laplacian import grounded_laplacian_dense
@@ -46,10 +47,7 @@ def resistance_to_group(graph: Graph, u: int, group: Sequence[int]) -> float:
 
 def total_group_resistance(graph: Graph, group: Sequence[int]) -> float:
     """``Σ_{u ∈ V} R(u, S) = Tr(inv(L_{-S}))`` — the reciprocal objective of CFCM."""
-    require_connected(graph)
-    group = check_group(group, graph.n)
-    matrix, _ = grounded_laplacian_dense(graph, group)
-    return float(np.trace(np.linalg.inv(matrix)))
+    return grounded_trace(graph, group)
 
 
 def resistance_matrix(graph: Graph) -> np.ndarray:

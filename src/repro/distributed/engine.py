@@ -391,8 +391,7 @@ class ShardedCFCM(QueryFront):
     executor:
         Only ``"serial"`` is accepted: per-shard folds and traces run back
         to back in shard order.
-    seed, config, pool_size, cache_capacity, ess_floor, backend,
-    backend_options:
+    seed, config, pool_size, cache_capacity, ess_floor, backend:
         Forwarded to the per-shard :class:`DynamicCFCM` engines (pools run
         with adaptive ESS floors; trackers refactorise at their backend's
         break-even).
@@ -404,7 +403,6 @@ class ShardedCFCM(QueryFront):
                  pool_size: int = 24, cache_capacity: int = 16,
                  ess_floor: float = 0.5,
                  backend: str = "auto",
-                 backend_options: Optional[Dict[str, object]] = None,
                  executor: str = "serial", seeds: Sequence[int] = ()):
         if str(executor).lower() != "serial":
             raise InvalidParameterError(
@@ -421,7 +419,6 @@ class ShardedCFCM(QueryFront):
             "cache_capacity", cache_capacity, minimum=1)
         self.ess_floor = float(ess_floor)
         self.backend = backend
-        self.backend_options = dict(backend_options) if backend_options else None
         self.stats = EngineStats()
         self.rebuilds = 0
         self._groups: Dict[Tuple[int, ...], _GroupState] = {}
@@ -454,7 +451,7 @@ class ShardedCFCM(QueryFront):
                 graph, si, interior, partition.separator, seed=child_seed,
                 config=self.config, pool_size=self.pool_size,
                 cache_capacity=self.cache_capacity, ess_floor=self.ess_floor,
-                backend=self.backend, backend_options=self.backend_options,
+                backend=self.backend,
             ))
             _INTERIOR_NODES.set(float(len(interior)), shard=str(si))
         _SHARD_COUNT.set(float(self.shards))

@@ -47,7 +47,7 @@ class ShardState:
         Stable global ids of the interior nodes owned by this shard.
     separator:
         Stable global ids of the full separator ``T`` (replicated).
-    seed, config, pool_size, cache_capacity, backend, backend_options:
+    seed, config, pool_size, cache_capacity, ess_floor, backend:
         Forwarded to the shard's :class:`DynamicCFCM`.
     """
 
@@ -56,8 +56,7 @@ class ShardState:
                  seed: int = 0, config: Optional[SamplingConfig] = None,
                  pool_size: int = 24, cache_capacity: int = 64,
                  ess_floor: float = 0.5,
-                 backend: str = "dense",
-                 backend_options: Optional[Dict[str, object]] = None):
+                 backend: str = "dense"):
         self.index = int(index)
         self.interior = tuple(sorted(int(x) for x in interior))
         self.separator = tuple(sorted(int(x) for x in separator))
@@ -97,7 +96,7 @@ class ShardState:
             mirror, seed=seed, config=config, pool_size=pool_size,
             cache_capacity=cache_capacity, ess_floor=ess_floor,
             adaptive_ess_floor=True,
-            backend=backend, backend_options=backend_options,
+            backend=backend,
         )
 
     def forward(self, event: GraphUpdate) -> None:

@@ -58,7 +58,6 @@ from repro.centrality.estimators import (
     marginal_gain_estimates,
     rademacher_weights,
 )
-from repro.linalg.backends import ResistanceBackend
 from repro.centrality.result import CFCMResult
 from repro.dynamic.graph import REMOVE_NODE, DynamicGraph
 from repro.dynamic.resistance import IncrementalResistance
@@ -281,49 +280,35 @@ class DynamicCFCM(QueryFront):
         materialises the inverse) or ``"auto"`` (picks by graph
         size/sparsity); forwarded to every
         :class:`~repro.dynamic.IncrementalResistance` this engine creates.
-        Each tracker refactorises at its backend's break-even (a fixed 64
-        updates on dense, the factor's own estimate on sparse), and the
-        journal is compacted past any tracker that lags further behind.
-    backend_options:
-        Keyword arguments for the backend constructor (sparse backend only).
+        A name, not an instance: one backend instance holds the
+        factorisation of one grounded matrix, and the engine keeps a tracker
+        per group.  Each tracker refactorises at its backend's break-even (a
+        fixed 64 updates on dense, the factor's own estimate on sparse), and
+        the journal is compacted past any tracker that lags further behind.
     watchdog_interval:
         Probe the numerical health of every cached incremental inverse once
         per this-many synchronisations (the backward residual
-        ``max|L_{-S}(B⁻¹e) − e|`` of a sampled unit solve); drift past
-        ``drift_threshold`` triggers an automatic refactorisation.  ``0``
-        (the default) disables the watchdog.
-    drift_threshold:
-        Residual above which a watchdog probe refactorises the tracker.
+        ``max|L_{-S}(B⁻¹e) − e|`` of a sampled unit solve); drift past the
+        :class:`~repro.resilience.ResidualWatchdog` default threshold
+        (``1e-6``) triggers an automatic refactorisation.  ``0`` (the
+        default) disables the watchdog.
     """
 
     def __init__(self, graph: DynamicGraph | Graph, seed: RandomState = None,
                  config: Optional[SamplingConfig] = None, pool_size: int = 24,
                  cache_capacity: int = 64, ess_floor: float = 0.5,
                  adaptive_ess_floor: bool = False,
-                 backend: str | ResistanceBackend = "dense",
-                 backend_options: Optional[Dict[str, object]] = None,
-                 watchdog_interval: int = 0,
-                 drift_threshold: float = 1e-6):
+                 backend: str = "dense",
+                 watchdog_interval: int = 0):
         if isinstance(graph, Graph):
             graph = DynamicGraph(graph)
         self.graph = graph
-        if isinstance(backend, ResistanceBackend):
-            # One backend instance holds the factorisation of exactly one
-            # grounded matrix; the engine keeps a tracker per *group*, so a
-            # shared instance would corrupt state across groups.
+        self.backend = str(backend).lower()
+        if self.backend not in ("dense", "sparse", "auto"):
             raise InvalidParameterError(
-                "DynamicCFCM takes a backend spec string ('dense', 'sparse' "
-                "or 'auto'), not a backend instance — each cached group "
-                "tracker needs its own"
+                f"backend must be a spec string 'dense', 'sparse' or 'auto', "
+                f"got {backend!r}"
             )
-        backend = str(backend).lower()
-        if backend not in ("dense", "sparse", "auto"):
-            raise InvalidParameterError(
-                f"unknown resistance backend {backend!r} (expected "
-                f"'dense', 'sparse' or 'auto')"
-            )
-        self.backend = backend
-        self.backend_options = dict(backend_options) if backend_options else None
         self.rng = as_rng(seed)
         self.config = config
         self.pool_size = check_integer("pool_size", pool_size, minimum=1)
@@ -337,11 +322,6 @@ class DynamicCFCM(QueryFront):
                                             minimum=1)
         self.watchdog_interval = check_integer("watchdog_interval",
                                                watchdog_interval, minimum=0)
-        self.drift_threshold = float(drift_threshold)
-        if self.drift_threshold <= 0.0:
-            raise InvalidParameterError(
-                f"drift_threshold must be positive, got {drift_threshold}"
-            )
         self.stats = EngineStats()
         self._query_cache: Dict[Tuple, Tuple[int, CFCMResult]] = {}
         self._eval_cache: Dict[Tuple, Tuple[int, float]] = {}
@@ -438,7 +418,6 @@ class DynamicCFCM(QueryFront):
             self.stats.eval_misses += 1
             tracker = IncrementalResistance(
                 self.graph, key, backend=self.backend,
-                backend_options=self.backend_options,
                 watchdog=self._make_watchdog(key))
         else:
             self.stats.eval_hits += 1
@@ -541,7 +520,7 @@ class DynamicCFCM(QueryFront):
         from repro.resilience.watchdog import ResidualWatchdog
 
         return ResidualWatchdog(
-            threshold=self.drift_threshold, interval=self.watchdog_interval,
+            interval=self.watchdog_interval,
             seed=zlib.crc32(_pool_key(key).encode("utf-8")),
         )
 

@@ -145,9 +145,8 @@ class IncrementalResistance:
         default — bit-identical to the historical engine), ``"sparse"``
         (solver-backed, never materialises the inverse), ``"auto"`` (picks
         by graph size/sparsity), or a ready
-        :class:`repro.linalg.ResistanceBackend` instance.
-    backend_options:
-        Keyword arguments for the backend constructor (sparse backend only).
+        :class:`repro.linalg.ResistanceBackend` instance (say, a sparse
+        backend with its own probe count and seed).
 
     Attributes
     ----------
@@ -160,11 +159,9 @@ class IncrementalResistance:
 
     def __init__(self, graph: DynamicGraph, group: Sequence[int],
                  backend: Union[str, ResistanceBackend] = "dense",
-                 backend_options: Optional[Dict[str, object]] = None,
                  watchdog: Optional[ResidualWatchdog] = None):
         self._install(graph, group, make_resistance_backend(
-            backend, n=graph.n, m=graph.m, options=backend_options,
-        ), watchdog)
+            backend, n=graph.n, m=graph.m), watchdog)
         self._factorize()
 
     @classmethod

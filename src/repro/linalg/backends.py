@@ -55,12 +55,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.exceptions import InvalidParameterError
-from repro.linalg.factor import (
-    HubCoreFactor,
-    break_even,
-    factorize_spd,
-    sparse_lu,
-)
+from repro.linalg.factor import HubCoreFactor, break_even, factorize_spd
 from repro.linalg.solvers import LaplacianSolver, SolverMethod
 from repro.linalg.updates import grounded_inverse_block_update
 from repro.obs.metrics import REGISTRY
@@ -89,6 +84,10 @@ SOLVE_BLOCK = 256
 AUTO_SPARSE_NODES = 1500
 #: ...provided the graph is actually sparse (average degree below this).
 AUTO_SPARSE_DEGREE = 16.0
+
+#: The sparse backend's ``diagonal(mode="auto")`` is exact up to this many
+#: live rows and sketched beyond: small systems stay exact for free.
+EXACT_DIAGONAL_ROWS = 1024
 
 
 class ResistanceBackend:
@@ -308,26 +307,20 @@ class DenseResistanceBackend(ResistanceBackend):
 class SparseResistanceBackend(ResistanceBackend):
     """Solver-backed maintenance of ``inv(M)`` without materialising it.
 
+    The base factor comes from :func:`repro.linalg.factor.factorize_spd`
+    (the hub core on hub-heavy patterns, sparse LU otherwise); when that
+    raises, solves run through Jacobi-preconditioned CG
+    (:class:`repro.linalg.solvers.LaplacianSolver` at its default
+    tolerance).  :attr:`solver_used` reports ``"hub_core"``, ``"splu"`` or
+    ``"cg"``.  ``diagonal(mode="auto")`` is exact up to
+    :data:`EXACT_DIAGONAL_ROWS` live rows and sketched beyond.
+
     Parameters
     ----------
-    solver:
-        ``"auto"`` (:func:`repro.linalg.factor.factorize_spd`: the hub core
-        on hub-heavy patterns, sparse LU otherwise, falling back to
-        preconditioned CG when the factorisation fails), ``"splu"`` (LU or
-        error) or ``"cg"``.  :attr:`solver_used` reports ``"hub_core"``,
-        ``"splu"`` or ``"cg"``.
     probes:
         Rademacher probe count of the Hutchinson diagonal sketch.  Probe
         base solves are computed once per factorisation and cached; each
         burst only pays the rank-``t`` correction on the cached block.
-    diag_mode:
-        Default diagonal policy: ``"exact"`` (n solves), ``"sketch"``
-        (Hutchinson) or ``"auto"`` (exact up to ``exact_threshold`` rows,
-        sketched beyond — small systems stay exact for free).
-    exact_threshold:
-        Row count below which ``auto`` serves exact diagonals.
-    rtol, maxiter:
-        Forwarded to the CG fallback.
     seed:
         Seed of the (deterministic) probe matrix stream.
     """
@@ -335,29 +328,11 @@ class SparseResistanceBackend(ResistanceBackend):
     name = "sparse"
     wants_sparse = True
 
-    def __init__(self, solver: str = "auto", probes: int = 24,
-                 diag_mode: str = "auto", exact_threshold: int = 1024,
-                 rtol: float = 1e-10, maxiter: Optional[int] = None,
-                 seed: int = 0):
+    def __init__(self, probes: int = 24, seed: int = 0):
         super().__init__()
-        solver = str(solver).lower()
-        if solver not in ("auto", "splu", "cg"):
-            raise InvalidParameterError(
-                f"solver must be 'auto', 'splu' or 'cg', got {solver!r}"
-            )
-        diag_mode = str(diag_mode).lower()
-        if diag_mode not in ("auto", "exact", "sketch"):
-            raise InvalidParameterError(
-                f"diag_mode must be 'auto', 'exact' or 'sketch', got {diag_mode!r}"
-            )
         if int(probes) < 1:
             raise InvalidParameterError(f"probes must be >= 1, got {probes}")
-        self.solver = solver
         self.probes = int(probes)
-        self.diag_mode = diag_mode
-        self.exact_threshold = int(exact_threshold)
-        self.rtol = float(rtol)
-        self.maxiter = maxiter
         self.seed = int(seed)
         self._factor_count = 0
         self._solver_used = "none"
@@ -393,27 +368,18 @@ class SparseResistanceBackend(ResistanceBackend):
         self._factor_count += 1
         self._lu = None
         self._cg = None
-        if self.solver in ("auto", "splu"):
-            try:
-                self._lu = (factorize_spd(matrix) if self.solver == "auto"
-                            else sparse_lu(matrix))
-                self._solver_used = ("hub_core"
-                                     if isinstance(self._lu, HubCoreFactor)
-                                     else "splu")
-            except (RuntimeError, ValueError) as exc:
-                if self.solver == "splu":
-                    raise InvalidParameterError(
-                        f"sparse LU factorisation failed: {exc}"
-                    ) from exc
-        if self._lu is None:
+        try:
+            self._lu = factorize_spd(matrix)
+            self._solver_used = ("hub_core"
+                                 if isinstance(self._lu, HubCoreFactor)
+                                 else "splu")
+        except (RuntimeError, ValueError):
             # CG fallback: the solver builds its Jacobi preconditioner once
             # per factorisation and shares it across every solve against it.
             # Rebuilding it costs less than one iterative column solve, so
             # every burst refactorises (break_even 0).
             self._cg = LaplacianSolver(
-                matrix, method=SolverMethod.CONJUGATE_GRADIENT,
-                tol=self.rtol, maxiter=self.maxiter,
-            )
+                matrix, method=SolverMethod.CONJUGATE_GRADIENT)
             self._solver_used = "cg"
             self.break_even = 0.0
         else:
@@ -478,12 +444,10 @@ class SparseResistanceBackend(ResistanceBackend):
     def diagonal(self, mode: str = "auto") -> np.ndarray:
         mode = str(mode or "auto").lower()
         if mode == "auto":
-            mode = self.diag_mode
-        if mode == "auto":
             # Decide on the live rows: free identity rows cost solves but
             # are not part of the graph the threshold is about.
             live = self._n - self.free_rows
-            mode = "exact" if live <= self.exact_threshold else "sketch"
+            mode = "exact" if live <= EXACT_DIAGONAL_ROWS else "sketch"
         if self._diag_cache is not None:
             epoch, cached_mode, values = self._diag_cache
             if epoch == self._epoch and cached_mode == mode:
@@ -626,32 +590,20 @@ def choose_backend(n: int, m: int) -> str:
 
 
 def make_resistance_backend(spec: BackendSpec = "dense",
-                            n: int = 0, m: int = 0,
-                            options: Optional[Dict[str, object]] = None,
-                            ) -> ResistanceBackend:
+                            n: int = 0, m: int = 0) -> ResistanceBackend:
     """Resolve a backend spec (``"dense" | "sparse" | "auto"`` or instance).
 
-    ``n``/``m`` size the ``auto`` decision; ``options`` are keyword
-    arguments for the :class:`SparseResistanceBackend` constructor (ignored
-    by the dense backend, rejected alongside an instance spec).
+    ``n``/``m`` size the ``auto`` decision; an instance is returned as is.
     """
     if isinstance(spec, ResistanceBackend):
-        if options:
-            raise InvalidParameterError(
-                "backend options cannot be combined with a backend instance"
-            )
         return spec
     name = str(spec).lower()
     if name == "auto":
         name = choose_backend(n, m)
     if name == "dense":
-        if options:
-            raise InvalidParameterError(
-                f"the dense backend takes no options, got {sorted(options)}"
-            )
         return DenseResistanceBackend()
     if name == "sparse":
-        return SparseResistanceBackend(**(options or {}))
+        return SparseResistanceBackend()
     raise InvalidParameterError(
         f"unknown resistance backend {spec!r} (expected 'dense', 'sparse' "
         f"or 'auto')"

@@ -58,16 +58,6 @@ def pseudoinverse_diagonal_grounded(graph: Graph, anchor: int) -> np.ndarray:
     return diag
 
 
-def effective_resistance_matrix(graph: Graph) -> np.ndarray:
-    """Dense matrix of pairwise resistance distances ``R(i, j)``.
-
-    ``R(i, j) = L†_ii + L†_jj - 2 L†_ij`` (Eq. 1 of the paper).
-    """
-    pinv = laplacian_pseudoinverse(graph)
-    diag = np.diag(pinv)
-    return diag[:, None] + diag[None, :] - 2.0 * pinv
-
-
 def kirchhoff_index(graph: Graph) -> float:
     """Kirchhoff index ``Kf = n * Tr(L†)`` = sum of all pairwise resistances / 1."""
     return float(graph.n * np.trace(laplacian_pseudoinverse(graph)))

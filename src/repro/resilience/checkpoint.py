@@ -42,7 +42,7 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 
 #: Bump when the archive layout changes; restore refuses unknown versions.
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 # ------------------------------------------------------------------ helpers
@@ -166,9 +166,7 @@ def checkpoint_engine(engine, path: str) -> str:
             "adaptive_ess_floor": bool(engine.adaptive_ess_floor),
             "cache_capacity": int(engine.cache_capacity),
             "backend": engine.backend,
-            "backend_options": engine.backend_options,
-            "watchdog_interval": int(getattr(engine, "watchdog_interval", 0)),
-            "drift_threshold": float(getattr(engine, "drift_threshold", 1e-6)),
+            "watchdog_interval": int(engine.watchdog_interval),
             "config": None if engine.config is None else asdict(engine.config),
             "pool_version": int(engine._pool_version),
             "rng_state": engine.rng.bit_generator.state,
@@ -281,10 +279,8 @@ def restore_engine(path: str):
             graph, seed=0, config=config, pool_size=spec["pool_size"],
             cache_capacity=spec["cache_capacity"],
             ess_floor=spec["ess_floor"], backend=spec["backend"],
-            backend_options=spec["backend_options"],
-            watchdog_interval=spec.get("watchdog_interval", 0),
-            drift_threshold=spec.get("drift_threshold", 1e-6),
-            adaptive_ess_floor=spec.get("adaptive_ess_floor", False),
+            watchdog_interval=spec["watchdog_interval"],
+            adaptive_ess_floor=spec["adaptive_ess_floor"],
         )
         engine.rng = np.random.default_rng(0)
         engine.rng.bit_generator.state = spec["rng_state"]
@@ -320,10 +316,8 @@ def restore_engine(path: str):
             kind = entry["kind"]
             watchdog = (None if entry["watchdog"] is None
                         else ResidualWatchdog.from_state(entry["watchdog"]))
-            options = spec["backend_options"] if kind == "sparse" else None
             tracker = IncrementalResistance._restored(
-                graph, group,
-                make_resistance_backend(kind, options=options),
+                graph, group, make_resistance_backend(kind),
                 watchdog=watchdog,
             )
             spares = int(entry["spare_rows"])

@@ -114,23 +114,6 @@ def sample_rooted_forest(graph: Graph, roots: Sequence[int],
     return Forest(parent=parent_array, roots=np.asarray(list(roots), dtype=np.int64))
 
 
-def expected_sampling_cost(graph: Graph, roots: Sequence[int]) -> float:
-    """Exact expected number of random-walk steps of Wilson's algorithm.
-
-    Lemma 3.7: the expected number of node visits is bounded by
-    ``Tr((I - P_{-S})^{-1})``, the sum over nodes of the expected number of
-    visits before absorption.  Computed densely; intended for analysis and for
-    validating the efficiency benefit of enlarging the root set (SchurCFCM).
-    """
-    from repro.linalg.laplacian import grounded_transition_matrix
-
-    submatrix, _ = grounded_transition_matrix(graph, roots)
-    dense = submatrix.toarray()
-    identity = np.eye(dense.shape[0])
-    fundamental = np.linalg.inv(identity - dense)
-    return float(np.trace(fundamental))
-
-
 def empirical_root_distribution(graph: Graph, roots: Sequence[int],
                                 samples: int, seed: RandomState = None,
                                 method: str = "lockstep") -> np.ndarray:

@@ -4,13 +4,14 @@
 a query service can interleave update bursts with concurrent reads:
 
 * **Single writer** — mutations are enqueued on a bounded ``asyncio.Queue``
-  and applied by one writer task.  The writer drains the whole backlog per
-  wakeup, applying it back-to-back with no engine synchronisation in
-  between, so the next evaluation folds the entire burst in as *one*
-  rank-``t`` Woodbury batch (the coalescing is free: it reuses
-  :meth:`repro.dynamic.IncrementalResistance.sync`'s journal batching).
-  Each submission returns an :class:`~repro.service.messages.UpdateTicket`
-  that settles with the journal events the mutation produced.
+  and applied by one writer task.  The writer drains the backlog, up to
+  :data:`COALESCE_LIMIT` updates, per wakeup, applying it back-to-back with
+  no engine synchronisation in between, so the next evaluation folds the
+  entire burst in as *one* rank-``t`` Woodbury batch (the coalescing is
+  free: it reuses :meth:`repro.dynamic.IncrementalResistance.sync`'s
+  journal batching).  Each submission returns an
+  :class:`~repro.service.messages.UpdateTicket` that settles with the
+  journal events the mutation produced.
 * **Multi reader** — queries and evaluations run on a bounded worker pool
   (:class:`~repro.service.workers.WorkerPool`), never blocking the event
   loop.  ``consistency="fresh"`` (the default) first awaits the settlement
@@ -78,6 +79,10 @@ _REQUEST_SECONDS = REGISTRY.histogram(
 
 CONSISTENCY_MODES = ("fresh", "relaxed")
 
+#: Most updates one writer wakeup applies, i.e. the largest rank-``t``
+#: batch a single evaluation folds in.
+COALESCE_LIMIT = 64
+
 
 @dataclass
 class ServiceStats:
@@ -125,9 +130,6 @@ class AsyncCFCMService:
     queue_limit:
         Maximum pending updates; beyond it :meth:`submit` raises
         :class:`repro.exceptions.ServiceOverloadedError` (backpressure).
-    coalesce_limit:
-        Maximum updates applied per writer wakeup, i.e. the largest
-        rank-``t`` batch a single evaluation will fold in.
     backend:
         Resistance backend spec for the engine's exact evaluation path
         (``"dense"``, ``"sparse"`` or ``"auto"``); ``None`` keeps the
@@ -145,7 +147,7 @@ class AsyncCFCMService:
         recovery).
     engine_kwargs:
         Extra :class:`repro.dynamic.DynamicCFCM` options (``pool_size``,
-        ``cache_capacity``, ``backend_options``, ...).
+        ``cache_capacity``, ...).
     """
 
     def __init__(
@@ -155,7 +157,6 @@ class AsyncCFCMService:
         config: Optional[SamplingConfig] = None,
         workers: int = 2,
         queue_limit: int = 1024,
-        coalesce_limit: int = 64,
         backend: Optional[str] = None,
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
@@ -168,7 +169,6 @@ class AsyncCFCMService:
         self.engine = DynamicCFCM(graph, seed=seed, config=config, **engine_kwargs)
         self.graph = self.engine.graph
         self.queue_limit = check_integer("queue_limit", queue_limit, minimum=1)
-        self.coalesce_limit = check_integer("coalesce_limit", coalesce_limit, minimum=1)
         self.stats = ServiceStats()
         self._pool = WorkerPool(workers=workers)
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=self.queue_limit)
@@ -494,7 +494,7 @@ class AsyncCFCMService:
             request = await self._queue.get()
             stop = request is _STOP
             batch = [] if stop else [request]
-            while not stop and len(batch) < self.coalesce_limit:
+            while not stop and len(batch) < COALESCE_LIMIT:
                 try:
                     pending = self._queue.get_nowait()
                 except asyncio.QueueEmpty:

@@ -12,7 +12,6 @@ from repro.centrality.absorbing import (
 )
 from repro.centrality.exact_greedy import ExactGreedy
 from repro.centrality.heuristics import degree_group
-from repro.sampling.wilson import expected_sampling_cost
 
 
 class TestHittingTimes:
@@ -36,11 +35,6 @@ class TestHittingTimes:
 
 
 class TestWilsonCostIdentities:
-    def test_matches_sampling_module(self, karate):
-        assert expected_wilson_visits(karate, [0]) == pytest.approx(
-            expected_sampling_cost(karate, [0]), rel=1e-9
-        )
-
     def test_degree_weighted_identity(self, karate):
         """Tr((I - P_{-S})^{-1}) = sum_u d_u (inv(L_{-S}))_uu."""
         for group in ([0], [0, 33], [5, 10]):

@@ -1,9 +1,9 @@
-"""Parameter validation and engine routing of the maximize_cfcc entry point."""
+"""Parameter and graph validation of the maximize_cfcc entry point."""
 
 import pytest
 
 import repro
-from repro.dynamic import DynamicCFCM, DynamicGraph
+from repro.dynamic import DynamicGraph
 from repro.exceptions import InvalidParameterError
 
 
@@ -46,41 +46,7 @@ class TestEpsBounds:
 
 
 class TestEngineRouting:
-    def test_engine_parameter_routes_through_cache(self, small_ba):
-        engine = DynamicCFCM(DynamicGraph(small_ba), seed=0)
-        first = repro.maximize_cfcc(small_ba, 3, method="exact", engine=engine)
-        second = repro.maximize_cfcc(small_ba, 3, method="exact", engine=engine)
-        assert second is first
-        assert engine.stats.query_hits == 1
-
-    def test_engine_with_graph_none(self, small_ba):
-        engine = DynamicCFCM(DynamicGraph(small_ba), seed=0)
-        result = repro.maximize_cfcc(None, 2, method="degree", engine=engine)
-        assert result.k == 2
-
-    def test_engine_validates_bounds_before_dispatch(self, small_ba):
-        engine = DynamicCFCM(DynamicGraph(small_ba), seed=0)
-        with pytest.raises(InvalidParameterError):
-            repro.maximize_cfcc(None, small_ba.n, method="degree", engine=engine)
-
-    def test_engine_rejects_conflicting_arguments(self, small_ba, karate):
-        engine = DynamicCFCM(DynamicGraph(small_ba), seed=0)
-        with pytest.raises(InvalidParameterError, match="engine owns"):
-            repro.maximize_cfcc(None, 2, method="schur", seed=42, engine=engine)
-        with pytest.raises(InvalidParameterError, match="engine owns"):
-            repro.maximize_cfcc(None, 2, method="schur", engine=engine,
-                                config=repro.SamplingConfig(eps=0.3))
-        with pytest.raises(InvalidParameterError, match="engine owns"):
-            repro.maximize_cfcc(None, 2, method="schur", engine=engine,
-                                extra_roots=[5])
-        with pytest.raises(InvalidParameterError, match="does not match"):
-            repro.maximize_cfcc(karate, 2, method="degree", engine=engine)
-
-    def test_engine_accepts_its_own_dynamic_graph(self, small_ba):
-        engine = DynamicCFCM(DynamicGraph(small_ba), seed=0)
-        result = repro.maximize_cfcc(engine.graph, 2, method="degree",
-                                     engine=engine)
-        assert result.k == 2
+    """What the graph argument accepts: a unit-weighted dynamic graph, not None."""
 
     def test_graph_none_without_engine_rejected(self):
         with pytest.raises(InvalidParameterError, match="graph is required"):

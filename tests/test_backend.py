@@ -37,6 +37,7 @@ from repro.linalg import (
     choose_backend,
     make_resistance_backend,
 )
+import repro.linalg.backends as backends_module
 from repro.linalg.backends import AUTO_SPARSE_NODES, SOLVE_BLOCK
 from repro.linalg.factor import HubCoreFactor, factorize_spd
 from repro.linalg.laplacian import grounded_laplacian
@@ -44,11 +45,10 @@ from repro.linalg.laplacian import grounded_laplacian
 GROUP = [0, 1]
 
 
-def _pair(graph, **sparse_options):
+def _pair(graph):
     """Dense and sparse trackers over the same DynamicGraph journal."""
     dense = IncrementalResistance(graph, GROUP, backend="dense")
-    sparse = IncrementalResistance(graph, GROUP, backend="sparse",
-                                   backend_options=sparse_options or None)
+    sparse = IncrementalResistance(graph, GROUP, backend="sparse")
     return dense, sparse
 
 
@@ -269,13 +269,12 @@ class TestNodeChurnOracle:
 class TestSparseNodeChurnOracle:
     """What node churn leaves on the sparse engine's diagonal policy."""
 
-    def test_auto_diagonal_decides_on_live_rows(self):
+    def test_auto_diagonal_decides_on_live_rows(self, monkeypatch):
         """Spare and tombstoned rows do not push a tracker that fits under
-        ``exact_threshold`` onto sketched diagonals."""
+        ``EXACT_DIAGONAL_ROWS`` onto sketched diagonals."""
+        monkeypatch.setattr(backends_module, "EXACT_DIAGONAL_ROWS", 120)
         graph = DynamicGraph(generators.barabasi_albert(120, 3, seed=1))
-        tracker = IncrementalResistance(
-            graph, [0], backend="sparse",
-            backend_options={"exact_threshold": 120})
+        tracker = IncrementalResistance(graph, [0], backend="sparse")
         graph.remove_node(119)
         graph.add_node([1, 2])
         graph.add_node([3, 4])
@@ -286,11 +285,12 @@ class TestSparseNodeChurnOracle:
 
 
 class TestSketchedDiagonal:
-    def test_sketch_tracks_exact_within_tolerance(self, medium_ba):
+    def test_sketch_tracks_exact_within_tolerance(self, medium_ba,
+                                                  monkeypatch):
+        monkeypatch.setattr(backends_module, "EXACT_DIAGONAL_ROWS", 0)
         graph = DynamicGraph(medium_ba)
         sparse = IncrementalResistance(
-            graph, GROUP, backend="sparse",
-            backend_options={"diag_mode": "sketch", "probes": 256, "seed": 5})
+            graph, GROUP, backend=SparseResistanceBackend(probes=256, seed=5))
         exact = grounded_trace(graph.snapshot(), graph.compact_nodes(GROUP))
         assert sparse.trace() == pytest.approx(exact, rel=0.1)
         # The escape hatch stays exact regardless of the default policy.
@@ -309,9 +309,10 @@ class TestSketchedDiagonal:
         np.testing.assert_allclose(backend.diagonal(mode="exact"), one_shot,
                                    rtol=1e-12, atol=0)
 
-    def test_sketch_is_deterministic_and_cached(self, small_ba):
+    def test_sketch_is_deterministic_and_cached(self, small_ba, monkeypatch):
+        monkeypatch.setattr(backends_module, "EXACT_DIAGONAL_ROWS", 0)
         graph = DynamicGraph(small_ba)
-        backend = SparseResistanceBackend(diag_mode="sketch", probes=32, seed=9)
+        backend = SparseResistanceBackend(probes=32, seed=9)
         tracker = IncrementalResistance(graph, GROUP, backend=backend)
         first = tracker.diagonal()
         np.testing.assert_array_equal(first, tracker.diagonal())
@@ -320,13 +321,16 @@ class TestSketchedDiagonal:
         assert not np.array_equal(first, second)
 
 
+def _unavailable(*args, **kwargs):
+    raise RuntimeError("factorisation unavailable")
+
+
 class TestCGFallback:
-    def test_explicit_cg_solver_matches_dense(self, small_ba):
+    def test_explicit_cg_solver_matches_dense(self, small_ba, monkeypatch):
+        monkeypatch.setattr(backends_module.spla, "splu", _unavailable)
         graph = DynamicGraph(small_ba)
         dense = IncrementalResistance(graph, GROUP, backend="dense")
-        cg = IncrementalResistance(
-            graph, GROUP, backend="sparse",
-            backend_options={"solver": "cg", "rtol": 1e-12})
+        cg = IncrementalResistance(graph, GROUP, backend="sparse")
         assert cg.backend.solver_used == "cg"
         rng = np.random.default_rng(23)
         random_update_journal(graph, 5, rng)
@@ -336,12 +340,7 @@ class TestCGFallback:
                                    dense.diagonal(), rtol=1e-6)
 
     def test_auto_falls_back_when_splu_unavailable(self, small_ba, monkeypatch):
-        import repro.linalg.backends as backends_module
-
-        def broken_splu(*args, **kwargs):
-            raise RuntimeError("factorisation unavailable")
-
-        monkeypatch.setattr(backends_module.spla, "splu", broken_splu)
+        monkeypatch.setattr(backends_module.spla, "splu", _unavailable)
         graph = DynamicGraph(small_ba)
         tracker = IncrementalResistance(graph, GROUP, backend="sparse")
         assert tracker.backend.solver_used == "cg"
@@ -349,15 +348,11 @@ class TestCGFallback:
         assert tracker.trace() == pytest.approx(expected, rel=1e-6)
 
     def test_splu_only_solver_fails_over_to_dense(self, small_ba, monkeypatch):
-        import repro.linalg.backends as backends_module
-
-        def broken_splu(*args, **kwargs):
-            raise RuntimeError("factorisation unavailable")
-
-        monkeypatch.setattr(backends_module.spla, "splu", broken_splu)
+        # The whole sparse factorisation fails, CG fallback included.
+        monkeypatch.setattr(backends_module.SparseResistanceBackend,
+                            "_factorize_impl", _unavailable)
         graph = DynamicGraph(small_ba)
-        tracker = IncrementalResistance(graph, GROUP, backend="sparse",
-                                        backend_options={"solver": "splu"})
+        tracker = IncrementalResistance(graph, GROUP, backend="sparse")
         # The degradation ladder swaps in the dense fallback instead of
         # surfacing the factorisation failure; answers stay correct.
         assert tracker.backend.name == "dense"
@@ -366,18 +361,13 @@ class TestCGFallback:
         assert tracker.trace() == pytest.approx(expected, rel=1e-9)
 
     def test_failed_dense_fallback_is_terminal(self, small_ba, monkeypatch):
-        import repro.linalg.backends as backends_module
-
-        def broken(*args, **kwargs):
-            raise RuntimeError("factorisation unavailable")
-
-        monkeypatch.setattr(backends_module.spla, "splu", broken)
+        monkeypatch.setattr(backends_module.SparseResistanceBackend,
+                            "_factorize_impl", _unavailable)
         monkeypatch.setattr(backends_module.DenseResistanceBackend,
-                            "factorize", broken)
+                            "factorize", _unavailable)
         graph = DynamicGraph(small_ba)
         with pytest.raises(BackendUnavailableError):
-            IncrementalResistance(graph, GROUP, backend="sparse",
-                                  backend_options={"solver": "splu"})
+            IncrementalResistance(graph, GROUP, backend="sparse")
 
 
 class TestHubCore:
@@ -421,11 +411,6 @@ class TestHubCore:
         hub = IncrementalResistance(DynamicGraph(hub_ba), GROUP,
                                     backend="sparse")
         assert hub.backend.solver_used == "hub_core"
-        # An explicit "splu" keeps sparse LU whatever the pattern.
-        forced = IncrementalResistance(DynamicGraph(hub_ba), GROUP,
-                                       backend="sparse",
-                                       backend_options={"solver": "splu"})
-        assert forced.backend.solver_used == "splu"
 
     @pytest.mark.parametrize("breakage", ["cholesky", "core_cap"])
     def test_falls_back_to_sparse_lu(self, hub_ba, monkeypatch, breakage):
@@ -553,19 +538,12 @@ class TestBackendSelection:
         assert make_resistance_backend("auto", n=100, m=300).name == "dense"
         auto = make_resistance_backend("auto", n=4000, m=12000)
         assert auto.name == "sparse"
-        sparse = make_resistance_backend("sparse", options={"probes": 8})
-        assert sparse.probes == 8
         instance = DenseResistanceBackend()
         assert make_resistance_backend(instance) is instance
 
     def test_make_resistance_backend_rejections(self):
         with pytest.raises(InvalidParameterError):
             make_resistance_backend("banana")
-        with pytest.raises(InvalidParameterError):
-            make_resistance_backend("dense", options={"probes": 8})
-        with pytest.raises(InvalidParameterError):
-            make_resistance_backend(DenseResistanceBackend(),
-                                    options={"probes": 8})
 
     def test_query_before_factorize_raises(self):
         with pytest.raises(InvalidParameterError, match="factorize"):
@@ -574,10 +552,6 @@ class TestBackendSelection:
             DenseResistanceBackend().solve_many(np.ones((3, 1)))
 
     def test_sparse_constructor_validation(self):
-        with pytest.raises(InvalidParameterError):
-            SparseResistanceBackend(solver="qr")
-        with pytest.raises(InvalidParameterError):
-            SparseResistanceBackend(diag_mode="guess")
         with pytest.raises(InvalidParameterError):
             SparseResistanceBackend(probes=0)
 

@@ -229,8 +229,7 @@ class TestAccumulatorBatchFold:
         one_by_one = ForestAccumulator(karate, roots, weights=weights,
                                        tracked_roots=[33], seed=0)
         for index in range(batch.batch_size):
-            one_by_one.add_batch(batch.select([index]), weights=[1.0],
-                                 method="scalar")
+            one_by_one.add_batch(batch.select([index]), method="scalar")
         batched = ForestAccumulator(karate, roots, weights=weights,
                                     tracked_roots=[33], seed=0)
         batched.add_batch(batch)

@@ -7,8 +7,10 @@ from repro import obs
 from repro.distributed import ShardedCFCM, partition_graph
 from repro.distributed import engine as sharded_engine
 from repro.dynamic import DynamicCFCM, DynamicGraph
+from repro.dynamic import resistance as resistance_module
 from repro.exceptions import InvalidParameterError
 from repro.graph import generators
+from repro.linalg import SparseResistanceBackend
 from repro.obs.tracing import disable_tracing, enable_tracing
 from repro.sampling.pool import WeightedForestPool
 
@@ -181,9 +183,14 @@ class TestShardedCorrectness:
         group = [0, 60]
         values = []
         for seed in range(16):
+            # Shard trackers resolve their backend here; each run draws
+            # another probe stream.
+            monkeypatch.setattr(
+                resistance_module, "make_resistance_backend",
+                lambda spec, n=0, m=0, seed=seed: SparseResistanceBackend(
+                    seed=seed))
             graph = grid(10, 12)
-            engine = ShardedCFCM(graph, shards=3, seed=0, backend="sparse",
-                                 backend_options={"seed": seed})
+            engine = ShardedCFCM(graph, shards=3, seed=0, backend="sparse")
             values.append(engine.evaluate_exact(group))
         inverse, _ = dense_reference(graph, group)
         assert len(set(values)) > 1

@@ -8,6 +8,7 @@ from repro.graph import generators
 from repro.centrality.estimators import (
     ForestAccumulator,
     SamplingConfig,
+    _sampled_schur_complement,
     estimate_first_pick,
     estimate_forest_delta,
     estimate_schur_delta,
@@ -37,18 +38,21 @@ class TestSamplingConfig:
         with pytest.raises(InvalidParameterError):
             SamplingConfig(max_samples=0)
 
+    @pytest.mark.parametrize("cap", [0, -3, 2.5])
+    def test_invalid_max_jl_dimension(self, cap):
+        # A cap below one leaves no JL rows to divide by, and a fractional
+        # one no row count at all.
+        with pytest.raises(InvalidParameterError, match="max_jl_dimension"):
+            SamplingConfig(eps=0.3, max_jl_dimension=cap)
+
     def test_jl_rows_scaling(self):
-        config = SamplingConfig(eps=0.2, max_jl_dimension=1000, jl_constant=1.0)
-        tighter = SamplingConfig(eps=0.1, max_jl_dimension=1000, jl_constant=1.0)
+        config = SamplingConfig(eps=0.2, max_jl_dimension=1000)
+        tighter = SamplingConfig(eps=0.1, max_jl_dimension=1000)
         assert tighter.jl_rows(500) > config.jl_rows(500)
 
     def test_jl_rows_capped(self):
         config = SamplingConfig(eps=0.15, max_jl_dimension=32)
         assert config.jl_rows(10_000) == 32
-
-    def test_theoretical_constants_mode(self):
-        config = SamplingConfig(eps=0.5, theoretical_constants=True)
-        assert config.jl_rows(100) >= 24 * (0.5 / 7) ** -2 * np.log(100) - 1
 
     def test_sample_cap_bounded(self):
         config = SamplingConfig(eps=0.3, max_samples=100)
@@ -206,6 +210,26 @@ class TestDeltaEstimators:
         expected_diag[kept] = np.diag(inverse)
         np.testing.assert_allclose(columns, expected_columns, rtol=0, atol=1e-10)
         np.testing.assert_allclose(diag, expected_diag, rtol=0, atol=1e-10)
+
+    def test_sampled_schur_complement_is_exact_on_exact_fractions(self):
+        """Fed the exact absorption probabilities, the Eq. (15) assembly
+        returns the exact Schur complement ``S_T(L_{-S})``."""
+        graph = generators.barabasi_albert(120, 3, seed=2)
+        group = [5, 40]
+        hubs = [int(v) for v in np.argsort(-graph.degrees, kind="stable")
+                if v not in group]
+        extras = sorted(hubs[:4])
+        neighbours = {t: set(int(v) for v in graph.neighbors(t)) for t in extras}
+        # The assembly has T-T and S-T edges to handle, not only U-T ones.
+        assert any(neighbours[a] & set(extras) for a in extras)
+        assert any(neighbours[t] & set(group) for t in extras)
+        blocks = grounded_inverse_block(graph, group, extras)
+        fractions = np.zeros((graph.n, len(extras)))
+        fractions[blocks.interior] = blocks.absorption
+
+        schur = _sampled_schur_complement(graph, group, extras, fractions)
+
+        np.testing.assert_allclose(schur, blocks.schur, rtol=0, atol=1e-10)
 
     def test_estimates_are_positive(self, small_ba):
         config = SamplingConfig(eps=0.3, max_samples=128)

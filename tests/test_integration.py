@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import repro
+from repro.centrality.absorbing import expected_wilson_visits
 from repro.centrality.estimators import SamplingConfig
 from repro.graph import generators
-from repro.sampling.wilson import expected_sampling_cost
 
 
 @pytest.fixture(scope="module")
@@ -51,9 +51,9 @@ class TestEndToEndPipeline:
     def test_schur_samples_cheaper_forests(self, workload):
         """Adding the auxiliary hub roots lowers the expected walk length."""
         hub = int(np.argmax(workload.degrees))
-        base = expected_sampling_cost(workload, [hub])
+        base = expected_wilson_visits(workload, [hub])
         extras = repro.SchurCFCM(workload, seed=0).extra_roots
-        enlarged = expected_sampling_cost(workload, sorted(set([hub] + extras)))
+        enlarged = expected_wilson_visits(workload, sorted(set([hub] + extras)))
         assert enlarged <= base
 
     def test_smaller_eps_means_more_work(self, workload):

@@ -316,7 +316,6 @@ class TestWeightedBatchedFold:
         graph, roots, path = _fold_case(graph_name, request)
         jl = rademacher_weights(4, graph.n, roots, np.random.default_rng(0))
         batch = sample_forest_batch_vectorized(graph, roots, 15, seed=5)
-        forest_weights = np.random.default_rng(1).uniform(0.05, 2.0, 15)
 
         scalar = ForestAccumulator(graph, roots, weights=jl,
                                    tracked_roots=[roots[1]], seed=0)
@@ -324,10 +323,10 @@ class TestWeightedBatchedFold:
                                     tracked_roots=[roots[1]], seed=0)
         if path is not None:
             scalar._path = batched._path = path
-        scalar.add_batch(batch, weights=forest_weights, method="scalar")
-        batched.add_batch(batch, weights=forest_weights)
+        scalar.add_batch(batch, method="scalar")
+        batched.add_batch(batch)
 
-        assert batched.count == pytest.approx(scalar.count)
+        assert batched.count == scalar.count == 15
         np.testing.assert_allclose(batched.projected_sum, scalar.projected_sum,
                                    atol=1e-9)
         np.testing.assert_allclose(batched.diag_sum, scalar.diag_sum, atol=1e-9)
@@ -351,34 +350,14 @@ class TestWeightedBatchedFold:
         for index in range(batch.batch_size):
             single = ForestAccumulator(graph, roots, weights=jl, seed=0)
             single._path = path
-            single.add_batch(batch.select([index]), weights=[1.0],
-                             method="scalar")
+            single.add_batch(batch.select([index]), method="scalar")
             np.testing.assert_allclose(projected[index], single.projected_sum,
                                        rtol=1e-12, atol=1e-12)
             assert np.array_equal(diag[index], single.diag_sum)
 
-    def test_weighted_fold_equals_repeated_fold(self, karate):
-        batch = sample_forest_batch_vectorized(karate, [0], 3, seed=6)
-        doubled = ForestAccumulator(karate, [0], seed=0)
-        doubled.add_batch(batch, weights=np.array([2.0, 2.0, 2.0]))
-        repeated = ForestAccumulator(karate, [0], seed=0)
-        for index in range(batch.batch_size):
-            for _ in range(2):
-                repeated.add_batch(batch.select([index]), weights=[1.0],
-                                   method="scalar")
-        assert doubled.count == pytest.approx(repeated.count)
-        np.testing.assert_allclose(doubled.diag_sum, repeated.diag_sum,
-                                   atol=1e-9)
-        np.testing.assert_allclose(doubled.diag_estimates(),
-                                   repeated.diag_estimates(), atol=1e-12)
-
     def test_weight_validation(self, karate):
         accumulator = ForestAccumulator(karate, [0], seed=0)
         batch = sample_forest_batch_vectorized(karate, [0], 3, seed=7)
-        with pytest.raises(InvalidParameterError):
-            accumulator.add_batch(batch, weights=np.ones(2))
-        with pytest.raises(InvalidParameterError):
-            accumulator.add_batch(batch, weights=np.array([1.0, -1.0, 1.0]))
         with pytest.raises(InvalidParameterError):
             accumulator.add_batch(batch, method="quantum")
 

@@ -4,11 +4,11 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.centrality.resistance import resistance_matrix
 from repro.graph import generators
 from repro.graph.builders import to_networkx
 from repro.linalg.laplacian import laplacian_dense
 from repro.linalg.pseudoinverse import (
-    effective_resistance_matrix,
     kirchhoff_index,
     laplacian_pseudoinverse,
     pseudoinverse_diagonal,
@@ -49,19 +49,19 @@ class TestPseudoinverse:
 
 class TestResistanceIdentities:
     def test_resistance_matrix_matches_networkx(self, karate):
-        ours = effective_resistance_matrix(karate)
+        ours = resistance_matrix(karate)
         nx_graph = to_networkx(karate)
         for u, v in [(0, 1), (0, 33), (5, 20), (14, 15)]:
             reference = nx.resistance_distance(nx_graph, u, v)
             assert ours[u, v] == pytest.approx(reference, rel=1e-6)
 
     def test_resistance_matrix_zero_diagonal(self, karate):
-        ours = effective_resistance_matrix(karate)
+        ours = resistance_matrix(karate)
         assert np.allclose(np.diag(ours), 0.0, atol=1e-9)
 
     def test_path_graph_resistance_is_distance(self):
         path = generators.path_graph(6)
-        resistances = effective_resistance_matrix(path)
+        resistances = resistance_matrix(path)
         for u in range(6):
             for v in range(6):
                 assert resistances[u, v] == pytest.approx(abs(u - v), abs=1e-8)
@@ -70,10 +70,10 @@ class TestResistanceIdentities:
         # For K_n all pairwise resistances equal 2/n, so Kf = n(n-1)/2 * 2/n = n - 1.
         n = 8
         complete = generators.complete_graph(n)
-        total_resistance = effective_resistance_matrix(complete).sum() / 2.0
+        total_resistance = resistance_matrix(complete).sum() / 2.0
         assert total_resistance == pytest.approx(n - 1, rel=1e-9)
         assert kirchhoff_index(complete) == pytest.approx(n - 1, rel=1e-9)
 
     def test_kirchhoff_index_equals_resistance_sum(self, small_ba):
-        total_resistance = effective_resistance_matrix(small_ba).sum() / 2.0
+        total_resistance = resistance_matrix(small_ba).sum() / 2.0
         assert kirchhoff_index(small_ba) == pytest.approx(total_resistance, rel=1e-8)

@@ -1,11 +1,13 @@
 """Tests for the resilience layer: fault injection, degradation, recovery."""
 
 import asyncio
+import json
 import time
 
 import numpy as np
 import pytest
 
+from repro.centrality.estimators import SamplingConfig
 from repro.dynamic import (
     DynamicCFCM,
     DynamicGraph,
@@ -136,7 +138,7 @@ class TestWatchdog:
     def test_drift_detected_and_healed(self):
         base = generators.barabasi_albert(24, 2, seed=3)
         engine = DynamicCFCM(DynamicGraph(base), seed=0, backend="dense",
-                             watchdog_interval=1, drift_threshold=1e-8)
+                             watchdog_interval=1)
         engine.evaluate_exact(GROUP)
         tracker = next(iter(engine._trackers.values()))
         assert tracker.watchdog is not None
@@ -548,6 +550,24 @@ class TestCheckpointRecovery:
         engine.checkpoint(str(path))
         assert path.exists()
         assert not path.with_suffix(".npz.tmp").exists()
+
+    def test_archive_of_an_older_version_is_refused(self, tmp_path):
+        # A version-4 archive stores settings this version no longer has,
+        # such as SamplingConfig's jl_constant: refuse it with a typed error.
+        graph = DynamicGraph(generators.barabasi_albert(20, 2, seed=13))
+        engine = DynamicCFCM(graph, seed=0, config=SamplingConfig(eps=0.3))
+        engine.evaluate_exact(GROUP)
+        path = tmp_path / "engine.npz"
+        engine.checkpoint(str(path))
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays["meta"][()]))
+        meta["checkpoint_version"] = 4
+        meta["engine"]["config"]["jl_constant"] = 1.0
+        arrays["meta"] = np.array(json.dumps(meta))
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(InvalidParameterError, match="checkpoint version"):
+            DynamicCFCM.restore(str(path))
 
 
 class TestFaultedWorlds:

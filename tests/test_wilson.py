@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.centrality.absorbing import expected_wilson_visits
 from repro.exceptions import DisconnectedGraphError, InvalidParameterError
 from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.linalg.schur import absorption_probabilities
 from repro.sampling.wilson import (
     empirical_root_distribution,
-    expected_sampling_cost,
     sample_rooted_forest,
 )
 
@@ -103,19 +103,19 @@ class TestDistribution:
 
 class TestSamplingCost:
     def test_cost_positive(self, karate):
-        assert expected_sampling_cost(karate, [0]) > 0
+        assert expected_wilson_visits(karate, [0]) > 0
 
     def test_cost_decreases_with_more_roots(self, karate):
         """Adding high-degree roots reduces the expected work (SchurCFCM's rationale)."""
-        single = expected_sampling_cost(karate, [0])
+        single = expected_wilson_visits(karate, [0])
         hubs = list(np.argsort(-karate.degrees)[:4])
-        enlarged = expected_sampling_cost(karate, sorted(set([0] + [int(v) for v in hubs])))
+        enlarged = expected_wilson_visits(karate, sorted(set([0] + [int(v) for v in hubs])))
         assert enlarged < single
 
     def test_path_graph_cost_formula(self):
         """For a path rooted at one end the expected visits are sum of hitting times."""
         path = generators.path_graph(5)
-        cost = expected_sampling_cost(path, [0])
+        cost = expected_wilson_visits(path, [0])
         assert cost > 4  # strictly more work than just walking the path once
 
 
