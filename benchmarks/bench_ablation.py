@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for two design choices of SchurCFCM's estimators.
 
 * **Auxiliary root-set size |T|** — SchurCFCM's advantage comes from sampling
   forests rooted at ``S ∪ T``; sweeping |T| shows the trade-off between

@@ -17,7 +17,8 @@ import pytest
 from repro.centrality.estimators import ForestAccumulator, rademacher_weights
 from repro.linalg.laplacian import grounded_laplacian
 from repro.linalg.schur import grounded_inverse_block
-from repro.linalg.solvers import LaplacianSolver, SolverMethod
+import repro.linalg.solvers as solvers_module
+from repro.linalg.solvers import LaplacianSolver
 from repro.linalg.updates import GroundedInverseTracker
 from repro.sampling.wilson import sample_rooted_forest
 
@@ -55,21 +56,26 @@ class TestEstimatorProcessing:
 
 @pytest.mark.benchmark(group="component-solver")
 class TestSolverSubstrate:
-    def test_sparse_lu_factor_and_solve(self, benchmark, sparse_graph):
+    def test_factor_and_solve(self, benchmark, sparse_graph):
         matrix, _ = grounded_laplacian(sparse_graph, [0])
         rhs = np.ones(matrix.shape[0])
 
         def run():
-            solver = LaplacianSolver(matrix, method=SolverMethod.SPARSE_LU)
+            solver = LaplacianSolver(matrix)
             return solver.solve(rhs)
 
         benchmark(run)
 
-    def test_cg_solve(self, benchmark, sparse_graph):
+    def test_cg_solve(self, benchmark, sparse_graph, monkeypatch):
+        def unavailable(matrix):
+            raise RuntimeError("factorisation unavailable")
+
+        # With factoring unavailable the solver falls back to CG.
+        monkeypatch.setattr(solvers_module, "factorize_spd", unavailable)
         matrix, _ = grounded_laplacian(sparse_graph, [0])
         rhs = np.ones(matrix.shape[0])
-        solver = LaplacianSolver(matrix, method=SolverMethod.CONJUGATE_GRADIENT,
-                                 tol=1e-8)
+        solver = LaplacianSolver(matrix)
+        assert solver.solver_used == "cg"
         benchmark(lambda: solver.solve(rhs))
 
     def test_dense_inverse_downdate(self, benchmark, sparse_graph):

@@ -1,7 +1,8 @@
 """Shared fixtures and workloads for the pytest-benchmark suite.
 
 Benchmarks are sized for a single-core laptop: every graph is a scaled-down
-synthetic stand-in (see DESIGN.md) and the sampling budgets are modest.  Set
+synthetic stand-in (see :data:`repro.graph.datasets.PAPER_NETWORKS`) and the
+sampling budgets are modest.  Set
 ``REPRO_BENCH_SCALE=large`` to benchmark on the bigger stand-ins.
 """
 

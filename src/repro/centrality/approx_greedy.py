@@ -13,9 +13,11 @@ solving Laplacian linear systems:
   that only grounded (non-singular) systems are ever solved.
 
 The Julia approximate-Cholesky solver of the original implementation is
-substituted by the sparse LU / preconditioned CG substrate in
-:mod:`repro.linalg.solvers` (see DESIGN.md): the baseline keeps its defining
-characteristic — per-iteration cost proportional to solving
+substituted by :class:`repro.linalg.solvers.LaplacianSolver`, one factor of
+each round's grounded Laplacian (a dense-Cholesky hub core on hub-heavy
+graphs, SuperLU otherwise, Jacobi-preconditioned CG only when neither
+factors) shared by all of the round's solves.  The baseline keeps its
+defining characteristic — per-iteration cost proportional to solving
 ``O(eps^-2 log n)`` Laplacian systems of size ``m`` — which is exactly the
 behaviour the paper's efficiency comparison exercises.
 """
@@ -32,7 +34,7 @@ from repro.centrality.estimators import SamplingConfig
 from repro.centrality.result import GreedyCFCM
 from repro.linalg.incidence import grounded_incidence_factor
 from repro.linalg.laplacian import grounded_laplacian
-from repro.linalg.solvers import LaplacianSolver, SolverMethod
+from repro.linalg.solvers import LaplacianSolver
 from repro.utils.rng import RandomState, as_rng
 
 
@@ -48,20 +50,15 @@ class ApproxGreedy(GreedyCFCM):
         solves): the sampling methods' :meth:`SamplingConfig.jl_rows`.
     seed:
         Seed or generator for the random projections.
-    solver_method:
-        Which Laplacian solver backend to use for the linear systems
-        (``auto`` picks dense Cholesky for small graphs, sparse LU otherwise).
     """
 
     method_name = "approx"
 
-    def __init__(self, graph: Graph, eps: float = 0.2, seed: RandomState = None,
-                 solver_method: SolverMethod | str = SolverMethod.AUTO):
+    def __init__(self, graph: Graph, eps: float = 0.2, seed: RandomState = None):
         require_connected(graph)
         self.graph = graph
         self.eps = float(eps)
         self.rng = as_rng(seed)
-        self.solver_method = solver_method
         self.jl_rows = SamplingConfig(eps=self.eps).jl_rows(graph.n)
 
     # ------------------------------------------------------------ greedy hooks
@@ -71,7 +68,7 @@ class ApproxGreedy(GreedyCFCM):
         n = graph.n
         anchor = int(np.argmax(graph.degrees))
         matrix, kept = grounded_laplacian(graph, [anchor])
-        solver = LaplacianSolver(matrix, method=self.solver_method)
+        solver = LaplacianSolver(matrix)
 
         # Column sums 1^T inv(L_{-s}) via a single solve.
         column_sums = solver.solve(np.ones(n - 1))
@@ -91,7 +88,7 @@ class ApproxGreedy(GreedyCFCM):
                ) -> Tuple[Dict[int, float], Dict[str, object]]:
         graph = self.graph
         matrix, kept = grounded_laplacian(graph, group)
-        solver = LaplacianSolver(matrix, method=self.solver_method)
+        solver = LaplacianSolver(matrix)
         size = kept.size
 
         # Numerator: ||inv(L_{-S}) e_u||^2 ~ ||Q inv(L_{-S}) e_u||^2.

@@ -6,9 +6,11 @@
   ``C(S) = n / Tr(inv(L_{-S}))``.
 
 Exact evaluation uses dense linear algebra and is intended for graphs of up
-to a few thousand nodes; :func:`group_cfcc_estimate` provides the conjugate
-gradient / Hutchinson route the paper uses to evaluate solutions on graphs
-where exact inversion is infeasible (Fig. 3).
+to a few thousand nodes.  :func:`group_cfcc_estimate` is the Hutchinson route
+the paper uses to evaluate solutions on graphs where exact inversion is
+infeasible (Fig. 3), and :func:`group_cfcc_solver` the deterministic one;
+both solve through :class:`repro.linalg.solvers.LaplacianSolver` (a sparse
+factor, conjugate gradient only when factoring fails).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.graph.graph import Graph
 from repro.graph.traversal import require_connected
 from repro.linalg.laplacian import grounded_laplacian, grounded_laplacian_dense
 from repro.linalg.pseudoinverse import laplacian_pseudoinverse
-from repro.linalg.solvers import LaplacianSolver, SolverMethod, estimate_trace_of_inverse
+from repro.linalg.solvers import LaplacianSolver, estimate_trace_of_inverse
 from repro.utils.validation import check_group
 
 
@@ -39,23 +41,21 @@ def group_cfcc(graph: Graph, group: Sequence[int]) -> float:
 
 
 def group_cfcc_estimate(graph: Graph, group: Sequence[int],
-                        probes: int = 64, seed: int | None = 0,
-                        method: SolverMethod | str = SolverMethod.AUTO) -> float:
+                        probes: int = 64, seed: int | None = 0) -> float:
     """Estimate ``C(S)`` via Hutchinson trace probes over a sparse solver.
 
     This is the evaluation route used for the large-graph effectiveness study
     (Fig. 3): ``Tr(inv(L_{-S}))`` is approximated by Rademacher probes whose
-    solves run through the sparse LU / conjugate-gradient substrate.
+    solves share one :class:`repro.linalg.solvers.LaplacianSolver`.
     """
     require_connected(graph)
     group = check_group(group, graph.n)
     matrix, _ = grounded_laplacian(graph, group)
-    trace = estimate_trace_of_inverse(matrix, probes=probes, seed=seed, method=method)
+    trace = estimate_trace_of_inverse(matrix, probes=probes, seed=seed)
     return graph.n / trace
 
 
-def group_cfcc_solver(graph: Graph, group: Sequence[int],
-                      method: SolverMethod | str = SolverMethod.AUTO) -> float:
+def group_cfcc_solver(graph: Graph, group: Sequence[int]) -> float:
     """Exact-to-solver-tolerance ``C(S)`` via ``|V \\ S|`` linear solves.
 
     More expensive than :func:`group_cfcc_estimate` but deterministic; used in
@@ -64,7 +64,7 @@ def group_cfcc_solver(graph: Graph, group: Sequence[int],
     require_connected(graph)
     group = check_group(group, graph.n)
     matrix, _ = grounded_laplacian(graph, group)
-    solver = LaplacianSolver(matrix, method=method)
+    solver = LaplacianSolver(matrix)
     return graph.n / solver.trace_of_inverse()
 
 

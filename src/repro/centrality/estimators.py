@@ -145,12 +145,11 @@ class SamplingConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.eps < 1.0:
             raise InvalidParameterError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.max_samples < 1:
-            raise InvalidParameterError("max_samples must be >= 1")
-        self.max_jl_dimension = check_integer(
-            "max_jl_dimension", self.max_jl_dimension, minimum=1)
-        self.min_samples = max(1, min(self.min_samples, self.max_samples))
-        self.initial_batch = max(1, self.initial_batch)
+        for name in ("max_samples", "min_samples", "initial_batch",
+                     "max_jl_dimension"):
+            setattr(self, name, check_integer(name, getattr(self, name),
+                                              minimum=1))
+        self.min_samples = min(self.min_samples, self.max_samples)
 
     def jl_rows(self, n: int) -> int:
         """Number of JL projection rows for a graph with ``n`` nodes."""

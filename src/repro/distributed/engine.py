@@ -73,7 +73,7 @@ from repro.dynamic.engine import EngineStats, QueryFront, _lru_store, _op_timer
 from repro.dynamic.graph import REMOVE, DynamicGraph, GraphUpdate
 from repro.exceptions import GraphError, InvalidParameterError
 from repro.graph.graph import Graph
-from repro.linalg.backends import SOLVE_BLOCK
+from repro.linalg.solvers import SOLVE_BLOCK
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracing import trace
 from repro.utils.rng import RandomState, as_rng

@@ -24,8 +24,10 @@ Run them from the command line::
     python -m repro.experiments fig1
     python -m repro.experiments all --quick
 
-Graphs are synthetic stand-ins for the paper's datasets (see DESIGN.md);
-``--scale`` selects how large the stand-ins are.
+Graphs are synthetic stand-ins for the paper's datasets (the mapping is in
+:mod:`repro.experiments.networks` and
+:data:`repro.graph.datasets.PAPER_NETWORKS`); ``--scale`` selects how large
+the stand-ins are.
 """
 
 from repro.experiments.networks import (

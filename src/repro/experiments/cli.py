@@ -10,7 +10,8 @@ Usage::
     python -m repro.experiments worlds --smoke [--faults]
     python -m repro.experiments all --quick
 
-``all`` regenerates the paper artefacts (table2 and the five figures); the
+``all`` regenerates the paper artefacts (table2 and the five figures), and
+with ``--output-json`` writes one JSON object keyed by experiment; the
 ``dynamic`` workload study characterises the incremental engine, the
 ``serve`` study drives the async query service (``--smoke`` additionally
 gates on async/sync equivalence and exits non-zero on a mismatch) and the
@@ -30,6 +31,7 @@ from repro.experiments.figure2 import run_figure2
 from repro.experiments.figure3 import run_figure3
 from repro.experiments.figure4 import run_figure4
 from repro.experiments.figure5 import run_figure5
+from repro.experiments.report import save_json
 from repro.experiments.service import run_service
 from repro.experiments.table2 import run_table2
 from repro.experiments.worlds import run_worlds
@@ -118,24 +120,35 @@ def main(argv: Optional[List[str]] = None) -> int:
     k = min(args.k, 4) if args.quick else args.k
 
     name = args.experiment
+    # ``all`` writes one JSON object keyed by experiment once every artefact
+    # is done; a single experiment writes its own payload.
+    own_json = None if name == "all" else args.output_json
+    artefacts = {}
     if name in ("table2", "all"):
-        run_table2(k=k, eps_values=table_eps, max_samples=args.max_samples,
-                   seed=args.seed, scale=args.scale, output_json=args.output_json)
+        artefacts["table2"] = run_table2(
+            k=k, eps_values=table_eps, max_samples=args.max_samples,
+            seed=args.seed, scale=args.scale, output_json=own_json)
     if name in ("fig1", "all"):
-        run_figure1(k_values=fig1_k, eps=args.eps, seed=args.seed,
-                    output_json=args.output_json)
+        artefacts["fig1"] = run_figure1(
+            k_values=fig1_k, eps=args.eps, seed=args.seed, output_json=own_json)
     if name in ("fig2", "all"):
-        run_figure2(k_values=k_values, eps=args.eps, max_samples=args.max_samples,
-                    seed=args.seed, scale=args.scale, output_json=args.output_json)
+        artefacts["fig2"] = run_figure2(
+            k_values=k_values, eps=args.eps, max_samples=args.max_samples,
+            seed=args.seed, scale=args.scale, output_json=own_json)
     if name in ("fig3", "all"):
-        run_figure3(k_values=k_values, eps=args.eps, max_samples=args.max_samples,
-                    seed=args.seed, scale=args.scale, output_json=args.output_json)
+        artefacts["fig3"] = run_figure3(
+            k_values=k_values, eps=args.eps, max_samples=args.max_samples,
+            seed=args.seed, scale=args.scale, output_json=own_json)
     if name in ("fig4", "all"):
-        run_figure4(eps_values=eps_sweep, k=k, max_samples=args.max_samples,
-                    seed=args.seed, scale=args.scale, output_json=args.output_json)
+        artefacts["fig4"] = run_figure4(
+            eps_values=eps_sweep, k=k, max_samples=args.max_samples,
+            seed=args.seed, scale=args.scale, output_json=own_json)
     if name in ("fig5", "all"):
-        run_figure5(eps_values=eps_sweep, k=k, max_samples=args.max_samples,
-                    seed=args.seed, scale=args.scale, output_json=args.output_json)
+        artefacts["fig5"] = run_figure5(
+            eps_values=eps_sweep, k=k, max_samples=args.max_samples,
+            seed=args.seed, scale=args.scale, output_json=own_json)
+    if name == "all":
+        save_json(artefacts, args.output_json)
     if name == "dynamic":
         run_dynamic(k=k, eps=args.eps, max_samples=args.max_samples,
                     seed=args.seed, scale=args.scale, quick=args.quick,

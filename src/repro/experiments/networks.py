@@ -10,8 +10,10 @@ pure Python.  Two scales are provided:
   :mod:`repro.graph.datasets` (thousands to ~16k nodes); exact baselines are
   skipped automatically where infeasible.
 
-The mapping of stand-in → paper dataset is part of the reproduction contract
-and documented in DESIGN.md.
+The mapping of stand-in → paper dataset is part of the reproduction
+contract: at ``"small"`` scale each suite below names every generator call
+after the dataset it stands in for, and at ``"full"`` scale the suites read
+:data:`repro.graph.datasets.PAPER_NETWORKS`.
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ each requested error parameter eps.  Exact (and, at full scale, ApproxGreedy)
 are skipped on graphs where they are infeasible, mirroring the "-" entries of
 the paper's table.
 
-Expected qualitative shape (recorded in EXPERIMENTS.md): Exact drops out
-first; SchurCFCM is never slower than ForestCFCM; the sampling methods' cost
-grows roughly like ``eps^-2`` while ApproxGreedy's grows with the edge count.
+Expected qualitative shape: Exact drops out first; SchurCFCM is never slower
+than ForestCFCM; the sampling methods' cost grows roughly like ``eps^-2``
+while ApproxGreedy's grows with the edge count.  README.md's "Experiments and
+benchmarks" section shows how to run it.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from repro.linalg.pseudoinverse import laplacian_pseudoinverse, pseudoinverse_di
 from repro.linalg.factor import factorize_spd
 from repro.linalg.solvers import (
     LaplacianSolver,
-    SolverMethod,
     build_preconditioner,
     estimate_trace_of_inverse,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "pseudoinverse_diagonal",
     "factorize_spd",
     "LaplacianSolver",
-    "SolverMethod",
     "build_preconditioner",
     "estimate_trace_of_inverse",
     "jl_dimension",

@@ -20,15 +20,13 @@ how many update columns the tracker absorbs before it refactorises.
   costs the same however many came before it, so its :attr:`break_even` is
   a fixed drift budget of 64.
 * :class:`SparseResistanceBackend` — never materialises the inverse.  It
-  keeps a sparse factorisation of the grounded Laplacian at the last
-  refactorisation (:func:`repro.linalg.factor.factorize_spd`: a
-  dense-Cholesky hub core on hub-heavy patterns, SciPy ``splu`` otherwise;
-  conjugate-gradient fallback through
-  :class:`repro.linalg.solvers.LaplacianSolver`, Jacobi-preconditioned once
-  per factorisation, when the factorisation is unavailable) and absorbs journal
-  bursts as an *implicit* low-rank correction: with base factor ``M₀`` and
-  accumulated perturbation ``B D Bᵀ`` (one signed incidence column and one
-  signed weight per edge event),
+  keeps a :class:`repro.linalg.solvers.LaplacianSolver` of the grounded
+  Laplacian at the last refactorisation (a dense-Cholesky hub core on
+  hub-heavy patterns, SciPy ``splu`` otherwise, Jacobi-preconditioned
+  conjugate gradient when neither factorisation is available) and absorbs
+  journal bursts as an *implicit* low-rank correction: with base factor
+  ``M₀`` and accumulated perturbation ``B D Bᵀ`` (one signed incidence
+  column and one signed weight per edge event),
 
   ``inv(M₀ + B D Bᵀ) x = y − U · C⁻¹ D Bᵀ y``,  ``y = M₀⁻¹ x``
 
@@ -52,15 +50,15 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.exceptions import InvalidParameterError
-from repro.linalg.factor import HubCoreFactor, break_even, factorize_spd
-from repro.linalg.solvers import LaplacianSolver, SolverMethod
+from repro.linalg.factor import break_even
+from repro.linalg.solvers import LaplacianSolver, blocked_diagonal
 from repro.linalg.updates import grounded_inverse_block_update
 from repro.obs.metrics import REGISTRY
 from repro.utils.faultpoints import fault_point
 from repro.utils.timer import clock
+from repro.utils.validation import check_integer
 
 # (i, j, delta) in local row indices; j is None for a grounded endpoint.
 Triple = Tuple[int, Optional[int], float]
@@ -76,9 +74,6 @@ _BACKEND_INFO = REGISTRY.gauge(
     "Active resistance backend (value is always 1; labels carry identity)",
     labels=("backend", "solver"),
 )
-
-#: Right-hand-side columns per solve when many unit columns are needed.
-SOLVE_BLOCK = 256
 
 #: `auto` picks the sparse backend at and beyond this many kept rows...
 AUTO_SPARSE_NODES = 1500
@@ -307,13 +302,12 @@ class DenseResistanceBackend(ResistanceBackend):
 class SparseResistanceBackend(ResistanceBackend):
     """Solver-backed maintenance of ``inv(M)`` without materialising it.
 
-    The base factor comes from :func:`repro.linalg.factor.factorize_spd`
-    (the hub core on hub-heavy patterns, sparse LU otherwise); when that
-    raises, solves run through Jacobi-preconditioned CG
-    (:class:`repro.linalg.solvers.LaplacianSolver` at its default
-    tolerance).  :attr:`solver_used` reports ``"hub_core"``, ``"splu"`` or
-    ``"cg"``.  ``diagonal(mode="auto")`` is exact up to
-    :data:`EXACT_DIAGONAL_ROWS` live rows and sketched beyond.
+    Base solves run through one :class:`repro.linalg.solvers.LaplacianSolver`
+    per factorisation (the hub core on hub-heavy patterns, sparse LU
+    otherwise, Jacobi-preconditioned CG when neither factors);
+    :attr:`solver_used` reports ``"hub_core"``, ``"splu"`` or ``"cg"``.
+    ``diagonal(mode="auto")`` is exact up to :data:`EXACT_DIAGONAL_ROWS`
+    live rows and sketched beyond.
 
     Parameters
     ----------
@@ -330,14 +324,10 @@ class SparseResistanceBackend(ResistanceBackend):
 
     def __init__(self, probes: int = 24, seed: int = 0):
         super().__init__()
-        if int(probes) < 1:
-            raise InvalidParameterError(f"probes must be >= 1, got {probes}")
-        self.probes = int(probes)
+        self.probes = check_integer("probes", probes, minimum=1)
         self.seed = int(seed)
         self._factor_count = 0
-        self._solver_used = "none"
-        self._lu: Optional[Union[HubCoreFactor, spla.SuperLU]] = None
-        self._cg: Optional[LaplacianSolver] = None
+        self._solver: Optional[LaplacianSolver] = None
         self._reset_lowrank()
         self._probe_z: Optional[np.ndarray] = None
         self._probe_base: Optional[np.ndarray] = None
@@ -347,7 +337,7 @@ class SparseResistanceBackend(ResistanceBackend):
     # ------------------------------------------------------------- lifecycle
     @property
     def solver_used(self) -> str:
-        return self._solver_used
+        return "none" if self._solver is None else self._solver.solver_used
 
     @property
     def correction_rank(self) -> int:
@@ -362,28 +352,14 @@ class SparseResistanceBackend(ResistanceBackend):
         self._rows_j = np.zeros(0, dtype=np.int64)               # -1: grounded
 
     def _factorize_impl(self, matrix) -> None:
-        if not sp.issparse(matrix):
-            matrix = sp.csc_matrix(np.asarray(matrix, dtype=np.float64))
-        matrix = matrix.tocsc().astype(np.float64)
+        matrix = sp.csc_matrix(matrix, dtype=np.float64)
         self._factor_count += 1
-        self._lu = None
-        self._cg = None
-        try:
-            self._lu = factorize_spd(matrix)
-            self._solver_used = ("hub_core"
-                                 if isinstance(self._lu, HubCoreFactor)
-                                 else "splu")
-        except (RuntimeError, ValueError):
-            # CG fallback: the solver builds its Jacobi preconditioner once
-            # per factorisation and shares it across every solve against it.
-            # Rebuilding it costs less than one iterative column solve, so
-            # every burst refactorises (break_even 0).
-            self._cg = LaplacianSolver(
-                matrix, method=SolverMethod.CONJUGATE_GRADIENT)
-            self._solver_used = "cg"
-            self.break_even = 0.0
-        else:
-            self.break_even = break_even(self._lu, matrix)
+        self._solver = None  # a failed factorisation leaves no stale solver
+        self._solver = LaplacianSolver(matrix)
+        # Under CG, rebuilding the Jacobi preconditioner costs less than one
+        # iterative column solve, so every burst refactorises (break_even 0).
+        factor = self._solver.factor
+        self.break_even = 0.0 if factor is None else break_even(factor, matrix)
         self._reset_lowrank()
         self._probe_z = None
         self._probe_base = None
@@ -395,7 +371,7 @@ class SparseResistanceBackend(ResistanceBackend):
 
     # ----------------------------------------------------------- base solves
     def _require_factor(self) -> None:
-        if self._lu is None and self._cg is None:
+        if self._solver is None:
             raise InvalidParameterError(
                 "backend has no factorisation yet; call factorize() first"
             )
@@ -403,9 +379,7 @@ class SparseResistanceBackend(ResistanceBackend):
     def _base_solve_many(self, rhs: np.ndarray) -> np.ndarray:
         """``M₀⁻¹ rhs`` against the base factor (no low-rank correction)."""
         self._require_factor()
-        if self._lu is not None:
-            return self._lu.solve(np.ascontiguousarray(rhs, dtype=np.float64))
-        return self._cg.solve_many(rhs)
+        return self._solver.solve_many(rhs)
 
     def _gather(self, block: np.ndarray) -> np.ndarray:
         """``Bᵀ block`` via incidence gathers: row k is ``X[i_k] - X[j_k]``."""
@@ -455,14 +429,7 @@ class SparseResistanceBackend(ResistanceBackend):
         self._require_factor()
         start = clock()
         if mode == "exact":
-            # Unit columns a block at a time: O(n·SOLVE_BLOCK) memory, not n².
-            values = np.empty(self._n, dtype=np.float64)
-            for lo in range(0, self._n, SOLVE_BLOCK):
-                width = min(SOLVE_BLOCK, self._n - lo)
-                unit = np.zeros((self._n, width), dtype=np.float64)
-                unit[lo + np.arange(width), np.arange(width)] = 1.0
-                values[lo:lo + width] = np.einsum(
-                    "ii->i", self.solve_many(unit)[lo:lo + width])
+            values = blocked_diagonal(self.solve_many, self._n)
         elif mode == "sketch":
             values = self._sketched_diagonal()
         else:

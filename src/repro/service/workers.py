@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
 from repro.exceptions import ServiceClosedError
+from repro.utils.validation import check_integer
 
 
 def _consume(future: concurrent.futures.Future) -> None:
@@ -42,9 +43,7 @@ class WorkerPool:
     """
 
     def __init__(self, workers: int = 2):
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        self.workers = int(workers)
+        self.workers = check_integer("workers", workers, minimum=1)
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="cfcm-worker"
         )

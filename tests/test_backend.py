@@ -31,16 +31,17 @@ from repro.graph import generators
 from repro.linalg import (
     DenseResistanceBackend,
     LaplacianSolver,
-    SolverMethod,
     SparseResistanceBackend,
     build_preconditioner,
     choose_backend,
     make_resistance_backend,
 )
 import repro.linalg.backends as backends_module
-from repro.linalg.backends import AUTO_SPARSE_NODES, SOLVE_BLOCK
+import repro.linalg.solvers as solvers_module
+from repro.linalg.backends import AUTO_SPARSE_NODES
 from repro.linalg.factor import HubCoreFactor, factorize_spd
 from repro.linalg.laplacian import grounded_laplacian
+from repro.linalg.solvers import SOLVE_BLOCK
 
 GROUP = [0, 1]
 
@@ -327,7 +328,7 @@ def _unavailable(*args, **kwargs):
 
 class TestCGFallback:
     def test_explicit_cg_solver_matches_dense(self, small_ba, monkeypatch):
-        monkeypatch.setattr(backends_module.spla, "splu", _unavailable)
+        monkeypatch.setattr(solvers_module, "factorize_spd", _unavailable)
         graph = DynamicGraph(small_ba)
         dense = IncrementalResistance(graph, GROUP, backend="dense")
         cg = IncrementalResistance(graph, GROUP, backend="sparse")
@@ -340,10 +341,13 @@ class TestCGFallback:
                                    dense.diagonal(), rtol=1e-6)
 
     def test_auto_falls_back_when_splu_unavailable(self, small_ba, monkeypatch):
-        monkeypatch.setattr(backends_module.spla, "splu", _unavailable)
+        import repro.linalg.factor as factor_module
+
+        monkeypatch.setattr(factor_module.spla, "splu", _unavailable)
         graph = DynamicGraph(small_ba)
         tracker = IncrementalResistance(graph, GROUP, backend="sparse")
         assert tracker.backend.solver_used == "cg"
+        assert tracker.backend.break_even == 0.0
         expected = grounded_trace(graph.snapshot(), graph.compact_nodes(GROUP))
         assert tracker.trace() == pytest.approx(expected, rel=1e-6)
 
@@ -450,8 +454,9 @@ class TestHubCore:
 
     def test_laplacian_solver_sparse_method_uses_the_core(self, hub_ba):
         matrix, _ = grounded_laplacian(hub_ba, GROUP)
-        solver = LaplacianSolver(matrix, method=SolverMethod.SPARSE_LU)
-        assert isinstance(solver._sparse_factor, HubCoreFactor)
+        solver = LaplacianSolver(matrix)
+        assert solver.solver_used == "hub_core"
+        assert isinstance(solver.factor, HubCoreFactor)
         rhs = np.random.default_rng(5).standard_normal((matrix.shape[0], 4))
         assert _relative_error(solver.solve_many(rhs),
                                np.linalg.solve(matrix.toarray(), rhs)) < 1e-10
@@ -554,6 +559,8 @@ class TestBackendSelection:
     def test_sparse_constructor_validation(self):
         with pytest.raises(InvalidParameterError):
             SparseResistanceBackend(probes=0)
+        with pytest.raises(InvalidParameterError, match="probes"):
+            SparseResistanceBackend(probes=2.5)
 
 
 class TestPreconditionerPlumbing:
@@ -565,14 +572,17 @@ class TestPreconditionerPlumbing:
         with pytest.raises(InvalidParameterError):
             build_preconditioner(sp.csc_matrix(np.diag([1.0, 0.0])))
 
-    def test_solve_grounded_tolerances(self, small_ba):
+    def test_solve_grounded_tolerances(self, small_ba, monkeypatch):
+        monkeypatch.setattr(solvers_module, "factorize_spd", _unavailable)
         lap = sp.csc_matrix(DynamicGraph(small_ba).laplacian_dense()[2:, 2:])
         rhs = np.ones(lap.shape[0])
         direct = np.linalg.solve(lap.toarray(), rhs)
-        via_cg = LaplacianSolver(lap, method="cg", tol=1e-12).solve(rhs)
-        np.testing.assert_allclose(via_cg, direct, rtol=1e-6)
+        solver = LaplacianSolver(lap)
+        assert solver.solver_used == "cg"
+        np.testing.assert_allclose(solver.solve(rhs), direct, rtol=1e-6)
+        monkeypatch.setattr(solvers_module, "CG_MAXITER", 1)
         with pytest.raises(ConvergenceError):
-            LaplacianSolver(lap, method="cg", maxiter=1).solve(rhs)
+            solver.solve(rhs)
 
 
 class TestEngineWiring:

@@ -38,6 +38,19 @@ class TestSamplingConfig:
         with pytest.raises(InvalidParameterError):
             SamplingConfig(max_samples=0)
 
+    @pytest.mark.parametrize("field", ["max_samples", "min_samples",
+                                       "initial_batch"])
+    @pytest.mark.parametrize("count", [0, 2.5])
+    def test_sample_counts_are_positive_integers(self, field, count):
+        # A fractional count would be truncated where it is used, and a zero
+        # floor raised to one, without a word.
+        with pytest.raises(InvalidParameterError, match=field):
+            SamplingConfig(**{field: count})
+
+    def test_min_samples_clamped_to_max_samples(self):
+        config = SamplingConfig(max_samples=8, min_samples=16)
+        assert config.min_samples == 8
+
     @pytest.mark.parametrize("cap", [0, -3, 2.5])
     def test_invalid_max_jl_dimension(self, cap):
         # A cap below one leaves no JL rows to divide by, and a fractional

@@ -176,6 +176,30 @@ class TestCli:
         )
         assert args.k == 5 and args.quick and args.max_samples == 16
 
+    def test_all_writes_every_artefact_to_one_json(self, tmp_path,
+                                                    monkeypatch):
+        import repro.experiments.cli as cli
+
+        def stub(name):
+            def run(output_json=None, **kwargs):
+                payload = {"artefact": name}
+                save_json(payload, output_json)
+                return payload
+            return run
+
+        names = {"table2": "run_table2", "fig1": "run_figure1",
+                 "fig2": "run_figure2", "fig3": "run_figure3",
+                 "fig4": "run_figure4", "fig5": "run_figure5"}
+        for key, function in names.items():
+            monkeypatch.setattr(cli, function, stub(key))
+        path = tmp_path / "all.json"
+        assert main(["all", "--quick", "--output-json", str(path)]) == 0
+        saved = json.loads(path.read_text())
+        assert saved == {key: {"artefact": key} for key in names}
+        # A single experiment keeps writing its own payload.
+        assert main(["fig2", "--quick", "--output-json", str(path)]) == 0
+        assert json.loads(path.read_text()) == {"artefact": "fig2"}
+
     def test_parser_serve_options(self):
         args = build_parser().parse_args(
             ["serve", "--smoke", "--ops", "40", "--rate", "250",

@@ -327,8 +327,10 @@ class TestWorkerLayer:
         assert service.graph.journal_floor == len(pairs)
 
     def test_worker_pool_validation_and_close(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameterError):
             WorkerPool(workers=0)
+        with pytest.raises(InvalidParameterError, match="workers"):
+            WorkerPool(workers=2.5)
 
         async def scenario():
             pool = WorkerPool(workers=1)

@@ -1,14 +1,15 @@
-"""Tests for the Laplacian / SDD solver substrate."""
+"""Tests for the grounded-Laplacian solve policy (repro.linalg.solvers)."""
 
 import numpy as np
 import pytest
 
+import repro.linalg.solvers as solvers_module
 from repro.exceptions import ConvergenceError, InvalidParameterError
 from repro.graph import generators
 from repro.linalg.laplacian import grounded_laplacian, grounded_laplacian_dense
 from repro.linalg.solvers import (
+    SOLVE_BLOCK,
     LaplacianSolver,
-    SolverMethod,
     estimate_trace_of_inverse,
 )
 
@@ -22,46 +23,47 @@ def grounded_system(karate):
     return matrix, rhs, reference
 
 
+@pytest.fixture
+def unfactorable(monkeypatch):
+    """Make every factorisation raise, so solvers fall back to CG."""
+    def unavailable(matrix):
+        raise RuntimeError("factorisation unavailable")
+
+    monkeypatch.setattr(solvers_module, "factorize_spd", unavailable)
+
+
+@pytest.fixture(params=["sparse_lu", "cg"])
+def solver_path(request):
+    """The factored solver, and the CG fallback taken when factoring fails."""
+    if request.param == "cg":
+        request.getfixturevalue("unfactorable")
+    return request.param
+
+
 class TestSolveMethods:
-    @pytest.mark.parametrize("method", [
-        SolverMethod.DENSE_CHOLESKY,
-        SolverMethod.SPARSE_LU,
-        SolverMethod.CONJUGATE_GRADIENT,
-    ])
-    def test_single_rhs(self, grounded_system, method):
+    def test_single_rhs(self, grounded_system, solver_path):
         matrix, rhs, reference = grounded_system
-        solver = LaplacianSolver(matrix, method=method)
+        solver = LaplacianSolver(matrix)
+        assert solver.solver_used == ("cg" if solver_path == "cg" else "splu")
         assert np.allclose(solver.solve(rhs), reference, atol=1e-6)
 
-    @pytest.mark.parametrize("method", [
-        SolverMethod.DENSE_CHOLESKY,
-        SolverMethod.SPARSE_LU,
-        SolverMethod.CONJUGATE_GRADIENT,
-    ])
-    def test_multiple_rhs(self, grounded_system, method):
+    def test_multiple_rhs(self, grounded_system, solver_path):
         matrix, rhs, reference = grounded_system
         block = np.stack([rhs, 2.0 * rhs], axis=1)
-        solver = LaplacianSolver(matrix, method=method)
+        solver = LaplacianSolver(matrix)
         solved = solver.solve_many(block)
         assert solved.shape == block.shape
         assert np.allclose(solved[:, 0], reference, atol=1e-6)
         assert np.allclose(solved[:, 1], 2.0 * reference, atol=1e-6)
 
-    def test_string_method_accepted(self, grounded_system):
-        matrix, rhs, reference = grounded_system
-        solver = LaplacianSolver(matrix, method="cg")
-        assert np.allclose(solver.solve(rhs), reference, atol=1e-6)
-
-    def test_auto_small_uses_dense(self, grounded_system):
+    def test_small_system_is_factored(self, grounded_system):
+        # Small systems get the same sparse factor as large ones, and CG
+        # runs only when factoring fails.
         matrix, _, _ = grounded_system
-        solver = LaplacianSolver(matrix, method=SolverMethod.AUTO)
-        assert solver.method is SolverMethod.DENSE_CHOLESKY
-
-    def test_auto_large_uses_sparse(self):
-        graph = generators.barabasi_albert(800, 2, seed=0)
-        matrix, _ = grounded_laplacian(graph, [0])
-        solver = LaplacianSolver(matrix, method=SolverMethod.AUTO)
-        assert solver.method is SolverMethod.SPARSE_LU
+        assert matrix.shape[0] <= 600
+        solver = LaplacianSolver(matrix)
+        assert solver.solver_used in ("hub_core", "splu")
+        assert solver.factor is not None
 
 
 class TestValidation:
@@ -81,22 +83,22 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             LaplacianSolver(np.ones((2, 3)))
 
-    def test_indefinite_matrix_rejected_by_cholesky(self):
-        indefinite = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(InvalidParameterError):
-            LaplacianSolver(indefinite, method=SolverMethod.DENSE_CHOLESKY)
-
     def test_cg_requires_positive_diagonal(self):
+        # Singular, so SuperLU raises and the CG fallback's Jacobi
+        # preconditioner meets the zero pivot.
         bad = np.array([[0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(InvalidParameterError):
-            LaplacianSolver(bad, method=SolverMethod.CONJUGATE_GRADIENT)
+            LaplacianSolver(bad)
 
-    def test_cg_iteration_cap(self, grounded_system):
+    def test_cg_iteration_cap(self, grounded_system, unfactorable,
+                              monkeypatch):
+        monkeypatch.setattr(solvers_module, "CG_MAXITER", 1)
         matrix, rhs, _ = grounded_system
-        solver = LaplacianSolver(matrix, method=SolverMethod.CONJUGATE_GRADIENT,
-                                 maxiter=1, tol=1e-14)
-        with pytest.raises(ConvergenceError):
+        solver = LaplacianSolver(matrix)
+        with pytest.raises(ConvergenceError) as excinfo:
             solver.solve(rhs)
+        assert excinfo.value.iterations == 1
+        assert excinfo.value.rtol == solvers_module.CG_TOLERANCE
 
 
 class TestTraceEstimation:
@@ -106,6 +108,15 @@ class TestTraceEstimation:
         solver = LaplacianSolver(matrix)
         assert np.allclose(solver.diagonal_of_inverse(),
                            np.diag(np.linalg.inv(dense)), atol=1e-8)
+
+    def test_diagonal_of_inverse_spans_several_blocks(self):
+        graph = generators.barabasi_albert(2 * SOLVE_BLOCK + 40, 2, seed=3)
+        matrix, _ = grounded_laplacian(graph, [0])
+        dense, _ = grounded_laplacian_dense(graph, [0])
+        assert matrix.shape[0] > 2 * SOLVE_BLOCK
+        np.testing.assert_allclose(
+            LaplacianSolver(matrix).diagonal_of_inverse(),
+            np.diag(np.linalg.inv(dense)), rtol=1e-10, atol=0)
 
     def test_trace_of_inverse(self, karate):
         matrix, _ = grounded_laplacian(karate, [5])
