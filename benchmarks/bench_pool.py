@@ -14,9 +14,10 @@ Two comparisons, both doubling as correctness gates:
   ratio: one run's ratio swings with host noise far more than the median's.
 * **Estimator fold** — folding one ``(B, n)`` :class:`ForestBatch` into a
   :class:`repro.centrality.estimators.ForestAccumulator` with the batched
-  preorder kernel (``method="batched"``: prefix-sum subtree sums reduced
-  over the batch, and a diagonal walk of at most τ steps along each node's
-  BFS path) vs the per-forest scalar reference (``method="scalar"``); the
+  kernels (``method="batched"``: the subtree sums the estimator reads,
+  reduced over the batch, and a diagonal walk of at most τ steps along each
+  node's BFS path, on the batch's preorder) vs the per-forest scalar
+  reference (``method="scalar"``, on every node's subtree sums); the
   running sums are cross-checked to 1e-9.
 
 Runnable standalone (and wired into the CI bench-smoke job)::

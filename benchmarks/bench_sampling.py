@@ -33,6 +33,12 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.centrality.estimators import (
+    PathSystem,
+    _path_edge_down,
+    _path_edge_up,
+    rademacher_weights,
+)
 from repro.experiments.report import (
     metrics_prefix_for,
     percentiles_ms,
@@ -96,6 +102,19 @@ class TestBatchPostprocessing:
                                                BENCH_BATCH, seed=0)
         weights = np.ones((8, sparse_graph.n))
         benchmark(lambda: batch.subtree_sums(weights))
+
+    def test_fold_pair_subtree_sums(self, benchmark, sparse_graph):
+        """The form the estimator fold runs: the subtrees whose forest edge
+        runs along or against the BFS path, with 96 JL rows."""
+        roots = _hub_roots(sparse_graph, 1)
+        batch = sample_forest_batch_vectorized(sparse_graph, roots,
+                                               BENCH_BATCH, seed=0)
+        path = PathSystem.from_graph(sparse_graph, roots)
+        samples, nodes = np.nonzero(_path_edge_up(batch.parent, path)
+                                    | _path_edge_down(batch.parent, path))
+        weights = rademacher_weights(96, sparse_graph.n, roots,
+                                     np.random.default_rng(0))
+        benchmark(lambda: batch.subtree_sums(weights, samples, nodes))
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """One SHA-256 digest per engine path over its exact float outputs.
 
 Runs three fixed-seed paths through the library and hashes every value they
-return, floats as ``float.hex`` so that a digest changes with any bit:
+return, floats as ``float.hex`` so that a digest changes with any bit.  It
+prints four lines:
 
 * ``select``: SchurCFCM (k = 4, eps = 0.2, seeds 1-5) on the ``select``
   workload's graph, powerlaw_cluster(1000, 4, 0.3, seed 7): groups and
   iteration logs;
+* ``select-groups``: the same five calls' groups alone.  A change that
+  reorders float sums in the estimators moves the logged gains in their
+  last bits and so the ``select`` line; this line shows whether the
+  decisions moved;
 * ``dynamic``: ``DynamicCFCM(backend="auto")`` on BA(2000, 3), which picks
   the sparse backend: 240 edge and node events in 6 bursts, each followed by
   exact reads and per-node resistances;
@@ -62,14 +67,15 @@ class Digest:
         return self._hash.hexdigest()
 
 
-def select_path() -> str:
+def select_paths() -> dict:
     graph = generators.powerlaw_cluster(1000, 4, 0.3, seed=7)
-    digest = Digest()
+    outputs, groups = Digest(), Digest()
     for seed in range(1, 6):
         result = repro.maximize_cfcc(graph, 4, method="schur", eps=0.2, seed=seed)
-        digest.add(list(result.group))
-        digest.add(result.iteration_log)
-    return digest.hexdigest()
+        outputs.add(list(result.group))
+        outputs.add(result.iteration_log)
+        groups.add(list(result.group))
+    return {"select": outputs.hexdigest(), "select-groups": groups.hexdigest()}
 
 
 def _probe_nodes(graph, group, count):
@@ -117,9 +123,10 @@ def sharded_path() -> str:
 
 
 def main() -> None:
-    for name, path in (("select", select_path), ("dynamic", dynamic_path),
-                       ("sharded", sharded_path)):
-        print(f"{name:8s} {path()}")
+    for name, digest in select_paths().items():
+        print(f"{name:13s} {digest}")
+    for name, path in (("dynamic", dynamic_path), ("sharded", sharded_path)):
+        print(f"{name:13s} {path()}")
 
 
 if __name__ == "__main__":

@@ -46,10 +46,10 @@ Two steps sit between the forests and a greedy decision:
 Implementation note (documented substitution): the paper's C++ code maintains
 per-directed-edge counters ``N~^{a->b}_{u,S}`` incrementally in O(1) amortised
 per node.  Here whole batches of sampled forests are processed with
-vectorised NumPy passes over each batch's DFS preorder
-(:meth:`repro.sampling.batch.ForestBatch.preorder`), which computes *exactly
-the same estimators* (same expectations, same per-sample values) with
-Python-friendly constant factors.
+vectorised NumPy passes (:class:`repro.sampling.batch.ForestBatch`'s
+requested-subtree sums and DFS preorder), which compute *exactly the same
+estimators* (same expectations, same per-sample values up to float
+summation order) with Python-friendly constant factors.
 
 Per-sample quantities
 ---------------------
@@ -63,11 +63,14 @@ the root set:
 
 The projected estimator for node ``u`` is the sum over the BFS path of
 ``alpha_x * Tw(x) - beta_x * Tw(b_x)`` where ``Tw(x)`` is the forest-subtree
-sum of the weight vector.  A forest subtree is an interval of the forest's
-preorder, so ``Tw`` is the difference of two entries of one prefix sum of
-the weights taken in preorder.  The sum along BFS paths is linear, so the
-batched fold first sums the terms of all forests of a batch and then takes
-the BFS-level prefix once.
+sum of the weight vector.  ``Tw`` is read only where a forest edge runs
+along or against a BFS edge (about a quarter of the (forest, node) pairs on
+a 1000-node power-law graph, half on a grid), so only those subtrees are
+summed: every node's weights go to its lowest read ancestor, and the read
+nodes add their totals into each other's a level at a time
+(:meth:`~repro.sampling.batch.ForestBatch.subtree_sum_rows`).  The sum
+along BFS paths is linear, so the batched fold first sums the terms of all
+forests of a batch and then takes the BFS-level prefix once.
 
 The diagonal estimator for ``u`` restricts the same sum to the contribution
 of ``u`` itself, i.e. keeps a term only when ``x`` (resp. ``b_x``) is a
@@ -396,20 +399,21 @@ def _projected_terms(batch: ForestBatch, path: PathSystem, weights: np.ndarray):
     ``x``).
 
     Returns ``(samples, targets, signs, terms, sums)``: ``sums`` holds the
-    ``(K, w)`` subtree sums, and term ``j`` adds ``signs[j] *
-    sums[terms[j]]`` to node ``targets[j]`` of sample ``samples[j]``.
+    subtree sums, one ``(w,)`` row per read subtree (and a spare row), and
+    term ``j`` adds ``signs[j] * sums[terms[j]]`` to node ``targets[j]`` of
+    sample ``samples[j]``.
     """
     parent = batch.parent
     alpha = _path_edge_up(parent, path)
     delta = _path_edge_down(parent, path)
     samples, nodes = np.nonzero(alpha | delta)
-    sums = batch.subtree_sums(weights, samples, nodes)
+    rows, sums = batch.subtree_sum_rows(weights, samples, nodes)
     ups = np.flatnonzero(alpha[samples, nodes])
     downs = np.flatnonzero(delta[samples, nodes])
     terms = np.concatenate([ups, downs])
     targets = np.concatenate([nodes[ups], parent[samples[downs], nodes[downs]]])
     signs = np.concatenate([np.ones(ups.size), -np.ones(downs.size)])
-    return samples[terms], targets, signs, terms, sums
+    return samples[terms], targets, signs, rows[terms], sums
 
 
 def _path_prefix(values: np.ndarray, path: PathSystem) -> None:
@@ -427,9 +431,9 @@ def batched_projected_estimates(batch: ForestBatch, path: PathSystem,
     unaggregated projected estimator rows under the fixed ``path`` system,
     so pooled consumers (the engine's JL-projected gain evaluation) can
     cache rows per forest and fold only fresh draws.  The subtree sums come
-    from the same preorder kernel as :meth:`ForestAccumulator._fold_batched`,
-    which sums these rows over the batch instead.  Columns of ``weights`` on
-    roots are zeroed defensively.
+    from the same requested-subtree kernel as
+    :meth:`ForestAccumulator._fold_batched`, which sums these rows over the
+    batch instead.  Columns of ``weights`` on roots are zeroed defensively.
     """
     weights = np.asarray(weights, dtype=np.float64)
     n = path.n
@@ -547,13 +551,13 @@ class ForestAccumulator:
         """Fold a whole :class:`~repro.sampling.batch.ForestBatch` in at once.
 
         ``method="batched"`` (the default) runs the fully vectorised
-        ``(B, n)`` fold of :meth:`_fold_batched` on the batch's DFS
-        preorder: prefix-sum subtree sums reduced over the batch, and a
-        diagonal walk whose Python loop runs τ times (the longest fixed
-        path) for the whole batch.  ``method="scalar"`` folds each forest
-        through the per-forest reference :meth:`_fold` (the chi-square
-        baseline); both paths produce the same running sums up to float
-        summation order.
+        ``(B, n)`` fold of :meth:`_fold_batched`: the subtree sums the
+        projected estimators read, reduced over the batch, and a diagonal
+        walk on the batch's DFS preorder whose Python loop runs τ times
+        (the longest fixed path) for the whole batch.  ``method="scalar"``
+        folds each forest through the per-forest reference :meth:`_fold`
+        (the chi-square baseline), on every node's subtree sums; both paths
+        produce the same running sums up to float summation order.
 
         The dynamic engine does not fold its importance-weighted pools
         here: it weights cached per-forest traces from
@@ -674,12 +678,14 @@ class ForestAccumulator:
         batch (the diagonal sums exactly, the projected sums up to float
         summation order):
 
-        * projected estimators: the subtree sums the estimator reads come
-          from one preorder prefix sum per forest; their signed terms are
-          summed over the batch into one ``(w, n)`` contribution, and the
-          path-level prefix is applied once to that total.  The prefix is
-          linear, so this equals prefixing every forest and summing,
-          without ever building a ``(B, w, n)`` tensor;
+        * projected estimators: only the subtrees the estimator reads are
+          summed (:meth:`~repro.sampling.batch.ForestBatch.subtree_sum_rows`,
+          whose Python loop runs once per level of the forest those
+          subtrees' tops form); their signed terms are summed over the
+          batch into one ``(w, n)`` contribution, and the path-level prefix
+          is applied once to that total.  The prefix is linear, so this
+          equals prefixing every forest and summing, without ever building
+          a ``(B, w, n)`` tensor;
         * diagonal estimators: every node's fixed path (at most τ steps) is
           walked, with forest ancestry tested by preorder intervals;
         * rooted-at counts from the batched pointer-doubling root map.

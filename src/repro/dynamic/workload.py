@@ -64,10 +64,14 @@ def apply_random_update(graph: DynamicGraph, rng: RandomState = None,
                         max_attempts: int = 64) -> Optional[GraphUpdate]:
     """Apply one random valid edge insertion or deletion; returns the event.
 
-    Deletions that would disconnect the graph are retried on another random
-    edge; when ``max_attempts`` draws fail to produce a valid mutation (e.g.
-    a tree has no removable edge, a clique has no insertable one) the
-    opposite kind is attempted before giving up with ``None``.
+    Every attempt draws a uniform pair of active nodes, not an edge.  An
+    insertion takes the first non-adjacent pair; a deletion takes the first
+    adjacent pair whose removal keeps the graph connected.  On a sparse
+    graph few pairs are adjacent, so most deletion attempts miss: when
+    ``max_attempts`` draws fail to produce a valid mutation (a sparse graph
+    or a tree for deletions, a clique for insertions) the opposite kind is
+    attempted, and only then does the call give up with ``None``.  So on a
+    sparse graph most calls that want a deletion insert an edge instead.
     """
     rng = as_rng(rng)
     want_add = bool(rng.random() < add_probability)

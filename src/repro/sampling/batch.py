@@ -53,8 +53,12 @@ estimators need are also computed without a per-forest Python pass:
 * one batched DFS preorder gives every node's preorder position and subtree
   size in every forest.  The subtree of ``x`` is then the preorder interval
   ``[pre[x], pre[x] + size[x])``, so "is ``x`` a forest ancestor of ``u``"
-  is one interval test, and the forest-subtree sum of a weight row is the
-  difference of two entries of one prefix sum taken in preorder.
+  is one interval test;
+* forest-subtree sums of weight rows are computed for the requested
+  ``(sample, node)`` pairs only: pointer jumping hands every node to its
+  lowest requested ancestor, one sparse product sums what each requested
+  node owns, and the requested nodes add their totals into each other's a
+  level at a time (:meth:`ForestBatch.subtree_sum_rows`).
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.exceptions import DisconnectedGraphError, GraphError, InvalidParameterError
 from repro.graph.graph import Graph
@@ -101,10 +106,6 @@ _DRY_SHIFT = 6
 # hundreds of low-yield sweeps, so beyond the budget the kernel bails out
 # and lets the scalar finish complete the batch at scalar speed.
 _MAX_SWEEPS = 48
-# Preorder prefix sums are built for a few samples at a time, in a buffer of
-# at most this many float64 entries (8 MiB): small enough to stay in cache,
-# large enough that the per-chunk Python overhead is negligible.
-_PREFIX_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -219,64 +220,135 @@ class ForestBatch:
         ``Σ_{v ∈ subtree_b(x)} weights[..., v]``.  With pairs, a ``(K,)`` or
         ``(K, w)`` array holding the sums of the ``K`` pairs in order.
 
-        Each sample's weight columns are summed once, in preorder; a
-        subtree is a preorder interval, so its sum is the difference of two
-        entries of that prefix sum.
+        The sums come from :meth:`subtree_sum_rows`, gathered into this
+        order.
+        """
+        index, totals = self.subtree_sum_rows(weights, samples, nodes)
+        sums = totals[index]
+        single = np.ndim(weights) == 1
+        if samples is None:
+            sums = sums.reshape(self.batch_size, self.n, totals.shape[1])
+            sums = sums.transpose(0, 2, 1)
+            return sums[:, 0, :] if single else sums
+        return sums[:, 0] if single else sums
+
+    def subtree_sum_rows(self, weights: np.ndarray,
+                         samples: Optional[np.ndarray] = None,
+                         nodes: Optional[np.ndarray] = None,
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+        """The sums of :meth:`subtree_sums`, left in the kernel's row order.
+
+        Takes the same arguments.  Returns ``(index, totals)``: row
+        ``index[j]`` of the ``(R, w)`` matrix ``totals`` is the subtree sum
+        of pair ``j``, or without pairs of sample ``j // n`` and node
+        ``j % n``.  A caller that reads the sums through an index of its own
+        (the estimator fold) composes the two and skips the ``(K, w)``
+        gather.
+
+        The work follows the requested nodes, in three steps over flat
+        ``sample * n + node`` ids and one sentinel id, ``B * n``, that
+        stands for "no such node":
+
+        1. pointer jumping takes every node of every sample to its lowest
+           requested ancestor-or-self, its *owner*;
+        2. one sparse product, with one unit entry per node and sample,
+           sums the weight columns each requested node owns;
+        3. the requested nodes form a forest of their own (a node's parent
+           there is the owner of its forest parent); its levels are added
+           into their parents from the deepest up, one sparse product each.
+
+        So the work is ``O(B n (w + log depth))`` plus ``w`` per requested
+        node, and the Python loop runs once per level of the requested
+        forest.  Each sample's sums are added in an order that depends on
+        that sample alone.
         """
         weights = np.asarray(weights, dtype=np.float64)
-        single = weights.ndim == 1
-        if single:
+        if weights.ndim == 1:
             weights = weights[None, :]
         if weights.ndim != 2 or weights.shape[1] != self.n:
             raise GraphError(
                 f"weights must have {self.n} columns, got shape {weights.shape}"
             )
         batch, n = self.parent.shape
-        everything = samples is None
-        if everything:
-            samples = np.repeat(np.arange(batch, dtype=np.int64), n)
-            nodes = np.tile(np.arange(n, dtype=np.int64), batch)
-        samples = np.asarray(samples, dtype=np.int64)
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if samples.shape != nodes.shape or samples.ndim != 1:
-            raise InvalidParameterError(
-                "samples and nodes must be 1-D arrays of equal length"
-            )
-        if samples.size and (min(samples.min(), nodes.min()) < 0
-                             or samples.max() >= batch or nodes.max() >= n):
-            raise InvalidParameterError("(sample, node) pairs outside the batch")
-        rows = weights.shape[0]
-        sums = np.empty((samples.size, rows))
-        if samples.size:
-            pre, size = self.preorder()
-            # order[b, p] is the node at preorder position p of sample b.
-            order = np.empty_like(pre)
-            np.put_along_axis(order, pre,
-                              np.broadcast_to(np.arange(n), pre.shape), axis=1)
-            columns = np.ascontiguousarray(weights.T)
-            start = pre[samples, nodes]
-            stop = start + size[samples, nodes]
-            by_sample = np.argsort(samples, kind="stable")
-            chunk = max(1, _PREFIX_ENTRIES // ((n + 1) * max(rows, 1)))
-            cuts = np.searchsorted(samples[by_sample],
-                                   np.arange(0, batch + chunk, chunk))
-            # prefix[b, p] = sum of the weight columns at preorder positions
-            # < p of sample lo + b.
-            prefix = np.zeros((min(chunk, batch), n + 1, rows))
-            for index, lo in enumerate(range(0, batch, chunk)):
-                pairs = by_sample[cuts[index]:cuts[index + 1]]
-                if not pairs.size:
-                    continue
-                hi = min(lo + chunk, batch)
-                np.cumsum(columns[order[lo:hi]], axis=1,
-                          out=prefix[:hi - lo, 1:])
-                local = samples[pairs] - lo
-                sums[pairs] = (prefix[local, stop[pairs]]
-                               - prefix[local, start[pairs]])
-        if everything:
-            sums = sums.reshape(batch, n, rows).transpose(0, 2, 1)
-            return sums[:, 0, :] if single else sums
-        return sums[:, 0] if single else sums
+        if samples is None:
+            pairs = np.arange(batch * n, dtype=np.int64)
+        else:
+            samples = np.asarray(samples, dtype=np.int64)
+            nodes = np.asarray(nodes, dtype=np.int64)
+            if samples.shape != nodes.shape or samples.ndim != 1:
+                raise InvalidParameterError(
+                    "samples and nodes must be 1-D arrays of equal length"
+                )
+            if samples.size and (min(samples.min(), nodes.min()) < 0
+                                 or samples.max() >= batch or nodes.max() >= n):
+                raise InvalidParameterError("(sample, node) pairs outside the batch")
+            pairs = samples * n + nodes
+        if not (pairs.size and weights.shape[0]):
+            return (np.zeros(pairs.size, dtype=np.int64),
+                    np.zeros((1, weights.shape[0])))
+        self.depths()  # rejects cycles, on which the jumps below never settle
+        total = batch * n
+        # Flat id of each node's forest parent; roots and the sentinel point
+        # at the sentinel.
+        base = (np.arange(batch, dtype=np.int64) * n)[:, None]
+        above = np.empty(total + 1, dtype=np.int64)
+        above[:total] = np.where(self.parent >= 0, self.parent + base,
+                                 total).ravel()
+        above[total] = total
+        wanted = np.zeros(total + 1, dtype=bool)
+        wanted[pairs] = True
+        owner = np.where(wanted, np.arange(total + 1), above)
+        while True:
+            jumped = owner[owner]
+            if np.array_equal(jumped, owner):
+                break
+            owner = jumped
+        # The forest of requested nodes: a node's parent there, `up`, is the
+        # owner of its forest parent.  Depths are taken over ranks among
+        # `ids`; rank k is the sentinel, which tops point to.
+        ids = np.flatnonzero(wanted[:total])
+        up = owner[above[ids]]
+        k = ids.size
+        rank = np.full(total + 1, k, dtype=np.int64)
+        rank[ids] = np.arange(k)
+        link = np.append(rank[up], k)
+        depth = (link < k).astype(np.int64)
+        while True:
+            jumped = link[link]
+            if np.array_equal(jumped, link):
+                break
+            depth += depth[link]
+            link = jumped
+        depth = depth[:k]
+        # Rows in level order; depths are small, so a narrow dtype lets the
+        # stable sort run as a radix sort.
+        order = np.argsort(depth.astype(np.min_scalar_type(depth.max())),
+                           kind="stable")
+        level_end = np.cumsum(np.bincount(depth))
+        row_of = np.full(total + 1, k, dtype=np.int64)
+        row_of[ids[order]] = np.arange(k)
+        # Column v of `gather` holds v's owner row in every sample; row k
+        # collects the nodes no requested node owns.  Each row still adds
+        # its columns in node order.
+        gather = sp.csc_array(
+            (np.ones(total), row_of[owner[:total]].reshape(batch, n).T.ravel(),
+             np.arange(0, total + 1, batch)), shape=(k + 1, n))
+        totals = gather @ np.ascontiguousarray(weights.T)
+        # `below` links each parent row to its child rows.
+        top = int(level_end[0])
+        below = sp.csr_array(
+            (np.ones(k - top), (row_of[up[order[top:]]], np.arange(top, k))),
+            shape=(k, k + 1))
+        starts = np.concatenate([[0], level_end])
+        for level in range(level_end.size - 1, 0, -1):
+            lo, hi = starts[level - 1], starts[level]
+            first, last = below.indptr[lo], below.indptr[hi]
+            # Rows lo:hi are level - 1; their children are level `level`.
+            block = sp.csr_array(
+                (below.data[first:last], below.indices[first:last],
+                 below.indptr[lo:hi + 1] - first), shape=(hi - lo, k + 1))
+            totals[lo:hi] += block @ totals
+        return row_of[pairs], totals
 
     def subtree_sizes(self) -> np.ndarray:
         """``(B, n)`` number of nodes in each node's subtree (itself included)."""

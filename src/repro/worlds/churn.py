@@ -124,7 +124,8 @@ class AdversarialDeletions(ChurnDriver):
                 except DisconnectedGraphError:
                     continue
         # Every hub edge is a bridge (ring-like neighbourhoods): fall back
-        # to any valid deletion so the budget is still spent.
+        # to a random update that tries deletions first.  It draws node
+        # pairs, so on a sparse graph it usually inserts an edge instead.
         return apply_random_update(graph, rng, add_probability=0.0)
 
 

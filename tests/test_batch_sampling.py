@@ -162,27 +162,53 @@ class TestForestBatchKernels:
             for j, root in enumerate(batch.roots):
                 assert int(sizes[i, j]) == expected_sizes[int(root)]
 
-    def test_subtree_sums_at_pairs_match_full(self, karate, monkeypatch):
-        batch = sample_forest_batch_vectorized(karate, [0, 33], 6, seed=11)
-        weights = rademacher_weights(3, karate.n, [0, 33],
-                                     np.random.default_rng(1))
+    @pytest.mark.parametrize("graph_name", ["karate", "grid5x5", "ring"])
+    def test_subtree_sums_at_pairs_match_full(self, graph_name, request):
+        """Both forms against the level-wise sums of each forest alone."""
+        if graph_name == "ring":  # adjacent roots: forest paths up to n - 2 long
+            graph, roots = generators.cycle_graph(40), [0, 39]
+        else:
+            graph = request.getfixturevalue(graph_name)
+            roots = [0, graph.n - 1]
+        batch = sample_forest_batch_vectorized(graph, roots, 6, seed=11)
+        weights = rademacher_weights(3, graph.n, roots, np.random.default_rng(1))
+        ones = np.ones(graph.n)
+        expected = np.stack([f.subtree_sums(weights) for f in batch.forests()])
+        sizes = np.stack([f.subtree_sums(ones) for f in batch.forests()])
         full = batch.subtree_sums(weights)
+        np.testing.assert_allclose(full, expected, rtol=0, atol=1e-12)
+        # Integer sums are exact in any order.
+        assert np.array_equal(batch.subtree_sums(ones), sizes)
+
         rng = np.random.default_rng(2)
-        samples = rng.integers(0, batch.batch_size, 40)  # unsorted, repeats
-        nodes = rng.integers(0, karate.n, 40)
-        assert np.array_equal(batch.subtree_sums(weights, samples, nodes),
-                              full[samples, :, nodes])
-        assert np.array_equal(batch.subtree_sums(weights[0], samples, nodes),
-                              full[samples, 0, nodes])
+        has_child = np.zeros(batch.parent.shape, dtype=bool)
+        sample_of, child = np.nonzero(batch.parent >= 0)
+        has_child[sample_of, batch.parent[sample_of, child]] = True
+        leaf_samples, leaf_nodes = np.nonzero(~has_child)
+        samples = np.concatenate([rng.integers(0, batch.batch_size, 40),  # unsorted,
+                                  [0, 5, 5], leaf_samples[::4]])          # repeated,
+        nodes = np.concatenate([rng.integers(0, graph.n, 40),             # roots and
+                                roots + roots[:1], leaf_nodes[::4]])      # leaves
+        pairs = batch.subtree_sums(weights, samples, nodes)
+        np.testing.assert_allclose(pairs, expected[samples, :, nodes],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch.subtree_sums(weights[0], samples, nodes),
+                                   expected[samples, 0, nodes], rtol=0, atol=1e-12)
+        assert np.array_equal(batch.subtree_sums(ones, samples, nodes),
+                              sizes[samples, nodes])
+        # A forest's sums do not depend on which forests share its batch.
+        for half in (np.arange(3), np.arange(3, 6)):
+            part = batch.select(half)
+            assert np.array_equal(part.subtree_sums(weights), full[half])
+            mine = np.isin(samples, half)
+            assert np.array_equal(
+                part.subtree_sums(weights, samples[mine] - half[0], nodes[mine]),
+                pairs[mine])
         assert batch.subtree_sums(weights, samples[:0], nodes[:0]).shape == (0, 3)
-        # One sample per prefix chunk gives the same sums bit for bit.
-        monkeypatch.setattr(batch_module, "_PREFIX_ENTRIES", 1)
-        rechunked = ForestBatch(parent=batch.parent, roots=batch.roots)
-        assert np.array_equal(rechunked.subtree_sums(weights), full)
         with pytest.raises(InvalidParameterError):
             batch.subtree_sums(weights, samples, nodes[:-1])
         with pytest.raises(InvalidParameterError):
-            batch.subtree_sums(weights, samples, nodes + karate.n)
+            batch.subtree_sums(weights, samples, nodes + graph.n)
 
     def test_materialised_forests_carry_caches(self, karate):
         batch = sample_forest_batch_vectorized(karate, [0], 4, seed=8)
@@ -212,6 +238,9 @@ class TestForestBatchKernels:
         batch = ForestBatch(parent=parent, roots=[0])
         with pytest.raises(GraphError):
             batch.root_of()
+        # Pointer jumps would circle 1 <-> 2 for ever.
+        with pytest.raises(GraphError):
+            ForestBatch(parent=parent, roots=[0]).subtree_sums(np.ones(4), [0], [3])
 
     def test_forest_index_bounds(self, karate):
         batch = sample_forest_batch_vectorized(karate, [0], 2, seed=0)
