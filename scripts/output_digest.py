@@ -1,8 +1,8 @@
 """One SHA-256 digest per engine path over its exact float outputs.
 
-Runs three fixed-seed paths through the library and hashes every value they
+Runs four fixed-seed paths through the library and hashes every value they
 return, floats as ``float.hex`` so that a digest changes with any bit.  It
-prints four lines:
+prints five lines:
 
 * ``select``: SchurCFCM (k = 4, eps = 0.2, seeds 1-5) on the ``select``
   workload's graph, powerlaw_cluster(1000, 4, 0.3, seed 7): groups and
@@ -11,6 +11,9 @@ prints four lines:
   reorders float sums in the estimators moves the logged gains in their
   last bits and so the ``select`` line; this line shows whether the
   decisions moved;
+* ``schur-small-T``: SchurCFCM (k = 4, eps = 0.2, seeds 1-2) on the 20x20
+  grid and on WS(400, 4, 0.05, seed 13), graphs without hubs, where the
+  extra root set ``T`` is the single top hub: groups and iteration logs;
 * ``dynamic``: ``DynamicCFCM(backend="auto")`` on BA(2000, 3), which picks
   the sparse backend: 240 edge and node events in 6 bursts, each followed by
   exact reads and per-node resistances;
@@ -23,8 +26,8 @@ change keeps every output bit-identical::
     PYTHONPATH=src python scripts/output_digest.py
     PYTHONPATH=/path/to/parent/src python scripts/output_digest.py
 
-Uses the standard library and the library under test only; about 7 s on a
-2-vCPU VM.
+Uses the standard library and the library under test only; about 10 s on
+a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -78,6 +81,18 @@ def select_paths() -> dict:
     return {"select": outputs.hexdigest(), "select-groups": groups.hexdigest()}
 
 
+def small_t_path() -> str:
+    digest = Digest()
+    for graph in (generators.grid_graph(20, 20),
+                  generators.watts_strogatz(400, 4, 0.05, seed=13)):
+        for seed in (1, 2):
+            result = repro.maximize_cfcc(graph, 4, method="schur", eps=0.2,
+                                         seed=seed)
+            digest.add(list(result.group))
+            digest.add(result.iteration_log)
+    return digest.hexdigest()
+
+
 def _probe_nodes(graph, group, count):
     """``count`` live non-group nodes, spread over the id range."""
     nodes = [int(v) for v in graph.node_ids() if int(v) not in group]
@@ -125,7 +140,8 @@ def sharded_path() -> str:
 def main() -> None:
     for name, digest in select_paths().items():
         print(f"{name:13s} {digest}")
-    for name, path in (("dynamic", dynamic_path), ("sharded", sharded_path)):
+    for name, path in (("schur-small-T", small_t_path),
+                       ("dynamic", dynamic_path), ("sharded", sharded_path)):
         print(f"{name:13s} {path()}")
 
 

@@ -31,17 +31,20 @@ Two steps sit between the forests and a greedy decision:
   gain's denominator) is not smoothed; where it is read it is clamped at its
   floor ``1/d_u``.
 * **The forest budget** (:meth:`SamplingConfig.sample_cap`).  Every round
-  draws ``ceil(FOREST_BUDGET / eps^2)`` forests, clamped to
+  that draws takes ``ceil(FOREST_BUDGET / eps^2)`` forests, clamped to
   ``[min_samples, max_samples]`` (200 at the default ``eps = 0.2``), so
   ``eps``, not ``max_samples``, decides how many forests a round draws,
-  and a call's work is fixed by the graph, ``k`` and ``eps``.  No rule
-  reads the sample to stop sooner.  The unsmoothed diagonal of a hub next
-  to a root is the indicator that the hub's forest parent is that root,
-  which on a 1000-node power-law graph fires in about 2% of forests, so
-  two halves of a few hundred forests disagree on near-tied hubs by
-  chance.  A stopping rule built on their agreement fired at a random
-  doubling step there, and a SchurCFCM call's CPU time ranged from 0.34 s
-  to 1.55 s across seeds.
+  and a call's work is fixed by the graph, ``k``, ``eps`` and its picks.
+  A SchurDelta round whose root set ``S ∪ T`` equals the previous round's
+  draws none: :class:`HeldSample` keeps that round's sums, which estimate
+  quantities of the root set alone.  No rule reads the sample to stop
+  sooner.  The unsmoothed diagonal of a hub next to a root is the
+  indicator that the hub's forest parent is that root, which on a
+  1000-node power-law graph fires in about 2% of forests, so two halves
+  of a few hundred forests disagree on near-tied hubs by chance.  A
+  stopping rule built on their agreement fired at a random doubling step
+  there, and a SchurCFCM call's CPU time ranged from 0.34 s to 1.55 s
+  across seeds.
 
 Implementation note (documented substitution): the paper's C++ code maintains
 per-directed-edge counters ``N~^{a->b}_{u,S}`` incrementally in O(1) amortised
@@ -84,7 +87,7 @@ needs no whole-batch preorder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -105,7 +108,7 @@ from repro.utils.validation import check_integer
 
 
 #: Forests per estimation round, times ``eps^2``.  At 8 (200 forests at
-#: ``eps = 0.2``) the exact gain of SchurCFCM's pick is at least 0.76 of
+#: ``eps = 0.2``) the exact gain of SchurCFCM's pick is at least 0.83 of
 #: the round's exact best in nine rounds of ten, and at least 0.95 in the
 #: median, on a 1000-node power-law graph, a 20x20 grid and a 400-node
 #: small world (``tests/test_decision_audit.py``).  A size-dependent
@@ -886,8 +889,33 @@ def estimate_forest_delta(graph: Graph, group: Sequence[int],
     return gains, diagnostics
 
 
+@dataclass
+class HeldSample:
+    """One SchurDelta round's forest sample, held for the rounds after it.
+
+    With ``U = V \\ (S ∪ T)``, the sums a round folds (``W inv(L_UU)``,
+    ``diag(inv(L_UU))`` and the rooted-at fractions ``F``) estimate
+    quantities of the root set ``S ∪ T`` and of the JL matrix ``W``, not of
+    which roots are in ``S``.  A later round with the same root set and a
+    larger ``S`` (its predecessor picked a node of ``T``) rebuilds Eq.
+    (11)/(15) from them with ``F``'s columns of its own ``T \\ S``.  ``W``
+    is reused as drawn: nothing reads its columns on ``S`` (``F``'s rows
+    there are zero, and the smoothing holds ``S`` at zero).  Each such
+    round's gains are as accurate as a fresh draw's; only the rounds'
+    errors become correlated.  :func:`estimate_schur_delta` reads and
+    refills it.
+    """
+
+    roots: Tuple[int, ...] = ()
+    accumulator: Optional[ForestAccumulator] = None
+    #: The drawing round's JL matrix.
+    weights: Optional[np.ndarray] = None
+    diagnostics: Dict[str, float] = field(default_factory=dict)
+
+
 def estimate_schur_delta(graph: Graph, group: Sequence[int], extra_roots: Sequence[int],
                          config: SamplingConfig, seed: RandomState = None,
+                         held: Optional[HeldSample] = None,
                          ) -> Tuple[Dict[int, float], Dict[str, float]]:
     """SchurDelta (Algorithm 4): ``Δ(u, S)`` estimates using extra roots ``T``.
 
@@ -896,6 +924,12 @@ def estimate_schur_delta(graph: Graph, group: Sequence[int], extra_roots: Sequen
     block representation with the sampled rooted-probability matrix ``F`` and
     the sampled Schur complement of Eq. (15).  Extra roots inside ``S`` are
     dropped; when none is left this is ForestDelta.
+
+    With ``held``, a round rooted at the held sample's root set whose ``S``
+    contains the drawing round's draws nothing and reassembles from that
+    sample; its diagnostics read ``samples`` 0 and ``reused`` 1, with the
+    drawing round's ``stopped_early`` and ``cap``.  Any other round draws
+    as without ``held`` and stores its sample there.
     """
     rng = as_rng(seed)
     group = sorted(set(int(v) for v in group))
@@ -903,18 +937,32 @@ def estimate_schur_delta(graph: Graph, group: Sequence[int], extra_roots: Sequen
     if not extras:
         return estimate_forest_delta(graph, group, config, seed=rng)
 
-    n = graph.n
-    rows = config.jl_rows(n)
-    # One Rademacher matrix over all non-grounded coordinates; the columns on
-    # U act as the paper's W block and the columns on T as its Q block.  The
-    # accumulator zeroes its own copy on S ∪ T.
-    weights = rademacher_weights(rows, n, group, rng)
-    accumulator = ForestAccumulator(
-        graph, group + extras, weights=weights, tracked_roots=extras, seed=rng
-    )
-    diagnostics = run_adaptive_sampling(accumulator, config)
+    roots = tuple(sorted(group + extras))
+    # With the same root set, T among the tracked roots means that this S
+    # contains the drawing round's; W is random on every other column.
+    if (held is not None and held.roots == roots
+            and set(extras) <= set(held.accumulator.tracked_roots)):
+        accumulator, weights = held.accumulator, held.weights
+        diagnostics = {**held.diagnostics, "samples": 0.0, "reused": 1.0}
+    else:
+        n = graph.n
+        rows = config.jl_rows(n)
+        # One Rademacher matrix over all non-grounded coordinates; the
+        # columns on U act as the paper's W block and the columns on T as
+        # its Q block.  The accumulator zeroes its own copy on S ∪ T.
+        weights = rademacher_weights(rows, n, group, rng)
+        accumulator = ForestAccumulator(
+            graph, group + extras, weights=weights, tracked_roots=extras,
+            seed=rng,
+        )
+        diagnostics = run_adaptive_sampling(accumulator, config)
+        if held is not None:
+            held.roots, held.accumulator = roots, accumulator
+            held.weights, held.diagnostics = weights, diagnostics
 
-    fractions = accumulator.root_fractions()  # (n, |T|), zero rows on roots
+    # (n, |T|), zero rows on roots; a held sample tracks a superset of T.
+    tracked = [accumulator.tracked_roots.index(t) for t in extras]
+    fractions = accumulator.root_fractions()[:, tracked]
     schur = _sampled_schur_complement(graph, group, extras, fractions)
     columns, diagonal = schur_reassembly(
         accumulator.projected_estimates(), accumulator.diag_estimates(),

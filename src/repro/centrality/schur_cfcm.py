@@ -14,6 +14,11 @@ rooted-probability matrix ``F`` (Lemma 4.2) and the sampled Schur complement
 ``S_T(L_{-S})`` (Eq. 15, Lemma 4.3).  The approximation factor of Theorem 4.7
 matches ForestCFCM's.
 
+``T`` holds the top hubs (:func:`choose_extra_roots`), so the greedy often
+picks a node of ``T`` and leaves the root set ``S ∪ T`` as it was.  The
+next round then reuses the forests of the one before
+(:class:`~repro.centrality.estimators.HeldSample`) instead of drawing.
+
 With ``T = ∅`` SchurDelta is ForestDelta, so ForestCFCM
 (:mod:`repro.centrality.forest_cfcm`) is this class with no extra roots.  The
 greedy loop itself is :class:`repro.centrality.result.GreedyCFCM`; this
@@ -28,9 +33,10 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.graph import Graph
-from repro.graph.properties import EXTRA_ROOT_CAP, extra_root_size
+from repro.graph.properties import extra_root_size
 from repro.graph.traversal import require_connected
 from repro.centrality.estimators import (
+    HeldSample,
     SamplingConfig,
     estimate_first_pick,
     estimate_schur_delta,
@@ -40,18 +46,19 @@ from repro.utils.rng import RandomState, as_rng
 from repro.utils.validation import check_integer, check_node
 
 
-def choose_extra_roots(graph: Graph, size: Optional[int] = None,
-                       max_size: int = EXTRA_ROOT_CAP) -> List[int]:
+def choose_extra_roots(graph: Graph, size: Optional[int] = None) -> List[int]:
     """Select the additional root set ``T`` of SchurCFCM.
 
     The paper repeatedly takes the highest-degree node of the remaining graph
-    and sizes the set as ``|T*| = argmin_{|T|} { |T| - dmax(T) }``, balancing
-    the cubic cost of inverting the Schur complement against the degree bound
-    entering the sampling complexity.  Passing ``size`` overrides the
+    and sizes the set by trading the ``|T| x |T|`` Schur complement against
+    the degree bound ``dmax(V \\ T)`` of the sampling cost.  Its literal
+    ``argmin |T| - dmax(V \\ T)`` is 1 on every graph, so
+    :func:`~repro.graph.properties.extra_root_size` minimises
+    ``|T| + dmax(V \\ T)`` instead.  Passing ``size`` overrides the
     automatic choice.
     """
     if size is None:
-        size = extra_root_size(graph, max_size=max_size)
+        size = extra_root_size(graph)
     else:
         check_integer("size", size, minimum=1, maximum=graph.n - 1)
     order = np.argsort(-graph.degrees, kind="stable")
@@ -77,12 +84,20 @@ def schur_delta(graph: Graph, group: Sequence[int], extra_roots: Sequence[int],
 
 
 def _sampling_log(diagnostics: Dict[str, float]) -> Dict[str, object]:
-    return {"samples": int(diagnostics["samples"]),
-            "stopped_early": bool(diagnostics["stopped_early"])}
+    log = {"samples": int(diagnostics["samples"]),
+           "stopped_early": bool(diagnostics["stopped_early"])}
+    if diagnostics.get("reused"):
+        log["reused"] = True
+    return log
 
 
 class SchurCFCM(GreedyCFCM):
     """Greedy CFCM solver based on forest sampling plus the Schur complement.
+
+    A gain round whose root set ``S ∪ T`` is the previous round's (the
+    previous pick was in ``T``) reuses that round's forests and logs
+    ``samples`` 0 and ``reused``; :meth:`CFCMResult.samples_used` counts the
+    forests the run drew.
 
     Parameters
     ----------
@@ -92,8 +107,9 @@ class SchurCFCM(GreedyCFCM):
         Error parameter in ``(0, 1)``.
     extra_roots:
         Explicit auxiliary root set ``T`` (repeats are ignored); by default
-        the highest-degree nodes, sized by ``argmin(|T| - dmax(T))`` as in
-        the paper.  An empty ``T`` runs ForestDelta in every round.
+        the highest-degree nodes, sized by ``argmin |T| + dmax(V \\ T)``
+        (:func:`choose_extra_roots`: the paper's literal ``|T| - dmax`` is
+        1 on every graph).  An empty ``T`` runs ForestDelta in every round.
     seed, config:
         Randomness and full sampling configuration.
 
@@ -123,6 +139,8 @@ class SchurCFCM(GreedyCFCM):
 
     # ------------------------------------------------------------ greedy hooks
     def _first_pick(self) -> Tuple[int, np.ndarray, Dict[str, object]]:
+        # A run starts with no held sample; its gain rounds share one.
+        self._held = HeldSample()
         first, scores, diagnostics = estimate_first_pick(
             self.graph, self.config, seed=self.rng
         )
@@ -130,9 +148,11 @@ class SchurCFCM(GreedyCFCM):
 
     def _gains(self, group: Sequence[int]
                ) -> Tuple[Dict[int, float], Dict[str, object]]:
-        # estimate_schur_delta drops the extra roots already in the group.
+        # estimate_schur_delta drops the extra roots already in the group,
+        # and draws only when S ∪ T differs from the held sample's.
         gains, diagnostics = estimate_schur_delta(
-            self.graph, group, self.extra_roots, self.config, seed=self.rng
+            self.graph, group, self.extra_roots, self.config, seed=self.rng,
+            held=self._held,
         )
         return gains, _sampling_log(diagnostics)
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from repro.exceptions import DisconnectedGraphError, InvalidNodeError
 from repro.graph.graph import Graph
@@ -49,8 +51,13 @@ class BFSTree:
 def bfs_tree(graph: Graph, roots: Sequence[int]) -> BFSTree:
     """Breadth-first search from a set of root nodes.
 
-    All roots start at depth 0; ties between frontier nodes are broken by node
-    id so the construction is deterministic.
+    All roots start at depth 0.  A node's parent is its smallest-id
+    neighbour one level up, and ``order`` lists the reached nodes by depth,
+    then by id, so the tree is deterministic: it is the tree of a BFS that
+    visits each level in id order.  The depths come from one unweighted
+    shortest-path run from a super-source joined to the roots, and parents
+    and order from array passes over the edges, so no Python loop runs per
+    node or level.
     """
     root_array = np.asarray(sorted(set(int(r) for r in roots)), dtype=np.int64)
     if root_array.size == 0:
@@ -58,45 +65,42 @@ def bfs_tree(graph: Graph, roots: Sequence[int]) -> BFSTree:
     if root_array.min() < 0 or root_array.max() >= graph.n:
         raise InvalidNodeError("BFS roots must lie in [0, n)")
 
-    parent = np.full(graph.n, -1, dtype=np.int64)
-    depth = np.full(graph.n, -1, dtype=np.int64)
-    depth[root_array] = 0
-    order: List[int] = list(root_array)
-    frontier = list(root_array)
-    indptr, adjacency = graph.indptr, graph.adjacency
-    while frontier:
-        next_frontier: List[int] = []
-        for u in frontier:
-            for v in adjacency[indptr[u]:indptr[u + 1]]:
-                v = int(v)
-                if depth[v] < 0:
-                    depth[v] = depth[u] + 1
-                    parent[v] = u
-                    next_frontier.append(v)
-        next_frontier.sort()
-        order.extend(next_frontier)
-        frontier = next_frontier
+    n, indptr, adjacency = graph.n, graph.indptr, graph.adjacency
+    # Row n is the super-source, with one arc to each root.
+    joined = sp.csr_matrix(
+        (np.ones(adjacency.size + root_array.size),
+         np.concatenate([adjacency, root_array]),
+         np.concatenate([indptr, [indptr[-1] + root_array.size]])),
+        shape=(n + 1, n + 1))
+    distance = csgraph.dijkstra(joined, indices=n, unweighted=True)[:n]
+    depth = np.where(np.isfinite(distance), distance - 1, -1).astype(np.int64)
+
+    # Each node's smallest-id neighbour one level up (n where it has none).
+    sources = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    candidates = np.where(depth[adjacency] == depth[sources] - 1, adjacency, n)
+    parent = np.full(n, -1, dtype=np.int64)
+    linked = graph.degrees > 0
+    if candidates.size:
+        nearest = np.minimum.reduceat(candidates, indptr[:-1][linked])
+        parent[linked] = np.where(nearest < n, nearest, -1)
+
+    reached = np.flatnonzero(depth >= 0)
     return BFSTree(
         roots=root_array,
-        order=np.asarray(order, dtype=np.int64),
+        order=reached[np.argsort(depth[reached], kind="stable")],
         parent=parent,
         depth=depth,
     )
 
 
 def connected_components(graph: Graph) -> List[np.ndarray]:
-    """Connected components as arrays of node ids, largest first."""
-    seen = np.zeros(graph.n, dtype=bool)
-    components: List[np.ndarray] = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        tree = bfs_tree(graph, [start])
-        members = tree.order[tree.depth[tree.order] >= 0]
-        members = np.asarray(sorted(int(v) for v in members), dtype=np.int64)
-        seen[members] = True
-        components.append(members)
-    components.sort(key=lambda arr: (-arr.size, int(arr[0]) if arr.size else 0))
+    """Connected components as sorted arrays of node ids, largest first
+    (ties by smallest id)."""
+    _, labels = csgraph.connected_components(graph.adjacency_matrix(),
+                                             directed=False)
+    by_label = np.argsort(labels, kind="stable").astype(np.int64)
+    components = np.split(by_label, np.cumsum(np.bincount(labels))[:-1])
+    components.sort(key=lambda arr: (-arr.size, int(arr[0])))
     return components
 
 

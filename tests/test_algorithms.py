@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.centrality import estimators
 from repro.exceptions import InvalidNodeError, InvalidParameterError
-from repro.graph import datasets
+from repro.graph import datasets, generators
 from repro.centrality.api import maximize_cfcc
 from repro.centrality.approx_greedy import ApproxGreedy
 from repro.centrality.cfcc import group_cfcc
@@ -166,6 +167,77 @@ class TestSchurCFCM:
         roots = choose_extra_roots(karate)
         assert len(roots) >= 1
         assert len(roots) <= karate.n - 1
+
+
+class TestSchurCFCMHeldSample:
+    """A gain round whose root set ``S ∪ T`` is the previous round's reuses
+    that round's forests instead of drawing."""
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """Sizes of the forest batches the estimators draw."""
+        sizes = []
+        draw = estimators.sample_forest_batch_vectorized
+
+        def counting(graph, roots, count, seed=None):
+            sizes.append(int(count))
+            return draw(graph, roots, count, seed=seed)
+
+        monkeypatch.setattr(estimators, "sample_forest_batch_vectorized",
+                            counting)
+        return sizes
+
+    @staticmethod
+    def reused(result):
+        return [bool(entry.get("reused")) for entry in result.iteration_log]
+
+    def test_picks_in_t_draw_only_in_the_first_two_rounds(self, drawn):
+        graph = generators.powerlaw_cluster(1000, 4, 0.3, seed=7)
+        solver = SchurCFCM(graph, seed=1)
+        result = solver.run(4)
+        # The first gain round's pick and the next are hubs of T.
+        assert set(result.group[1:3]) <= set(solver.extra_roots)
+        samples = [entry["samples"] for entry in result.iteration_log]
+        assert samples[:2] == [200, 200] and samples[2:] == [0, 0]
+        assert self.reused(result) == [False, False, True, True]
+        assert result.iteration_log[2]["stopped_early"]
+        assert result.samples_used() == sum(drawn) == 400
+
+    # The last two runs pick all of T in their first gain round, so the
+    # round after it is ForestDelta on the held root set, and draws.
+    @pytest.mark.parametrize("seed, extra_roots", [
+        (0, None), (1, None), (2, None), (3, None), (2, [33]), (4, [0, 33])])
+    def test_a_round_reuses_exactly_when_the_last_pick_was_in_t(
+            self, karate, drawn, seed, extra_roots):
+        solver = SchurCFCM(karate, seed=seed, config=FAST_CONFIG,
+                           extra_roots=extra_roots)
+        result = solver.run(5)
+        hubs = set(solver.extra_roots)
+        expected = [False, False] + [
+            result.group[i - 1] in hubs and not hubs <= set(result.group[:i])
+            for i in range(2, 5)]
+        assert self.reused(result) == expected
+        for entry, reused in zip(result.iteration_log, expected):
+            assert (entry["samples"] == 0) == reused
+        assert result.samples_used() == sum(drawn)
+
+    def test_extra_roots_away_from_the_picks_draw_every_round(self, karate,
+                                                              drawn):
+        leaves = [int(v) for v in np.argsort(karate.degrees, kind="stable")[:3]]
+        result = SchurCFCM(karate, seed=0, config=FAST_CONFIG,
+                           extra_roots=leaves).run(4)
+        assert not set(result.group) & set(leaves)
+        assert not any(self.reused(result))
+        assert all(entry["samples"] > 0 for entry in result.iteration_log)
+        assert result.samples_used() == sum(drawn)
+
+    def test_each_run_starts_without_a_held_sample(self, karate):
+        solver = SchurCFCM(karate, seed=0, config=FAST_CONFIG)
+        first, second = solver.run(2), solver.run(2)
+        # Both first picks are hubs, so both gain rounds are rooted at T.
+        assert {first.group[0], second.group[0]} <= set(solver.extra_roots)
+        assert not second.iteration_log[1].get("reused")
+        assert second.iteration_log[1]["samples"] > 0
 
 
 class TestBadNodeIds:

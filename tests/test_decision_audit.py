@@ -9,6 +9,13 @@ over seeds 1–6, a round with group ``S`` that picks ``u`` scores the exact
 each graph the median must reach 0.85 and the 10th percentile 0.6.  The
 graphs span a hub-heavy power-law graph (the ``select`` benchmark's) and two
 slow-mixing ones, where Jacobi smoothing contracts least.
+
+On the power-law graph SchurCFCM roots its forests at 17 hubs besides
+``S``, the greedy picks among them, and later rounds reuse the forests of
+the round before (:class:`repro.centrality.estimators.HeldSample`).  There
+the gate is a median of 0.99 and a 10th percentile of 0.9 (measured: 1.0
+and 0.989).  The grid and the small world keep a single extra root, and
+their ratios are those of independent draws in every round.
 """
 
 import numpy as np
@@ -23,6 +30,9 @@ GRAPHS = {
     "grid": lambda: generators.grid_graph(20, 20),
     "watts_strogatz": lambda: generators.watts_strogatz(400, 4, 0.05, seed=13),
 }
+#: (median, 10th percentile) each graph's ratios must reach.
+GATES = {"powerlaw_cluster": (0.99, 0.9), "grid": (0.85, 0.6),
+         "watts_strogatz": (0.85, 0.6)}
 K, EPS, SEEDS = 4, 0.2, range(1, 7)
 
 
@@ -45,5 +55,6 @@ def gain_ratios(graph):
 def test_gain_rounds_pick_near_the_exact_best(name):
     ratios = gain_ratios(GRAPHS[name]())
     assert ratios.size == len(SEEDS) * (K - 1)
-    assert np.median(ratios) >= 0.85
-    assert np.percentile(ratios, 10) >= 0.6
+    median, p10 = GATES[name]
+    assert np.median(ratios) >= median
+    assert np.percentile(ratios, 10) >= p10

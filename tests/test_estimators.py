@@ -7,11 +7,14 @@ from repro.exceptions import InvalidParameterError
 from repro.graph import generators
 from repro.centrality.estimators import (
     ForestAccumulator,
+    HeldSample,
     SamplingConfig,
+    _robust_inverse,
     _sampled_schur_complement,
     estimate_first_pick,
     estimate_forest_delta,
     estimate_schur_delta,
+    marginal_gain_estimates,
     rademacher_weights,
     run_adaptive_sampling,
     schur_reassembly,
@@ -20,6 +23,7 @@ from repro.centrality.marginal import marginal_gains_all
 from repro.linalg.pseudoinverse import pseudoinverse_diagonal
 from repro.linalg.schur import absorption_probabilities, grounded_inverse_block
 from repro.linalg.updates import grounded_inverse
+from repro.sampling.batch import sample_forest_batch_vectorized
 
 
 class TestSamplingConfig:
@@ -248,6 +252,82 @@ class TestDeltaEstimators:
         config = SamplingConfig(eps=0.3, max_samples=128)
         gains, _ = estimate_forest_delta(small_ba, [0], config, seed=6)
         assert all(value > 0 for value in gains.values())
+
+
+class TestHeldSample:
+    """A SchurDelta round whose root set ``S ∪ T`` is the held sample's
+    reassembles from it, and matches a fresh round on the same forests."""
+
+    GROUP = [7]
+    DIAGNOSTICS = {"samples": 48.0, "stopped_early": 1.0, "cap": 48.0}
+
+    def held_round(self, graph):
+        extras = sorted(int(v) for v in np.argsort(-graph.degrees,
+                                                   kind="stable")
+                        if v not in self.GROUP)[:4]
+        roots = sorted(self.GROUP + extras)
+        batch = sample_forest_batch_vectorized(graph, roots, 48, seed=3)
+        weights = rademacher_weights(16, graph.n, self.GROUP,
+                                     np.random.default_rng(4))
+        accumulator = ForestAccumulator(graph, roots, weights=weights,
+                                        tracked_roots=extras)
+        accumulator.add_batch(batch)
+        held = HeldSample(roots=tuple(roots), accumulator=accumulator,
+                          weights=weights, diagnostics=dict(self.DIAGNOSTICS))
+        return extras, batch, weights, held
+
+    @pytest.mark.parametrize("picked", [0, 1, 2], ids=["same-S", "one-hub",
+                                                        "two-hubs"])
+    def test_reassembly_matches_a_fresh_round(self, hub_ba, picked):
+        graph = hub_ba
+        extras, batch, weights, held = self.held_round(graph)
+        group = sorted(self.GROUP + extras[:picked])
+        rest = [t for t in extras if t not in group]
+        config = SamplingConfig(eps=0.2, max_jl_dimension=16)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+
+        gains, diagnostics = estimate_schur_delta(graph, group, extras, config,
+                                                  seed=rng, held=held)
+
+        assert rng.bit_generator.state == state  # nothing drawn
+        assert diagnostics == {**self.DIAGNOSTICS, "samples": 0.0,
+                               "reused": 1.0}
+        fresh_weights = weights.copy()
+        fresh_weights[:, group] = 0.0
+        fresh = ForestAccumulator(graph, group + rest, weights=fresh_weights,
+                                  tracked_roots=rest)
+        fresh.add_batch(batch)
+        fractions = fresh.root_fractions()
+        schur = _sampled_schur_complement(graph, group, rest, fractions)
+        columns, diagonal = schur_reassembly(
+            fresh.projected_estimates(), fresh.diag_estimates(), fractions,
+            fresh_weights, rest, _robust_inverse(schur))
+        expected = marginal_gain_estimates(graph, group, fresh_weights,
+                                           columns, diagonal)
+        assert list(gains) == list(expected)
+        np.testing.assert_allclose(list(gains.values()),
+                                   list(expected.values()),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_other_root_sets_draw_and_are_held(self, hub_ba):
+        graph = hub_ba
+        extras, _, _, held = self.held_round(graph)
+        config = SamplingConfig(eps=0.4, max_jl_dimension=16)
+        # Same root set, but the drawing round's S is not in this S: its W
+        # columns are zero where this round needs them, so it draws.
+        _, diagnostics = estimate_schur_delta(
+            graph, [extras[0]], self.GROUP + extras[1:], config, seed=1,
+            held=held)
+        assert diagnostics["samples"] == config.sample_cap(graph.n)
+        assert "reused" not in diagnostics
+        assert held.roots == tuple(sorted(self.GROUP + extras))
+        assert held.accumulator.tracked_roots == sorted(self.GROUP + extras[1:])
+        # A pick outside T changes the root set.
+        _, diagnostics = estimate_schur_delta(
+            graph, self.GROUP + [100], extras, config, seed=1, held=held)
+        assert diagnostics["samples"] == config.sample_cap(graph.n)
+        assert held.roots == tuple(sorted(self.GROUP + [100] + extras))
 
 
 class TestFirstPick:

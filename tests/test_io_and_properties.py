@@ -1,11 +1,25 @@
 """Tests for edge-list IO and graph summary statistics."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.exceptions import GraphError
-from repro.graph import generators, io, properties
+from repro.graph import datasets, generators, io, properties
 from repro.graph.graph import Graph
+
+
+def select_graph():
+    """The ``select`` benchmark's graph."""
+    return generators.powerlaw_cluster(1000, 4, 0.3, seed=7)
+
+
+def brute_force_extra_root_size(graph):
+    """``argmin |T| + dmax(V \\ T)`` over every degree-sorted prefix."""
+    order = np.argsort(-graph.degrees, kind="stable")
+    values = [size + graph.max_degree(excluded=[int(v) for v in order[:size]])
+              for size in range(1, graph.n - 1)]
+    return int(np.argmin(values)) + 1
 
 
 class TestEdgeListIO:
@@ -68,8 +82,29 @@ class TestProperties:
         assert properties.extra_root_size(star) == 1
 
     def test_extra_root_size_bounded(self, medium_ba):
-        size = properties.extra_root_size(medium_ba, max_size=32)
-        assert 1 <= size <= 32
+        size = properties.extra_root_size(medium_ba)
+        assert 1 <= size <= 1 + medium_ba.max_degree()
+
+    @pytest.mark.parametrize("name", ["star", "Karate", "Dolphins*", "grid",
+                                      "select"])
+    def test_extra_root_size_scan_matches_brute_force(self, name):
+        graphs = {"star": lambda: generators.star_graph(20),
+                  "grid": lambda: generators.grid_graph(20, 20),
+                  "select": select_graph}
+        graph = (graphs[name]() if name in graphs
+                 else datasets.tiny_suite()[name])
+        assert (properties.extra_root_size(graph)
+                == brute_force_extra_root_size(graph))
+
+    @pytest.mark.parametrize("build, size", [
+        (select_graph, 17),
+        (lambda: generators.grid_graph(20, 20), 1),
+        (lambda: generators.watts_strogatz(400, 4, 0.05, seed=13), 1),
+        (lambda: datasets.tiny_suite()["Zebra*"], 1),
+    ], ids=["select", "grid", "watts_strogatz", "Zebra*"])
+    def test_extra_root_size_grows_with_hubs(self, build, size):
+        # Hubs give T many roots; graphs without hubs keep the single top hub.
+        assert properties.extra_root_size(build()) == size
 
     def test_summarize_fields(self, karate):
         summary = properties.summarize(karate)

@@ -18,6 +18,39 @@ from repro.graph.traversal import (
 )
 
 
+def loop_bfs_tree(graph, roots):
+    """Reference BFS: visits each level in id order, so a node's parent is
+    its smallest-id neighbour one level up.  Returns (order, parent, depth)."""
+    parent = np.full(graph.n, -1, dtype=np.int64)
+    depth = np.full(graph.n, -1, dtype=np.int64)
+    frontier = sorted(set(int(r) for r in roots))
+    depth[frontier] = 0
+    order = list(frontier)
+    while frontier:
+        next_frontier = []
+        for u in frontier:
+            for v in graph.neighbors(u):
+                v = int(v)
+                if depth[v] < 0:
+                    depth[v] = depth[u] + 1
+                    parent[v] = u
+                    next_frontier.append(v)
+        next_frontier.sort()
+        order.extend(next_frontier)
+        frontier = next_frontier
+    return np.asarray(order, dtype=np.int64), parent, depth
+
+
+BFS_GRAPHS = {
+    "powerlaw_cluster": lambda: generators.powerlaw_cluster(1000, 4, 0.3, seed=7),
+    "grid120": lambda: generators.grid_graph(120, 120),
+    "barabasi_albert": lambda: generators.barabasi_albert(6000, 3, seed=0),
+    "cycle": lambda: generators.cycle_graph(2000),
+    "disconnected": lambda: Graph(9, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6),
+                                      (6, 7)]),
+}
+
+
 class TestBFS:
     def test_single_root_depths_match_networkx(self, karate):
         tree = bfs_tree(karate, [0])
@@ -55,6 +88,18 @@ class TestBFS:
         with pytest.raises(InvalidNodeError):
             bfs_tree(karate, [99])
 
+    @pytest.mark.parametrize("name", sorted(BFS_GRAPHS))
+    def test_matches_the_level_loop(self, name):
+        graph = BFS_GRAPHS[name]()
+        hub = int(np.argmax(graph.degrees))
+        for roots in ([hub], [0], [graph.n - 1, 0, graph.n // 2, 0]):
+            tree = bfs_tree(graph, roots)
+            order, parent, depth = loop_bfs_tree(graph, roots)
+            assert np.array_equal(tree.roots, sorted(set(roots)))
+            assert np.array_equal(tree.order, order)
+            assert np.array_equal(tree.parent, parent)
+            assert np.array_equal(tree.depth, depth)
+
     def test_unreachable_nodes_marked(self):
         graph = Graph(4, [(0, 1), (2, 3)])
         tree = bfs_tree(graph, [0])
@@ -72,6 +117,12 @@ class TestComponents:
         components = connected_components(graph)
         assert len(components) == 2
         assert components[0].size == 3
+
+    def test_components_sorted_by_size_then_smallest_id(self):
+        graph = Graph(9, [(8, 2), (3, 4), (5, 6), (6, 1)])
+        components = connected_components(graph)
+        assert [c.tolist() for c in components] == [[1, 5, 6], [2, 8], [3, 4],
+                                                    [0], [7]]
 
     def test_is_connected(self, karate):
         assert is_connected(karate)
