@@ -1,8 +1,8 @@
 """One SHA-256 digest per engine path over its exact float outputs.
 
-Runs four fixed-seed paths through the library and hashes every value they
+Runs five fixed-seed paths through the library and hashes every value they
 return, floats as ``float.hex`` so that a digest changes with any bit.  It
-prints five lines:
+prints six lines:
 
 * ``select``: SchurCFCM (k = 4, eps = 0.2, seeds 1-5) on the ``select``
   workload's graph, powerlaw_cluster(1000, 4, 0.3, seed 7): groups and
@@ -14,6 +14,8 @@ prints five lines:
 * ``schur-small-T``: SchurCFCM (k = 4, eps = 0.2, seeds 1-2) on the 20x20
   grid and on WS(400, 4, 0.05, seed 13), graphs without hubs, where the
   extra root set ``T`` is the single top hub: groups and iteration logs;
+* ``forest``: ForestCFCM (k = 4, eps = 0.2, seeds 1-2) on the ``select``
+  graph, a hub graph run with ``T`` empty: groups and iteration logs;
 * ``dynamic``: ``DynamicCFCM(backend="auto")`` on BA(2000, 3), which picks
   the sparse backend: 240 edge and node events in 6 bursts, each followed by
   exact reads and per-node resistances;
@@ -70,8 +72,12 @@ class Digest:
         return self._hash.hexdigest()
 
 
+def select_graph():
+    return generators.powerlaw_cluster(1000, 4, 0.3, seed=7)
+
+
 def select_paths() -> dict:
-    graph = generators.powerlaw_cluster(1000, 4, 0.3, seed=7)
+    graph = select_graph()
     outputs, groups = Digest(), Digest()
     for seed in range(1, 6):
         result = repro.maximize_cfcc(graph, 4, method="schur", eps=0.2, seed=seed)
@@ -90,6 +96,17 @@ def small_t_path() -> str:
                                          seed=seed)
             digest.add(list(result.group))
             digest.add(result.iteration_log)
+    return digest.hexdigest()
+
+
+def forest_path() -> str:
+    graph = select_graph()
+    digest = Digest()
+    for seed in (1, 2):
+        result = repro.maximize_cfcc(graph, 4, method="forest", eps=0.2,
+                                     seed=seed)
+        digest.add(list(result.group))
+        digest.add(result.iteration_log)
     return digest.hexdigest()
 
 
@@ -140,7 +157,7 @@ def sharded_path() -> str:
 def main() -> None:
     for name, digest in select_paths().items():
         print(f"{name:13s} {digest}")
-    for name, path in (("schur-small-T", small_t_path),
+    for name, path in (("schur-small-T", small_t_path), ("forest", forest_path),
                        ("dynamic", dynamic_path), ("sharded", sharded_path)):
         print(f"{name:13s} {path()}")
 

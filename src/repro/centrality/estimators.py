@@ -35,9 +35,11 @@ Two steps sit between the forests and a greedy decision:
   ``[min_samples, max_samples]`` (200 at the default ``eps = 0.2``), so
   ``eps``, not ``max_samples``, decides how many forests a round draws,
   and a call's work is fixed by the graph, ``k``, ``eps`` and its picks.
-  A SchurDelta round whose root set ``S ∪ T`` equals the previous round's
-  draws none: :class:`HeldSample` keeps that round's sums, which estimate
-  quantities of the root set alone.  No rule reads the sample to stop
+  A SchurDelta round whose root set ``S ∪ T`` equals the previous draw's
+  draws none: :class:`HeldSample` keeps that draw's sums, which estimate
+  quantities of the root set alone.  With two or more extra roots the first
+  pick roots its forests at ``T`` too, so a SchurCFCM run whose picks stay
+  in ``T`` draws once.  No rule reads the sample to stop
   sooner.  The unsmoothed diagonal of a hub next to a root is the
   indicator that the hub's forest parent is that root, which on a
   1000-node power-law graph fires in about 2% of forests, so two halves
@@ -475,7 +477,7 @@ class ForestAccumulator:
         Connected graph.
     roots:
         Root set of the sampled forests (``S`` for ForestDelta, ``S ∪ T`` for
-        SchurDelta, ``{s}`` for the first greedy pick).
+        SchurDelta, ``{s}`` or ``T`` for the first greedy pick).
     weights:
         ``(w, n)`` weight matrix; every row defines one linear functional
         ``w_j^T inv(L_{-roots}) e_u`` to estimate.  Columns on ``roots`` must
@@ -771,11 +773,13 @@ def run_adaptive_sampling(accumulator: ForestAccumulator, config: SamplingConfig
 
 def estimate_first_pick(graph: Graph, config: SamplingConfig,
                         seed: RandomState = None,
+                        extra_roots: Sequence[int] = (),
+                        held: Optional[HeldSample] = None,
                         ) -> Tuple[int, np.ndarray, Dict[str, float]]:
     """First greedy pick shared by ForestCFCM and SchurCFCM (Algorithm 3/5, lines 1-14).
 
-    Samples forests rooted at the maximum-degree node ``s`` and estimates,
-    for every node ``u`` (Lemma 3.5),
+    Grounds the Laplacian at a node ``s`` and estimates, for every node
+    ``u`` (Lemma 3.5, which holds for any ``s``),
 
     ``L†_uu = Phi_{u,{s}}(u) - (2/n) Phi_{1,{s}}(u) + (1/n^2) 1^T inv(L_{-s}) 1``
 
@@ -786,6 +790,18 @@ def estimate_first_pick(graph: Graph, config: SamplingConfig,
     truth.  The constant term does not move the argmin; it makes the scores
     estimates of ``L†_uu`` themselves.
 
+    With fewer than two ``extra_roots``, ``s`` is the maximum-degree node
+    and the forests are rooted at ``{s}``, folding one unit row.  With an
+    extra root set ``T`` of two or more, ``s`` is the highest-degree node
+    of ``T`` and the forests are rooted at all of ``T``, which absorbs
+    walks far sooner.  They fold the unit row below the JL rows ``W`` a
+    first gain round would draw, and track all of ``T``; Eq. (11) with
+    ``S = {s}`` and extras ``T \\ {s}`` rebuilds ``diag(inv(L_{-s}))`` and
+    ``1ᵀ inv(L_{-s})`` (the unit row's ``Q`` block is 1 on ``T \\ {s}``).
+    The sample then fills ``held``, so a first gain round whose pick is in
+    ``T`` (root set ``T`` again) draws nothing.  ``W`` is random on every
+    column: ``s`` is in that round's ``T \\ S``.
+
     Returns
     -------
     (node, scores, diagnostics):
@@ -794,16 +810,30 @@ def estimate_first_pick(graph: Graph, config: SamplingConfig,
     """
     rng = as_rng(seed)
     n = graph.n
-    s = int(np.argmax(graph.degrees))
-    ones = np.ones((1, n))
-    ones[0, s] = 0.0
-    accumulator = ForestAccumulator(graph, [s], weights=ones, seed=rng)
-    diagnostics = run_adaptive_sampling(accumulator, config)
-    column_sums = jacobi_smooth(graph, [s], ones,
-                                accumulator.projected_estimates())[0]
+    extras = sorted(set(int(t) for t in extra_roots))
+    if len(extras) < 2:
+        s = int(np.argmax(graph.degrees))
+        weights = np.ones((1, n))
+        weights[0, s] = 0.0
+        accumulator = ForestAccumulator(graph, [s], weights=weights, seed=rng)
+        diagnostics = run_adaptive_sampling(accumulator, config)
+        columns = accumulator.projected_estimates()
+        diagonal = accumulator.diag_estimates()
+    else:
+        s = extras[int(np.argmax(graph.degrees[extras]))]
+        jl = rademacher_weights(config.jl_rows(n), n, (), rng)
+        weights = np.vstack([jl, np.ones((1, n))])
+        accumulator = ForestAccumulator(graph, extras, weights=weights,
+                                        tracked_roots=extras, seed=rng)
+        diagnostics = run_adaptive_sampling(accumulator, config)
+        columns, diagonal = _reassemble(
+            graph, [s], [t for t in extras if t != s], accumulator, weights)
+        if held is not None:
+            held.roots, held.accumulator = tuple(extras), accumulator
+            held.weights, held.diagnostics = jl, diagnostics
+    column_sums = jacobi_smooth(graph, [s], weights[-1:], columns[-1:])[0]
     floor = 1.0 / np.maximum(graph.degrees, 1)
-    scores = (np.maximum(accumulator.diag_estimates(), floor)
-              - (2.0 / n) * column_sums)
+    scores = np.maximum(diagonal, floor) - (2.0 / n) * column_sums
     scores[s] = 0.0
     scores += column_sums.sum() / n ** 2
     return int(np.argmin(scores)), scores, diagnostics
@@ -891,7 +921,7 @@ def estimate_forest_delta(graph: Graph, group: Sequence[int],
 
 @dataclass
 class HeldSample:
-    """One SchurDelta round's forest sample, held for the rounds after it.
+    """One forest sample of a run, held for the gain rounds after it.
 
     With ``U = V \\ (S ∪ T)``, the sums a round folds (``W inv(L_UU)``,
     ``diag(inv(L_UU))`` and the rooted-at fractions ``F``) estimate
@@ -902,8 +932,9 @@ class HeldSample:
     is reused as drawn: nothing reads its columns on ``S`` (``F``'s rows
     there are zero, and the smoothing holds ``S`` at zero).  Each such
     round's gains are as accurate as a fresh draw's; only the rounds'
-    errors become correlated.  :func:`estimate_schur_delta` reads and
-    refills it.
+    errors become correlated.  :func:`estimate_first_pick` fills it when it
+    roots at ``T``, with a unit row below ``W`` that no gain round reads;
+    :func:`estimate_schur_delta` reads and refills it.
     """
 
     roots: Tuple[int, ...] = ()
@@ -960,17 +991,25 @@ def estimate_schur_delta(graph: Graph, group: Sequence[int], extra_roots: Sequen
             held.roots, held.accumulator = roots, accumulator
             held.weights, held.diagnostics = weights, diagnostics
 
-    # (n, |T|), zero rows on roots; a held sample tracks a superset of T.
-    tracked = [accumulator.tracked_roots.index(t) for t in extras]
-    fractions = accumulator.root_fractions()[:, tracked]
-    schur = _sampled_schur_complement(graph, group, extras, fractions)
-    columns, diagonal = schur_reassembly(
-        accumulator.projected_estimates(), accumulator.diag_estimates(),
-        fractions, weights, extras, _robust_inverse(schur),
-    )
+    columns, diagonal = _reassemble(graph, group, extras, accumulator, weights)
     # The smoothing runs on the S-grounded system, T columns included.
     gains = marginal_gain_estimates(graph, group, weights, columns, diagonal)
     return gains, diagnostics
+
+
+def _reassemble(graph: Graph, group: Sequence[int], extras: Sequence[int],
+                accumulator: ForestAccumulator, weights: np.ndarray,
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`schur_reassembly` on an accumulator rooted at ``S ∪ T`` that
+    tracks a superset of ``T`` and folds ``weights`` as its first rows."""
+    tracked = [accumulator.tracked_roots.index(t) for t in extras]
+    fractions = accumulator.root_fractions()[:, tracked]
+    schur = _sampled_schur_complement(graph, group, extras, fractions)
+    return schur_reassembly(
+        accumulator.projected_estimates()[:len(weights)],
+        accumulator.diag_estimates(), fractions, weights, extras,
+        _robust_inverse(schur),
+    )
 
 
 def schur_reassembly(projected: np.ndarray, diagonal: np.ndarray,

@@ -14,10 +14,13 @@ rooted-probability matrix ``F`` (Lemma 4.2) and the sampled Schur complement
 ``S_T(L_{-S})`` (Eq. 15, Lemma 4.3).  The approximation factor of Theorem 4.7
 matches ForestCFCM's.
 
-``T`` holds the top hubs (:func:`choose_extra_roots`), so the greedy often
-picks a node of ``T`` and leaves the root set ``S ∪ T`` as it was.  The
-next round then reuses the forests of the one before
-(:class:`~repro.centrality.estimators.HeldSample`) instead of drawing.
+``T`` holds the top hubs (:func:`choose_extra_roots`).  With two or more,
+the first pick roots its forests at ``T`` too (Lemma 3.5 holds for any
+grounding node, and Eq. (11) rebuilds the ``{s}``-grounded quantities), and
+the greedy often picks a node of ``T``, which leaves the root set ``S ∪ T``
+as it was.  The next round then reuses the forests of the last draw, the
+first pick's included (:class:`~repro.centrality.estimators.HeldSample`),
+instead of drawing: a run whose picks stay in ``T`` draws once.
 
 With ``T = ∅`` SchurDelta is ForestDelta, so ForestCFCM
 (:mod:`repro.centrality.forest_cfcm`) is this class with no extra roots.  The
@@ -94,10 +97,10 @@ def _sampling_log(diagnostics: Dict[str, float]) -> Dict[str, object]:
 class SchurCFCM(GreedyCFCM):
     """Greedy CFCM solver based on forest sampling plus the Schur complement.
 
-    A gain round whose root set ``S ∪ T`` is the previous round's (the
-    previous pick was in ``T``) reuses that round's forests and logs
-    ``samples`` 0 and ``reused``; :meth:`CFCMResult.samples_used` counts the
-    forests the run drew.
+    With ``|T| >= 2`` the first pick roots its forests at ``T``.  A gain
+    round whose root set ``S ∪ T`` is the last draw's (the previous pick was
+    in ``T``) reuses those forests and logs ``samples`` 0 and ``reused``;
+    :meth:`CFCMResult.samples_used` counts the forests the run drew.
 
     Parameters
     ----------
@@ -139,10 +142,12 @@ class SchurCFCM(GreedyCFCM):
 
     # ------------------------------------------------------------ greedy hooks
     def _first_pick(self) -> Tuple[int, np.ndarray, Dict[str, object]]:
-        # A run starts with no held sample; its gain rounds share one.
+        # A run starts with no held sample; with |T| >= 2 the first pick
+        # fills it, and its gain rounds share it.
         self._held = HeldSample()
         first, scores, diagnostics = estimate_first_pick(
-            self.graph, self.config, seed=self.rng
+            self.graph, self.config, seed=self.rng,
+            extra_roots=self.extra_roots, held=self._held,
         )
         return first, scores, _sampling_log(diagnostics)
 

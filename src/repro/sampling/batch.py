@@ -492,15 +492,15 @@ class ForestBatch:
     def _compute_preorder(self) -> None:
         """Batched DFS preorder: sizes bottom-up, positions top-down.
 
-        One stable sort of every ``(sample, node)`` pair by (depth, parent)
-        makes each depth level contiguous and, inside it, each parent's
-        children adjacent in ascending node order.  Subtree sizes are added
-        onto the parents a level at a time from the deepest; a child's
-        offset below its parent is the total size of the siblings before it
-        (a running sum inside its sibling group); positions then fill in
-        from the roots down as ``pre[child] = pre[parent] + 1 + offset``.
-        The roots of a sample form one sibling group, so their offsets are
-        their positions.
+        One stable radix sort of every ``(sample, node)`` pair by (depth,
+        parent) makes each depth level contiguous and, inside it, each
+        parent's children adjacent in ascending node order.  Subtree sizes
+        are added onto the parents a level at a time from the deepest; a
+        child's offset below its parent is the total size of the siblings
+        before it (a running sum inside its sibling group); positions then
+        fill in from the roots down as ``pre[child] = pre[parent] + 1 +
+        offset``.  The roots of a sample form one sibling group, so their
+        offsets are their positions.
         """
         batch, n = self.parent.shape
         if batch == 0:
@@ -513,7 +513,16 @@ class ForestBatch:
         # Flat parent id of every pair; a sample's roots share the parent -1 - b.
         group = np.where(self.parent >= 0, self.parent + (samples * n)[:, None],
                          -1 - samples[:, None]).ravel()
-        order = np.argsort(depth * total + group, kind="stable")
+        # Stable LSD passes over 16-bit digits of the parent id (shifted to
+        # be non-negative), lowest first, then over the depth: a stable
+        # argsort of a 16-bit or narrower dtype runs as a radix sort.
+        key = group + batch
+        order = np.argsort(key.astype(np.uint16), kind="stable")
+        for shift in range(16, int(key.max()).bit_length(), 16):
+            digit = (key[order] >> shift).astype(np.uint16)
+            order = order[np.argsort(digit, kind="stable")]
+        level = depth.astype(np.min_scalar_type(depth.max()))
+        order = order[np.argsort(level[order], kind="stable")]
         group = group[order]
         level_end = np.cumsum(np.bincount(depth))
         size = np.ones(total, dtype=np.int64)

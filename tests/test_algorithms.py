@@ -1,5 +1,7 @@
 """Tests for the CFCM algorithms: exact greedy, ApproxGreedy, ForestCFCM, SchurCFCM."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -170,8 +172,9 @@ class TestSchurCFCM:
 
 
 class TestSchurCFCMHeldSample:
-    """A gain round whose root set ``S ∪ T`` is the previous round's reuses
-    that round's forests instead of drawing."""
+    """With two or more extra roots the first pick roots its forests at
+    ``T`` and holds them; a gain round whose root set ``S ∪ T`` is the held
+    sample's reuses it instead of drawing."""
 
     @pytest.fixture
     def drawn(self, monkeypatch):
@@ -191,20 +194,21 @@ class TestSchurCFCMHeldSample:
     def reused(result):
         return [bool(entry.get("reused")) for entry in result.iteration_log]
 
-    def test_picks_in_t_draw_only_in_the_first_two_rounds(self, drawn):
+    def test_picks_in_t_draw_only_for_the_first_pick(self, drawn):
         graph = generators.powerlaw_cluster(1000, 4, 0.3, seed=7)
         solver = SchurCFCM(graph, seed=1)
         result = solver.run(4)
-        # The first gain round's pick and the next are hubs of T.
-        assert set(result.group[1:3]) <= set(solver.extra_roots)
+        # Every pick before a gain round is a hub of T.
+        assert set(result.group[:3]) <= set(solver.extra_roots)
         samples = [entry["samples"] for entry in result.iteration_log]
-        assert samples[:2] == [200, 200] and samples[2:] == [0, 0]
-        assert self.reused(result) == [False, False, True, True]
-        assert result.iteration_log[2]["stopped_early"]
-        assert result.samples_used() == sum(drawn) == 400
+        assert samples == [200, 0, 0, 0]
+        assert self.reused(result) == [False, True, True, True]
+        assert all(entry["stopped_early"] for entry in result.iteration_log)
+        assert result.samples_used() == sum(drawn) == 200
 
-    # The last two runs pick all of T in their first gain round, so the
-    # round after it is ForestDelta on the held root set, and draws.
+    # The last two runs pick all of T by their first gain round, so the
+    # round after it is ForestDelta on the held root set, and draws.  With
+    # T = [33] the first pick draws as with no extra roots and holds nothing.
     @pytest.mark.parametrize("seed, extra_roots", [
         (0, None), (1, None), (2, None), (3, None), (2, [33]), (4, [0, 33])])
     def test_a_round_reuses_exactly_when_the_last_pick_was_in_t(
@@ -213,9 +217,9 @@ class TestSchurCFCMHeldSample:
                            extra_roots=extra_roots)
         result = solver.run(5)
         hubs = set(solver.extra_roots)
-        expected = [False, False] + [
+        expected = [False] + [
             result.group[i - 1] in hubs and not hubs <= set(result.group[:i])
-            for i in range(2, 5)]
+            for i in range(1, 5)]
         assert self.reused(result) == expected
         for entry, reused in zip(result.iteration_log, expected):
             assert (entry["samples"] == 0) == reused
@@ -226,18 +230,26 @@ class TestSchurCFCMHeldSample:
         leaves = [int(v) for v in np.argsort(karate.degrees, kind="stable")[:3]]
         result = SchurCFCM(karate, seed=0, config=FAST_CONFIG,
                            extra_roots=leaves).run(4)
-        assert not set(result.group) & set(leaves)
+        # A pick in T would leave the next round's root set as it was.
+        assert not set(result.group[:-1]) & set(leaves)
         assert not any(self.reused(result))
         assert all(entry["samples"] > 0 for entry in result.iteration_log)
         assert result.samples_used() == sum(drawn)
 
-    def test_each_run_starts_without_a_held_sample(self, karate):
+    def test_each_run_starts_without_a_held_sample(self, karate, drawn):
         solver = SchurCFCM(karate, seed=0, config=FAST_CONFIG)
-        first, second = solver.run(2), solver.run(2)
+        first = solver.run(2)
+        rng = copy.deepcopy(solver.rng)
+        second = solver.run(2)
         # Both first picks are hubs, so both gain rounds are rooted at T.
         assert {first.group[0], second.group[0]} <= set(solver.extra_roots)
-        assert not second.iteration_log[1].get("reused")
-        assert second.iteration_log[1]["samples"] > 0
+        assert second.iteration_log[0]["samples"] > 0
+        assert self.reused(second) == [False, True]
+        assert sum(drawn) == first.samples_used() + second.samples_used()
+        # The second run reads only what it drew itself.
+        alone = SchurCFCM(karate, seed=rng, config=FAST_CONFIG).run(2)
+        assert alone.group == second.group
+        assert alone.iteration_log == second.iteration_log
 
 
 class TestBadNodeIds:

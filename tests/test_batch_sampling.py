@@ -21,7 +21,7 @@ from scipy import stats as scipy_stats
 import repro.sampling.batch as batch_module
 from repro.centrality.estimators import ForestAccumulator, rademacher_weights
 from repro.exceptions import DisconnectedGraphError, GraphError, InvalidParameterError
-from repro.graph import generators
+from repro.graph import datasets, generators
 from repro.graph.graph import Graph
 from repro.linalg.schur import absorption_probabilities
 from repro.sampling import (
@@ -246,6 +246,68 @@ class TestForestBatchKernels:
         batch = sample_forest_batch_vectorized(karate, [0], 2, seed=0)
         with pytest.raises(InvalidParameterError):
             batch.forest(2)
+
+
+def preorder_by_one_sort(batch):
+    """``(pre, size)`` with one stable int64 argsort of every ``(sample,
+    node)`` pair by (depth, parent): the reference for the radix passes of
+    :meth:`ForestBatch.preorder`."""
+    count, n = batch.parent.shape
+    total = count * n
+    depth = batch.depths().ravel()
+    samples = np.arange(count, dtype=np.int64)
+    group = np.where(batch.parent >= 0, batch.parent + (samples * n)[:, None],
+                     -1 - samples[:, None]).ravel()
+    order = np.argsort(depth * total + group, kind="stable")
+    group = group[order]
+    level_end = np.cumsum(np.bincount(depth))
+    size = np.ones(total, dtype=np.int64)
+    for level in range(level_end.size - 1, 0, -1):
+        lo, hi = level_end[level - 1], level_end[level]
+        np.add.at(size, group[lo:hi], size[order[lo:hi]])
+    sorted_size = size[order]
+    before = np.cumsum(sorted_size) - sorted_size
+    first = np.ones(total, dtype=bool)
+    first[1:] = group[1:] != group[:-1]
+    offset = before - np.maximum.accumulate(np.where(first, before, 0))
+    pre = np.empty(total, dtype=np.int64)
+    pre[order[:level_end[0]]] = offset[:level_end[0]]
+    for level in range(1, level_end.size):
+        lo, hi = level_end[level - 1], level_end[level]
+        pre[order[lo:hi]] = pre[group[lo:hi]] + 1 + offset[lo:hi]
+    return pre.reshape(count, n), size.reshape(count, n)
+
+
+def _cycle_trees(n, cuts):
+    """Spanning trees of ``cycle_graph(n)`` rooted at 0, one per cut edge
+    ``(c, c + 1)``: the arc 1..c hangs below 0, the rest below ``n - 1``."""
+    parent = np.empty((len(cuts), n), dtype=np.int64)
+    nodes = np.arange(n)
+    for row, cut in enumerate(cuts):
+        parent[row] = np.where(nodes <= cut, nodes - 1, (nodes + 1) % n)
+    return ForestBatch(parent=parent, roots=[0])
+
+
+class TestRadixPreorder:
+    """The preorder's radix passes order pairs as one stable sort does."""
+
+    @pytest.mark.parametrize("make", [
+        # B * n >= 2^16: the parent ids take two 16-bit digits.
+        lambda: sample_forest_batch_vectorized(
+            generators.barabasi_albert(500, 2, seed=1), [0, 1], 140, seed=0),
+        # Forest depths beyond 255: the depth pass sorts uint16.
+        lambda: _cycle_trees(2000, [700, 1500]),
+        # One forest, one path.
+        lambda: ForestBatch(parent=np.arange(-1, 299)[None, :], roots=[0]),
+        lambda: sample_forest_batch_vectorized(
+            datasets.karate(), [0, 5, 33], 20, seed=4),
+    ], ids=["two-digits", "deep-cycle", "path", "multi-root"])
+    def test_matches_one_stable_sort(self, make):
+        batch = make()
+        pre, size = batch.preorder()
+        expected_pre, expected_size = preorder_by_one_sort(batch)
+        assert np.array_equal(pre, expected_pre)
+        assert np.array_equal(size, expected_size)
 
 
 class TestAccumulatorBatchFold:

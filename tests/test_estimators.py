@@ -20,6 +20,7 @@ from repro.centrality.estimators import (
     schur_reassembly,
 )
 from repro.centrality.marginal import marginal_gains_all
+from repro.centrality.schur_cfcm import choose_extra_roots
 from repro.linalg.pseudoinverse import pseudoinverse_diagonal
 from repro.linalg.schur import absorption_probabilities, grounded_inverse_block
 from repro.linalg.updates import grounded_inverse
@@ -228,6 +229,42 @@ class TestDeltaEstimators:
         np.testing.assert_allclose(columns, expected_columns, rtol=0, atol=1e-10)
         np.testing.assert_allclose(diag, expected_diag, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("name", ["karate", "hub_ba"])
+    def test_unit_row_reassembly_is_exact_on_exact_blocks(self, request, name):
+        """Eq. (11) with ``S = {s}`` and extras ``T \\ {s}`` turns the exact
+        ``T``-rooted blocks of a unit row into ``1ᵀ inv(L_{-s})`` and
+        ``diag(inv(L_{-s}))``.  The row's ``Q`` block is 1 on ``T \\ {s}``:
+        zeroed there, the columns come out wrong."""
+        graph = request.getfixturevalue(name)
+        n = graph.n
+        hubs = [int(v) for v in np.argsort(-graph.degrees, kind="stable")[:4]]
+        s, extras = hubs[0], sorted(hubs[1:])
+        blocks = grounded_inverse_block(graph, [s], extras)
+        interior = blocks.interior
+        ones = np.ones((1, n))
+        projected = np.zeros((1, n))
+        projected[:, interior] = ones[:, interior] @ blocks.inv_interior
+        diagonal = np.zeros(n)
+        diagonal[interior] = np.diag(blocks.inv_interior)
+        fractions = np.zeros((n, len(extras)))
+        fractions[interior] = blocks.absorption
+
+        columns, diag = schur_reassembly(projected, diagonal, fractions, ones,
+                                         extras, blocks.inv_schur)
+
+        inverse, kept = grounded_inverse(graph, [s])
+        expected_columns = np.zeros((1, n))
+        expected_columns[:, kept] = inverse.sum(axis=0)
+        expected_diag = np.zeros(n)
+        expected_diag[kept] = np.diag(inverse)
+        np.testing.assert_allclose(columns, expected_columns, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(diag, expected_diag, rtol=0, atol=1e-10)
+        no_q = ones.copy()
+        no_q[:, extras] = 0.0
+        wrong, _ = schur_reassembly(projected, diagonal, fractions, no_q,
+                                    extras, blocks.inv_schur)
+        assert np.abs(wrong - expected_columns).max() > 1e-3
+
     def test_sampled_schur_complement_is_exact_on_exact_fractions(self):
         """Fed the exact absorption probabilities, the Eq. (15) assembly
         returns the exact Schur complement ``S_T(L_{-S})``."""
@@ -339,3 +376,63 @@ class TestFirstPick:
         order = np.argsort(diag)
         assert node in set(int(v) for v in order[:5])
         assert scores.shape == (karate.n,)
+
+    @pytest.mark.parametrize("extra_roots", [[], [33], [0]])
+    def test_one_extra_root_draws_as_without_extra_roots(self, karate,
+                                                         extra_roots):
+        config = SamplingConfig(eps=0.3)
+        node, scores, diagnostics = estimate_first_pick(karate, config, seed=7)
+        held = HeldSample()
+        same = estimate_first_pick(karate, config, seed=7,
+                                   extra_roots=extra_roots, held=held)
+        assert same[0] == node and same[2] == diagnostics
+        np.testing.assert_array_equal(same[1], scores)
+        assert held.accumulator is None
+
+    @pytest.mark.parametrize("name", ["karate", "hub_ba"])
+    def test_t_rooted_sample_is_exact_on_exact_sums(self, request,
+                                                    monkeypatch, name):
+        """With every forest replaced by its expectation, the ``T``-rooted
+        first pick scores ``L†_uu`` exactly, and a gain round rooted at
+        ``T`` again reads the held JL rows: its gains are exact given W."""
+        graph = request.getfixturevalue(name)
+
+        def exact_samples(accumulator, batch_size):
+            blocks = grounded_inverse_block(graph, [], accumulator.roots)
+            interior = blocks.interior
+            accumulator.projected_sum[:, interior] += batch_size * (
+                accumulator.weights[:, interior] @ blocks.inv_interior)
+            accumulator.diag_sum[interior] += (batch_size
+                                               * np.diag(blocks.inv_interior))
+            tracked = [accumulator.roots.index(t)
+                       for t in accumulator.tracked_roots]
+            accumulator.root_counts[interior] += (batch_size
+                                                  * blocks.absorption[:, tracked])
+            accumulator.count += batch_size
+
+        monkeypatch.setattr(ForestAccumulator, "add_samples", exact_samples)
+        extras = choose_extra_roots(graph)
+        assert len(extras) >= 2
+        config = SamplingConfig(eps=0.3)
+        held = HeldSample()
+        _, scores, diagnostics = estimate_first_pick(
+            graph, config, seed=0, extra_roots=extras, held=held)
+        np.testing.assert_allclose(scores, pseudoinverse_diagonal(graph),
+                                   rtol=0, atol=1e-10)
+        assert held.roots == tuple(sorted(extras))
+        assert held.diagnostics == diagnostics
+        # W is random on every column, the grounded node's too.
+        assert held.weights.shape == (config.jl_rows(graph.n), graph.n)
+        assert np.count_nonzero(held.weights) == held.weights.size
+
+        # A pick other than the grounded node s, so s is in T \ S.
+        s = extras[int(np.argmax(graph.degrees[extras]))]
+        group = [next(t for t in extras if t != s)]
+        gains, diagnostics = estimate_schur_delta(graph, group, extras, config,
+                                                  seed=1, held=held)
+        assert diagnostics["reused"]
+        inverse, kept = grounded_inverse(graph, group)
+        columns = held.weights[:, kept] @ inverse
+        expected = np.sum(columns * columns, axis=0) / np.diag(inverse)
+        np.testing.assert_allclose([gains[int(u)] for u in kept], expected,
+                                   rtol=1e-9, atol=0)
