@@ -9,9 +9,42 @@ directory as its working directory (so no ``BENCH_*``, ``METRICS_*`` or
 thread.  A profile hook (``sys.setprofile`` and ``threading.setprofile``)
 records every Python function that starts.  The script then prints, per
 module, the ``src/repro`` functions that no source executed, with their
-line counts, and one line per source: its exit status, how many src
-functions it executed and a digest of that set of qualified names, so two
-commits can be compared source by source.
+line counts, then the public names with no traffic (below), and one line
+per source: its exit status, how many src functions it executed and a
+digest of that set of qualified names, so two commits can be compared
+source by source.
+
+A public name is an unexecuted function whose qualified name has no part
+that starts with ``_`` (a nested function is never public) and whose
+module, class or own name a ``repro`` package exports in ``__all__``.
+Each is tagged with the reason of the first row below whose name is its
+dotted ``module.qualname`` or a dotted prefix of it, or ``unclassified``.
+An unclassified name needs a traffic source that runs it, or deletion.  A
+row may name a function no package exports: the report never lists it,
+and the row records why it stays.
+
+Kept on purpose (name, then reason)::
+
+    repro.linalg.schur                                  exact oracle that tests compare against
+    repro.centrality.marginal                           exact oracle that tests compare against
+    repro.centrality.resistance                         exact oracle that tests compare against
+    repro.sampling.wilson.empirical_root_distribution   exact oracle that tests compare against
+    repro.sampling.forest.Forest                        exact oracle that tests compare against
+    repro.linalg.solvers.build_preconditioner           CG fallback when factoring raises
+    repro.centrality.estimators.batched_projected_estimates   perfbench patch point
+    repro.resilience.checkpoint                         checkpoint and restore (ROADMAP item 8)
+    repro.dynamic.engine.DynamicCFCM.checkpoint         checkpoint and restore (ROADMAP item 8)
+    repro.dynamic.engine.DynamicCFCM.restore            checkpoint and restore (ROADMAP item 8)
+    repro.sampling.pool.WeightedForestPool.state_dict   checkpoint and restore (ROADMAP item 8)
+    repro.sampling.pool.WeightedForestPool.from_state   checkpoint and restore (ROADMAP item 8)
+    repro.resilience.watchdog.ResidualWatchdog.state_dict   checkpoint and restore (ROADMAP item 8)
+    repro.resilience.watchdog.ResidualWatchdog.from_state   checkpoint and restore (ROADMAP item 8)
+    repro.linalg.backends.DenseResistanceBackend.adopt_inverse   checkpoint and restore (ROADMAP item 8)
+    repro.graph.generators                              graph constructor
+    repro.graph.builders                                graph constructor
+    repro.graph.datasets                                graph constructor
+    repro.graph.io                                      graph I/O
+    repro.worlds.spec.WorldSampler                      default of python -m repro.experiments worlds
 
 It uses the standard library and the repo only, takes several minutes and
 is not a CI step::
@@ -26,6 +59,8 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -121,6 +156,55 @@ def src_functions() -> dict:
     return functions
 
 
+def kept_on_purpose() -> list:
+    """``(name, reason)`` rows of the docstring's kept-on-purpose table."""
+    table = __doc__.split("Kept on purpose (name, then reason)::\n\n", 1)[1]
+    rows = []
+    for line in table.splitlines():
+        if not line.startswith("    "):
+            break
+        rows.append(tuple(line.split(None, 1)))
+    return rows
+
+
+def exported() -> tuple:
+    """``(modules, names)`` a ``repro`` package exports in ``__all__``:
+    module names, and ``(module, qualname)`` of classes and functions."""
+    sys.path.insert(0, str(SRC.parent))
+    modules, names = set(), set()
+    for init in sorted(SRC.rglob("__init__.py")):
+        package = importlib.import_module(
+            ".".join(init.parent.relative_to(SRC.parent).parts))
+        for name in getattr(package, "__all__", ()):
+            value = getattr(package, name)
+            if inspect.ismodule(value):
+                modules.add(value.__name__)
+            elif inspect.isclass(value) or inspect.isfunction(value):
+                names.add((value.__module__, value.__qualname__))
+    return modules, names
+
+
+def public_without_traffic(unexecuted: dict) -> list:
+    """``(module.qualname, line count, reason)`` of each public name in
+    ``unexecuted`` (module -> ``(first line, qualname, count)`` entries)."""
+    modules, names = exported()
+    table = kept_on_purpose()
+    rows = []
+    for module in sorted(unexecuted):
+        for _, qualname, count in sorted(unexecuted[module]):
+            parts = qualname.split(".")
+            if any(part.startswith(("_", "<")) for part in parts):
+                continue
+            if module not in modules and (module, parts[0]) not in names:
+                continue
+            dotted = f"{module}.{qualname}"
+            reason = next((why for name, why in table
+                           if dotted == name or dotted.startswith(name + ".")),
+                          "unclassified")
+            rows.append((dotted, count, reason))
+    return rows
+
+
 def run_source(kind: str, target: str, arguments: list) -> tuple:
     """Run one source under the hook; returns (exit status, executed keys)."""
     env = dict(os.environ)
@@ -180,6 +264,13 @@ def main() -> int:
     print(f"\n{total} of {len(functions)} src functions ran in no source; they "
           f"hold {sum(map(len, lines_unexecuted.values()))} of the "
           f"{sum(map(len, lines_all.values()))} lines inside functions.")
+    public = public_without_traffic(unexecuted)
+    print("\npublic names with no traffic (line count, name, reason):")
+    for dotted, count, reason in public:
+        print(f"  {count:5d}  {dotted}  [{reason}]")
+    unclassified = sum(reason == "unclassified" for _, _, reason in public)
+    print(f"\n{len(public)} public names ran in no source; "
+          f"{unclassified} are unclassified.")
     print("\nper source:")
     for row in rows:
         print(f"  {row}")

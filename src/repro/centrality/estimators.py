@@ -15,21 +15,20 @@ ForestCFCM, which is SchurCFCM with no extra roots:
   ``S_T(L_{-S})`` of Section IV (Lemma 4.2 and Eq. 15), from which
   :func:`schur_reassembly` rebuilds the ``S``-grounded quantities (Eq. 11);
 * :func:`marginal_gain_estimates`, the one ``Δ(u, S)`` formula that
-  ForestDelta, SchurDelta and the dynamic engine's pooled ForestDelta share.
+  ForestDelta and SchurDelta share.
 
 Two steps sit between the forests and a greedy decision:
 
 * **Jacobi smoothing** (:func:`jacobi_smooth`).  Every forest-estimated
   column block ``Y ≈ W inv(L_{-S})`` takes ``SMOOTHING_STEPS`` steps of
   ``Y ← (W + Y·A)·D⁻¹`` on the columns outside ``S`` before it is read: the
-  first pick's ``1ᵀ inv(L_{-s})``, ForestDelta's columns, SchurDelta's
+  first pick's ``1ᵀ inv(L_{-s})``, ForestDelta's columns and SchurDelta's
   columns after the Eq. (11) reassembly (on the ``S``-grounded system, ``T``
-  columns included) and the engine's pooled mean.  The map's fixed point is
-  the exact block, so the estimate stays unbiased while its error
-  contracts; this is the Rao–Blackwellised forest estimator of Pilavci,
-  Amblard, Barthelmé and Tremblay, at O(steps · w · m).  The diagonal (the
-  gain's denominator) is not smoothed; where it is read it is clamped at its
-  floor ``1/d_u``.
+  columns included).  The map's fixed point is the exact block, so the
+  estimate stays unbiased while its error contracts; this is the
+  Rao–Blackwellised forest estimator of Pilavci, Amblard, Barthelmé and
+  Tremblay, at O(steps · w · m).  The diagonal (the gain's denominator) is
+  not smoothed; where it is read it is clamped at its floor ``1/d_u``.
 * **The forest budget** (:meth:`SamplingConfig.sample_cap`).  Every round
   that draws takes ``ceil(FOREST_BUDGET / eps^2)`` forests, clamped to
   ``[min_samples, max_samples]`` (200 at the default ``eps = 0.2``), so
@@ -233,10 +232,10 @@ class PathSystem:
     def levels(self) -> list:
         """Nodes grouped by path-tree depth (level 0 = roots), cached.
 
-        The projected-estimator fold needs exactly this grouping for its
-        per-level prefix sums; deriving it from the path tree itself (rather
-        than a separate BFS object) lets pooled consumers fold projected
-        rows against a long-lived path system.
+        The projected-estimator folds need exactly this grouping for their
+        per-level prefix sums.  It is derived from the path tree itself, not
+        from a BFS of the graph, so it stays right for a path system grown
+        by :meth:`extended`.
         """
         if self._levels is None:
             depth = np.full(self.n, -1, dtype=np.int64)
@@ -433,12 +432,13 @@ def batched_projected_estimates(batch: ForestBatch, path: PathSystem,
     """Per-forest projected estimators ``w_j^T inv(L_{-S}) e_u`` over a batch.
 
     Returns the ``(B, w, n)`` tensor whose slice ``i`` holds forest ``i``'s
-    unaggregated projected estimator rows under the fixed ``path`` system,
-    so pooled consumers (the engine's JL-projected gain evaluation) can
-    cache rows per forest and fold only fresh draws.  The subtree sums come
-    from the same requested-subtree kernel as
+    unaggregated projected estimator rows under the fixed ``path`` system.
+    The subtree sums come from the same requested-subtree kernel as
     :meth:`ForestAccumulator._fold_batched`, which sums these rows over the
-    batch instead.  Columns of ``weights`` on roots are zeroed defensively.
+    batch without building the tensor; the tests check that fold forest by
+    forest against this one.  No library path calls it, but
+    ``perfbench/layers.py`` patches the name on :mod:`repro.dynamic.engine`.
+    Columns of ``weights`` on roots are zeroed defensively.
     """
     weights = np.asarray(weights, dtype=np.float64)
     n = path.n
@@ -559,7 +559,8 @@ class ForestAccumulator:
         ``(B, n)`` fold of :meth:`_fold_batched`: the subtree sums the
         projected estimators read, reduced over the batch, and a diagonal
         walk on the batch's DFS preorder whose Python loop runs τ times
-        (the longest fixed path) for the whole batch.  ``method="scalar"``
+        (the longest fixed path) for the whole batch, and one ``bincount``
+        of the tracked roots' rooted-at pairs.  ``method="scalar"``
         folds each forest through the per-forest reference :meth:`_fold`
         (the chi-square baseline), on every node's subtree sums; both paths
         produce the same running sums up to float summation order.
@@ -693,7 +694,9 @@ class ForestAccumulator:
           a ``(B, w, n)`` tensor;
         * diagonal estimators: every node's fixed path (at most τ steps) is
           walked, with forest ancestry tested by preorder intervals;
-        * rooted-at counts from the batched pointer-doubling root map.
+        * rooted-at counts from the batched pointer-doubling root map, in
+          one ``bincount`` over ``(node, tracked-root column)`` pairs, where
+          every untracked root falls in a spare last column.
         """
         n = self.graph.n
         if self.weights.shape[0]:
@@ -708,10 +711,12 @@ class ForestAccumulator:
         self.diag_sum += _path_walk_diag(batch, self._path).sum(axis=0)
 
         if self.tracked_roots:
-            root_of = batch.root_of()
-            for idx, target in enumerate(self.tracked_roots):
-                self.root_counts[:, idx] += np.count_nonzero(
-                    root_of == target, axis=0)
+            width = len(self.tracked_roots) + 1
+            column = np.full(n, width - 1, dtype=np.int64)
+            column[self.tracked_roots] = np.arange(width - 1)
+            pairs = np.arange(n) * width + column[batch.root_of()]
+            counts = np.bincount(pairs.ravel(), minlength=n * width)
+            self.root_counts += counts.reshape(n, width)[:, :-1]
 
         self.count += batch.batch_size
 

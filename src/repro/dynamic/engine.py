@@ -51,13 +51,11 @@ import numpy as np
 from repro.exceptions import GraphError, InvalidParameterError
 from repro.obs.metrics import REGISTRY, SIZE_BUCKETS
 from repro.obs.tracing import trace
-from repro.centrality.estimators import (
-    SamplingConfig,
-    batched_diag_estimates,
-    batched_projected_estimates,
-    marginal_gain_estimates,
-    rademacher_weights,
-)
+from repro.centrality.estimators import SamplingConfig, batched_diag_estimates
+
+# Unused here: perfbench/layers.py patches the name on this module to time
+# the projected fold, so the import stays until the benchmark drops it.
+from repro.centrality.estimators import batched_projected_estimates  # noqa: F401
 from repro.centrality.result import CFCMResult
 from repro.dynamic.graph import REMOVE_NODE, DynamicGraph
 from repro.dynamic.resistance import IncrementalResistance
@@ -447,24 +445,31 @@ class DynamicCFCM(QueryFront):
         rooted at ``S`` (one batched ``(B, n)`` fold, shared with the static
         estimators).  Stale forests contribute with their importance weight;
         the pool is topped up with fresh lockstep draws whenever its
-        effective sample size falls below the ESS floor.
+        effective sample size falls below the ESS floor.  The answer is
+        cached until the graph version moves.
         """
-        return self._pooled("forest", group, self._fold_trace)
+        roots = self._pool_roots(group)
+        with trace("engine.evaluate_forest", roots=_pool_key(roots)) as span, \
+                _op_timer("evaluate_forest"):
+            self.sync()
+            cached = self._eval_cache.get(roots)
+            if cached is not None and cached[0] == self.graph.version:
+                self.stats.eval_hits += 1
+                span.set(cache="hit")
+                _lru_store(self._eval_cache, roots, cached,
+                           self.cache_capacity)
+                return cached[1]
+            self.stats.eval_misses += 1
+            span.set(cache="miss")
 
-    def evaluate_forest_delta(self, group: Sequence[int]) -> Dict[int, float]:
-        """ForestDelta gains ``Δ(u, S)`` for every ``u ∉ S``, from the pool.
-
-        The pooled counterpart of
-        :func:`repro.centrality.estimators.estimate_forest_delta`:
-        ``gains[u] ≈ (inv(L_{-S})²)_uu / (inv(L_{-S}))_uu``, with the
-        numerator JL-sketched through ``config.jl_rows(n)`` Rademacher
-        weight rows.  Per-forest projected and diagonal estimator rows are
-        cached against the pool's path system and JL projection, so a churn
-        evaluation folds only the freshly drawn forests — the same
-        incremental contract :meth:`evaluate_forest` has for traces.  Keys
-        are stable node ids.
-        """
-        return dict(self._pooled("forest_delta", group, self._fold_gains))
+            pool, snapshot, compact_roots = self._pool_for(roots)
+            self.stats.forests_kept += pool.size
+            self._top_up(pool, snapshot, compact_roots)
+            value = self._fold_trace(pool, snapshot)
+            _lru_store(self._eval_cache, roots,
+                       (self.graph.version, value), self.cache_capacity)
+            self._record_pool_health(roots, pool)
+            return value
 
     def refill_pool(self, group: Sequence[int]) -> int:
         """Top the forest pool of ``group`` up; returns the number drawn.
@@ -533,41 +538,7 @@ class DynamicCFCM(QueryFront):
             )
         return self.graph.validate_group(group)
 
-    def _pooled(self, kind: str, group: Sequence[int], fold: Callable):
-        """validate → sync → cache → top-up → fold, for one pooled read.
-
-        ``kind`` names the span (``engine.evaluate_<kind>``), the op label
-        and the cache slot.  On a miss, ``fold(pool, snapshot,
-        compact_roots)`` turns the topped-up pool into the answer, which is
-        cached until the graph version moves.
-        """
-        roots = self._pool_roots(group)
-        op = f"evaluate_{kind}"
-        with trace(f"engine.{op}", roots=_pool_key(roots)) as span, \
-                _op_timer(op):
-            self.sync()
-            cache_key = (kind, roots)
-            cached = self._eval_cache.get(cache_key)
-            if cached is not None and cached[0] == self.graph.version:
-                self.stats.eval_hits += 1
-                span.set(cache="hit")
-                _lru_store(self._eval_cache, cache_key, cached,
-                           self.cache_capacity)
-                return cached[1]
-            self.stats.eval_misses += 1
-            span.set(cache="miss")
-
-            pool, snapshot, compact_roots = self._pool_for(roots)
-            self.stats.forests_kept += pool.size
-            self._top_up(pool, snapshot, compact_roots)
-            value = fold(pool, snapshot, compact_roots)
-            _lru_store(self._eval_cache, cache_key,
-                       (self.graph.version, value), self.cache_capacity)
-            self._record_pool_health(roots, pool)
-            return value
-
-    def _fold_trace(self, pool: WeightedForestPool, snapshot: Graph,
-                    compact_roots: Sequence[int]) -> float:
+    def _fold_trace(self, pool: WeightedForestPool, snapshot: Graph) -> float:
         """Group CFCC ``n / Tr`` from the pool's per-forest traces.
 
         One weight-aware batched fold, and only over the forests whose trace
@@ -580,45 +551,11 @@ class DynamicCFCM(QueryFront):
             with trace("estimator.fold", forests=int(stale.size)):
                 diag = batched_diag_estimates(pool.batch().parent[stale], path)
                 pool.set_traces(stale, diag.sum(axis=1))
-            self._count_folded(stale.size)
+            _FOLD_FORESTS.observe(int(stale.size))
+            self.stats.forests_folded += int(stale.size)
         weights = pool.weights()
         pooled = float(weights @ pool.traces) / float(weights.sum())
         return self.graph.n / pooled
-
-    def _fold_gains(self, pool: WeightedForestPool, snapshot: Graph,
-                    compact_roots: Sequence[int]) -> Dict[int, float]:
-        """ForestDelta gains, keyed by stable id, from the pool's cached
-        per-forest projected and diagonal rows."""
-        path = pool.require_path(snapshot)
-        rows = (self.config or SamplingConfig()).jl_rows(snapshot.n)
-        if pool.jl is None or pool.jl.shape != (rows, snapshot.n):
-            pool.jl = rademacher_weights(rows, snapshot.n, compact_roots,
-                                         self.rng)
-        stale = np.flatnonzero(~pool.projected_valid)
-        if stale.size:
-            with trace("estimator.fold_projected", forests=int(stale.size)):
-                mask = np.zeros(pool.size, dtype=bool)
-                mask[stale] = True
-                sub = pool.batch().select(mask)
-                projected = batched_projected_estimates(sub, path, pool.jl)
-                diag = batched_diag_estimates(sub.parent, path)
-                pool.set_projected(stale, projected, diag)
-            self._count_folded(stale.size)
-        weights = pool.weights()
-        total = float(weights.sum())
-        # The cached per-forest rows stay raw; only the pooled mean is
-        # Jacobi-smoothed, on the snapshot the forests span.
-        gains = marginal_gain_estimates(
-            snapshot, compact_roots, pool.jl,
-            np.einsum("b,bwn->wn", weights, pool.projected) / total,
-            (weights @ pool.projected_diag) / total,
-        )
-        mapping = self.graph.snapshot_mapping()
-        return {int(mapping[u]): gain for u, gain in gains.items()}
-
-    def _count_folded(self, forests: int) -> None:
-        _FOLD_FORESTS.observe(int(forests))
-        self.stats.forests_folded += int(forests)
 
     # ------------------------------------------------------------ maintenance
     def _pool_for(self, roots: Tuple[int, ...]
@@ -664,7 +601,7 @@ class DynamicCFCM(QueryFront):
         """Drop cached state referencing removed nodes; flush every survivor.
 
         The surviving pools' forests no longer span a valid snapshot id
-        space (and neither do their path systems or JL projections).
+        space (and neither do their path systems).
         """
         removed = set(nodes)
         for roots in [r for r in self._pools if removed.intersection(r)]:

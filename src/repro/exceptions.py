@@ -85,6 +85,3 @@ class ServiceClosedError(ServiceError):
 class ServiceOverloadedError(ServiceError):
     """Raised when the service's bounded update queue is full (backpressure)."""
 
-
-class ServiceDegradedError(ServiceError):
-    """Raised when the circuit breaker sheds a request under overload."""

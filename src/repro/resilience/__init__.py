@@ -8,9 +8,8 @@ Three cooperating pieces:
   engine and service layers.
 * :mod:`repro.resilience.watchdog` / :mod:`repro.resilience.policy` — the
   degradation ladder: a numerical-health watchdog probing
-  ``max|L_{-S}(B^{-1}e) - e|``, backend failover bookkeeping, a service
-  retry/deadline policy and a circuit breaker that sheds relaxed-consistency
-  reads first under overload.
+  ``max|L_{-S}(B^{-1}e) - e|``, backend failover bookkeeping and a service
+  retry/deadline policy.
 * :mod:`repro.resilience.checkpoint` — engine checkpoint/restore with a
   bit-equal journal-replay recovery contract.
 
@@ -29,16 +28,11 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultRule,
 )
-from repro.resilience.policy import (
-    CircuitBreaker,
-    RetryPolicy,
-    set_degraded,
-)
+from repro.resilience.policy import RetryPolicy, set_degraded
 from repro.resilience.watchdog import ResidualWatchdog
 
 __all__ = [
     "CHECKPOINT_VERSION",
-    "CircuitBreaker",
     "FAULT_REGIMES",
     "FAULT_SITES",
     "FaultInjector",

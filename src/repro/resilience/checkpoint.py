@@ -5,10 +5,10 @@ with a never-crashed twin: the journaled graph (edges in insertion order —
 Laplacian assembly iterates the weight map, so order is numerically
 significant), the engine's RNG state, every forest pool
 (:meth:`WeightedForestPool.state_dict`: parent matrix, importance weights,
-trace cache, path system and JL projection), the memoised query/evaluation
-results, and every incremental tracker's factor state.  Restoring and then
-replaying the same mutation and query sequence therefore reproduces the
-exact floats the uninterrupted engine would have produced.
+trace cache and path system), the memoised query/evaluation results, and
+every incremental tracker's factor state.  Restoring and then replaying the
+same mutation and query sequence therefore reproduces the exact floats the
+uninterrupted engine would have produced.
 
 Format: one ``.npz`` archive (``np.savez_compressed``) holding the bulk
 arrays plus a single JSON document (``meta``) for the scalar state.  The
@@ -24,10 +24,7 @@ sparse base factor is then fully determined by the (serialised) graph and
 that count; a dense inverse is stored verbatim all the same, because it is
 the value the live engine continues from.  Restore installs that inverse
 without inverting anything, and factorises each sparse tracker exactly
-once, spare rows included.  The projected (JL-sketched)
-estimator caches are deliberately dropped: they are deterministic functions
-of serialised state and are rebuilt on first use without consuming
-randomness.
+once, spare rows included.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 
 #: Bump when the archive layout changes; restore refuses unknown versions.
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 # ------------------------------------------------------------------ helpers
@@ -182,15 +179,11 @@ def checkpoint_engine(engine, path: str) -> str:
         pools.append({"key": [int(r) for r in roots], "state": state})
     meta["pools"] = pools
 
-    eval_cache: List[Dict[str, Any]] = []
-    for (kind, roots), (version, value) in engine._eval_cache.items():
-        if isinstance(value, dict):
-            payload: Any = {str(k): float(v) for k, v in value.items()}
-        else:
-            payload = float(value)
-        eval_cache.append({"kind": kind, "roots": [int(r) for r in roots],
-                           "version": int(version), "value": payload})
-    meta["eval_cache"] = eval_cache
+    meta["eval_cache"] = [
+        {"roots": [int(r) for r in roots], "version": int(version),
+         "value": float(value)}
+        for roots, (version, value) in engine._eval_cache.items()
+    ]
 
     query_cache: List[Dict[str, Any]] = []
     for key, (version, result) in engine._query_cache.items():
@@ -297,11 +290,8 @@ def restore_engine(path: str):
             )
 
         for entry in meta["eval_cache"]:
-            key = (entry["kind"], tuple(int(r) for r in entry["roots"]))
-            value = entry["value"]
-            if isinstance(value, dict):
-                value = {int(k): float(v) for k, v in value.items()}
-            engine._eval_cache[key] = (int(entry["version"]), value)
+            engine._eval_cache[tuple(int(r) for r in entry["roots"])] = (
+                int(entry["version"]), float(entry["value"]))
 
         from repro.centrality.result import CFCMResult
 

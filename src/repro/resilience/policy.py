@@ -1,26 +1,20 @@
-"""Service-level degradation policy: retries, deadlines, circuit breaking.
+"""Service-level degradation policy: retries, deadlines, failover records.
 
 The :class:`RetryPolicy` decides whether a failed read is worth re-running
 (typed, transient errors only, bounded by attempt count and a wall-clock
-deadline).  The :class:`CircuitBreaker` keys off the same signals the
-:mod:`repro.obs` layer exposes — update-queue depth against its limit and
-consecutive worker failures — and sheds relaxed-consistency reads first:
-fresh reads keep flowing (they are also how an open breaker observes
-recovery), relaxed reads get a typed
-:class:`repro.exceptions.ServiceDegradedError` instead of queueing behind a
-backlog the caller said it did not need to wait for.
+deadline).  The counters and the degraded-state gauge here record retries
+and backend failovers on the :mod:`repro.obs` registry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple, Type
 
 from repro.exceptions import (
     ConvergenceError,
     InjectedFaultError,
     InvalidParameterError,
-    ServiceDegradedError,
 )
 from repro.obs.metrics import REGISTRY
 
@@ -29,14 +23,9 @@ _RETRIES = REGISTRY.counter(
     "Service read retries under the retry/deadline policy",
     labels=("kind",),
 )
-_SHED = REGISTRY.counter(
-    "repro_fault_shed_total",
-    "Reads shed by the circuit breaker, by consistency mode",
-    labels=("consistency",),
-)
 _DEGRADED = REGISTRY.gauge(
     "repro_degraded_state",
-    "1 while a component is in a degraded mode (failover, open breaker)",
+    "1 while a component is in a degraded mode (backend failover)",
     labels=("component",),
 )
 _FAILOVERS = REGISTRY.counter(
@@ -99,72 +88,3 @@ class RetryPolicy:
         if self.deadline is not None and elapsed >= self.deadline:
             return False
         return isinstance(exc, self.retry_on)
-
-
-@dataclass
-class CircuitBreaker:
-    """Shed relaxed-consistency reads under overload or repeated failure.
-
-    The breaker *opens* after ``failure_threshold`` consecutive read
-    failures and *closes* after ``recovery_successes`` consecutive
-    successes.  Independently of breaker state, relaxed reads are shed
-    whenever the update queue is past ``shed_fraction`` of its limit.
-    Fresh reads are always admitted — they are the probes through which an
-    open breaker observes recovery.
-    """
-
-    shed_fraction: float = 0.9
-    failure_threshold: int = 8
-    recovery_successes: int = 3
-    consecutive_failures: int = field(default=0, init=False)
-    consecutive_successes: int = field(default=0, init=False)
-    open: bool = field(default=False, init=False)
-    shed: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.shed_fraction <= 1.0:
-            raise InvalidParameterError(
-                f"shed_fraction must be in (0, 1], got {self.shed_fraction}"
-            )
-        if self.failure_threshold < 1 or self.recovery_successes < 1:
-            raise InvalidParameterError(
-                "failure_threshold and recovery_successes must be positive"
-            )
-
-    # -------------------------------------------------------------- admission
-    def admit(self, consistency: str, queue_depth: int,
-              queue_limit: int) -> None:
-        """Raise :class:`ServiceDegradedError` when the read must be shed."""
-        if consistency != "relaxed":
-            return
-        overloaded = (queue_limit > 0
-                      and queue_depth >= self.shed_fraction * queue_limit)
-        if not (self.open or overloaded):
-            return
-        self.shed += 1
-        if REGISTRY.enabled:
-            _SHED.inc(consistency=consistency)
-        reason = "circuit breaker open" if self.open else (
-            f"update queue at {queue_depth}/{queue_limit}"
-        )
-        raise ServiceDegradedError(
-            f"relaxed-consistency read shed ({reason}); "
-            "retry with consistency='fresh' or after the backlog drains"
-        )
-
-    # ------------------------------------------------------------- accounting
-    def record_success(self) -> None:
-        self.consecutive_failures = 0
-        if self.open:
-            self.consecutive_successes += 1
-            if self.consecutive_successes >= self.recovery_successes:
-                self.open = False
-                self.consecutive_successes = 0
-                set_degraded("service", 0.0)
-
-    def record_failure(self) -> None:
-        self.consecutive_successes = 0
-        self.consecutive_failures += 1
-        if not self.open and self.consecutive_failures >= self.failure_threshold:
-            self.open = True
-            set_degraded("service", 1.0)

@@ -67,12 +67,8 @@ touch it; the consumer (the dynamic engine) fills invalid rows, a node
 join extends the path system and every cached row by the new node's
 column, and deleting a path edge drops the path system with every cached
 row — which is what lets a pooled evaluation under churn fold only the
-freshly drawn forests.  The same contract extends to the JL-*projected*
-estimator rows (each forest's ``(w, n)`` projected tensor plus its
-diagonal row, the inputs of the ``estimate_forest_delta``-style gain
-evaluation), computed against the path system and the pool's JL weight
-matrix (:attr:`WeightedForestPool.jl`).  Flushing or emptying the pool
-drops the path system and the JL matrix along with the forests.
+freshly drawn forests.  Flushing or emptying the pool drops the path
+system along with the forests.
 """
 
 from __future__ import annotations
@@ -186,14 +182,7 @@ class WeightedForestPool:
         # aligned with the stored forests through every compress/admit.
         self._trace = np.zeros(0, dtype=np.float64)
         self._trace_valid = np.zeros(0, dtype=bool)
-        # Mirrored cache for the JL-projected estimator rows: a (B, w, n)
-        # tensor of per-forest projected estimators plus a (B, n) diagonal
-        # matrix, lazily allocated on the first fold (the consumer owns w).
-        self._projected: Optional[np.ndarray] = None
-        self._projected_diag: Optional[np.ndarray] = None
-        self._projected_valid = np.zeros(0, dtype=bool)
         self._path: Optional["PathSystem"] = None
-        self._jl: Optional[np.ndarray] = None
         self._dead_drops = 0
 
     # -------------------------------------------------------------- inventory
@@ -241,16 +230,6 @@ class WeightedForestPool:
         return self._path
 
     @property
-    def jl(self) -> Optional[np.ndarray]:
-        """``(w, n)`` JL weight matrix of the cached projected rows."""
-        return self._jl
-
-    @jl.setter
-    def jl(self, jl: Optional[np.ndarray]) -> None:
-        self._jl = jl
-        self.invalidate_projected()
-
-    @property
     def trace_valid(self) -> np.ndarray:
         """``(B,)`` mask: which forests have a cached estimator value."""
         return self._trace_valid
@@ -269,55 +248,6 @@ class WeightedForestPool:
         """Drop every cached estimator value (path system changed)."""
         self._trace_valid[:] = False
         self._trace[:] = 0.0
-
-    @property
-    def projected_valid(self) -> np.ndarray:
-        """``(B,)`` mask: which forests have cached projected rows."""
-        return self._projected_valid
-
-    @property
-    def projected(self) -> np.ndarray:
-        """``(B, w, n)`` cached per-forest projected estimator tensors."""
-        if self._projected is None:
-            raise InvalidParameterError("no projected rows cached yet")
-        return self._projected
-
-    @property
-    def projected_diag(self) -> np.ndarray:
-        """``(B, n)`` cached per-forest diagonal estimator rows."""
-        if self._projected_diag is None:
-            raise InvalidParameterError("no projected rows cached yet")
-        return self._projected_diag
-
-    def set_projected(self, rows, projected, diag) -> None:
-        """Record computed projected/diagonal rows for the given forests.
-
-        ``projected`` is ``(k, w, n)`` and ``diag`` ``(k, n)`` for ``k``
-        rows.  The backing tensors are allocated lazily from the given
-        shapes (and reallocated — invalidating everything else — if the
-        consumer's projection width or node count changed).
-        """
-        projected = np.asarray(projected, dtype=np.float64)
-        diag = np.asarray(diag, dtype=np.float64)
-        if projected.ndim != 3 or diag.ndim != 2:
-            raise InvalidParameterError(
-                "projected rows must be (k, w, n) and diagonals (k, n)"
-            )
-        shape = (self.size,) + projected.shape[1:]
-        if self._projected is None or self._projected.shape != shape:
-            self._projected = np.zeros(shape, dtype=np.float64)
-            self._projected_diag = np.zeros((self.size, diag.shape[1]),
-                                            dtype=np.float64)
-            self._projected_valid = np.zeros(self.size, dtype=bool)
-        self._projected[rows] = projected
-        self._projected_diag[rows] = diag
-        self._projected_valid[rows] = True
-
-    def invalidate_projected(self) -> None:
-        """Drop every cached projected row (path system or JL changed)."""
-        self._projected_valid[:] = False
-        self._projected = None
-        self._projected_diag = None
 
     def ess(self) -> float:
         """Effective sample size: ``min(Kish, fidelity mass)``.
@@ -514,9 +444,6 @@ class WeightedForestPool:
         picks = rng.choice(neighbours.size, size=self.size, p=probabilities)
         extended = self.size
         self._batch = self._batch.with_leaf(neighbours[picks])
-        # The node count changed, so any cached projected rows span the old
-        # id space (and the consumer's projection must be redrawn anyway).
-        self.invalidate_projected()
         if self._path is not None:
             from repro.centrality.estimators import batched_diag_estimates
 
@@ -543,18 +470,14 @@ class WeightedForestPool:
         return dropped
 
     def flush(self) -> int:
-        """Discard every stored forest, with the path system and JL matrix
-        built for them; returns how many forests were dropped."""
+        """Discard every stored forest, with the path system built for
+        them; returns how many forests were dropped."""
         dropped = self.size
         self._batch = None
         self._log_weights = np.zeros(0, dtype=np.float64)
         self._trace = np.zeros(0, dtype=np.float64)
         self._trace_valid = np.zeros(0, dtype=bool)
-        self._projected = None
-        self._projected_diag = None
-        self._projected_valid = np.zeros(0, dtype=bool)
         self._path = None
-        self._jl = None
         return dropped
 
     # --------------------------------------------------------------- refresh
@@ -603,9 +526,6 @@ class WeightedForestPool:
             self._log_weights = np.zeros(fresh.batch_size, dtype=np.float64)
             self._trace = np.zeros(fresh.batch_size, dtype=np.float64)
             self._trace_valid = np.zeros(fresh.batch_size, dtype=bool)
-            self._projected = None
-            self._projected_diag = None
-            self._projected_valid = np.zeros(fresh.batch_size, dtype=bool)
         else:
             self._batch = ForestBatch.concatenate([self._batch, fresh])
             self._log_weights = np.concatenate(
@@ -617,18 +537,6 @@ class WeightedForestPool:
             self._trace_valid = np.concatenate(
                 [self._trace_valid, np.zeros(fresh.batch_size, dtype=bool)]
             )
-            self._projected_valid = np.concatenate(
-                [self._projected_valid, np.zeros(fresh.batch_size, dtype=bool)]
-            )
-            if self._projected is not None:
-                pad = np.zeros((fresh.batch_size,) + self._projected.shape[1:])
-                self._projected = np.concatenate([self._projected, pad])
-                diag_pad = np.zeros(
-                    (fresh.batch_size, self._projected_diag.shape[1])
-                )
-                self._projected_diag = np.concatenate(
-                    [self._projected_diag, diag_pad]
-                )
         overflow = self.size - self.capacity
         if overflow > 0:
             # Keep the `capacity` highest-weight forests (stable towards the
@@ -642,12 +550,7 @@ class WeightedForestPool:
 
     # ------------------------------------------------------------ checkpoint
     def state_dict(self) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-        """Checkpoint state: JSON-ready scalars plus named arrays.
-
-        The projected rows are left out: they are a deterministic function
-        of the forests, the path system and the JL matrix, refolded on first
-        use without consuming randomness.
-        """
+        """Checkpoint state: JSON-ready scalars plus named arrays."""
         meta = {
             "capacity": self.capacity,
             "ess_floor": self.ess_floor,
@@ -662,8 +565,6 @@ class WeightedForestPool:
                           trace=self._trace, trace_valid=self._trace_valid)
         if self._path is not None:
             arrays["path_parent"] = self._path.parent
-        if self._jl is not None:
-            arrays["jl"] = self._jl
         return meta, arrays
 
     @classmethod
@@ -684,13 +585,10 @@ class WeightedForestPool:
             pool._log_weights = np.asarray(arrays["log_weights"], dtype=np.float64)
             pool._trace = np.asarray(arrays["trace"], dtype=np.float64)
             pool._trace_valid = np.asarray(arrays["trace_valid"], dtype=bool)
-            pool._projected_valid = np.zeros(pool.size, dtype=bool)
         if "path_parent" in arrays:
             from repro.centrality.estimators import PathSystem
 
             pool._path = PathSystem(arrays["path_parent"], pool.roots)
-        if "jl" in arrays:
-            pool._jl = np.asarray(arrays["jl"], dtype=np.float64)
         return pool
 
     # ------------------------------------------------------------- internals
@@ -698,7 +596,6 @@ class WeightedForestPool:
         # Every cached row belongs to the old path system.
         self._path = path
         self.invalidate_traces()
-        self.invalidate_projected()
 
     def _compress(self, keep: np.ndarray) -> None:
         if bool(np.all(keep)):
@@ -710,10 +607,6 @@ class WeightedForestPool:
         self._log_weights = self._log_weights[keep]
         self._trace = self._trace[keep]
         self._trace_valid = self._trace_valid[keep]
-        self._projected_valid = self._projected_valid[keep]
-        if self._projected is not None:
-            self._projected = self._projected[keep]
-            self._projected_diag = self._projected_diag[keep]
 
     def _drop_dead(self) -> int:
         """Drop numerically dead forests; returns the surviving count."""

@@ -51,7 +51,7 @@ from repro.graph.graph import Graph
 from repro.obs.health import bind_engine_health, bind_service_health
 from repro.obs.metrics import REGISTRY, SIZE_BUCKETS
 from repro.obs.tracing import trace
-from repro.resilience.policy import CircuitBreaker, RetryPolicy, record_retry
+from repro.resilience.policy import RetryPolicy, record_retry
 from repro.service.messages import Mutation, ServiceResponse, UpdateRequest, UpdateTicket
 from repro.service.workers import WorkerPool
 from repro.utils.faultpoints import fault_point
@@ -138,13 +138,6 @@ class AsyncCFCMService:
         Optional :class:`repro.resilience.RetryPolicy`: reads failing with
         a transient typed error (solver non-convergence, injected faults)
         are re-run within the policy's attempt and deadline budget.
-    breaker:
-        Optional :class:`repro.resilience.CircuitBreaker`: sheds
-        relaxed-consistency reads with
-        :class:`repro.exceptions.ServiceDegradedError` while the update
-        queue is near its limit or after repeated read failures; fresh
-        reads always pass (they are how an open breaker observes
-        recovery).
     engine_kwargs:
         Extra :class:`repro.dynamic.DynamicCFCM` options (``pool_size``,
         ``cache_capacity``, ...).
@@ -159,13 +152,11 @@ class AsyncCFCMService:
         queue_limit: int = 1024,
         backend: Optional[str] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
         **engine_kwargs,
     ):
         if backend is not None:
             engine_kwargs["backend"] = backend
         self.retry_policy = retry_policy
-        self.breaker = breaker
         self.engine = DynamicCFCM(graph, seed=seed, config=config, **engine_kwargs)
         self.graph = self.engine.graph
         self.queue_limit = check_integer("queue_limit", queue_limit, minimum=1)
@@ -329,7 +320,6 @@ class AsyncCFCMService:
         """
         self._require_running()
         started = clock()
-        self._admit(consistency)
         try:
             await self._consistency_barrier(consistency)
 
@@ -359,7 +349,6 @@ class AsyncCFCMService:
         """Group CFCC of ``group``; ``mode`` is ``"exact"`` or ``"forest"``."""
         self._require_running()
         started = clock()
-        self._admit(consistency)
         try:
             await self._consistency_barrier(consistency)
 
@@ -446,23 +435,18 @@ class AsyncCFCMService:
                 "or await start() first"
             )
 
-    def _admit(self, consistency: str) -> None:
-        """Circuit-breaker admission: shed relaxed reads under degradation."""
-        if self.breaker is not None:
-            self.breaker.admit(consistency, self._queue.qsize(), self.queue_limit)
-
     async def _run_with_policy(self, work, kind: str, started: float):
-        """Run one read on the worker pool under the retry/breaker policy.
+        """Run one read on the worker pool under the retry policy.
 
         Transient typed failures (per ``retry_policy.retry_on``) are re-run
-        within the policy's attempt count and wall-clock deadline; terminal
-        outcomes feed the circuit breaker's failure/success streaks.
+        within the policy's attempt count and wall-clock deadline; any
+        other failure, or the last one, propagates to the caller.
         """
         attempt = 0
         while True:
             attempt += 1
             try:
-                outcome = await self._pool.run(work)
+                return await self._pool.run(work)
             except asyncio.CancelledError:
                 raise
             except Exception as exc:
@@ -472,12 +456,7 @@ class AsyncCFCMService:
                 ):
                     record_retry(kind)
                     continue
-                if self.breaker is not None:
-                    self.breaker.record_failure()
                 raise
-            if self.breaker is not None:
-                self.breaker.record_success()
-            return outcome
 
     async def _consistency_barrier(self, consistency: str) -> None:
         if consistency == "fresh":

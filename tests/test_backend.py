@@ -11,9 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.centrality import marginal_gains_all
 from repro.centrality.cfcc import grounded_trace
-from repro.centrality.estimators import SamplingConfig
 from repro.dynamic import (
     DynamicCFCM,
     DynamicGraph,
@@ -608,51 +606,3 @@ class TestEngineWiring:
     def test_engine_rejects_unknown_backend(self, small_ba):
         with pytest.raises(InvalidParameterError):
             DynamicCFCM(DynamicGraph(small_ba), backend="banana")
-
-
-class TestForestDeltaPool:
-    def test_gains_track_exact_marginals(self, small_ba):
-        config = SamplingConfig(eps=0.2, max_samples=600, max_jl_dimension=128)
-        engine = DynamicCFCM(DynamicGraph(small_ba), seed=3, config=config,
-                             pool_size=600)
-        group = [int(np.argmax(small_ba.degrees))]
-        gains = engine.evaluate_forest_delta(group)
-        exact = marginal_gains_all(small_ba, group)
-        assert set(gains) == set(exact)
-        relative = [abs(gains[u] - exact[u]) / exact[u] for u in exact]
-        assert np.mean(relative) < 0.35
-        best_exact = max(exact, key=exact.get)
-        ranked = sorted(gains, key=gains.get, reverse=True)
-        assert best_exact in ranked[:10]
-
-    def test_repeat_call_folds_nothing_new(self, small_ba):
-        config = SamplingConfig(eps=0.3, max_samples=64)
-        engine = DynamicCFCM(DynamicGraph(small_ba), seed=5, config=config)
-        first = engine.evaluate_forest_delta(GROUP)
-        folded = engine.stats.forests_folded
-        assert folded > 0
-        second = engine.evaluate_forest_delta(GROUP)
-        assert engine.stats.forests_folded == folded  # cache hit, no refold
-        assert second == first
-
-    def test_churn_folds_only_fresh_forests(self, small_ba):
-        config = SamplingConfig(eps=0.3, max_samples=64)
-        graph = DynamicGraph(small_ba)
-        engine = DynamicCFCM(graph, seed=7, config=config)
-        engine.evaluate_forest_delta(GROUP)
-        folded = engine.stats.forests_folded
-        pool_size = engine.stats.forests_kept
-        graph.add_edge(10, 50)
-        gains = engine.evaluate_forest_delta(GROUP)
-        assert set(gains) == set(range(small_ba.n)) - set(GROUP)
-        # Surviving forests keep their cached projected rows: the second
-        # fold only covers the fresh draws, never the whole pool again.
-        newly_folded = engine.stats.forests_folded - folded
-        assert newly_folded < max(pool_size, engine.stats.forests_kept)
-
-    def test_weighted_graph_rejected(self, small_ba):
-        graph = DynamicGraph(small_ba)
-        graph.update_weight(*[int(x) for x in small_ba.edge_array()[0]], 2.5)
-        engine = DynamicCFCM(graph, seed=1)
-        with pytest.raises(InvalidParameterError, match="unit"):
-            engine.evaluate_forest_delta(GROUP)

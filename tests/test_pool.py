@@ -305,22 +305,26 @@ def _fold_case(name: str, request):
         graph = Graph(base.n + 1,
                       list(base.edges()) + [(deep, base.n), (0, base.n)])
         return graph, roots, path.extended(deep)
+    if name == "hubs":  # SchurDelta's root set S ∪ T: four hubs of karate
+        return request.getfixturevalue("karate"), [0, 2, 32, 33], None
     graph = request.getfixturevalue(name)
     return graph, [0, graph.n - 1], None
 
 
 class TestWeightedBatchedFold:
     @pytest.mark.parametrize("graph_name",
-                             ["karate", "grid5x5", "ring", "extended"])
+                             ["karate", "grid5x5", "ring", "extended", "hubs"])
     def test_batched_fold_matches_scalar_reference(self, graph_name, request):
+        # Every root but the first is tracked: "hubs" tracks three, and
+        # its first root is one the rooted-at counts must leave out.
         graph, roots, path = _fold_case(graph_name, request)
         jl = rademacher_weights(4, graph.n, roots, np.random.default_rng(0))
         batch = sample_forest_batch_vectorized(graph, roots, 15, seed=5)
 
         scalar = ForestAccumulator(graph, roots, weights=jl,
-                                   tracked_roots=[roots[1]], seed=0)
+                                   tracked_roots=roots[1:], seed=0)
         batched = ForestAccumulator(graph, roots, weights=jl,
-                                    tracked_roots=[roots[1]], seed=0)
+                                    tracked_roots=roots[1:], seed=0)
         if path is not None:
             scalar._path = batched._path = path
         scalar.add_batch(batch, method="scalar")

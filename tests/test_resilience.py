@@ -20,14 +20,12 @@ from repro.exceptions import (
     InjectedFaultError,
     InvalidParameterError,
     NumericalDriftError,
-    ServiceDegradedError,
     ServiceOverloadedError,
 )
 from repro.graph import generators
 from repro.linalg.backends import DenseResistanceBackend, ResistanceBackend
 from repro.resilience import (
     FAULT_REGIMES,
-    CircuitBreaker,
     FaultInjector,
     FaultPlan,
     FaultRule,
@@ -236,32 +234,6 @@ class TestPolicies:
         assert not policy.should_retry(err, 1, 2.0)  # deadline exceeded
         assert not policy.should_retry(ValueError("x"), 1, 0.1)  # untyped
 
-    def test_breaker_sheds_relaxed_only(self):
-        breaker = CircuitBreaker(shed_fraction=0.5, failure_threshold=2,
-                                 recovery_successes=1)
-        # Overload: relaxed shed, fresh admitted.
-        with pytest.raises(ServiceDegradedError):
-            breaker.admit("relaxed", queue_depth=6, queue_limit=10)
-        breaker.admit("fresh", queue_depth=6, queue_limit=10)
-        # Calm queue: relaxed admitted again.
-        breaker.admit("relaxed", queue_depth=0, queue_limit=10)
-        # Consecutive failures open the breaker; successes close it.
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.open
-        with pytest.raises(ServiceDegradedError):
-            breaker.admit("relaxed", queue_depth=0, queue_limit=10)
-        breaker.admit("fresh", queue_depth=0, queue_limit=10)
-        breaker.record_success()
-        assert not breaker.open
-        assert breaker.shed == 2
-
-    def test_breaker_validation(self):
-        with pytest.raises(InvalidParameterError):
-            CircuitBreaker(shed_fraction=0.0)
-        with pytest.raises(InvalidParameterError):
-            CircuitBreaker(failure_threshold=0)
-
 
 class TestServiceResilience:
     def test_submit_wait_timeout_validation(self):
@@ -341,25 +313,6 @@ class TestServiceResilience:
                                 seed=0).evaluate_exact(GROUP)
         assert value == pytest.approx(reference, rel=1e-10)
 
-    def test_open_breaker_sheds_relaxed_reads(self):
-        graph = generators.barabasi_albert(24, 2, seed=10)
-
-        async def scenario():
-            breaker = CircuitBreaker(failure_threshold=1,
-                                     recovery_successes=1)
-            async with AsyncCFCMService(graph, seed=0,
-                                        breaker=breaker) as service:
-                breaker.record_failure()
-                assert breaker.open
-                with pytest.raises(ServiceDegradedError):
-                    await service.evaluate(GROUP, mode="exact",
-                                           consistency="relaxed")
-                fresh = await service.evaluate(GROUP, mode="exact")
-                assert not breaker.open  # fresh success closed it
-                return fresh.result
-
-        assert run(scenario()) > 0
-
 
 class TestCheckpointRecovery:
     def test_checkpoint_restore_replay_is_bit_equal(self, tmp_path):
@@ -368,30 +321,31 @@ class TestCheckpointRecovery:
         engine = DynamicCFCM(graph, seed=4, pool_size=8, backend="dense")
         engine.evaluate_exact(GROUP)
         engine.evaluate_forest(GROUP)
-        # Caches the pool's JL matrix and projected rows too.
-        engine.evaluate_forest_delta(GROUP)
 
         path = str(tmp_path / "engine.npz")
         engine.checkpoint(path)
+        with np.load(path) as data:
+            assert "pool0_parent" in data.files
+            assert not [name for name in data.files
+                        if name.startswith("pool") and name.endswith("_jl")]
 
         # Crash-and-restore replays the same post-checkpoint journal: an
-        # edge insertion (the gains reuse the checkpointed JL matrix), then
-        # a node join, which extends the pool's path system by a leaf.
+        # edge insertion (the pool reweights its checkpointed forests),
+        # then a node join, which extends the pool's path system by a leaf.
         u, v = missing_edge(graph)
         graph.add_edge(u, v)
-        live_edge_delta = engine.evaluate_forest_delta(GROUP)
+        live_edge_forest = engine.evaluate_forest(GROUP)
         graph.add_node([u, v])
         live_exact = engine.evaluate_exact(GROUP)
         live_forest = engine.evaluate_forest(GROUP)
-        live_delta = engine.evaluate_forest_delta(GROUP)
 
         restored = DynamicCFCM.restore(path)
         restored.graph.add_edge(u, v)
-        assert restored.evaluate_forest_delta(GROUP) == live_edge_delta
+        assert restored.evaluate_forest(GROUP) == live_edge_forest
         restored.graph.add_node([u, v])
         assert restored.evaluate_exact(GROUP) == live_exact
         assert restored.evaluate_forest(GROUP) == live_forest
-        assert restored.evaluate_forest_delta(GROUP) == live_delta
+        assert restored.stats.forests_folded == engine.stats.forests_folded
         assert (restored.rng.bit_generator.state
                 == engine.rng.bit_generator.state)
 
@@ -552,18 +506,19 @@ class TestCheckpointRecovery:
         assert not path.with_suffix(".npz.tmp").exists()
 
     def test_archive_of_an_older_version_is_refused(self, tmp_path):
-        # A version-4 archive stores settings this version no longer has,
-        # such as SamplingConfig's jl_constant: refuse it with a typed error.
+        # A version-5 archive stores state this version no longer has, such
+        # as each pool's JL matrix: refuse it with a typed error.
         graph = DynamicGraph(generators.barabasi_albert(20, 2, seed=13))
         engine = DynamicCFCM(graph, seed=0, config=SamplingConfig(eps=0.3))
         engine.evaluate_exact(GROUP)
+        engine.evaluate_forest(GROUP)
         path = tmp_path / "engine.npz"
         engine.checkpoint(str(path))
         with np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
         meta = json.loads(str(arrays["meta"][()]))
-        meta["checkpoint_version"] = 4
-        meta["engine"]["config"]["jl_constant"] = 1.0
+        meta["checkpoint_version"] = 5
+        arrays["pool0_jl"] = np.ones((4, graph.n))
         arrays["meta"] = np.array(json.dumps(meta))
         np.savez_compressed(path, **arrays)
         with pytest.raises(InvalidParameterError, match="checkpoint version"):
