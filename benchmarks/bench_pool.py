@@ -12,6 +12,8 @@ Two comparisons, both doubling as correctness gates:
   inverse, so the timing comparison cannot drift apart semantically.  The
   seeded comparison runs ``--repeats`` times and the gate reads the median
   ratio: one run's ratio swings with host noise far more than the median's.
+  Both strategies are timed in process CPU time (``time.process_time``),
+  which leaves out the time other tenants of a shared host hold the CPU.
 * **Estimator fold** — folding one ``(B, n)`` :class:`ForestBatch` into a
   :class:`repro.centrality.estimators.ForestAccumulator` with the batched
   kernels (``method="batched"``: the subtree sums the estimator reads,
@@ -137,14 +139,14 @@ def run_churn_comparison(n: int, pool_size: int, rounds: int,
             _churn_round(flush_graph, replay_rng, events_per_round,
                          node_probability)
 
-            start = time.perf_counter()
+            start = time.process_time()
             reuse_value = engine.evaluate_forest(group)
-            reuse_latencies.append(time.perf_counter() - start)
+            reuse_latencies.append(time.process_time() - start)
 
-            start = time.perf_counter()
+            start = time.process_time()
             flush_value = _flush_and_redraw_estimate(flush_graph, group,
                                                      pool_size, flush_rng)
-            flush_latencies.append(time.perf_counter() - start)
+            flush_latencies.append(time.process_time() - start)
 
             exact = exact_engine.evaluate_exact(group)
             worst_reuse = max(worst_reuse, abs(reuse_value - exact) / exact)

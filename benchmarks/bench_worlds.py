@@ -9,11 +9,11 @@ reference and keep its worst pool ESS above half the configured floor.
 Besides the pytest-benchmark suite this module is runnable standalone::
 
     PYTHONPATH=src python benchmarks/bench_worlds.py --smoke
-    PYTHONPATH=src python benchmarks/bench_worlds.py --count 12 --seed 3
 
-``--smoke`` writes the ``WORLDS_smoke.json`` artifact (uploaded per-commit
-by CI next to the ``BENCH_*.json`` family) and exits non-zero when a gate
-fails.  Latency percentiles inside the rows come from the
+It exits non-zero when a gate fails; ``--smoke`` writes the
+``WORLDS_smoke.json`` artifact (uploaded per-commit by CI next to the
+``BENCH_*.json`` family) unless ``--output-json`` names another path.
+Latency percentiles inside the rows come from the
 ``repro_engine_op_seconds`` registry histogram, not from any timing done
 here.
 """
@@ -25,7 +25,6 @@ import argparse
 import pytest
 
 from repro.worlds import (
-    WorldSampler,
     gate_rows,
     run_world,
     smoke_specs,
@@ -52,14 +51,8 @@ def run_smoke(verbose: bool = True):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Scenario sweep over topology x churn x backend worlds")
-    parser.add_argument("--count", type=int, default=8,
-                        help="sampled worlds for a non-smoke run")
-    parser.add_argument("--events", type=int, default=24,
-                        help="churn events per sampled world")
-    parser.add_argument("--seed", type=int, default=0, help="sampler seed")
     parser.add_argument("--smoke", action="store_true",
-                        help="run the canonical CI cross and gate on "
-                             "accuracy + ESS (non-zero exit on failure)")
+                        help="write the WORLDS_smoke.json artifact by default")
     parser.add_argument("--output-json", default=None,
                         help="path of the JSON artifact (default in --smoke "
                              "mode: WORLDS_smoke.json)")
@@ -70,13 +63,9 @@ def main(argv=None) -> int:
     output = args.output_json
     if args.smoke:
         output = output or "WORLDS_smoke.json"
-        rows, failures = run_smoke()
-    else:
-        sampler = WorldSampler(events=args.events, seed=args.seed)
-        rows = sweep(sampler.sample(args.count), verbose=True)
-        failures = gate_rows(rows)
+    rows, failures = run_smoke()
     write_worlds_artifacts(rows, json_path=output, csv_path=args.output_csv,
-                           label="worlds_smoke" if args.smoke else "worlds")
+                           label="worlds_smoke")
     if failures:
         for failure in failures:
             print(f"[bench_worlds] GATE FAILURE: {failure}")

@@ -1,12 +1,15 @@
 #!/usr/bin/env python
 """Which functions under ``src/repro`` does the repo's traffic execute?
 
-Traffic is every input the code serves: the four perfbench workloads, the
-CI experiment and bench smokes, the paper-artefact CLI and the examples.
-Each source runs in a subprocess of its own, with a fresh temporary
-directory as its working directory (so no ``BENCH_*``, ``METRICS_*`` or
-``WORLDS_*`` artifact lands in the repository) and BLAS pinned to one
-thread.  A profile hook (``sys.setprofile`` and ``threading.setprofile``)
+Traffic is every input the code serves: the four perfbench workloads, each
+untraced and traced (``--trace 0`` and ``--trace 1``), the commands of the
+``bench-smoke`` job in ``.github/workflows/ci.yml`` exactly as CI runs them,
+the paper-artefact CLI and the examples.  The CI commands are read from the
+workflow itself (see :func:`ci_sources`), so a flag or step added there is
+traced without an edit here.  Each source runs in a subprocess of its own,
+with a fresh temporary directory as its working directory (so no
+``BENCH_*``, ``METRICS_*`` or ``WORLDS_*`` artifact lands in the
+repository) and BLAS pinned to one thread.  A profile hook (``sys.setprofile`` and ``threading.setprofile``)
 records every Python function that starts.  The script then prints, per
 module, the ``src/repro`` functions that no source executed, with their
 line counts, then the public names with no traffic (below), and one line
@@ -44,7 +47,10 @@ Kept on purpose (name, then reason)::
     repro.graph.builders                                graph constructor
     repro.graph.datasets                                graph constructor
     repro.graph.io                                      graph I/O
-    repro.worlds.spec.WorldSampler                      default of python -m repro.experiments worlds
+    repro.graph.traversal.connected_components          callee of a kept row
+    repro.graph.traversal.largest_connected_component   callee of a kept row
+    repro.graph.graph.Graph.max_degree                  exact oracle that tests compare against
+    repro.obs.tracing.get_tracer                        read by perfbench/
 
 It uses the standard library and the repo only, takes several minutes and
 is not a CI step::
@@ -52,7 +58,9 @@ is not a CI step::
     python scripts/traffic_trace.py
 
 Work in processes that a source starts itself is not seen; none of the
-sources below starts one that runs the library.
+sources starts one that runs the library.  Functions are matched by their
+file and first line, read before the first source runs, so leave ``src``
+unedited until the run ends.
 """
 
 from __future__ import annotations
@@ -63,6 +71,8 @@ import importlib
 import inspect
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -74,28 +84,88 @@ SRC = REPO / "src" / "repro"
 BLAS_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 TIMEOUT_S = 1800
 
-# (label, "module" | "path", target, arguments)
-SOURCES = [
-    *((f"perfbench {name}", "module", "perfbench.child",
-       ["--workload", name, "--seed", "1", "--seconds", "4", "--trace", "0"])
-      for name in ("select", "serve_churn", "shard_lattice", "serve_mixed")),
-    ("experiments serve --smoke", "module", "repro.experiments",
-     ["serve", "--smoke"]),
-    ("experiments worlds --smoke", "module", "repro.experiments",
-     ["worlds", "--smoke"]),
-    ("experiments worlds --smoke --faults", "module", "repro.experiments",
-     ["worlds", "--smoke", "--faults"]),
-    ("experiments all --quick", "module", "repro.experiments",
-     ["all", "--quick"]),
-    ("experiments dynamic --quick", "module", "repro.experiments",
-     ["dynamic", "--quick"]),
-    *((f"bench_{name} --smoke", "path",
-       str(REPO / "benchmarks" / f"bench_{name}.py"), ["--smoke"])
-      for name in ("dynamic", "async", "sampling", "pool", "backend",
-                   "distributed", "worlds")),
-    *((f"example {path.stem}", "path", str(path), [])
-      for path in sorted((REPO / "examples").glob("*.py"))),
-]
+CI_WORKFLOW = REPO / ".github" / "workflows" / "ci.yml"
+CI_JOB = "bench-smoke"
+
+
+def ci_commands(text: str, job: str = CI_JOB) -> list:
+    """The ``run:`` commands of one job of a GitHub Actions workflow.
+
+    Reads the two forms the workflow uses, a plain scalar on the ``run:``
+    line and a folded block (``run: >-``) whose indented lines join with
+    spaces, with no YAML parser (PyYAML is not a CI dependency)."""
+    lines = text.splitlines()
+    start = lines.index(f"  {job}:") + 1
+    commands = []
+    for index in range(start, len(lines)):
+        line = lines[index]
+        if line.strip() and not line.startswith("   "):
+            break  # the next job, or the end of ``jobs:``
+        match = re.match(r"(\s+)(?:- )?run: *(.*)$", line)
+        if not match:
+            continue
+        value = match.group(2)
+        if value in (">-", ">"):
+            indent = len(match.group(1))
+            folded = []
+            for follow in lines[index + 1:]:
+                if follow.strip() and len(follow) - len(follow.lstrip()) <= indent:
+                    break
+                folded.append(follow.strip())
+            value = " ".join(part for part in folded if part)
+        commands.append(value)
+    return commands
+
+
+def ci_source(command: str):
+    """``(label, kind, target, arguments)`` of one CI command that runs the
+    library (its ``PYTHONPATH=src`` prefix is dropped), else ``None``.
+
+    ``python -m X args`` is a module source and ``python path args`` a path
+    source.  A relative path argument that names a repository directory or
+    ``.py`` file becomes absolute, since each source runs in a temporary
+    directory; output files stay relative and land there."""
+    words = shlex.split(command)
+    env = []
+    while words and re.match(r"[A-Za-z_][A-Za-z0-9_]*=", words[0]):
+        env.append(words.pop(0))
+    if "PYTHONPATH=src" not in env or not words or words[0] not in ("python", "python3"):
+        return None
+    label = " ".join(words)
+    words = [str(REPO / word) if _names_repo_code(REPO / word) else word
+             for word in words[1:]]
+    if words[0] == "-m":
+        return label, "module", words[1], words[2:]
+    return label, "path", words[0], words[1:]
+
+
+def _names_repo_code(path: Path) -> bool:
+    return path.is_dir() or (path.suffix == ".py" and path.is_file())
+
+
+def ci_sources() -> list:
+    """The sources of :data:`CI_WORKFLOW`'s ``bench-smoke`` job."""
+    commands = ci_commands(CI_WORKFLOW.read_text(encoding="utf-8"))
+    return [source for source in map(ci_source, commands) if source is not None]
+
+
+def sources() -> list:
+    """Every traffic source as ``(label, "module" | "path", target,
+    arguments)``."""
+    return [
+        *((f"perfbench {name} --trace {trace}", "module", "perfbench.child",
+           ["--workload", name, "--seed", "1", "--seconds", "4",
+            "--trace", trace])
+          for name in ("select", "serve_churn", "shard_lattice", "serve_mixed")
+          for trace in ("0", "1")),
+        *ci_sources(),
+        ("experiments all --quick", "module", "repro.experiments",
+         ["all", "--quick"]),
+        ("experiments dynamic --quick", "module", "repro.experiments",
+         ["dynamic", "--quick"]),
+        *((f"example {path.stem}", "path", str(path), [])
+          for path in sorted((REPO / "examples").glob("*.py"))),
+    ]
 
 # Runs in the child: argv is (kind, target, output file, *arguments).
 CHILD = r"""
@@ -231,7 +301,7 @@ def main() -> int:
     executed_any = set()
     rows = []
     untraced = 0
-    for label, kind, target, arguments in SOURCES:
+    for label, kind, target, arguments in sources():
         status, executed = run_source(kind, target, arguments)
         if executed is None:
             untraced += 1

@@ -36,7 +36,6 @@ from repro.centrality import (
     SchurCFCM,
     degree_group,
     first_pick_objective,
-    forest_delta,
     group_cfcc,
     group_cfcc_estimate,
     grounded_trace,
@@ -46,7 +45,6 @@ from repro.centrality import (
     optimum_cfcm,
     resistance_distance,
     resistance_to_group,
-    schur_delta,
     single_cfcc_all,
     top_cfcc_group,
     total_group_resistance,
@@ -86,8 +84,6 @@ __all__ = [
     "degree_group",
     "top_cfcc_group",
     "optimum_cfcm",
-    "forest_delta",
-    "schur_delta",
     # exact quantities
     "group_cfcc",
     "group_cfcc_estimate",

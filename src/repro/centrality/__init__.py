@@ -19,8 +19,8 @@ from repro.centrality.marginal import (
 from repro.centrality.result import CFCMResult
 from repro.centrality.exact_greedy import ExactGreedy
 from repro.centrality.approx_greedy import ApproxGreedy
-from repro.centrality.forest_cfcm import ForestCFCM, forest_delta
-from repro.centrality.schur_cfcm import SchurCFCM, schur_delta, choose_extra_roots
+from repro.centrality.forest_cfcm import ForestCFCM
+from repro.centrality.schur_cfcm import SchurCFCM, choose_extra_roots
 from repro.centrality.heuristics import degree_group, top_cfcc_group
 from repro.centrality.optimum import optimum_cfcm
 from repro.centrality.api import maximize_cfcc, METHODS
@@ -40,9 +40,7 @@ __all__ = [
     "ExactGreedy",
     "ApproxGreedy",
     "ForestCFCM",
-    "forest_delta",
     "SchurCFCM",
-    "schur_delta",
     "choose_extra_roots",
     "degree_group",
     "top_cfcc_group",

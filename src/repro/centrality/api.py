@@ -7,18 +7,17 @@ downstream users only need one call:
 >>> from repro.graph import generators
 >>> graph = generators.barabasi_albert(150, 2, seed=0)
 >>> result = maximize_cfcc(graph, k=3, method="schur", eps=0.3, seed=1)
->>> result.k
+>>> len(result.group)
 3
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.graph import Graph
 from repro.centrality.approx_greedy import ApproxGreedy
-from repro.centrality.cfcc import group_cfcc, group_cfcc_estimate
 from repro.centrality.estimators import SamplingConfig
 from repro.centrality.exact_greedy import ExactGreedy
 from repro.centrality.forest_cfcm import ForestCFCM
@@ -60,9 +59,7 @@ def validate_cfcm_parameters(n: int, k: int, method: str, eps: float,
 
 def maximize_cfcc(graph: Graph, k: int, method: str = "schur", eps: float = 0.2,
                   seed: RandomState = None,
-                  config: Optional[SamplingConfig] = None,
-                  extra_roots: Optional[Sequence[int]] = None,
-                  evaluate: bool | str = False) -> CFCMResult:
+                  config: Optional[SamplingConfig] = None) -> CFCMResult:
     """Approximately solve CFCM: pick ``k`` nodes maximising group CFCC.
 
     Parameters
@@ -96,16 +93,10 @@ def maximize_cfcc(graph: Graph, k: int, method: str = "schur", eps: float = 0.2,
     config:
         Full :class:`SamplingConfig` for the sampling methods (overrides
         ``eps``).
-    extra_roots:
-        Explicit auxiliary root set ``T`` for SchurCFCM.
-    evaluate:
-        ``False`` (default) leaves ``result.cfcc`` empty; ``True`` or
-        ``"exact"`` fills it with the exact CFCC of the selected group;
-        ``"estimate"`` uses the sparse-solver estimate (large graphs).
 
     Returns
     -------
-    :class:`CFCMResult`
+    :class:`CFCMResult`.  Score its group with :func:`repro.group_cfcc`.
     """
     method = str(method).lower()
     if method not in METHODS:
@@ -131,24 +122,15 @@ def maximize_cfcc(graph: Graph, k: int, method: str = "schur", eps: float = 0.2,
         graph = graph.snapshot()
 
     if method == "schur":
-        result = SchurCFCM(graph, eps=eps, seed=seed, config=config,
-                           extra_roots=extra_roots).run(k)
+        return SchurCFCM(graph, eps=eps, seed=seed, config=config).run(k)
     elif method == "forest":
-        result = ForestCFCM(graph, eps=eps, seed=seed, config=config).run(k)
+        return ForestCFCM(graph, eps=eps, seed=seed, config=config).run(k)
     elif method == "approx":
-        result = ApproxGreedy(graph, eps=eps, seed=seed).run(k)
+        return ApproxGreedy(graph, eps=eps, seed=seed).run(k)
     elif method == "exact":
-        result = ExactGreedy(graph).run(k)
+        return ExactGreedy(graph).run(k)
     elif method == "degree":
-        result = degree_group(graph, k)
+        return degree_group(graph, k)
     elif method == "top-cfcc":
-        result = top_cfcc_group(graph, k)
-    else:  # optimum
-        result = optimum_cfcm(graph, k)
-
-    if evaluate and result.cfcc is None:
-        if evaluate == "estimate":
-            result.cfcc = group_cfcc_estimate(graph, result.group)
-        else:
-            result.cfcc = group_cfcc(graph, result.group)
-    return result
+        return top_cfcc_group(graph, k)
+    return optimum_cfcm(graph, k)

@@ -8,9 +8,9 @@
 Exact evaluation uses dense linear algebra and is intended for graphs of up
 to a few thousand nodes.  :func:`group_cfcc_estimate` is the Hutchinson route
 the paper uses to evaluate solutions on graphs where exact inversion is
-infeasible (Fig. 3), and :func:`group_cfcc_solver` the deterministic one;
-both solve through :class:`repro.linalg.solvers.LaplacianSolver` (a sparse
-factor, conjugate gradient only when factoring fails).
+infeasible (Fig. 3); it solves through
+:class:`repro.linalg.solvers.LaplacianSolver` (a sparse factor, conjugate
+gradient only when factoring fails).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.graph.graph import Graph
 from repro.graph.traversal import require_connected
 from repro.linalg.laplacian import grounded_laplacian, grounded_laplacian_dense
 from repro.linalg.pseudoinverse import laplacian_pseudoinverse
-from repro.linalg.solvers import LaplacianSolver, estimate_trace_of_inverse
+from repro.linalg.solvers import estimate_trace_of_inverse
 from repro.utils.validation import check_group
 
 
@@ -53,19 +53,6 @@ def group_cfcc_estimate(graph: Graph, group: Sequence[int],
     matrix, _ = grounded_laplacian(graph, group)
     trace = estimate_trace_of_inverse(matrix, probes=probes, seed=seed)
     return graph.n / trace
-
-
-def group_cfcc_solver(graph: Graph, group: Sequence[int]) -> float:
-    """Exact-to-solver-tolerance ``C(S)`` via ``|V \\ S|`` linear solves.
-
-    More expensive than :func:`group_cfcc_estimate` but deterministic; used in
-    tests as an independent cross-check of the dense route.
-    """
-    require_connected(graph)
-    group = check_group(group, graph.n)
-    matrix, _ = grounded_laplacian(graph, group)
-    solver = LaplacianSolver(matrix)
-    return graph.n / solver.trace_of_inverse()
 
 
 def single_cfcc_all(graph: Graph) -> np.ndarray:

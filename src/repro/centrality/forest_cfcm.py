@@ -17,40 +17,18 @@ the per-node empirical-Bernstein rule of Lemma 3.6).
 The algorithm achieves the ``1 - (k/(k-1))/e - eps`` approximation factor of
 Theorem 3.11.
 
-ForestDelta is SchurDelta with an empty auxiliary root set ``T``, so both
-names here are :mod:`repro.centrality.schur_cfcm` with ``T = ∅``.
+ForestDelta is SchurDelta with an empty auxiliary root set ``T``, so
+ForestCFCM is :mod:`repro.centrality.schur_cfcm` with ``T = ∅``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional
 
 from repro.graph.graph import Graph
 from repro.centrality.estimators import SamplingConfig
-from repro.centrality.schur_cfcm import SchurCFCM, schur_delta
+from repro.centrality.schur_cfcm import SchurCFCM
 from repro.utils.rng import RandomState
-
-
-def forest_delta(graph: Graph, group: Sequence[int], eps: float = 0.2,
-                 seed: RandomState = None,
-                 config: Optional[SamplingConfig] = None,
-                 ) -> Dict[int, float]:
-    """ForestDelta: sampled marginal gains ``Δ'(u, S)`` for all ``u ∉ S``.
-
-    Parameters
-    ----------
-    graph:
-        Connected undirected graph.
-    group:
-        Current group ``S`` (non-empty).
-    eps:
-        Relative error target (ignored when an explicit ``config`` is given).
-    seed:
-        Seed or generator for forest sampling and JL projections.
-    config:
-        Full :class:`SamplingConfig`; overrides ``eps``.
-    """
-    return schur_delta(graph, group, (), eps=eps, seed=seed, config=config)
 
 
 class ForestCFCM(SchurCFCM):

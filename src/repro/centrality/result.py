@@ -29,8 +29,8 @@ class CFCMResult:
         One entry per greedy iteration with diagnostic data (chosen node,
         estimated gain, samples used, ...).
     cfcc:
-        Exact or estimated CFCC of the final group when the caller asked the
-        algorithm to evaluate it; ``None`` otherwise.
+        Exact CFCC of the final group when the method computes it (the
+        brute-force optimum does); ``None`` otherwise.
     """
 
     method: str
@@ -40,11 +40,6 @@ class CFCMResult:
     iteration_log: List[Dict[str, object]] = field(default_factory=list)
     cfcc: Optional[float] = None
 
-    @property
-    def k(self) -> int:
-        """Number of selected nodes."""
-        return len(self.group)
-
     def prefix(self, size: int) -> Sequence[int]:
         """First ``size`` selected nodes (greedy prefix)."""
         if size < 0 or size > len(self.group):
@@ -52,21 +47,6 @@ class CFCMResult:
                 f"prefix of size {size} unavailable; only {len(self.group)} nodes selected"
             )
         return list(self.group[:size])
-
-    def samples_used(self) -> int:
-        """Total number of sampled forests recorded in the iteration log."""
-        return int(sum(int(entry.get("samples", 0)) for entry in self.iteration_log))
-
-    def summary(self) -> Dict[str, object]:
-        """Compact dictionary for experiment reporting."""
-        return {
-            "method": self.method,
-            "k": self.k,
-            "group": list(self.group),
-            "runtime_seconds": self.runtime_seconds,
-            "cfcc": self.cfcc,
-            "samples": self.samples_used(),
-        }
 
 
 class GreedyCFCM:

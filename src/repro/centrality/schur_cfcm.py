@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import InvalidParameterError
 from repro.graph.graph import Graph
 from repro.graph.properties import extra_root_size
 from repro.graph.traversal import require_connected
@@ -68,24 +67,6 @@ def choose_extra_roots(graph: Graph, size: Optional[int] = None) -> List[int]:
     return [int(v) for v in order[:size]]
 
 
-def schur_delta(graph: Graph, group: Sequence[int], extra_roots: Sequence[int],
-                eps: float = 0.2, seed: RandomState = None,
-                config: Optional[SamplingConfig] = None) -> Dict[int, float]:
-    """SchurDelta: sampled marginal gains using the auxiliary root set ``T``.
-
-    ``extra_roots=()`` gives ForestDelta.  Node ids are validated before any
-    forest is drawn.
-    """
-    require_connected(graph)
-    group = [check_node(v, graph.n) for v in group]
-    extra_roots = [check_node(t, graph.n) for t in extra_roots]
-    if not group:
-        raise InvalidParameterError("SchurDelta requires a non-empty group S")
-    config = config or SamplingConfig(eps=eps)
-    gains, _ = estimate_schur_delta(graph, group, extra_roots, config, seed=seed)
-    return gains
-
-
 def _sampling_log(diagnostics: Dict[str, float]) -> Dict[str, object]:
     log = {"samples": int(diagnostics["samples"]),
            "stopped_early": bool(diagnostics["stopped_early"])}
@@ -100,7 +81,7 @@ class SchurCFCM(GreedyCFCM):
     With ``|T| >= 2`` the first pick roots its forests at ``T``.  A gain
     round whose root set ``S ∪ T`` is the last draw's (the previous pick was
     in ``T``) reuses those forests and logs ``samples`` 0 and ``reused``;
-    :meth:`CFCMResult.samples_used` counts the forests the run drew.
+    the iteration log's ``samples`` sum to the forests the run drew.
 
     Parameters
     ----------

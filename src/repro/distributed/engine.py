@@ -473,27 +473,12 @@ class ShardedCFCM(QueryFront):
 
     # ----------------------------------------------------------- composition
     @property
-    def version(self) -> int:
-        return self.graph.version
-
-    @property
-    def synced_version(self) -> int:
-        """Graph version classified/forwarded into the shard mirrors."""
-        return self._synced_version
-
-    @property
     def pending_events(self) -> int:
         return self.graph.version - self._synced_version
 
     @property
     def _event_end(self) -> int:
         return self._event_base + len(self._event_log)
-
-    def describe(self) -> Dict[str, object]:
-        info = dict(self.partition.describe())
-        info.update(executor="serial", backend=self.backend,
-                    rebuilds=self.rebuilds)
-        return info
 
     def sync(self) -> int:
         """Classify pending journal events and forward them to shard mirrors.

@@ -70,14 +70,6 @@ class Partition:
         """``separator`` as a frozenset, for O(1) membership tests."""
         return frozenset(self.separator)
 
-    def describe(self) -> Dict[str, object]:
-        """Summary dict for logs and bench artifacts."""
-        return {
-            "shards": self.shards,
-            "interior_sizes": [len(part) for part in self.parts],
-            "separator_nodes": len(self.separator),
-        }
-
 
 def partition_graph(graph: DynamicGraph, shards: int,
                     seeds: Sequence[int] = ()) -> Partition:

@@ -163,8 +163,7 @@ class QueryFront:
     ``evaluate_exact()`` and ``evaluate_forest()``.
     """
 
-    def query(self, k: int, method: str = "schur", eps: float = 0.2,
-              evaluate: bool | str = False) -> CFCMResult:
+    def query(self, k: int, method: str = "schur", eps: float = 0.2) -> CFCMResult:
         """Solve CFCM on the current graph, reusing the cache when unchanged.
 
         Parameters mirror :func:`repro.maximize_cfcc`; the result of a miss
@@ -193,12 +192,7 @@ class QueryFront:
             # moving under query-only traffic too, or the journal would grow
             # unboundedly in a service that never calls the evaluate paths.
             self.sync()
-            # True and "exact" request the same evaluation; normalising the
-            # key keeps them from occupying two cache slots for one result.
-            if evaluate is True:
-                evaluate = "exact"
-            key = (k, str(method).lower(), round(float(eps), 9),
-                   str(evaluate) if evaluate else "")
+            key = (k, str(method).lower(), round(float(eps), 9))
             cached = self._query_cache.get(key)
             if cached is not None and cached[0] == self.graph.version:
                 self.stats.query_hits += 1
@@ -209,8 +203,7 @@ class QueryFront:
             span.set(cache="miss")
             child_seed = int(self.rng.integers(0, 2**62))
             result = maximize_cfcc(self.graph.snapshot(), k, method=method,
-                                   eps=eps, seed=child_seed, config=self.config,
-                                   evaluate=evaluate)
+                                   eps=eps, seed=child_seed, config=self.config)
             mapping = self.graph.snapshot_mapping()
             if int(mapping[-1]) != mapping.size - 1:
                 # Node churn left holes in the id space: translate the
@@ -328,21 +321,6 @@ class DynamicCFCM(QueryFront):
         self._pool_version = graph.version
 
     # ---------------------------------------------------------------- queries
-    @property
-    def version(self) -> int:
-        """Current version of the underlying dynamic graph."""
-        return self.graph.version
-
-    @property
-    def synced_version(self) -> int:
-        """Graph version the cached pools and journal cursor have folded in."""
-        return self._pool_version
-
-    @property
-    def pools(self) -> Dict[Tuple[int, ...], WeightedForestPool]:
-        """The live forest pools by root set (stable ids), LRU order."""
-        return self._pools
-
     @property
     def pending_events(self) -> int:
         """Journal events applied to the graph but not yet seen by the caches."""

@@ -115,20 +115,6 @@ class ResistanceStats:
     failovers: int = 0
     events_seen: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "rank1_updates": self.rank1_updates,
-            "batch_updates": self.batch_updates,
-            "batched_events": self.batched_events,
-            "node_grows": self.node_grows,
-            "node_downdates": self.node_downdates,
-            "refreshes": self.refreshes,
-            "singular_refreshes": self.singular_refreshes,
-            "drift_refreshes": self.drift_refreshes,
-            "failovers": self.failovers,
-            "events_seen": self.events_seen,
-        }
-
 
 class IncrementalResistance:
     """Maintains ``inv(L_{-S})`` of a dynamic graph across edge/node updates.

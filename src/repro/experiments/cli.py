@@ -7,7 +7,7 @@ Usage::
     python -m repro.experiments fig2 --eps 0.2
     python -m repro.experiments dynamic --quick
     python -m repro.experiments serve --smoke
-    python -m repro.experiments worlds --smoke [--faults]
+    python -m repro.experiments worlds [--faults]
     python -m repro.experiments all --quick
 
 ``all`` regenerates the paper artefacts (table2 and the five figures), and
@@ -15,9 +15,9 @@ with ``--output-json`` writes one JSON object keyed by experiment; the
 ``dynamic`` workload study characterises the incremental engine, the
 ``serve`` study drives the async query service (``--smoke`` additionally
 gates on async/sync equivalence and exits non-zero on a mismatch) and the
-``worlds`` study sweeps sampled serving scenarios (``--smoke`` runs the
-canonical CI cross and gates on accuracy tolerance and pool-ESS floors);
-all three are run explicitly.
+``worlds`` study sweeps the canonical smoke cross of serving scenarios
+(``--faults``: under fault injection) and gates on accuracy tolerance and
+pool-ESS floors; all three are run explicitly.
 """
 
 from __future__ import annotations
@@ -82,19 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "stitched by a global Schur complement)")
     parser.add_argument("--smoke", action="store_true",
                         help="serve: shrink the workload and gate on async/sync "
-                             "equivalence; worlds: run the canonical CI cross "
-                             "and gate on accuracy + ESS (non-zero exit)")
-    parser.add_argument("--count", type=int, default=8,
-                        help="worlds: how many worlds to sample (default: 8)")
-    parser.add_argument("--events", type=int, default=24,
-                        help="worlds: churn-event budget per sampled world")
-    parser.add_argument("--worlds", default=None, metavar="JSON",
-                        help="worlds: run explicit specs from this JSON file "
-                             "instead of sampling (a list of WorldSpec dicts)")
+                             "equivalence (worlds always runs its smoke cross "
+                             "and gates on accuracy + ESS)")
     parser.add_argument("--faults", action="store_true",
-                        help="worlds: inject deterministic fault regimes "
-                             "(with --smoke: the chaos smoke cross; "
-                             "otherwise overlay chaos faults on the specs)")
+                        help="worlds: run the chaos smoke cross, the smoke "
+                             "worlds under deterministic fault regimes")
     parser.add_argument("--output-csv", default=None,
                         help="worlds: also write the sweep table as CSV")
     parser.add_argument("--quick", action="store_true",
@@ -168,10 +160,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                           trace_output=args.trace_out)
         return 1 if row["failures"] else 0
     if name == "worlds":
-        result = run_worlds(count=args.count, events=args.events,
-                            seed=args.seed, smoke=args.smoke,
-                            quick=args.quick, faults=args.faults,
-                            worlds_file=args.worlds,
+        result = run_worlds(faults=args.faults,
                             output_json=args.output_json,
                             output_csv=args.output_csv,
                             metrics_prefix=args.metrics_prefix)

@@ -1,12 +1,11 @@
-"""Scenario-sweep study: map the serving envelope across sampled worlds.
+"""Scenario-sweep study: map the serving envelope across the smoke worlds.
 
 ``python -m repro.experiments worlds`` runs :func:`repro.worlds.sweep` over
-either the canonical CI smoke cross (``--smoke``), a JSON file of explicit
-world specs (``--worlds``), or a :class:`repro.worlds.WorldSampler` draw
-(the default), then prints the accuracy/latency/ESS table and applies the
-sweep gates.  ``--smoke`` makes the gates fatal: a world that misses its
-accuracy tolerance or ESS floor fails the run with a non-zero exit, which
-is what CI's bench-smoke job relies on.
+the canonical smoke cross (:func:`repro.worlds.smoke_specs`), or with
+``--faults`` over the chaos cross (:func:`repro.worlds.faulted_smoke_specs`),
+then prints the accuracy/latency/ESS table and applies the sweep gates: a
+world that misses its accuracy tolerance or ESS floor fails the run with a
+non-zero exit, which is what CI's bench-smoke job relies on.
 
 Latency percentiles and pool health in the table come from the
 :data:`repro.obs.REGISTRY` histograms and health gauges the engine already
@@ -16,14 +15,10 @@ layer adds no timing of its own.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.experiments.report import format_table, write_obs_artifacts
 from repro.worlds import (
-    WorldSampler,
-    WorldSpec,
     faulted_smoke_specs,
     gate_rows,
     smoke_specs,
@@ -43,57 +38,23 @@ FAULTS_TABLE_COLUMNS = (
 )
 
 
-def load_world_specs(path: str) -> List[WorldSpec]:
-    """Load a JSON file holding a list of :class:`WorldSpec` dicts."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(payload, dict):
-        payload = payload.get("worlds", [])
-    return [WorldSpec.from_dict(entry) for entry in payload]
-
-
 def run_worlds(
-    count: int = 8,
-    events: int = 24,
-    seed: int = 0,
-    smoke: bool = False,
-    quick: bool = False,
     faults: bool = False,
-    worlds_file: Optional[str] = None,
     output_json: Optional[str] = None,
     output_csv: Optional[str] = None,
     metrics_prefix: Optional[str] = None,
 ) -> Dict[str, object]:
     """Run the sweep and print the envelope table; returns rows + failures.
 
-    ``faults=True`` overlays the chaos fault regimes on the smoke cross
-    (:func:`repro.worlds.faulted_smoke_specs`): every read under injection
-    must either meet the world's accuracy gate or fail with a typed error,
-    and the table grows injection/typed-failure columns.
+    ``faults=True`` runs the chaos smoke cross, which overlays fault
+    regimes on the smoke worlds: every read under injection must either
+    meet the world's accuracy gate or fail with a typed error, and the
+    table grows injection/typed-failure columns.
     """
-    if smoke and faults:
-        specs = faulted_smoke_specs()
-        source = "chaos smoke cross"
-    elif smoke:
-        specs = smoke_specs()
-        source = "smoke cross"
-    elif worlds_file is not None:
-        specs = load_world_specs(worlds_file)
-        source = worlds_file
+    if faults:
+        specs, source = faulted_smoke_specs(), "chaos smoke cross"
     else:
-        if quick:
-            count = min(count, 4)
-        sampler = WorldSampler(events=events, seed=seed)
-        specs = list(sampler.sample(count))
-        source = f"sampler(seed={seed})"
-    if faults and not smoke:
-        from dataclasses import replace
-
-        from repro.worlds import FaultSpec
-
-        specs = [spec if spec.faults.active
-                 else replace(spec, faults=FaultSpec(regime="chaos"))
-                 for spec in specs]
-        source += " + chaos faults"
+        specs, source = smoke_specs(), "smoke cross"
 
     print(f"== worlds sweep: {len(specs)} worlds from {source} ==")
     rows = sweep(specs, verbose=True)

@@ -141,23 +141,10 @@ class Graph:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Graph(n={self._n}, m={self._m})"
 
-    def nodes(self) -> np.ndarray:
-        """Array of all node ids."""
-        return np.arange(self._n, dtype=np.int64)
-
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate over undirected edges as ``(u, v)`` with ``u < v``."""
         for u, v in zip(self.edge_u, self.edge_v):
             yield int(u), int(v)
-
-    def edge_array(self) -> np.ndarray:
-        """``(m, 2)`` array of undirected edges with ``u < v`` per row."""
-        return np.stack([self.edge_u, self.edge_v], axis=1)
-
-    def degree(self, node: int) -> int:
-        """Degree of ``node``."""
-        self._check_node(node)
-        return int(self.degrees[node])
 
     def max_degree(self, excluded: Sequence[int] | None = None) -> int:
         """Maximum degree, optionally over the subgraph without ``excluded``.
@@ -181,11 +168,6 @@ class Graph:
         self._check_node(node)
         return self.adjacency[self.indptr[node]:self.indptr[node + 1]]
 
-    def neighbor_positions(self, node: int) -> np.ndarray:
-        """Directed-edge positions of ``node``'s outgoing slots."""
-        self._check_node(node)
-        return np.arange(self.indptr[node], self.indptr[node + 1], dtype=np.int64)
-
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``(u, v)`` exists."""
         self._check_node(u)
@@ -195,18 +177,6 @@ class Graph:
         if self.degrees[u] > self.degrees[v]:
             u, v = v, u
         return bool(np.any(self.neighbors(u) == v))
-
-    def position_head(self, position: int) -> int:
-        """Head (target) node of the directed slot ``position``."""
-        return int(self.adjacency[position])
-
-    def reverse_position(self, position: int) -> int:
-        """Position of the opposite direction of the directed slot ``position``."""
-        return int(self._reverse_position[position])
-
-    def position_edge_id(self, position: int) -> int:
-        """Undirected edge id stored at directed slot ``position``."""
-        return int(self._position_edge_id[position])
 
     def adjacency_lists(self) -> Tuple[list, list, list]:
         """CSR arrays as cached plain Python lists ``(indptr, adjacency, degrees)``.

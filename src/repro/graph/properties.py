@@ -1,46 +1,15 @@
-"""Structural graph statistics used by the experiment harness.
+"""The size of SchurCFCM's additional root set.
 
-Table II of the paper reports, for every dataset, the node count, edge count,
-diameter τ and the chosen additional-root-set size ``|T*|``.  This module
-computes those summary statistics plus the degree moments beside them.
+Table II of the paper reports, for every dataset, the chosen
+additional-root-set size ``|T*|`` beside the node count, edge count and
+diameter τ; :func:`extra_root_size` computes it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
-
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.graph.traversal import diameter as graph_diameter
-
-
-@dataclass(frozen=True)
-class GraphSummary:
-    """Summary statistics of a graph (one Table II row's metadata)."""
-
-    nodes: int
-    edges: int
-    diameter: int
-    max_degree: int
-    mean_degree: float
-    extra_root_size: int
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "nodes": self.nodes,
-            "edges": self.edges,
-            "diameter": self.diameter,
-            "max_degree": self.max_degree,
-            "mean_degree": self.mean_degree,
-            "extra_root_size": self.extra_root_size,
-        }
-
-
-def mean_degree(graph: Graph) -> float:
-    """Average degree ``2m / n``."""
-    return 2.0 * graph.m / graph.n if graph.n else 0.0
 
 
 def extra_root_size(graph: Graph) -> int:
@@ -79,17 +48,3 @@ def extra_root_size(graph: Graph) -> int:
         if value < best_value:
             best_size, best_value = size, value
     return best_size
-
-
-def summarize(graph: Graph, exact_diameter: bool | None = None) -> GraphSummary:
-    """Compute the Table II metadata columns for ``graph``."""
-    if exact_diameter is None:
-        exact_diameter = graph.n <= 400
-    return GraphSummary(
-        nodes=graph.n,
-        edges=graph.m,
-        diameter=graph_diameter(graph, exact=exact_diameter),
-        max_degree=graph.max_degree(),
-        mean_degree=mean_degree(graph),
-        extra_root_size=extra_root_size(graph),
-    )

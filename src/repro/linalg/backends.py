@@ -90,16 +90,23 @@ class ResistanceBackend:
 
     The tracker drives the lifecycle: :meth:`factorize` with the current
     grounded matrix (dense or sparse per :attr:`wants_sparse`), then a
-    sequence of :meth:`apply_triples` mutations, with queries
-    (:meth:`trace`, :meth:`diagonal`, :meth:`column`, :meth:`diag_entry`,
-    :meth:`solve_many`) in between.  Mutations that would make the matrix
-    singular must raise :class:`repro.exceptions.InvalidParameterError`
-    *without committing*, which the tracker answers with a fresh
-    factorisation.
+    sequence of mutations, with queries in between.  A subclass supplies:
+
+    * ``apply_triples(triples)``, which folds a burst of rank-one terms
+      ``M += Σ δ_k b_k b_kᵀ`` in, with ``b_k = e_i − e_j`` (``e_i`` alone
+      when ``j`` is ``None``): an edge event, or one term of a node join or
+      leave.  A burst that would make ``M`` singular must raise
+      :class:`repro.exceptions.InvalidParameterError` *without
+      committing*, which the tracker answers with a fresh factorisation;
+    * ``solve_many(rhs)``, which is ``inv(M) @ rhs`` for a ``(n, k)`` (or
+      ``(n,)``) right-hand side;
+    * ``diagonal(mode)``, the diagonal of ``inv(M)``: ``mode`` is
+      ``"exact"`` (n solves), ``"sketch"`` (a Hutchinson estimate, where
+      supported) or ``"auto"``.  :meth:`trace` sums it.
 
     The base class owns the lazily materialised, version-cached column
     store: :meth:`column` solves a unit right-hand side on first access and
-    caches the result until the next mutation (``epoch`` bump), so repeated
+    caches the result until the next mutation (epoch bump), so repeated
     single-column walks — the pool trace-cache top-ups — only pay for the
     columns they actually touch.
     """
@@ -130,11 +137,6 @@ class ResistanceBackend:
         """Number of kept (non-grounded) rows."""
         return self._n
 
-    @property
-    def epoch(self) -> int:
-        """Monotone mutation counter; caches keyed on it stay coherent."""
-        return self._epoch
-
     def factorize(self, matrix) -> None:
         """Rebuild from the current grounded matrix (dense or sparse)."""
         fault_point("backend.factorize", subject=self, backend=self.name)
@@ -157,10 +159,6 @@ class ResistanceBackend:
         self._columns.clear()
 
     # --------------------------------------------------------------- queries
-    def solve_many(self, rhs: np.ndarray) -> np.ndarray:
-        """``inv(M) @ rhs`` for a ``(n, k)`` (or ``(n,)``) right-hand side."""
-        raise NotImplementedError
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``inv(M) @ rhs`` for one right-hand side."""
         return self.solve_many(np.asarray(rhs, dtype=np.float64).reshape(-1, 1))[:, 0]
@@ -185,14 +183,6 @@ class ResistanceBackend:
         """Exact diagonal entry ``inv(M)_ii`` (the per-node resistance)."""
         return float(self.column(index)[int(index)])
 
-    def diagonal(self, mode: str = "auto") -> np.ndarray:
-        """The diagonal of ``inv(M)``.
-
-        ``mode`` is ``"exact"`` (n solves — the escape hatch), ``"sketch"``
-        (Hutchinson estimate, where supported) or ``"auto"``.
-        """
-        raise NotImplementedError
-
     def trace(self, mode: str = "auto") -> float:
         """``Tr(inv(M))`` under the same ``mode`` semantics as ``diagonal``."""
         return float(self.diagonal(mode=mode).sum())
@@ -207,7 +197,7 @@ class ResistanceBackend:
         recent ``count`` columns costs only a correction re-apply — no new
         solves.  Consumers that need exactly those solves (the sharded
         engine's Schur stitch re-derives the pre-burst inverse from them)
-        ask here first and fall back to :meth:`solve_many`.
+        ask here first and fall back to ``solve_many``.
 
         Returns ``(rows_i, rows_j, deltas, corrected)`` where row pairs and
         deltas identify the columns (``rows_j == -1`` marks a grounded
@@ -215,18 +205,6 @@ class ResistanceBackend:
         ``None`` when the backend cannot serve them for free (default).
         """
         return None
-
-    # ------------------------------------------------------------- mutations
-    def apply_triples(self, triples: Sequence[Triple]) -> None:
-        """Fold a burst of rank-one terms ``M += Σ δ_k b_k b_kᵀ`` in.
-
-        ``b_k = e_i − e_j`` (``e_i`` alone when ``j`` is ``None``): an edge
-        event, or one term of a node join or leave.
-
-        Raises :class:`InvalidParameterError` (without committing) when the
-        batch would make ``M`` singular.
-        """
-        raise NotImplementedError
 
 
 class DenseResistanceBackend(ResistanceBackend):
@@ -338,11 +316,6 @@ class SparseResistanceBackend(ResistanceBackend):
     @property
     def solver_used(self) -> str:
         return "none" if self._solver is None else self._solver.solver_used
-
-    @property
-    def correction_rank(self) -> int:
-        """Rank of the low-rank correction accumulated since factorisation."""
-        return int(self._deltas.size)
 
     def _reset_lowrank(self) -> None:
         self._deltas = np.zeros(0, dtype=np.float64)

@@ -104,14 +104,6 @@ class LaplacianSolver:
         columns = [self._solve_cg(rhs[:, j]) for j in range(rhs.shape[1])]
         return np.stack(columns, axis=1)
 
-    def diagonal_of_inverse(self) -> np.ndarray:
-        """Exact diagonal of ``A^{-1}`` via ``n`` unit solves."""
-        return blocked_diagonal(self.solve_many, self._n)
-
-    def trace_of_inverse(self) -> float:
-        """Exact ``Tr(A^{-1})``; cost is ``n`` solves."""
-        return float(np.sum(self.diagonal_of_inverse()))
-
     # -------------------------------------------------------------- internals
     def _solve_cg(self, rhs: np.ndarray) -> np.ndarray:
         fault_point("solver.cg", subject=self)

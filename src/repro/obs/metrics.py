@@ -154,11 +154,6 @@ class Gauge(_Metric):
         with self._lock:
             self._values[key] = float(value)
 
-    def inc(self, amount: float = 1.0, **labels) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + float(amount)
-
     def value(self, **labels) -> float:
         return self._values.get(self._key(labels), 0.0)
 
@@ -249,16 +244,6 @@ class Histogram(_Metric):
                 merged.min = min(merged.min, state.min)
                 merged.max = max(merged.max, state.max)
         return merged
-
-    def count(self, **labels) -> int:
-        return self._aggregate(labels).count
-
-    def sum(self, **labels) -> float:
-        return self._aggregate(labels).sum
-
-    def mean(self, **labels) -> float:
-        state = self._aggregate(labels)
-        return state.sum / state.count if state.count else 0.0
 
     def percentile(self, q: float, **labels) -> float:
         """Interpolated ``q``-th percentile (``q`` in [0, 100]).

@@ -148,10 +148,6 @@ class Tracer:
         with self._lock:
             return list(self._spans)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._spans.clear()
-
     def close(self) -> None:
         """Flush and close the JSONL sink (the ring buffer stays readable)."""
         with self._lock:

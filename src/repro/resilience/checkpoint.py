@@ -65,12 +65,6 @@ def _event_from_dict(entry: Dict[str, Any]):
     )
 
 
-def _stats_to_dict(stats) -> Dict[str, Any]:
-    payload = stats.as_dict()
-    payload.pop("hit_rate", None)  # derived, not a field
-    return payload
-
-
 def _restore_stats(stats, payload: Dict[str, Any]) -> None:
     for key, value in payload.items():
         if hasattr(stats, key):
@@ -167,12 +161,12 @@ def checkpoint_engine(engine, path: str) -> str:
             "config": None if engine.config is None else asdict(engine.config),
             "pool_version": int(engine._pool_version),
             "rng_state": engine.rng.bit_generator.state,
-            "stats": _stats_to_dict(engine.stats),
+            "stats": asdict(engine.stats),
         },
     }
 
     pools: List[Dict[str, Any]] = []
-    for i, (roots, pool) in enumerate(engine.pools.items()):
+    for i, (roots, pool) in enumerate(engine._pools.items()):
         state, pool_arrays = pool.state_dict()
         for name, array in pool_arrays.items():
             arrays[f"pool{i}_{name}"] = array
@@ -213,7 +207,7 @@ def checkpoint_engine(engine, path: str) -> str:
             "kind": "dense" if dense else "sparse",
             "synced_version": int(tracker._synced_version),
             "updates_since_refresh": int(tracker._updates_since_refresh),
-            "stats": _stats_to_dict(tracker.stats),
+            "stats": asdict(tracker.stats),
             "watchdog": (None if tracker.watchdog is None
                          else tracker.watchdog.state_dict()),
             "spare_rows": int(backend.n - len(tracker.kept)),
@@ -285,7 +279,7 @@ def restore_engine(path: str):
             prefix = f"pool{i}_"
             pool_arrays = {name[len(prefix):]: data[name]
                            for name in data.files if name.startswith(prefix)}
-            engine.pools[tuple(int(r) for r in entry["key"])] = (
+            engine._pools[tuple(int(r) for r in entry["key"])] = (
                 WeightedForestPool.from_state(entry["state"], pool_arrays)
             )
 

@@ -81,10 +81,6 @@ class FaultRule:
                 f"fault magnitude must be non-negative, got {self.magnitude}"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"site": self.site, "probability": self.probability,
-                "limit": self.limit, "magnitude": self.magnitude}
-
 
 #: Named fault regimes for the worlds sweep's ``faults`` axis.  Each maps a
 #: regime name to the rule set ``FaultPlan.for_regime`` builds from a rate
@@ -147,15 +143,6 @@ class FaultPlan:
                      rule("backend.drift", magnitude=max(magnitude, 1e-4)),
                      rule("service.worker"))
         return cls(rules=rules, seed=seed)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"seed": self.seed,
-                "rules": [rule.to_dict() for rule in self.rules]}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
-        rules = tuple(FaultRule(**rule) for rule in data.get("rules", ()))
-        return cls(rules=rules, seed=int(data.get("seed", 0)))
 
 
 class FaultInjector:

@@ -350,10 +350,6 @@ class ForestBatch:
             totals[lo:hi] += block @ totals
         return row_of[pairs], totals
 
-    def subtree_sizes(self) -> np.ndarray:
-        """``(B, n)`` number of nodes in each node's subtree (itself included)."""
-        return self.preorder()[1].copy()
-
     # ----------------------------------------------------------- set algebra
     def uses_edge(self, u: int, v: int) -> np.ndarray:
         """``(B,)`` mask: whether each sample's parent pointers traverse (u, v)."""
@@ -494,7 +490,10 @@ class ForestBatch:
 
         One stable radix sort of every ``(sample, node)`` pair by (depth,
         parent) makes each depth level contiguous and, inside it, each
-        parent's children adjacent in ascending node order.  Subtree sizes
+        parent's children adjacent in ascending node order.  The sort reads
+        the parent's id within its sample: pairs that tie keep their
+        sample-major order, so the children of one parent in one sample stay
+        adjacent, and ids below 2^16 take one pass.  Subtree sizes
         are added onto the parents a level at a time from the deepest; a
         child's offset below its parent is the total size of the siblings
         before it (a running sum inside its sibling group); positions then
@@ -513,10 +512,10 @@ class ForestBatch:
         # Flat parent id of every pair; a sample's roots share the parent -1 - b.
         group = np.where(self.parent >= 0, self.parent + (samples * n)[:, None],
                          -1 - samples[:, None]).ravel()
-        # Stable LSD passes over 16-bit digits of the parent id (shifted to
-        # be non-negative), lowest first, then over the depth: a stable
-        # argsort of a 16-bit or narrower dtype runs as a radix sort.
-        key = group + batch
+        # Stable LSD passes over 16-bit digits of the local parent id plus
+        # one (roots 0), lowest first, then over the depth: a stable argsort
+        # of a 16-bit or narrower dtype runs as a radix sort.
+        key = (self.parent + 1).ravel()
         order = np.argsort(key.astype(np.uint16), kind="stable")
         for shift in range(16, int(key.max()).bit_length(), 16):
             digit = (key[order] >> shift).astype(np.uint16)

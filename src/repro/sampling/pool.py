@@ -209,17 +209,7 @@ class WeightedForestPool:
         """``(B,)`` importance weights (fresh draw == 1)."""
         return np.exp(self._log_weights)
 
-    def log_weights(self) -> np.ndarray:
-        """``(B,)`` log importance weights (copy)."""
-        return self._log_weights.copy()
-
     # ---------------------------------------------------- estimator caching
-    @property
-    def path(self) -> Optional["PathSystem"]:
-        """The fixed path system the cached estimator rows were computed
-        against (``None`` until :meth:`require_path` builds one)."""
-        return self._path
-
     def require_path(self, graph) -> "PathSystem":
         """The BFS path system of ``graph`` (the current snapshot), rebuilt
         when the id space moved on."""

@@ -47,11 +47,6 @@ class UpdateTicket:
         self._settled_at: Optional[float] = None
 
     @property
-    def done(self) -> bool:
-        """Whether the mutation has been applied or rejected."""
-        return self._future.done()
-
-    @property
     def version(self) -> Optional[int]:
         """Journal version when the mutation settled (``None`` while pending).
 

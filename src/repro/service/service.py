@@ -168,7 +168,6 @@ class AsyncCFCMService:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._closed = False
         self._applied_version = self.graph.version
-        self._version_cond = asyncio.Condition()
         self._last_ticket: Optional[UpdateTicket] = None
         self._health_unbinders: list = []
 
@@ -231,11 +230,6 @@ class AsyncCFCMService:
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.stop()
 
-    @property
-    def running(self) -> bool:
-        """Whether the writer task is up and the service accepts requests."""
-        return self._writer is not None and not self._closed
-
     # --------------------------------------------------------------- updates
     async def submit(
         self,
@@ -282,33 +276,12 @@ class AsyncCFCMService:
         self.stats.updates_submitted += 1
         return ticket
 
-    async def add_edge(self, u: int, v: int, weight: float = 1.0) -> UpdateTicket:
-        """Enqueue an edge insertion."""
-        return await self.submit(lambda graph: graph.add_edge(u, v, weight))
-
-    async def remove_edge(self, u: int, v: int) -> UpdateTicket:
-        """Enqueue an edge deletion (connectivity-guarded at apply time)."""
-        return await self.submit(lambda graph: graph.remove_edge(u, v))
-
-    async def update_weight(self, u: int, v: int, weight: float) -> UpdateTicket:
-        """Enqueue an edge reweighting."""
-        return await self.submit(lambda graph: graph.update_weight(u, v, weight))
-
-    async def add_node(self, edges) -> UpdateTicket:
-        """Enqueue a node insertion; the new stable id is in the ticket events."""
-        return await self.submit(lambda graph: graph.add_node(edges))
-
-    async def remove_node(self, node: int) -> UpdateTicket:
-        """Enqueue a node removal (connectivity-guarded at apply time)."""
-        return await self.submit(lambda graph: graph.remove_node(node))
-
     # --------------------------------------------------------------- queries
     async def query(
         self,
         k: int,
         method: str = "schur",
         eps: float = 0.2,
-        evaluate: Union[bool, str] = False,
         consistency: str = "fresh",
     ) -> ServiceResponse:
         """Solve CFCM on the current graph; response carries the version.
@@ -329,7 +302,7 @@ class AsyncCFCMService:
                 # awaits on the event loop.
                 with self._state_lock, trace("service.query", k=k):
                     fault_point("service.worker", subject=self)
-                    result = self.engine.query(k, method=method, eps=eps, evaluate=evaluate)
+                    result = self.engine.query(k, method=method, eps=eps)
                     return result, self.graph.version, self.engine.stats.as_dict()
 
             result, version, stats = await self._run_with_policy(work, "query", started)
@@ -365,20 +338,6 @@ class AsyncCFCMService:
         self.stats.evaluations += 1
         _REQUEST_SECONDS.observe(clock() - started, kind="evaluate")
         return ServiceResponse(result=value, version=version, stats=stats)
-
-    async def refresh(self) -> int:
-        """Pump engine maintenance (pool sync + journal compaction) once.
-
-        Off-hot-path housekeeping: returns the version the engine caches
-        reflect afterwards.
-        """
-        self._require_running()
-
-        def work() -> int:
-            with self._state_lock:
-                return self.engine.sync()
-
-        return await self._pool.run(work)
 
     async def prefetch_forests(self, group: Sequence[int]) -> int:
         """Refill the forest pool of ``group`` ahead of query traffic.
@@ -418,12 +377,6 @@ class AsyncCFCMService:
             return self._applied_version
         await ticket.settled()
         return max(self._applied_version, ticket.version or 0)
-
-    async def wait_for_version(self, version: int) -> int:
-        """Block until the writer has published at least ``version``."""
-        async with self._version_cond:
-            await self._version_cond.wait_for(lambda: self._applied_version >= version)
-            return self._applied_version
 
     # ------------------------------------------------------------- internals
     def _require_running(self) -> None:
@@ -486,9 +439,7 @@ class AsyncCFCMService:
                 version = await self._pool.run(self._apply_batch, batch)
                 self.stats.update_batches += 1
                 self.stats.coalesced_updates += len(batch)
-                async with self._version_cond:
-                    self._applied_version = version
-                    self._version_cond.notify_all()
+                self._applied_version = version
             if stop:
                 return
 

@@ -49,11 +49,6 @@ class WorkerPool:
         )
         self._closed = False
 
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has been called."""
-        return self._closed
-
     async def run(self, fn: Callable[..., Any], *args: Any) -> Any:
         """Run ``fn(*args)`` on the thread pool and await its result.
 

@@ -5,10 +5,8 @@ size x churn regime x traffic mix x resistance backend x estimator config —
 and the harness maps the engine's behaviour across many of them instead of
 benchmarking a handful of hand-picked graphs:
 
-* :mod:`repro.worlds.spec` — declarative :class:`WorldSpec` records (JSON
-  round-trippable, seeded, buildable into concrete graphs) and the
-  :class:`WorldSampler` that draws reproducible random worlds over
-  configurable axes;
+* :mod:`repro.worlds.spec` — declarative :class:`WorldSpec` records
+  (seeded, buildable into concrete graphs);
 * :mod:`repro.worlds.churn` — :class:`ChurnDriver` regimes layered on
   :mod:`repro.dynamic.workload`: bursty node joins, hub-targeted
   adversarial deletions, log-uniform reweight storms with restore, and the
@@ -33,7 +31,6 @@ from repro.worlds.spec import (
     EstimatorSpec,
     FaultSpec,
     TrafficSpec,
-    WorldSampler,
     WorldSpec,
 )
 from repro.worlds.churn import (
@@ -68,7 +65,6 @@ __all__ = [
     "EstimatorSpec",
     "FaultSpec",
     "TrafficSpec",
-    "WorldSampler",
     "WorldSpec",
     "AdversarialDeletions",
     "BurstyJoins",

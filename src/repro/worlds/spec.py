@@ -3,15 +3,8 @@
 A *world* is one fully parameterised serving scenario: a topology family and
 size, a churn regime, a traffic mix, a resistance backend and the estimator
 configuration of the dynamic engine.  :class:`WorldSpec` is the declarative
-record of all of that — JSON round-trippable, hashable into a stable name,
-and buildable into a concrete seeded :class:`repro.Graph`.
-
-:class:`WorldSampler` is the GraphWorld-style generative layer on top: given
-axes of families, sizes, churn regimes, traffic mixes and backends it draws
-reproducible random worlds (one child seed per world, derived from the
-sampler's master seed), which is how the sweep maps the engine's
-accuracy/latency/ESS envelope instead of benchmarking a handful of
-hand-picked configs.
+record of all of that — hashable into a stable name, and buildable into a
+concrete seeded :class:`repro.Graph`.
 
 Topology families
 -----------------
@@ -35,15 +28,13 @@ to its scalar finish there, so ring worlds keep that path under regression.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Tuple
 
 from repro.exceptions import InvalidParameterError
 from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.resilience.faults import FAULT_REGIMES, FaultPlan
-from repro.utils.rng import RandomState, as_rng
 from repro.utils.validation import check_integer
 
 
@@ -334,89 +325,3 @@ class WorldSpec:
                 f"a monitored group of {self.traffic.group_size}"
             )
         return graph
-
-    # ----------------------------------------------------------- round trip
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (JSON-serialisable, ``from_dict`` inverse)."""
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "WorldSpec":
-        data = dict(payload)
-        churn = ChurnSpec(**data.pop("churn", {}))
-        traffic = TrafficSpec(**data.pop("traffic", {}))
-        estimator = EstimatorSpec(**data.pop("estimator", {}))
-        faults = FaultSpec(**data.pop("faults", {}))
-        spec = cls(churn=churn, traffic=traffic, estimator=estimator,
-                   faults=faults, **data)
-        return spec.validate()
-
-    @classmethod
-    def from_json(cls, text: str) -> "WorldSpec":
-        return cls.from_dict(json.loads(text))
-
-
-class WorldSampler:
-    """Draw reproducible random worlds over configurable axes.
-
-    Each call to :meth:`sample` derives one child seed per world from the
-    sampler's master generator, so a fixed master seed yields the same
-    worlds in the same order regardless of how the batch is consumed —
-    the GraphWorld contract that makes sweep tables comparable across runs.
-    """
-
-    def __init__(self,
-                 topologies: Tuple[str, ...] = ("power_law", "lattice",
-                                                "small_world", "expander",
-                                                "planted_community"),
-                 sizes: Tuple[int, ...] = (64, 96, 128),
-                 churn_regimes: Tuple[str, ...] = ("bursty_joins",
-                                                   "adversarial_deletions",
-                                                   "reweight_storm", "mixed"),
-                 traffic_mixes: Tuple[str, ...] = ("read_heavy", "mixed",
-                                                   "write_heavy"),
-                 backends: Tuple[str, ...] = ("dense", "sparse"),
-                 events: int = 24,
-                 estimator: Optional[EstimatorSpec] = None,
-                 seed: RandomState = None):
-        for topology in topologies:
-            if topology not in TOPOLOGIES:
-                raise InvalidParameterError(
-                    f"unknown topology family {topology!r}"
-                )
-        for regime in churn_regimes:
-            if regime not in CHURN_REGIMES:
-                raise InvalidParameterError(f"unknown churn regime {regime!r}")
-        self.topologies = tuple(topologies)
-        self.sizes = tuple(int(s) for s in sizes)
-        self.churn_regimes = tuple(churn_regimes)
-        self.traffic_mixes = tuple(traffic_mixes)
-        self.backends = tuple(backends)
-        self.events = check_integer("events", events, minimum=0)
-        self.estimator = estimator if estimator is not None else EstimatorSpec()
-        self.rng = as_rng(seed)
-
-    def _choice(self, options):
-        return options[int(self.rng.integers(0, len(options)))]
-
-    def sample_one(self) -> WorldSpec:
-        """Draw one world spec (advances the master generator)."""
-        spec = WorldSpec(
-            topology=self._choice(self.topologies),
-            n=int(self._choice(self.sizes)),
-            churn=ChurnSpec(regime=self._choice(self.churn_regimes),
-                            events=self.events),
-            traffic=TrafficSpec(mix=self._choice(self.traffic_mixes)),
-            backend=self._choice(self.backends),
-            estimator=self.estimator,
-            seed=int(self.rng.integers(0, 2**31 - 1)),
-        )
-        return spec.validate()
-
-    def sample(self, count: int) -> Tuple[WorldSpec, ...]:
-        """Draw ``count`` world specs."""
-        check_integer("count", count, minimum=0)
-        return tuple(self.sample_one() for _ in range(count))

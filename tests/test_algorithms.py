@@ -13,15 +13,20 @@ from repro.centrality.approx_greedy import ApproxGreedy
 from repro.centrality.cfcc import group_cfcc
 from repro.centrality.estimators import ForestAccumulator, SamplingConfig
 from repro.centrality.exact_greedy import ExactGreedy
-from repro.centrality.forest_cfcm import ForestCFCM, forest_delta
+from repro.centrality.forest_cfcm import ForestCFCM
 from repro.centrality.heuristics import degree_group, top_cfcc_group
 from repro.centrality.marginal import marginal_gains_all
 from repro.centrality.optimum import optimum_cfcm
-from repro.centrality.schur_cfcm import SchurCFCM, choose_extra_roots, schur_delta
+from repro.centrality.schur_cfcm import SchurCFCM, choose_extra_roots
 from repro.linalg.pseudoinverse import pseudoinverse_diagonal
 
 FAST_CONFIG = SamplingConfig(eps=0.3, max_samples=160, min_samples=16,
                              initial_batch=16, max_jl_dimension=64)
+
+
+def forests_drawn(result):
+    """Forests a run drew: the ``samples`` of its iteration log."""
+    return sum(int(entry.get("samples", 0)) for entry in result.iteration_log)
 
 
 def assert_valid_group(result, graph, k):
@@ -112,17 +117,17 @@ class TestForestCFCM:
 
     def test_samples_recorded(self, karate):
         result = ForestCFCM(karate, seed=0, config=FAST_CONFIG).run(2)
-        assert result.samples_used() > 0
+        assert forests_drawn(result) > 0
 
     def test_forest_delta_function(self, karate):
-        gains = forest_delta(karate, [0], eps=0.3, seed=0,
-                             config=FAST_CONFIG)
+        gains, _ = estimators.estimate_forest_delta(karate, [0], FAST_CONFIG,
+                                                    seed=0)
         assert set(gains) == set(range(1, karate.n))
         assert all(value > 0 for value in gains.values())
 
     def test_forest_delta_requires_group(self, karate):
         with pytest.raises(InvalidParameterError):
-            forest_delta(karate, [], eps=0.3)
+            estimators.estimate_forest_delta(karate, [], FAST_CONFIG)
 
 
 class TestSchurCFCM:
@@ -152,13 +157,9 @@ class TestSchurCFCM:
         assert_valid_group(result, karate, 3)
 
     def test_schur_delta_function(self, karate):
-        gains = schur_delta(karate, [0], [33, 32], eps=0.3, seed=0,
-                            config=FAST_CONFIG)
+        gains, _ = estimators.estimate_schur_delta(karate, [0], [33, 32],
+                                                   FAST_CONFIG, seed=0)
         assert set(gains) == set(range(1, karate.n))
-
-    def test_schur_delta_requires_group(self, karate):
-        with pytest.raises(InvalidParameterError):
-            schur_delta(karate, [], [33], eps=0.3)
 
     def test_choose_extra_roots_highest_degree(self, karate):
         roots = choose_extra_roots(karate, size=3)
@@ -204,7 +205,7 @@ class TestSchurCFCMHeldSample:
         assert samples == [200, 0, 0, 0]
         assert self.reused(result) == [False, True, True, True]
         assert all(entry["stopped_early"] for entry in result.iteration_log)
-        assert result.samples_used() == sum(drawn) == 200
+        assert forests_drawn(result) == sum(drawn) == 200
 
     # The last two runs pick all of T by their first gain round, so the
     # round after it is ForestDelta on the held root set, and draws.  With
@@ -223,7 +224,7 @@ class TestSchurCFCMHeldSample:
         assert self.reused(result) == expected
         for entry, reused in zip(result.iteration_log, expected):
             assert (entry["samples"] == 0) == reused
-        assert result.samples_used() == sum(drawn)
+        assert forests_drawn(result) == sum(drawn)
 
     def test_extra_roots_away_from_the_picks_draw_every_round(self, karate,
                                                               drawn):
@@ -234,7 +235,7 @@ class TestSchurCFCMHeldSample:
         assert not set(result.group[:-1]) & set(leaves)
         assert not any(self.reused(result))
         assert all(entry["samples"] > 0 for entry in result.iteration_log)
-        assert result.samples_used() == sum(drawn)
+        assert forests_drawn(result) == sum(drawn)
 
     def test_each_run_starts_without_a_held_sample(self, karate, drawn):
         solver = SchurCFCM(karate, seed=0, config=FAST_CONFIG)
@@ -245,7 +246,7 @@ class TestSchurCFCMHeldSample:
         assert {first.group[0], second.group[0]} <= set(solver.extra_roots)
         assert second.iteration_log[0]["samples"] > 0
         assert self.reused(second) == [False, True]
-        assert sum(drawn) == first.samples_used() + second.samples_used()
+        assert sum(drawn) == forests_drawn(first) + forests_drawn(second)
         # The second run reads only what it drew itself.
         alone = SchurCFCM(karate, seed=rng, config=FAST_CONFIG).run(2)
         assert alone.group == second.group
@@ -262,21 +263,10 @@ class TestBadNodeIds:
 
         monkeypatch.setattr(ForestAccumulator, "add_samples", refuse)
 
-    @pytest.mark.parametrize("node", [34, -1])
-    def test_forest_delta_group(self, karate, node):
-        with pytest.raises(InvalidNodeError):
-            forest_delta(karate, [node], eps=0.3)
-
-    @pytest.mark.parametrize("group, extras", [([34], [33]), ([0], [34]),
-                                               ([0], [-1])])
-    def test_schur_delta_group_and_extra_roots(self, karate, group, extras):
-        with pytest.raises(InvalidNodeError):
-            schur_delta(karate, group, extras, eps=0.3)
-
     @pytest.mark.parametrize("extra", [34, -1])
     def test_schur_cfcm_extra_roots(self, karate, extra):
         with pytest.raises(InvalidNodeError):
-            maximize_cfcc(karate, 2, method="schur", extra_roots=[33, extra])
+            SchurCFCM(karate, extra_roots=[33, extra])
         with pytest.raises(InvalidNodeError):
             SchurCFCM(karate, extra_roots=[extra])
 
@@ -344,14 +334,6 @@ class TestMaximizeCFCCApi:
     def test_unknown_method(self, karate):
         with pytest.raises(InvalidParameterError):
             maximize_cfcc(karate, 2, method="quantum")
-
-    def test_evaluate_flag(self, karate):
-        result = maximize_cfcc(karate, 2, method="degree", evaluate=True)
-        assert result.cfcc == pytest.approx(group_cfcc(karate, result.group))
-
-    def test_evaluate_estimate_flag(self, karate):
-        result = maximize_cfcc(karate, 2, method="degree", evaluate="estimate")
-        assert result.cfcc == pytest.approx(group_cfcc(karate, result.group), rel=0.25)
 
 
 class TestAlgorithmAgreementOnTinyGraphs:

@@ -24,7 +24,7 @@ class TestKBounds:
 
     def test_valid_boundary_k_accepted(self, path4):
         result = repro.maximize_cfcc(path4, path4.n - 1, method="degree")
-        assert result.k == path4.n - 1
+        assert len(result.group) == path4.n - 1
 
 
 class TestEpsBounds:
@@ -36,13 +36,13 @@ class TestEpsBounds:
 
     def test_eps_ignored_for_deterministic_methods(self, karate):
         result = repro.maximize_cfcc(karate, 2, method="degree", eps=-1.0)
-        assert result.k == 2
+        assert len(result.group) == 2
 
     def test_config_overrides_eps_validation(self, karate):
         config = repro.SamplingConfig(eps=0.3, max_samples=16)
         result = repro.maximize_cfcc(karate, 2, method="forest", eps=-1.0,
                                      seed=0, config=config)
-        assert result.k == 2
+        assert len(result.group) == 2
 
 
 class TestEngineRouting:
@@ -63,4 +63,4 @@ class TestEngineRouting:
         if not graph.has_edge(0, small_ba.n - 1):
             graph.add_edge(0, small_ba.n - 1)
         result = repro.maximize_cfcc(graph, 2, method="degree")
-        assert result.k == 2
+        assert len(result.group) == 2

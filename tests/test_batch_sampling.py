@@ -288,11 +288,23 @@ def _cycle_trees(n, cuts):
     return ForestBatch(parent=parent, roots=[0])
 
 
+def _two_digit_forest():
+    """One forest on 65,600 nodes rooted at 0 and 65,536, where parents 1
+    and 65,537 (keys 2 and 65,538) share their low 16-bit digit: children
+    3 and 5 hang below 1, and 4 below 65,537."""
+    parent = np.zeros((1, 65_600), dtype=np.int64)
+    parent[0, [0, 65_536]] = -1
+    parent[0, 65_537] = 65_536
+    parent[0, [3, 5]] = 1
+    parent[0, 4] = 65_537
+    return ForestBatch(parent=parent, roots=[0, 65_536])
+
+
 class TestRadixPreorder:
     """The preorder's radix passes order pairs as one stable sort does."""
 
     @pytest.mark.parametrize("make", [
-        # B * n >= 2^16: the parent ids take two 16-bit digits.
+        # B * n >= 2^16: flat parent ids would take two 16-bit digits.
         lambda: sample_forest_batch_vectorized(
             generators.barabasi_albert(500, 2, seed=1), [0, 1], 140, seed=0),
         # Forest depths beyond 255: the depth pass sorts uint16.
@@ -301,7 +313,9 @@ class TestRadixPreorder:
         lambda: ForestBatch(parent=np.arange(-1, 299)[None, :], roots=[0]),
         lambda: sample_forest_batch_vectorized(
             datasets.karate(), [0, 5, 33], 20, seed=4),
-    ], ids=["two-digits", "deep-cycle", "path", "multi-root"])
+        # n > 2^16: the local parent ids take two 16-bit digits.
+        lambda: _two_digit_forest(),
+    ], ids=["many-samples", "deep-cycle", "path", "multi-root", "two-digits"])
     def test_matches_one_stable_sort(self, make):
         batch = make()
         pre, size = batch.preorder()

@@ -60,7 +60,7 @@ class TestNetworkxRoundTrip:
         nx_graph = nx.karate_club_graph()
         graph, labels = from_networkx(nx_graph)
         for node_id, label in labels.items():
-            assert graph.degree(node_id) == nx_graph.degree(label)
+            assert graph.degrees[node_id] == nx_graph.degree(label)
 
 
 class TestFromAdjacencyMatrix:

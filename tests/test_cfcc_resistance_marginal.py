@@ -12,7 +12,6 @@ from repro.graph.graph import Graph
 from repro.centrality.cfcc import (
     group_cfcc,
     group_cfcc_estimate,
-    group_cfcc_solver,
     grounded_trace,
     single_cfcc_all,
 )
@@ -106,12 +105,6 @@ class TestGroupCFCC:
 
     def test_monotone_in_group(self, karate):
         assert group_cfcc(karate, [0, 33]) > group_cfcc(karate, [0])
-
-    def test_solver_route_matches_dense(self, karate):
-        group = [2, 8, 30]
-        assert group_cfcc_solver(karate, group) == pytest.approx(
-            group_cfcc(karate, group), rel=1e-8
-        )
 
     def test_estimate_route_close(self, medium_ba):
         group = [0, 1, 2]

@@ -87,9 +87,8 @@ class TestPartition:
 
     def test_describe(self):
         part = partition_graph(grid(), 3)
-        info = part.describe()
-        assert info["shards"] == 3
-        assert len(info["interior_sizes"]) == 3
+        assert part.shards == 3
+        assert len(part.parts) == 3
 
 
 class TestShardedCorrectness:
@@ -267,8 +266,7 @@ class TestQueriesAndEstimator:
     def test_describe_and_pending(self):
         graph = grid()
         engine = ShardedCFCM(graph, shards=2, seed=1)
-        info = engine.describe()
-        assert info["shards"] == 2 and info["executor"] == "serial"
+        assert engine.partition.shards == 2
         graph.add_edge(0, 9, 1.0)
         assert engine.pending_events == 1
         engine.sync()

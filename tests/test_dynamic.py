@@ -326,7 +326,7 @@ class TestDynamicCFCM:
     def test_accepts_plain_graph(self, small_ba):
         engine = DynamicCFCM(small_ba, seed=0)
         assert isinstance(engine.graph, DynamicGraph)
-        assert engine.version == 0
+        assert engine.graph.version == 0
 
     def test_evaluate_exact_matches_batch(self, small_ba):
         engine = DynamicCFCM(DynamicGraph(small_ba), seed=0)
@@ -445,7 +445,7 @@ class TestDynamicCFCM:
             with pytest.raises(InvalidParameterError, match="unit edge weights"):
                 engine.query(2, method=method)
         graph.update_weight(0, 1, 1.0)
-        assert engine.query(2, method="degree").k == 2
+        assert len(engine.query(2, method="degree").group) == 2
 
     def test_query_validates_before_cache_lookup(self, small_ba):
         engine = DynamicCFCM(DynamicGraph(small_ba), seed=0)

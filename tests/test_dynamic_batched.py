@@ -537,15 +537,6 @@ class TestEngineSatellites:
         assert engine.stats.batch_updates == 1
         assert engine.stats.batched_events == 12
 
-    def test_evaluate_flag_key_normalised(self, small_ba):
-        engine = DynamicCFCM(DynamicGraph(small_ba), seed=0)
-        first = engine.query(2, method="degree", evaluate=True)
-        second = engine.query(2, method="degree", evaluate="exact")
-        assert second is first
-        assert engine.stats.query_hits == 1
-        assert engine.stats.query_misses == 1
-        assert len(engine._query_cache) == 1
-
 
 class TestNodeChurnWorkload:
     def test_churn_journal_preserves_invariants(self, small_ba):

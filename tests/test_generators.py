@@ -13,12 +13,12 @@ class TestDeterministicFamilies:
     def test_path_graph(self):
         graph = generators.path_graph(5)
         assert graph.n == 5 and graph.m == 4
-        assert graph.degree(0) == 1 and graph.degree(2) == 2
+        assert graph.degrees[0] == 1 and graph.degrees[2] == 2
 
     def test_cycle_graph(self):
         graph = generators.cycle_graph(6)
         assert graph.m == 6
-        assert all(graph.degree(v) == 2 for v in range(6))
+        assert all(graph.degrees[v] == 2 for v in range(6))
 
     def test_cycle_too_small(self):
         with pytest.raises(InvalidParameterError):
@@ -30,7 +30,7 @@ class TestDeterministicFamilies:
 
     def test_star_graph(self):
         graph = generators.star_graph(7)
-        assert graph.degree(0) == 6
+        assert graph.degrees[0] == 6
         assert graph.m == 6
 
     def test_grid_graph(self):
@@ -90,7 +90,7 @@ class TestRandomFamilies:
     def test_watts_strogatz_zero_rewiring_is_lattice(self):
         graph = generators.watts_strogatz(20, 4, 0.0, seed=0)
         assert graph.m == 20 * 2
-        assert all(graph.degree(v) == 4 for v in range(20))
+        assert all(graph.degrees[v] == 4 for v in range(20))
 
     def test_watts_strogatz_odd_k_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -108,7 +108,7 @@ class TestRandomFamilies:
 
     def test_random_regular_degrees(self):
         graph = generators.random_regular(30, 4, seed=6)
-        assert all(graph.degree(v) == 4 for v in range(30))
+        assert all(graph.degrees[v] == 4 for v in range(30))
         assert is_connected(graph)
 
     def test_random_regular_parity_check(self):
@@ -121,7 +121,7 @@ class TestRandomFamilies:
         # rejecting whole matchings.
         for seed in range(5):
             graph = generators.random_regular(60, 6, seed=seed)
-            assert all(graph.degree(v) == 6 for v in range(60))
+            assert all(graph.degrees[v] == 6 for v in range(60))
             assert is_connected(graph)
 
     def test_random_regular_reproducible(self):

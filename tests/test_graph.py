@@ -18,7 +18,7 @@ class TestConstruction:
 
     def test_isolated_nodes_allowed(self):
         graph = Graph(5, [(0, 1)])
-        assert graph.degree(4) == 0
+        assert graph.degrees[4] == 0
 
     def test_empty_edge_list(self):
         graph = Graph(3, [])
@@ -57,8 +57,6 @@ class TestConstruction:
 class TestAccessors:
     def test_degrees(self):
         graph = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        assert graph.degree(0) == 3
-        assert graph.degree(1) == 1
         assert graph.degrees.tolist() == [3, 1, 1, 1]
 
     def test_neighbors_sorted_content(self):
@@ -76,17 +74,9 @@ class TestAccessors:
     def test_invalid_node_raises(self):
         graph = Graph(3, [(0, 1)])
         with pytest.raises(InvalidNodeError):
-            graph.degree(3)
+            graph.neighbors(3)
         with pytest.raises(InvalidNodeError):
             graph.neighbors(-1)
-
-    def test_nodes_array(self):
-        graph = Graph(3, [(0, 1)])
-        assert graph.nodes().tolist() == [0, 1, 2]
-
-    def test_edge_array_shape(self):
-        graph = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert graph.edge_array().shape == (3, 2)
 
     def test_max_degree(self, star6):
         assert star6.max_degree() == 5
@@ -107,15 +97,10 @@ class TestAccessors:
 
 class TestPositions:
     def test_reverse_position_involution(self, karate):
-        for position in range(2 * karate.m):
-            other = karate.reverse_position(position)
-            assert karate.reverse_position(other) == position
-            assert karate.position_edge_id(position) == karate.position_edge_id(other)
-
-    def test_position_head_matches_adjacency(self, karate):
-        for node in range(karate.n):
-            for position in karate.neighbor_positions(node):
-                assert karate.position_head(int(position)) == karate.adjacency[position]
+        reverse = karate._reverse_position
+        assert np.array_equal(reverse[reverse], np.arange(2 * karate.m))
+        assert np.array_equal(karate._position_edge_id[reverse],
+                              karate._position_edge_id)
 
     @pytest.mark.parametrize("n, p, seed", [(1, 0.0, 0), (7, 0.0, 1),
                                             (30, 0.2, 2), (80, 0.05, 3),
@@ -233,4 +218,4 @@ def test_handshake_lemma(n, seed):
 def test_complete_graph_degrees(n):
     graph = generators.complete_graph(n)
     assert graph.m == n * (n - 1) // 2
-    assert all(graph.degree(v) == n - 1 for v in range(n))
+    assert all(graph.degrees[v] == n - 1 for v in range(n))

@@ -73,9 +73,6 @@ class TestEdgeListIO:
 
 
 class TestProperties:
-    def test_mean_degree(self, karate):
-        assert properties.mean_degree(karate) == pytest.approx(2 * karate.m / karate.n)
-
     def test_extra_root_size_star(self):
         star = generators.star_graph(20)
         # Removing the hub drops the max degree to 0, so |T*| = 1.
@@ -106,18 +103,6 @@ class TestProperties:
         # Hubs give T many roots; graphs without hubs keep the single top hub.
         assert properties.extra_root_size(build()) == size
 
-    def test_summarize_fields(self, karate):
-        summary = properties.summarize(karate)
-        assert summary.nodes == 34
-        assert summary.edges == 78
-        assert summary.diameter == 5
-        assert summary.max_degree == 17
-        assert summary.extra_root_size >= 1
-        assert set(summary.as_dict()) == {
-            "nodes", "edges", "diameter", "max_degree", "mean_degree",
-            "extra_root_size",
-        }
-
 
 class TestDatasets:
     def test_karate_matches_networkx(self, karate):
@@ -125,7 +110,7 @@ class TestDatasets:
         assert karate.n == reference.number_of_nodes()
         assert karate.m == reference.number_of_edges()
         for node in range(karate.n):
-            assert karate.degree(node) == reference.degree(node)
+            assert karate.degrees[node] == reference.degree(node)
 
     def test_tiny_suite_sizes(self):
         from repro.graph.datasets import tiny_suite

@@ -81,7 +81,7 @@ class TestRegistry:
         counter.inc()
         histogram.observe(0.5)
         assert counter.value() == 0.0
-        assert histogram.count() == 0
+        assert histogram.summary()["count"] == 0
         # Gauges apply even while disabled: collectors write them at
         # exposition time, which is always an explicit request.
         gauge = registry.gauge("g")
@@ -122,8 +122,8 @@ class TestRegistry:
             thread.join()
         assert counter.value(worker=0) + counter.value(worker=1) \
             == threads * per_thread
-        assert histogram.count() == threads * per_thread
-        assert histogram.sum() == pytest.approx(threads * per_thread * 1e-3)
+        assert histogram.summary()["count"] == threads * per_thread
+        assert histogram.summary()["sum"] == pytest.approx(threads * per_thread * 1e-3)
 
 
 class TestHistogram:
@@ -138,10 +138,9 @@ class TestHistogram:
         assert min(values) <= p50 <= p95 <= p99 <= max(values)
         assert histogram.percentile(0) == pytest.approx(min(values))
         assert histogram.percentile(100) == pytest.approx(max(values))
-        assert histogram.count() == 100
-        assert histogram.sum() == pytest.approx(sum(values))
         summary = histogram.summary()
         assert summary["count"] == 100
+        assert summary["sum"] == pytest.approx(sum(values))
         assert summary["p50"] == pytest.approx(p50)
         with pytest.raises(MetricError):
             histogram.percentile(101)
@@ -153,10 +152,10 @@ class TestHistogram:
         histogram = fresh.histogram("h_seconds", labels=("kind",))
         histogram.observe(0.001, kind="query")
         histogram.observe(0.1, kind="update")
-        assert histogram.count(kind="query") == 1
+        assert histogram.summary(kind="query")["count"] == 1
         # No labels on a labelled histogram: the merged view of all series.
-        assert histogram.count() == 2
-        assert histogram.sum() == pytest.approx(0.101)
+        assert histogram.summary()["count"] == 2
+        assert histogram.summary()["sum"] == pytest.approx(0.101)
 
 
 class TestExposition:
@@ -393,11 +392,11 @@ class TestServiceObservability:
 
         report = asyncio.run(scenario())
         request_seconds = registry.get("repro_service_request_seconds")
-        assert request_seconds.count(kind="query") == report.queries
-        assert request_seconds.count(kind="evaluate") == report.evaluations
+        assert request_seconds.summary(kind="query")["count"] == report.queries
+        assert request_seconds.summary(kind="evaluate")["count"] == report.evaluations
         batch_sizes = registry.get("repro_service_update_batch_size")
         # Every journal event passes through exactly one coalesced batch.
-        assert batch_sizes.sum() == pytest.approx(
+        assert batch_sizes.summary()["sum"] == pytest.approx(
             report.updates_applied + report.updates_failed)
 
     def test_service_response_stats_do_not_alias_pool_ess(self):

@@ -489,7 +489,7 @@ class TestTraceCache:
         # Recompute everything from scratch against the same path system.
         from repro.centrality.estimators import batched_diag_estimates
 
-        diag = batched_diag_estimates(pool.batch().parent, pool.path)
+        diag = batched_diag_estimates(pool.batch().parent, pool._path)
         weights = pool.weights()
         trace = float(weights @ diag.sum(axis=1)) / float(weights.sum())
         assert cached_value == pytest.approx(graph.n / trace, rel=1e-12)
@@ -519,7 +519,7 @@ class TestTraceCache:
         engine = DynamicCFCM(graph, seed=6, pool_size=1)
         engine.evaluate_forest([0])
         pool = engine._pools[(0,)]
-        path = pool.path
+        path = pool._path
         # Empty the pool with a removal the path system does not use.
         edge = next(
             (u, v) for u, v in zip(karate.edge_u, karate.edge_v)
@@ -531,20 +531,20 @@ class TestTraceCache:
         graph.remove_edge(event.node, 3)    # touches the new node's id
         value = engine.evaluate_forest([0])  # must not raise
         assert value > 0.0
-        assert engine._pools[(0,)].path.n == graph.n
+        assert engine._pools[(0,)]._path.n == graph.n
 
     def test_path_edge_removal_invalidates_traces(self, karate):
         graph = DynamicGraph(karate)
         engine = DynamicCFCM(graph, seed=5, pool_size=8)
         engine.evaluate_forest([0])
         pool = engine._pools[(0,)]
-        path = pool.path
+        path = pool._path
         # Remove an edge the path system uses: every cached trace must go.
         edge = next((u, v) for u, v in zip(karate.edge_u, karate.edge_v)
                     if path.uses_edge(u, v) and graph.has_edge(u, v))
         graph.remove_edge(*edge)
         engine.sync()
-        assert pool.path is None
+        assert pool._path is None
         assert not np.any(pool.trace_valid)
         value = engine.evaluate_forest([0])
         exact = engine.evaluate_exact([0])

@@ -53,6 +53,11 @@ def missing_edges(graph, count):
     return pairs
 
 
+def adding(u, v):
+    """The mutation that inserts edge ``(u, v)``."""
+    return lambda graph: graph.add_edge(u, v)
+
+
 def sleep_mutation(seconds):
     """A mutation that only occupies the writer (no journal events)."""
 
@@ -75,7 +80,6 @@ class TestLifecycle:
     def test_context_manager_serves_and_stops(self, base_graph):
         async def scenario():
             async with AsyncCFCMService(base_graph, seed=0) as service:
-                assert service.running
                 response = await service.evaluate(GROUP, mode="exact")
                 assert response.version == 0
                 assert response.result > 0.0
@@ -89,7 +93,8 @@ class TestLifecycle:
                 return service
 
         service = run(scenario())
-        assert not service.running
+        with pytest.raises(ServiceClosedError):
+            run(service.evaluate(GROUP))
         assert service.stats.evaluations == 2
 
     def test_requests_require_start(self, base_graph):
@@ -125,7 +130,7 @@ class TestUpdates:
 
         async def scenario():
             async with AsyncCFCMService(base_graph, seed=0) as service:
-                tickets = [await service.add_edge(u, v) for u, v in pairs]
+                tickets = [await service.submit(adding(u, v)) for u, v in pairs]
                 version = await service.barrier()
                 events = []
                 for ticket in tickets:
@@ -143,7 +148,7 @@ class TestUpdates:
     def test_failed_update_propagates_through_ticket(self, base_graph):
         async def scenario():
             async with AsyncCFCMService(base_graph, seed=0) as service:
-                ticket = await service.remove_edge(0, 39)  # absent edge
+                ticket = await service.submit(lambda graph: graph.remove_edge(0, 39))  # absent edge
                 with pytest.raises(GraphError):
                     await ticket.result()
                 assert isinstance(ticket.exception(), GraphError)
@@ -161,7 +166,7 @@ class TestUpdates:
         async def scenario():
             async with AsyncCFCMService(base_graph, seed=0) as service:
                 before = await service.evaluate(GROUP, mode="exact")
-                await service.add_edge(*pair)
+                await service.submit(adding(*pair))
                 after = await service.evaluate(GROUP, mode="exact")
                 return before, after
 
@@ -175,10 +180,9 @@ class TestUpdates:
 
         async def scenario():
             async with AsyncCFCMService(base_graph, seed=0) as service:
-                waiter = asyncio.ensure_future(service.wait_for_version(2))
                 for u, v in pairs:
-                    await service.add_edge(u, v)
-                version = await asyncio.wait_for(waiter, timeout=5.0)
+                    await service.submit(adding(u, v))
+                version = await asyncio.wait_for(service.barrier(), timeout=5.0)
                 assert version >= 2
                 assert service.version >= 2
 
@@ -259,7 +263,7 @@ class TestShutdown:
             await service.start()
             await service.submit(sleep_mutation(0.2))
             await until_writer_busy(service)  # sleeper in flight, queue empty
-            tickets = [await service.add_edge(u, v) for u, v in pairs]
+            tickets = [await service.submit(adding(u, v)) for u, v in pairs]
             assert service.pending_updates == len(pairs)
             await service.stop(drain=True)
             for ticket in tickets:
@@ -279,7 +283,7 @@ class TestShutdown:
             await service.start()
             slow = await service.submit(sleep_mutation(0.2))
             await until_writer_busy(service)
-            tickets = [await service.add_edge(u, v) for u, v in pairs]
+            tickets = [await service.submit(adding(u, v)) for u, v in pairs]
             assert service.pending_updates == len(pairs)
             await service.stop(drain=False)
             await slow.settled()
@@ -288,7 +292,7 @@ class TestShutdown:
                 with pytest.raises(ServiceClosedError):
                     await ticket.result()
             with pytest.raises(ServiceClosedError):
-                await service.add_edge(*pairs[0])
+                await service.submit(adding(*pairs[0]))
             return service
 
         service = run(scenario())
@@ -310,22 +314,6 @@ class TestWorkerLayer:
         assert again == 0  # pool already full
         assert response.result > 0.0
 
-    def test_refresh_pumps_maintenance_and_compaction(self, base_graph):
-        pairs = missing_edges(base_graph, 3)
-
-        async def scenario():
-            async with AsyncCFCMService(base_graph, seed=0) as service:
-                for u, v in pairs:
-                    await service.add_edge(u, v)
-                await service.barrier()
-                version = await service.refresh()
-                return service, version
-
-        service, version = run(scenario())
-        assert version == len(pairs)
-        assert service.engine.pending_events == 0
-        assert service.graph.journal_floor == len(pairs)
-
     def test_worker_pool_validation_and_close(self):
         with pytest.raises(InvalidParameterError):
             WorkerPool(workers=0)
@@ -336,7 +324,6 @@ class TestWorkerLayer:
             pool = WorkerPool(workers=1)
             assert await pool.run(lambda: 41 + 1) == 42
             await pool.close()
-            assert pool.closed
             with pytest.raises(ServiceClosedError):
                 await pool.run(lambda: None)
             await pool.close()  # idempotent
@@ -348,13 +335,11 @@ class TestEngineHooks:
     def test_sync_hook_and_version_tokens(self, base_graph):
         graph = DynamicGraph(base_graph)
         engine = DynamicCFCM(graph, seed=0)
-        assert engine.synced_version == 0
         assert engine.pending_events == 0
         for u, v in missing_edges(base_graph, 2):
             graph.add_edge(u, v)
         assert engine.pending_events == 2
         assert engine.sync() == graph.version
-        assert engine.synced_version == graph.version
         assert engine.pending_events == 0
 
     def test_refill_pool_counts(self, base_graph):

@@ -10,6 +10,7 @@ from repro.linalg.laplacian import grounded_laplacian, grounded_laplacian_dense
 from repro.linalg.solvers import (
     SOLVE_BLOCK,
     LaplacianSolver,
+    blocked_diagonal,
     estimate_trace_of_inverse,
 )
 
@@ -106,7 +107,7 @@ class TestTraceEstimation:
         matrix, _ = grounded_laplacian(karate, [0])
         dense, _ = grounded_laplacian_dense(karate, [0])
         solver = LaplacianSolver(matrix)
-        assert np.allclose(solver.diagonal_of_inverse(),
+        assert np.allclose(blocked_diagonal(solver.solve_many, solver.n),
                            np.diag(np.linalg.inv(dense)), atol=1e-8)
 
     def test_diagonal_of_inverse_spans_several_blocks(self):
@@ -114,17 +115,10 @@ class TestTraceEstimation:
         matrix, _ = grounded_laplacian(graph, [0])
         dense, _ = grounded_laplacian_dense(graph, [0])
         assert matrix.shape[0] > 2 * SOLVE_BLOCK
-        np.testing.assert_allclose(
-            LaplacianSolver(matrix).diagonal_of_inverse(),
-            np.diag(np.linalg.inv(dense)), rtol=1e-10, atol=0)
-
-    def test_trace_of_inverse(self, karate):
-        matrix, _ = grounded_laplacian(karate, [5])
-        dense, _ = grounded_laplacian_dense(karate, [5])
         solver = LaplacianSolver(matrix)
-        assert solver.trace_of_inverse() == pytest.approx(
-            np.trace(np.linalg.inv(dense)), rel=1e-9
-        )
+        np.testing.assert_allclose(
+            blocked_diagonal(solver.solve_many, solver.n),
+            np.diag(np.linalg.inv(dense)), rtol=1e-10, atol=0)
 
     def test_hutchinson_estimate_within_tolerance(self, medium_ba):
         matrix, _ = grounded_laplacian(medium_ba, [0, 1])

@@ -12,7 +12,6 @@ from repro.worlds import (
     EstimatorSpec,
     LATENCY_SOURCE,
     TrafficSpec,
-    WorldSampler,
     WorldSpec,
     gate_rows,
     run_world,
@@ -36,23 +35,6 @@ def make_spec(**overrides):
 
 
 class TestWorldSpec:
-    def test_json_round_trip(self):
-        spec = make_spec()
-        clone = WorldSpec.from_json(spec.to_json())
-        assert clone == spec
-        assert clone.name == spec.name
-
-    def test_dict_round_trip_preserves_nested_specs(self):
-        spec = make_spec(
-            churn=ChurnSpec(regime="reweight_storm", events=6, intensity=1.5),
-            params={"m": 3}, topology="power_law",
-        )
-        payload = json.loads(spec.to_json())
-        clone = WorldSpec.from_dict(payload)
-        assert clone.churn.intensity == 1.5
-        assert clone.params == {"m": 3}
-        assert clone == spec
-
     def test_name_encodes_axes(self):
         name = make_spec().name
         for token in ("k_regular", "n48", "mixed", "dense", "s5"):
@@ -74,8 +56,6 @@ class TestWorldSpec:
 
     def test_sharded_axis_round_trips_and_names(self):
         spec = make_spec(mode="sharded", shards=3)
-        clone = WorldSpec.from_json(spec.to_json())
-        assert clone == spec
         assert "sharded3" in spec.name
         # Non-sharded names keep their historical shape.
         assert "shard" not in make_spec().name
@@ -88,25 +68,6 @@ class TestWorldSpec:
         with pytest.raises(InvalidParameterError):
             make_spec(mode="sharded",
                       faults=FaultSpec(regime="chaos")).validate()
-
-
-class TestWorldSampler:
-    def test_fixed_seed_replays_identically(self):
-        batch_a = WorldSampler(events=8, seed=3).sample(6)
-        batch_b = WorldSampler(events=8, seed=3).sample(6)
-        assert batch_a == batch_b
-
-    def test_child_seeds_differ_across_worlds(self):
-        batch = WorldSampler(events=8, seed=3).sample(6)
-        assert len({spec.seed for spec in batch}) > 1
-
-    def test_sampled_specs_validate(self):
-        for spec in WorldSampler(events=8, seed=1).sample(8):
-            spec.validate()
-
-    def test_unknown_axis_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            WorldSampler(topologies=("moebius",))
 
 
 class TestRunWorld:
