@@ -59,8 +59,10 @@ is not a CI step::
 
 Work in processes that a source starts itself is not seen; none of the
 sources starts one that runs the library.  Functions are matched by their
-file and first line, read before the first source runs, so leave ``src``
-unedited until the run ends.
+file and first line, read before the first source runs, so ``src`` must stay
+unedited until the run ends: every src file is hashed before the first
+source and again after each one, and on a change the script prints the
+changed paths and exits 1 without a report.
 """
 
 from __future__ import annotations
@@ -199,6 +201,18 @@ sys.exit(status)
 """
 
 
+def src_hashes(root: Path = SRC) -> dict:
+    """SHA-256 of every ``.py`` file under ``root``, by path."""
+    return {str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*.py"))}
+
+
+def changed_paths(before: dict, after: dict) -> list:
+    """Paths added, removed or edited between two :func:`src_hashes`."""
+    return sorted(path for path in before.keys() | after.keys()
+                  if before.get(path) != after.get(path))
+
+
 def src_functions() -> dict:
     """``(file, first line) -> (module, qualname, line count)`` of every def.
 
@@ -297,12 +311,20 @@ def run_source(kind: str, target: str, arguments: list) -> tuple:
 
 
 def main() -> int:
+    hashes = src_hashes()
     functions = src_functions()
     executed_any = set()
     rows = []
     untraced = 0
     for label, kind, target, arguments in sources():
         status, executed = run_source(kind, target, arguments)
+        changed = changed_paths(hashes, src_hashes())
+        if changed:
+            print(f"src changed before {label} ended, so the line table read "
+                  "at the start is stale; no report:", file=sys.stderr)
+            for path in changed:
+                print(f"  {path}", file=sys.stderr)
+            return 1
         if executed is None:
             untraced += 1
             rows.append(f"{label}: exit {status}, no trace written")

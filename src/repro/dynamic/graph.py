@@ -25,7 +25,13 @@ worlds:
 * **connectivity guards**: CFCC is only defined on connected graphs, so edge
   and node removals that would disconnect the graph are rejected up front
   with :class:`repro.exceptions.DisconnectedGraphError` instead of surfacing
-  as singular matrices deep inside a solver.
+  as singular matrices deep inside a solver.  A guard asks whether the ends
+  of the masked edge, or the neighbours of the masked node, still reach one
+  another without it.  One search is kept across them; each one it has not
+  seen starts a search of its own, and the two advance from the side with
+  the shorter queue until they meet or one runs dry.  So a guard beside a
+  hub stops where the two searches meet instead of sweeping the hub's
+  neighbourhood, and a split costs about twice the smaller side.
 """
 
 from __future__ import annotations
@@ -151,12 +157,10 @@ class DynamicGraph:
         self._journal: List[GraphUpdate] = []
         self._journal_floor = 0
         self._version = 0
-        self._node_version = 0
         self._snapshot: Optional[Graph] = graph
         self._snapshot_version = 0
-        self._mapping: Optional[np.ndarray] = np.arange(graph.n, dtype=np.int64)
+        self._mapping = np.arange(graph.n, dtype=np.int64)
         self._mapping.flags.writeable = False
-        self._mapping_node_version = 0
         # Count of edges with weight != 1, so is_unit_weighted is O(1) on the
         # engine's per-query fast path instead of an O(m) scan.
         self._non_unit_count = sum(1 for w in self._weights.values() if w != 1.0)
@@ -309,7 +313,9 @@ class DynamicGraph:
         node = len(self._adjacency)
         self._adjacency.append(set())
         self._active_count += 1
-        self._node_version += 1
+        # Ids only grow, so the new one goes last in the sorted table.
+        self._mapping = np.append(self._mapping, node)
+        self._mapping.flags.writeable = False
         for neighbour, weight in attachments:
             key = (neighbour, node) if neighbour < node else (node, neighbour)
             self._weights[key] = weight
@@ -347,7 +353,9 @@ class DynamicGraph:
                 self._non_unit_count -= 1
         self._adjacency[node] = None
         self._active_count -= 1
-        self._node_version += 1
+        self._mapping = np.delete(self._mapping,
+                                  np.searchsorted(self._mapping, node))
+        self._mapping.flags.writeable = False
         return self._record(REMOVE_NODE, (node, node), weight=0.0, delta=0.0,
                             node=node, edges=tuple(dropped))
 
@@ -431,16 +439,9 @@ class DynamicGraph:
         """``mapping[i]`` = stable id of snapshot (compact) node ``i``.
 
         The identity permutation until the first node removal.  The returned
-        array is the cache (marked read-only, rebuilt only when the node set
-        changes — pure edge churn reuses it).
+        array is the graph's own table, marked read-only: a join or leave
+        replaces it with an edited copy, and edge churn reuses it.
         """
-        if self._mapping is None or self._mapping_node_version != self._node_version:
-            self._mapping = np.array(
-                [i for i, adj in enumerate(self._adjacency) if adj is not None],
-                dtype=np.int64,
-            )
-            self._mapping.flags.writeable = False
-            self._mapping_node_version = self._node_version
         return self._mapping
 
     def compact_index(self, node: int) -> int:
@@ -568,37 +569,60 @@ class DynamicGraph:
         self._journal.append(event)
         return event
 
-    def _reaches_all(self, start: int, targets: Set[int],
-                     skip_edge: Optional[Tuple[int, int]] = None,
-                     skip_node: Optional[int] = None) -> bool:
-        """Whether a search from ``start`` reaches every node in ``targets``.
+    def _stays_connected(self, sources: List[int],
+                         skip_edge: Optional[Tuple[int, int]] = None,
+                         skip_node: Optional[int] = None) -> bool:
+        """Whether ``sources`` lie in one component without the masked edge or node.
 
-        Stops as soon as the last target is found, so on a connected graph a
-        guard only walks the neighbourhood that closes a cycle around the
-        masked edge or node, not the whole graph.
+        One search grows from the first source and is kept across sources.
+        A later source it has not seen starts a search of its own; the two
+        advance one node at a time from the side with the shorter queue, and
+        merge when one touches the other's seen set (after finishing that
+        node's scan, so a clique joins in one step).  A side whose queue runs
+        dry has explored a whole component without the other, so the sources
+        are split.  A split costs about twice the smaller side; the worst case
+        is O(n + m).
         """
-        missing = set(targets)
-        missing.discard(start)
-        seen: Set[int] = {start}
-        frontier = deque([start])
-        while frontier and missing:
-            current = frontier.popleft()
-            for neighbour in self._adjacency[current]:
-                if neighbour == skip_node or neighbour in seen:
-                    continue
-                if skip_edge == (current, neighbour) or skip_edge == (neighbour, current):
-                    continue
-                seen.add(neighbour)
-                missing.discard(neighbour)
-                frontier.append(neighbour)
-        return not missing
+        adjacency = self._adjacency
+        blocked: Dict[int, int] = {}
+        if skip_edge is not None:
+            blocked = {skip_edge[0]: skip_edge[1], skip_edge[1]: skip_edge[0]}
+        # The masked node sits in every seen set, so no side steps onto it.
+        hidden = [] if skip_node is None else [skip_node]
+        seen: Set[int] = set(sources[:1] + hidden)
+        queue = deque(sources[:1])
+        for source in sources[1:]:
+            if source in seen:
+                continue
+            other_seen, other_queue = set([source] + hidden), deque([source])
+            met = False
+            while not met:
+                if len(other_queue) <= len(queue):
+                    grow, grow_seen, far_seen = other_queue, other_seen, seen
+                else:
+                    grow, grow_seen, far_seen = queue, seen, other_seen
+                if not grow:
+                    return False
+                current = grow.popleft()
+                skip = blocked.get(current)
+                for neighbour in adjacency[current]:
+                    if neighbour == skip or neighbour in grow_seen:
+                        continue
+                    if neighbour in far_seen:
+                        met = True
+                        continue
+                    grow_seen.add(neighbour)
+                    grow.append(neighbour)
+            seen |= other_seen
+            queue.extend(other_queue)
+        return True
 
     def _would_disconnect(self, key: Tuple[int, int]) -> bool:
-        """Whether edge ``key`` is a bridge: ``v`` unreachable from ``u`` without it."""
+        """Whether edge ``key`` is a bridge: ``u`` and ``v`` split without it."""
         u, v = key
         if len(self._adjacency[u]) == 1 or len(self._adjacency[v]) == 1:
             return True
-        return not self._reaches_all(u, {v}, skip_edge=key)
+        return not self._stays_connected([u, v], skip_edge=key)
 
     def _node_removal_disconnects(self, node: int) -> bool:
         """Whether ``node`` is a cut vertex: its neighbours split without it.
@@ -607,8 +631,5 @@ class DynamicGraph:
         through one of its neighbours; removing it keeps the graph connected
         exactly when all of them still reach one another.
         """
-        neighbours = self._adjacency[node]
-        if not neighbours:
-            return False
-        start = next(iter(neighbours))
-        return not self._reaches_all(start, neighbours, skip_node=node)
+        return not self._stays_connected(sorted(self._adjacency[node]),
+                                         skip_node=node)

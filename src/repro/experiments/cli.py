@@ -82,8 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "stitched by a global Schur complement)")
     parser.add_argument("--smoke", action="store_true",
                         help="serve: shrink the workload and gate on async/sync "
-                             "equivalence (worlds always runs its smoke cross "
-                             "and gates on accuracy + ESS)")
+                             "equivalence")
     parser.add_argument("--faults", action="store_true",
                         help="worlds: run the chaos smoke cross, the smoke "
                              "worlds under deterministic fault regimes")

@@ -39,7 +39,7 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 
 #: Bump when the archive layout changes; restore refuses unknown versions.
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 # ------------------------------------------------------------------ helpers
@@ -87,7 +87,6 @@ def _serialize_graph(graph, arrays: Dict[str, np.ndarray]) -> Dict[str, Any]:
     )
     return {
         "version": int(graph._version),
-        "node_version": int(graph._node_version),
         "journal_floor": int(graph._journal_floor),
         "active_count": int(graph._active_count),
         "non_unit_count": int(graph._non_unit_count),
@@ -117,11 +116,10 @@ def _restore_graph(meta: Dict[str, Any], data) -> "Any":
     graph._journal = [_event_from_dict(e) for e in meta["journal"]]
     graph._journal_floor = int(meta["journal_floor"])
     graph._version = int(meta["version"])
-    graph._node_version = int(meta["node_version"])
     graph._snapshot = None
     graph._snapshot_version = -1
-    graph._mapping = None
-    graph._mapping_node_version = -1
+    graph._mapping = np.flatnonzero(active)
+    graph._mapping.flags.writeable = False
     graph._non_unit_count = int(meta["non_unit_count"])
     return graph
 

@@ -16,7 +16,7 @@ benchmarking a handful of hand-picked graphs:
   percentiles and pool-ESS health per world, plus gates
   (:func:`gate_rows`) and ``WORLDS_*.json`` / CSV artifact writers.
 
-Entry points: ``python -m repro.experiments worlds [--smoke]``,
+Entry points: ``python -m repro.experiments worlds [--faults]``,
 ``benchmarks/bench_worlds.py`` and ``examples/worlds_envelope.py``; the
 docs live in ``docs/worlds.md``.
 """

@@ -422,7 +422,7 @@ def gate_rows(rows: Sequence[Dict[str, object]]) -> List[str]:
 def smoke_specs() -> List[WorldSpec]:
     """The canonical CI smoke cross: 8 worlds over topology x churn x backend.
 
-    Shared by ``python -m repro.experiments worlds --smoke`` and
+    Shared by ``python -m repro.experiments worlds`` and
     ``benchmarks/bench_worlds.py`` so the gated configuration is defined in
     exactly one place.  The cross touches every churn regime, both concrete
     backends, all three execution modes (including a sharded world so the
@@ -487,7 +487,7 @@ def faulted_smoke_specs() -> List[WorldSpec]:
     ``worker_crash`` needs the service front end, and ``solver_flaky`` /
     ``chaos`` bite everywhere.  Sharded worlds are skipped — the distributed
     engine has no chaos seams yet and its specs reject fault regimes.  Gated
-    by ``python -m repro.experiments worlds --smoke --faults``.
+    by ``python -m repro.experiments worlds --faults``.
     """
     regimes = ("solver_flaky", "numerical_drift", "solver_flaky",
                "numerical_drift", "solver_flaky", "worker_crash", "chaos")

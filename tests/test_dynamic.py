@@ -1,7 +1,12 @@
 """Tests for the dynamic-graph engine (repro.dynamic)."""
 
+import copy
+import functools
+
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.centrality.cfcc import group_cfcc, grounded_trace
@@ -11,6 +16,7 @@ from repro.dynamic import (
     IncrementalResistance,
     apply_random_update,
     random_update_journal,
+    replay_events,
 )
 from repro.exceptions import (
     DisconnectedGraphError,
@@ -21,21 +27,70 @@ from repro.graph import generators
 from repro.linalg.updates import grounded_inverse_edge_update
 
 
-def _reachable_count(graph, start, skip_edge=None, skip_node=None):
-    """Full traversal from ``start``: the reference for the early-exit guards."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        for neighbour in graph.neighbors(current):
-            if neighbour == skip_node:
-                continue
-            if skip_edge is not None and {current, neighbour} == set(skip_edge):
-                continue
-            if neighbour not in seen:
-                seen.add(neighbour)
-                frontier.append(neighbour)
-    return len(seen)
+def _cuts_by_networkx(graph):
+    """Bridges and cut vertices of ``graph`` by stable id: the guards' oracle."""
+    snapshot = graph.snapshot()
+    ids = graph.snapshot_mapping()
+    oracle = nx.Graph()
+    oracle.add_nodes_from(range(snapshot.n))
+    oracle.add_edges_from(zip(snapshot.edge_u.tolist(), snapshot.edge_v.tolist()))
+    bridges = {tuple(sorted((int(ids[a]), int(ids[b]))))
+               for a, b in nx.bridges(oracle)}
+    cuts = {int(ids[x]) for x in nx.articulation_points(oracle)}
+    return bridges, cuts
+
+
+def _chorded_tree(seed):
+    """A random tree plus a few chords (bridges and cycle edges, cut vertices
+    and removable nodes), with some ids tombstoned."""
+    rng = np.random.default_rng(seed)
+    graph = DynamicGraph(generators.random_tree(40, seed=seed))
+    for _ in range(int(rng.integers(4, 16))):
+        u, v = (int(x) for x in rng.choice(40, size=2, replace=False))
+        if not graph.has_edge(u, v):
+            graph.add_edge(u, v)
+    for node in rng.permutation(40)[:6]:
+        if int(node) not in _cuts_by_networkx(graph)[1]:
+            graph.remove_node(int(node))
+    return graph
+
+
+def _tombstoned_tree():
+    """A random tree whose leaves left and whose joins hang off it: every edge
+    is a bridge, every inner node a cut vertex, and the ids have gaps."""
+    graph = DynamicGraph(generators.random_tree(60, seed=11))
+    leaves = [x for x in range(60) if graph.degree(x) == 1]
+    for leaf in leaves[::2]:
+        graph.remove_node(leaf)
+    for anchor in (1, 30, 59, 60):
+        if graph.has_node(anchor):
+            graph.add_node([anchor])
+    return graph
+
+
+#: Graph families for the guard oracle: the search order matters on hubs,
+#: long cycles and paths, cliques joined by bridges, stars and grids.
+GUARD_FAMILIES = {
+    **{str(seed): functools.partial(_chorded_tree, seed) for seed in range(6)},
+    "ba300": lambda: DynamicGraph(generators.barabasi_albert(300, 3, seed=3)),
+    "cycle": lambda: DynamicGraph(generators.cycle_graph(40)),
+    "path": lambda: DynamicGraph(generators.path_graph(40)),
+    "lollipop": lambda: DynamicGraph(generators.lollipop_graph(8, 12)),
+    "barbell": lambda: DynamicGraph(generators.barbell_graph(6, 5)),
+    "star": lambda: DynamicGraph(generators.star_graph(20)),
+    "grid": lambda: DynamicGraph(generators.grid_graph(12, 12)),
+    "tombstoned-tree": _tombstoned_tree,
+}
+
+
+def _check_guards(graph):
+    """Each guard answer equals networkx's for every edge and every node."""
+    bridges, cuts = _cuts_by_networkx(graph)
+    for key in graph.edges():
+        assert graph._would_disconnect(key) == (key in bridges), key
+    for node in graph.node_ids().tolist():
+        assert graph._node_removal_disconnects(node) == (node in cuts), node
+    return bridges, cuts
 
 
 class TestDynamicGraph:
@@ -82,34 +137,115 @@ class TestDynamicGraph:
         assert graph.has_edge(1, 2)
         assert graph.version == 0  # rejected edits leave no journal trace
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_guards_match_a_full_traversal(self, seed):
-        # A random tree plus a few chords: a mix of bridges and cycle edges,
-        # cut vertices and removable nodes, with some ids tombstoned.
+    @pytest.mark.parametrize("family", list(GUARD_FAMILIES))
+    def test_guards_match_a_full_traversal(self, family):
+        graph = GUARD_FAMILIES[family]()
+        bridges, cuts = _check_guards(graph)
+        if family.isdigit():  # a chorded tree mixes both answers of each guard
+            assert 0 < len(bridges) < graph.m and 0 < len(cuts) < graph.n
+        for u, v in list(graph.edges()):
+            version = graph.version
+            if (u, v) in bridges:
+                with pytest.raises(DisconnectedGraphError):
+                    graph.remove_edge(u, v)
+                assert graph.version == version and graph.has_edge(u, v)
+            else:
+                graph.remove_edge(u, v)
+                graph.add_edge(u, v)
+        graph.compact(graph.version)  # keeps the copies below cheap
+        for node in graph.node_ids().tolist():
+            version = graph.version
+            if node in cuts:
+                with pytest.raises(DisconnectedGraphError):
+                    graph.remove_node(node)
+                assert graph.version == version and graph.has_node(node)
+            else:
+                copy.deepcopy(graph).remove_node(node)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16),
+           steps=st.lists(st.tuples(st.sampled_from(("join", "leave", "insert",
+                                                      "remove")),
+                                    st.integers(0, 10**6),
+                                    st.integers(0, 10**6)),
+                          min_size=1, max_size=20))
+    def test_guards_match_networkx_under_churn(self, seed, steps):
         rng = np.random.default_rng(seed)
-        graph = DynamicGraph(generators.random_tree(40, seed=seed))
-        for _ in range(int(rng.integers(4, 16))):
-            u, v = (int(x) for x in rng.choice(40, size=2, replace=False))
+        graph = DynamicGraph(generators.random_tree(10, seed=seed))
+        for _ in range(3):
+            u, v = (int(x) for x in rng.choice(10, size=2, replace=False))
             if not graph.has_edge(u, v):
                 graph.add_edge(u, v)
-        for node in rng.permutation(40)[:6]:
-            if _reachable_count(graph, next(iter(graph.neighbors(int(node)))),
-                                skip_node=int(node)) == graph.n - 1:
-                graph.remove_node(int(node))
-        bridges = []
-        for u, v in graph.edges():
-            expected = _reachable_count(graph, u, skip_edge=(u, v)) != graph.n
-            assert graph._would_disconnect((u, v)) == expected
-            bridges.append(expected)
-        cuts = []
-        for node in (int(x) for x in graph.node_ids()):
-            start = graph.neighbors(node)[0]
-            expected = (_reachable_count(graph, start, skip_node=node)
-                        != graph.n - 1)
-            assert graph._node_removal_disconnects(node) == expected
-            cuts.append(expected)
-        assert any(bridges) and not all(bridges)
-        assert any(cuts) and not all(cuts)
+        for kind, a, b in steps:
+            bridges, cuts = _check_guards(graph)
+            ids = graph.node_ids().tolist()
+            u, v = ids[a % len(ids)], ids[b % len(ids)]
+            if kind == "join":
+                graph.add_node(sorted({u, v}))
+            elif kind == "leave" and graph.n > 3:
+                if u in cuts:
+                    with pytest.raises(DisconnectedGraphError):
+                        graph.remove_node(u)
+                else:
+                    graph.remove_node(u)
+            elif kind == "insert" and u != v and not graph.has_edge(u, v):
+                graph.add_edge(u, v)
+            elif kind == "remove":
+                key = list(graph.edges())[a % graph.m]
+                if key in bridges:
+                    with pytest.raises(DisconnectedGraphError):
+                        graph.remove_edge(*key)
+                else:
+                    graph.remove_edge(*key)
+        _check_guards(graph)
+
+    def test_id_table_follows_joins_and_leaves(self, tmp_path):
+        base = generators.complete_graph(7)
+        graph = DynamicGraph(base)
+        active, events = set(range(7)), []
+
+        def check(graph):
+            ids = graph.snapshot_mapping()
+            np.testing.assert_array_equal(ids, sorted(active))
+            assert not ids.flags.writeable and graph.node_ids() is ids
+            replay = replay_events(base, events)
+            for position, node in enumerate(sorted(active)):
+                assert graph.compact_index(node) == replay.compact_index(node) \
+                    == position
+            snapshot, expected = graph.snapshot(), replay.snapshot()
+            assert sorted(zip(snapshot.edge_u.tolist(), snapshot.edge_v.tolist())) \
+                == sorted(zip(expected.edge_u.tolist(), expected.edge_v.tolist()))
+            assert (graph.laplacian_sparse() != replay.laplacian_sparse()).nnz == 0
+
+        def leave(graph, node):
+            events.append(graph.remove_node(node))
+            active.discard(node)
+            check(graph)
+
+        def join(graph, attach):
+            events.append(graph.add_node(attach))
+            active.add(events[-1].node)
+            check(graph)
+
+        check(graph)
+        leave(graph, 0)                # the smallest id
+        join(graph, [1, 2])            # a join after a leave: id 7
+        leave(graph, 7)                # the largest, right after its join
+        leave(graph, 3)                # a middle id
+        join(graph, [1, 6])            # id 8
+        join(graph, [2, 8])            # id 9
+        leave(graph, 8)                # a middle id that joined
+
+        engine = DynamicCFCM(graph, seed=0)
+        path = str(tmp_path / "engine.npz")
+        engine.checkpoint(path)
+        restored = DynamicCFCM.restore(path).graph   # restore rebuilds the table
+        check(restored)
+        join(restored, [1, 9])         # id 10
+        leave(restored, 1)             # the smallest id
+        leave(restored, 10)            # the largest, right after its join
+        join(restored, [5, 6])         # id 11
+        leave(restored, 5)             # a middle id
 
     def test_update_weight_journals_delta(self, cycle5):
         graph = DynamicGraph(cycle5)

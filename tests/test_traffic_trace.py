@@ -59,3 +59,22 @@ def test_folded_commands_keep_every_flag():
         ["worlds", "--smoke", "--faults", "--output-json", "W.json"])
     assert trace.ci_source(commands[1])[1:] == (
         "path", str(REPO / "benchmarks" / "bench_pool.py"), ["--smoke"])
+
+
+def test_src_hashes_name_every_changed_file(tmp_path):
+    trace = load_trace()
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "a.py").write_text("x = 1\n")
+    (tmp_path / "pkg" / "b.py").write_text("y = 2\n")
+    (tmp_path / "notes.txt").write_text("not source\n")
+    before = trace.src_hashes(tmp_path)
+    assert sorted(before) == [str(tmp_path / "a.py"),
+                              str(tmp_path / "pkg" / "b.py")]
+    assert trace.changed_paths(before, trace.src_hashes(tmp_path)) == []
+
+    (tmp_path / "pkg" / "b.py").write_text("y = 3\n")
+    (tmp_path / "pkg" / "c.py").write_text("z = 4\n")
+    (tmp_path / "a.py").unlink()
+    (tmp_path / "notes.txt").write_text("edited\n")
+    assert trace.changed_paths(before, trace.src_hashes(tmp_path)) == sorted(
+        str(tmp_path / name) for name in ("a.py", "pkg/b.py", "pkg/c.py"))
