@@ -14,6 +14,10 @@ quarter-sized trackers beat one full-sized tracker even executed back to
 back — the Schur stitch itself is a handful of dense BLAS-3 calls over the
 separator block.
 
+Each engine's ``build_s`` is the CPU time of the building thread to build
+it from the lattice and serve its first exact read (BLAS worker threads are
+not counted); it is recorded, not gated.
+
 Gates (checked by ``main``):
 
 * smoke mode (CI) — both engines match the from-scratch dense reference to
@@ -79,13 +83,22 @@ def _workload(rows: int, cols: int, cycles: int, updates: int,
     return plan
 
 
+def _timed_build(make_engine, group):
+    """``(engine, build_s)``: thread CPU seconds to build and serve one exact read."""
+    start = time.thread_time()
+    engine = make_engine()
+    engine.evaluate_exact(group)
+    return engine, time.thread_time() - start
+
+
 def _drive(engine, graph, plan, group):
     """Apply the schedule through one engine.
 
-    Returns ``(seconds, latencies, warmup_seconds)``.  The warmup — first
-    factorisation, group-state build, probe caches — runs outside the timed
-    window for both engines: the gate measures steady-state update+query
-    throughput, and the one-time builds are reported separately.
+    Returns ``(seconds, latencies, warmup_seconds)``.  The warmup — an exact
+    read and the first resistance query, with whatever factorisations and
+    group-state build they still need — runs outside the timed window for
+    both engines: the gate measures steady-state update+query throughput,
+    and the one-time builds are reported separately.
     """
     warmup_start = time.perf_counter()
     engine.evaluate_exact(group)
@@ -135,15 +148,18 @@ def run_comparison(rows: int, cols: int, shards: int, cycles: int,
     group = (0, n // 2 + cols // 2)
     plan = _workload(rows, cols, cycles, updates, queries, seed)
 
-    graph_single = DynamicGraph(generators.grid_graph(rows, cols))
-    single = DynamicCFCM(graph_single, seed=seed, backend=backend)
+    single, single_build = _timed_build(
+        lambda: DynamicCFCM(generators.grid_graph(rows, cols), seed=seed,
+                            backend=backend), group)
+    graph_single = single.graph
     single_seconds, single_lat, single_warm = _drive(
         single, graph_single, plan, group)
 
-    graph_sharded = DynamicGraph(generators.grid_graph(rows, cols))
-    sharded = ShardedCFCM(graph_sharded, shards=shards, seed=seed,
-                          backend=backend,
-                          seeds=_strip_seeds(rows, cols, shards))
+    sharded, sharded_build = _timed_build(
+        lambda: ShardedCFCM(generators.grid_graph(rows, cols), shards=shards,
+                            seed=seed, backend=backend,
+                            seeds=_strip_seeds(rows, cols, shards)), group)
+    graph_sharded = sharded.graph
     sharded_seconds, sharded_lat, sharded_warm = _drive(
         sharded, graph_sharded, plan, group)
 
@@ -170,6 +186,8 @@ def run_comparison(rows: int, cols: int, shards: int, cycles: int,
         "separator_nodes": len(sharded.partition.separator),
         "single_seconds": single_seconds,
         "sharded_seconds": sharded_seconds,
+        "single_build_s": single_build,
+        "sharded_build_s": sharded_build,
         "single_warmup_seconds": single_warm,
         "sharded_warmup_seconds": sharded_warm,
         "speedup": single_seconds / sharded_seconds,
@@ -309,6 +327,8 @@ def main(argv=None) -> int:
               f"single={row['single_seconds']:.3f}s "
               f"sharded={row['sharded_seconds']:.3f}s "
               f"speedup={row['speedup']:.2f}x "
+              f"build={row['single_build_s']:.3f}s/"
+              f"{row['sharded_build_s']:.3f}s "
               f"max_err={row['max_resistance_err_sharded']:.2e}")
     return 0
 

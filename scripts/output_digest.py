@@ -28,20 +28,29 @@ change keeps every output bit-identical::
     PYTHONPATH=src python scripts/output_digest.py
     PYTHONPATH=/path/to/parent/src python scripts/output_digest.py
 
+The ``select``, ``dynamic`` and ``sharded`` lines change with the BLAS
+thread count, so the script pins BLAS to one thread before NumPy loads, as
+the benchmark does for its runs; the lines then compare across hosts.
+
 Uses the standard library and the library under test only; about 10 s on
 a 2-vCPU VM.
 """
 
 from __future__ import annotations
 
-import hashlib
-import numbers
+import os
 
-import repro
-from repro.distributed import ShardedCFCM
-from repro.dynamic import DynamicCFCM, random_churn_journal
-from repro.graph import generators
-from repro.utils.rng import as_rng
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import hashlib  # noqa: E402
+import numbers  # noqa: E402
+
+import repro  # noqa: E402
+from repro.distributed import ShardedCFCM  # noqa: E402
+from repro.dynamic import DynamicCFCM, random_churn_journal  # noqa: E402
+from repro.graph import generators  # noqa: E402
+from repro.utils.rng import as_rng  # noqa: E402
 
 
 class Digest:

@@ -145,8 +145,9 @@ class _ShardCoupling:
         self.tracker = tracker
         self.kept = np.asarray(tracker.kept, dtype=np.int64).copy()
         assert tracker.backend.n == len(self.kept)
-        self.rows: Dict[int, int] = {shard.l2g[x]: r
-                                     for r, x in enumerate(self.kept)}
+        members = np.asarray(shard.l2g, dtype=np.int64)[self.kept]
+        self.rows: Dict[int, int] = dict(zip(members.tolist(),
+                                             range(len(self.kept))))
         self.w: Dict[Tuple[int, int], float] = {}
         self.tp = tp
         self._csr: Optional[sp.csr_matrix] = None
@@ -176,25 +177,23 @@ class _ShardCoupling:
             self.w[key] = self.w.get(key, 0.0) + delta_w
         self._csr = None
 
-    def solve_active(self) -> Tuple[List[int], np.ndarray, np.ndarray]:
+    def solve_active(self) -> Tuple[List[int], sp.csr_matrix, np.ndarray]:
         """``(active, W_a, A_i⁻¹W_a)`` over the nonzero columns of ``W_i``.
 
         Columns with no incident interior edge are identically zero, so only
         the shard-adjacent separator columns are densified and solved
         (``SOLVE_BLOCK`` at a time) — on strip-like partitions a small
-        fraction of ``|T'|``.
+        fraction of ``|T'|``.  ``W_a`` stays sparse: a column holds one
+        entry per interior neighbour of its separator node.
         """
         backend = self.tracker.backend
         active = sorted({a for (_, a) in self.w})
-        amap = {a: i for i, a in enumerate(active)}
-        dense = np.zeros((backend.n, len(active)), dtype=np.float64)
-        for (r, a), val in self.w.items():
-            dense[r, amap[a]] = val
-        solved = np.empty_like(dense)
+        w_a = self.csr[:, active]
+        solved = np.empty((backend.n, len(active)), dtype=np.float64)
         for lo in range(0, len(active), SOLVE_BLOCK):
             block = slice(lo, lo + SOLVE_BLOCK)
-            solved[:, block] = backend.solve_many(dense[:, block])
-        return active, dense, solved
+            solved[:, block] = backend.solve_many(w_a[:, block].toarray())
+        return active, w_a, solved
 
     def fold(self, triples: List[Tuple[int, Optional[int], float]],
              dwsum: Dict[Tuple[int, int], float]
@@ -337,24 +336,40 @@ class _GroupState:
         # Grounded separator block of the *global* Laplacian (full weighted
         # degrees on the diagonal, -w couplings inside T'); every other edge
         # of a T' node that reaches a kept row is an entry of that shard's W.
+        # Each edge is seen from each T' end ``a`` with its other end ``nb``,
+        # in (a, nb) order: the order neighbors() lists them in, which the
+        # degree sums keep bit for bit.
+        u, v, w = graph.edge_arrays()
+        bound = int(graph.node_ids()[-1]) + 1
+        pos = np.full(bound, -1, dtype=np.int64)
+        pos[list(self.tprime)] = np.arange(tp)
+        ends, others = np.concatenate([u, v]), np.concatenate([v, u])
+        seen = pos[ends] >= 0
+        a, nb, w = pos[ends[seen]], others[seen], np.concatenate([w, w])[seen]
+        order = np.lexsort((nb, a))
+        a, nb, w = a[order], nb[order], w[order]
         schur = np.zeros((tp, tp), dtype=np.float64)
-        home = engine.partition.home
-        for a, t in enumerate(self.tprime):
-            for nb in graph.neighbors(t):
-                w = graph.weight(t, nb)
-                schur[a, a] += w
-                b = self.tpos.get(nb)
-                if b is not None:
-                    schur[a, b] -= w
-                    continue
-                link = self.links.get(home[nb])
-                row = None if link is None else link.rows.get(nb)
-                if row is not None:
-                    link.w[(row, a)] = -w
+        schur[np.diag_indices(tp)] = np.bincount(a, weights=w, minlength=tp)
+        b = pos[nb]
+        inside = b >= 0
+        schur[a[inside], b[inside]] = -w[inside]
+        row_of = np.full(bound, -1, dtype=np.int64)
+        link_of = np.full(bound, -1, dtype=np.int64)
+        for si, link in self.links.items():
+            members = np.fromiter(link.rows, dtype=np.int64,
+                                  count=len(link.rows))
+            row_of[members] = np.arange(members.size)
+            link_of[members] = si
+        coupled = ~inside & (row_of[nb] >= 0)
+        for si, row, col, val in zip(link_of[nb[coupled]].tolist(),
+                                     row_of[nb[coupled]].tolist(),
+                                     a[coupled].tolist(),
+                                     (-w[coupled]).tolist()):
+            self.links[si].w[(row, col)] = val
         for link in self.links.values():
             if tp and link.w:
-                active, dense, solved = link.solve_active()
-                schur[np.ix_(active, active)] -= dense.T @ solved
+                active, w_a, solved = link.solve_active()
+                schur[np.ix_(active, active)] -= np.asarray(w_a.T @ solved)
         self.schur = schur
         self.M = (np.linalg.inv(schur) if tp
                   else np.zeros((0, 0), dtype=np.float64))

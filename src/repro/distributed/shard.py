@@ -25,7 +25,9 @@ rather than reimplemented.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.centrality.estimators import SamplingConfig
 from repro.dynamic.engine import DynamicCFCM
@@ -58,39 +60,37 @@ class ShardState:
                  ess_floor: float = 0.5,
                  backend: str = "dense"):
         self.index = int(index)
-        self.interior = tuple(sorted(int(x) for x in interior))
-        self.separator = tuple(sorted(int(x) for x in separator))
+        self.interior = tuple(sorted(map(int, interior)))
+        self.separator = tuple(sorted(map(int, separator)))
         self.interior_set = frozenset(self.interior)
 
         # Mirror node universe: interiors first is NOT required — local ids
         # follow the sorted global id order so lookups stay branch-free.
         members = sorted(self.interior + self.separator)
-        self.g2l: Dict[int, int] = {g: i for i, g in enumerate(members)}
+        self.g2l: Dict[int, int] = dict(zip(members, range(len(members))))
         self.l2g: Tuple[int, ...] = tuple(members)
 
-        edges: List[Tuple[int, int]] = []
-        weights: Dict[Tuple[int, int], float] = {}
-        for u in self.interior:
-            lu = self.g2l[u]
-            for v in graph.neighbors(u):
-                lv = self.g2l[v]
-                if v in self.interior_set and v < u:
-                    continue  # interior-interior edges once
-                key = (lu, lv) if lu < lv else (lv, lu)
-                edges.append(key)
-                weights[key] = graph.weight(u, v)
-        # Virtual connectivity chain over the separator replica.  A chain
-        # link may shadow a real separator-separator edge; that is fine —
-        # real T-T edges are never mirrored, so no event ever collides
-        # with a chain link.
-        sep_local = [self.g2l[t] for t in self.separator]
-        for a, b in zip(sep_local, sep_local[1:]):
-            key = (a, b) if a < b else (b, a)
-            if key not in weights:
-                edges.append(key)
-                weights[key] = 1.0
-
-        mirror = DynamicGraph(Graph(len(members), edges), weights=weights)
+        # Every real edge with an interior endpoint, relabelled to local ids.
+        u, v, w = graph.edge_arrays()
+        bound = int(graph.node_ids()[-1]) + 1
+        local = np.full(bound, -1, dtype=np.int64)
+        local[members] = np.arange(len(members))
+        inside = np.zeros(bound, dtype=bool)
+        inside[list(self.interior)] = True
+        mask = inside[u] | inside[v]
+        lu, lv = local[u[mask]], local[v[mask]]
+        # Virtual connectivity chain over the separator replica.  Its links
+        # join two separator nodes and mirrored edges have an interior end,
+        # so no link collides with a mirrored edge, and real T-T edges are
+        # never mirrored, so no event ever collides with a link.
+        chain = local[list(self.separator)]
+        lo = np.concatenate([np.minimum(lu, lv), chain[:-1]])
+        hi = np.concatenate([np.maximum(lu, lv), chain[1:]])
+        weights = np.concatenate([w[mask], np.ones(max(chain.size - 1, 0))])
+        # Graph sorts its edges by (lo, hi); sorting first aligns the weights.
+        order = np.lexsort((hi, lo))
+        topology = Graph(len(members), np.column_stack([lo[order], hi[order]]))
+        mirror = DynamicGraph(topology, weights=weights[order])
         self.mirror = mirror
         self.engine = DynamicCFCM(
             mirror, seed=seed, config=config, pool_size=pool_size,

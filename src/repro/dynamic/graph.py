@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
@@ -121,8 +122,8 @@ class DynamicGraph:
     graph:
         Connected seed topology; its edges start with weight 1.
     weights:
-        Optional ``{(u, v): w}`` mapping overriding initial edge weights
-        (``w > 0``; keys must be existing edges in either orientation).
+        Optional ``(m,)`` array of initial edge weights, aligned with
+        ``graph.edge_u`` / ``graph.edge_v`` (each finite and ``> 0``).
 
     Notes
     -----
@@ -135,24 +136,44 @@ class DynamicGraph:
     :attr:`is_unit_weighted`.
     """
 
-    def __init__(self, graph: Graph, weights: Optional[Dict[Tuple[int, int], float]] = None):
+    def __init__(self, graph: Graph, weights: Optional[np.ndarray] = None):
         require_connected(graph)
-        self._weights: Dict[Tuple[int, int], float] = {
-            (int(u), int(v)): 1.0 for u, v in zip(graph.edge_u, graph.edge_v)
-        }
+        if weights is None:
+            values = np.ones(graph.m, dtype=np.float64)
+        else:
+            try:
+                values = np.array(weights, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise InvalidParameterError(
+                    f"weights must be an array of {graph.m} numbers: {exc}"
+                ) from exc
+            if values.shape != (graph.m,):
+                raise InvalidParameterError(
+                    f"weights must have shape ({graph.m},), got {values.shape}"
+                )
+            bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
+            if bad.size:
+                i = int(bad[0])
+                raise InvalidParameterError(
+                    f"weight of ({graph.edge_u[i]}, {graph.edge_v[i]}) must be "
+                    f"finite and > 0, got {values[i]}"
+                )
+        # The weight map's insertion order is the seed graph's edge order,
+        # which edge_arrays() and the Laplacian assemblies follow.
+        keys = zip(graph.edge_u.tolist(), graph.edge_v.tolist())
+        self._weights: Dict[Tuple[int, int], float] = (
+            dict.fromkeys(keys, 1.0) if weights is None
+            else dict(zip(keys, values.tolist()))
+        )
         # _adjacency is indexed by stable id and grows with add_node; removed
         # slots are tombstoned with None so live ids never shift.
-        self._adjacency: List[Optional[Set[int]]] = [set() for _ in range(graph.n)]
+        indptr, adjacency, _ = graph.adjacency_lists()
+        self._adjacency: List[Optional[Set[int]]] = [
+            set(adjacency[lo:hi]) for lo, hi in zip(indptr, indptr[1:])
+        ]
         self._active_count = graph.n
-        for u, v in self._weights:
-            self._adjacency[u].add(v)
-            self._adjacency[v].add(u)
-        if weights:
-            for key, value in weights.items():
-                u, v = self._key(*key)
-                if (u, v) not in self._weights:
-                    raise GraphError(f"initial weight given for missing edge ({u}, {v})")
-                self._weights[(u, v)] = check_positive(f"weight of ({u}, {v})", value)
+        self._edges = _read_only(graph.edge_u, graph.edge_v, values)
+        self._edges_version = 0
 
         self._journal: List[GraphUpdate] = []
         self._journal_floor = 0
@@ -163,7 +184,7 @@ class DynamicGraph:
         self._mapping.flags.writeable = False
         # Count of edges with weight != 1, so is_unit_weighted is O(1) on the
         # engine's per-query fast path instead of an O(m) scan.
-        self._non_unit_count = sum(1 for w in self._weights.values() if w != 1.0)
+        self._non_unit_count = int(np.count_nonzero(values != 1.0))
 
     # ------------------------------------------------------------------ basic
     @property
@@ -423,15 +444,8 @@ class DynamicGraph:
         translates snapshot ids back to stable ids.
         """
         if self._snapshot is None or self._snapshot_version != self._version:
-            mapping = self.snapshot_mapping()
-            if mapping.size and int(mapping[-1]) == mapping.size - 1:
-                edges: Iterable[Tuple[int, int]] = list(self._weights)
-            else:
-                compact = np.full(len(self._adjacency), -1, dtype=np.int64)
-                compact[mapping] = np.arange(mapping.size)
-                edges = [(int(compact[u]), int(compact[v]))
-                         for u, v in self._weights]
-            self._snapshot = Graph(self._active_count, edges)
+            u, v, _ = self._snapshot_edges()
+            self._snapshot = Graph(self._active_count, np.column_stack([u, v]))
             self._snapshot_version = self._version
         return self._snapshot
 
@@ -454,6 +468,24 @@ class DynamicGraph:
         """Snapshot (compact) indices of the given active stable ids."""
         return [self.compact_index(node) for node in nodes]
 
+    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(u, v, w)``: the current edges in stable ids, ``u < v``.
+
+        Edges follow the weight map's insertion order, which the Laplacian
+        assemblies sum in, so it is bit-significant.  The arrays are
+        read-only and cached per version, so every consumer of one state
+        shares one read of the map.
+        """
+        if self._edges_version != self._version:
+            m = len(self._weights)
+            ends = np.fromiter(chain.from_iterable(self._weights),
+                               dtype=np.int64, count=2 * m).reshape(m, 2)
+            weights = np.fromiter(self._weights.values(), dtype=np.float64,
+                                  count=m)
+            self._edges = _read_only(ends[:, 0], ends[:, 1], weights)
+            self._edges_version = self._version
+        return self._edges
+
     def laplacian_dense(self) -> np.ndarray:
         """Dense weighted Laplacian ``L = D_w - A_w`` of the current state.
 
@@ -464,20 +496,7 @@ class DynamicGraph:
         """
         n = self._active_count
         matrix = np.zeros((n, n), dtype=np.float64)
-        if not self._weights:
-            return matrix
-        keys = np.fromiter(
-            (x for key in self._weights for x in key),
-            dtype=np.int64, count=2 * len(self._weights),
-        ).reshape(-1, 2)
-        weights = np.fromiter(self._weights.values(), dtype=np.float64,
-                              count=len(self._weights))
-        mapping = self.snapshot_mapping()
-        if int(mapping[-1]) == n - 1:
-            u, v = keys[:, 0], keys[:, 1]
-        else:
-            u = np.searchsorted(mapping, keys[:, 0])
-            v = np.searchsorted(mapping, keys[:, 1])
+        u, v, weights = self._snapshot_edges()
         np.add.at(matrix, (u, u), weights)
         np.add.at(matrix, (v, v), weights)
         np.add.at(matrix, (u, v), -weights)
@@ -493,20 +512,7 @@ class DynamicGraph:
         graphs where the dense form no longer fits the n² budget.
         """
         n = self._active_count
-        if not self._weights:
-            return sp.csr_matrix((n, n), dtype=np.float64)
-        keys = np.fromiter(
-            (x for key in self._weights for x in key),
-            dtype=np.int64, count=2 * len(self._weights),
-        ).reshape(-1, 2)
-        weights = np.fromiter(self._weights.values(), dtype=np.float64,
-                              count=len(self._weights))
-        mapping = self.snapshot_mapping()
-        if int(mapping[-1]) == n - 1:
-            u, v = keys[:, 0], keys[:, 1]
-        else:
-            u = np.searchsorted(mapping, keys[:, 0])
-            v = np.searchsorted(mapping, keys[:, 1])
+        u, v, weights = self._snapshot_edges()
         data = np.concatenate([weights, weights, -weights, -weights])
         rows = np.concatenate([u, v, u, v])
         cols = np.concatenate([u, v, v, u])
@@ -515,6 +521,15 @@ class DynamicGraph:
         return matrix.tocsr()
 
     # ------------------------------------------------------------- internals
+    def _snapshot_edges(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`edge_arrays` with endpoints in snapshot (compact) ids."""
+        u, v, w = self.edge_arrays()
+        mapping = self._mapping
+        if int(mapping[-1]) != mapping.size - 1:
+            u = np.searchsorted(mapping, u)
+            v = np.searchsorted(mapping, v)
+        return u, v, w
+
     def _check_active(self, node: int) -> int:
         if isinstance(node, bool) or not isinstance(node, (int, np.integer)):
             raise InvalidNodeError(f"node must be an integer, got {node!r}")
@@ -633,3 +648,11 @@ class DynamicGraph:
         """
         return not self._stays_connected(sorted(self._adjacency[node]),
                                          skip_node=node)
+
+
+def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Read-only views of ``arrays``, safe to hand out from a cache."""
+    views = tuple(np.asarray(a).view() for a in arrays)
+    for view in views:
+        view.flags.writeable = False
+    return views

@@ -54,14 +54,11 @@ def grid_graph(rows: int, cols: int) -> Graph:
     """2-D grid graph with ``rows * cols`` nodes."""
     check_integer("rows", rows, minimum=1)
     check_integer("cols", cols, minimum=1)
-    edges: List[Tuple[int, int]] = []
-    for r in range(rows):
-        for c in range(cols):
-            node = r * cols + c
-            if c + 1 < cols:
-                edges.append((node, node + 1))
-            if r + 1 < rows:
-                edges.append((node, node + cols))
+    ids = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+    edges = np.concatenate([
+        np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()]),
+        np.column_stack([ids[:-1, :].ravel(), ids[1:, :].ravel()]),
+    ])
     return Graph(rows * cols, edges)
 
 

@@ -38,8 +38,9 @@ class Graph:
     n:
         Number of nodes.  Nodes are the integers ``0 .. n - 1``.
     edges:
-        Iterable of ``(u, v)`` pairs with ``u != v``.  Each undirected edge
-        must appear exactly once (in either orientation).
+        Iterable of ``(u, v)`` pairs with ``u != v``, or an integer
+        ``(m, 2)`` array of them.  Each undirected edge must appear exactly
+        once (in either orientation).
 
     Attributes
     ----------
@@ -69,12 +70,15 @@ class Graph:
         "_py_degrees",
     )
 
-    def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
+    def __init__(self, n: int, edges: Iterable[Tuple[int, int]] | np.ndarray):
         if n <= 0:
             raise GraphError(f"graph must have at least one node, got n={n}")
         self._n = int(n)
 
-        edge_array = np.asarray(list(edges), dtype=np.int64)
+        if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
+            edge_array = edges.astype(np.int64, copy=False)
+        else:
+            edge_array = np.asarray(list(edges), dtype=np.int64)
         if edge_array.size == 0:
             edge_array = edge_array.reshape(0, 2)
         if edge_array.ndim != 2 or edge_array.shape[1] != 2:
@@ -181,9 +185,9 @@ class Graph:
     def adjacency_lists(self) -> Tuple[list, list, list]:
         """CSR arrays as cached plain Python lists ``(indptr, adjacency, degrees)``.
 
-        The spanning-forest sampler runs a per-step Python loop; plain lists
-        avoid NumPy scalar-indexing overhead in that hot path.  The lists are
-        built lazily once and reused across samples.
+        The spanning-forest sampler and the partitioner's BFS run per-step
+        Python loops; plain lists avoid NumPy scalar-indexing overhead in
+        those hot paths.  The lists are built lazily once and reused.
         """
         if self._py_indptr is None:
             self._py_indptr = self.indptr.tolist()

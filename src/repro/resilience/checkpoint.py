@@ -73,12 +73,7 @@ def _restore_stats(stats, payload: Dict[str, Any]) -> None:
 
 # -------------------------------------------------------------------- graph
 def _serialize_graph(graph, arrays: Dict[str, np.ndarray]) -> Dict[str, Any]:
-    m = len(graph._weights)
-    edge_u = np.empty(m, dtype=np.int64)
-    edge_v = np.empty(m, dtype=np.int64)
-    edge_w = np.empty(m, dtype=np.float64)
-    for k, ((u, v), w) in enumerate(graph._weights.items()):
-        edge_u[k], edge_v[k], edge_w[k] = u, v, w
+    edge_u, edge_v, edge_w = graph.edge_arrays()
     arrays["graph_edge_u"] = edge_u
     arrays["graph_edge_v"] = edge_v
     arrays["graph_edge_w"] = edge_w
@@ -101,8 +96,9 @@ def _restore_graph(meta: Dict[str, Any], data) -> "Any":
     edge_u = data["graph_edge_u"]
     edge_v = data["graph_edge_v"]
     edge_w = data["graph_edge_w"]
-    # Rebuilt in serialisation order: the weight map's insertion order feeds
-    # np.fromiter in the Laplacian assemblies, so it is bit-significant.
+    # Rebuilt in serialisation order: the weight map's insertion order is
+    # the order of edge_arrays(), which the Laplacian assemblies sum in, so
+    # it is bit-significant.
     graph._weights = {
         (int(u), int(v)): float(w)
         for u, v, w in zip(edge_u, edge_v, edge_w)
@@ -118,6 +114,8 @@ def _restore_graph(meta: Dict[str, Any], data) -> "Any":
     graph._version = int(meta["version"])
     graph._snapshot = None
     graph._snapshot_version = -1
+    graph._edges = None
+    graph._edges_version = -1
     graph._mapping = np.flatnonzero(active)
     graph._mapping.flags.writeable = False
     graph._non_unit_count = int(meta["non_unit_count"])

@@ -7,6 +7,7 @@ algorithm code can stay focused on the mathematics.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -15,8 +16,10 @@ from repro.exceptions import InvalidNodeError, InvalidParameterError
 
 
 def check_positive(name: str, value: float, strict: bool = True) -> float:
-    """Validate that ``value`` is positive (strictly by default)."""
+    """Validate that ``value`` is finite and positive (strictly by default)."""
     value = float(value)
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{name} must be finite, got {value}")
     if strict and value <= 0:
         raise InvalidParameterError(f"{name} must be > 0, got {value}")
     if not strict and value < 0:

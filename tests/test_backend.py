@@ -378,10 +378,7 @@ class TestHubCore:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_queries_match_dense_inverse(self, hub_ba, weighted):
         rng = np.random.default_rng(31)
-        weights = None
-        if weighted:
-            weights = {(int(u), int(v)): float(rng.uniform(0.5, 3.0))
-                       for u, v in hub_ba.edges()}
+        weights = rng.uniform(0.5, 3.0, size=hub_ba.m) if weighted else None
         graph = DynamicGraph(hub_ba, weights=weights)
         tracker = IncrementalResistance(graph, GROUP, backend="sparse")
         backend = tracker.backend

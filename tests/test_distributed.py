@@ -1,10 +1,12 @@
 """Tests for the sharded CFCM backend (repro.distributed)."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.distributed import ShardedCFCM, partition_graph
+from repro.distributed import Partition, ShardedCFCM, ShardState, partition_graph
 from repro.distributed import engine as sharded_engine
 from repro.dynamic import DynamicCFCM, DynamicGraph
 from repro.dynamic import resistance as resistance_module
@@ -89,6 +91,180 @@ class TestPartition:
         part = partition_graph(grid(), 3)
         assert part.shards == 3
         assert len(part.parts) == 3
+
+
+# The per-node and per-edge loops that the array build replaced; the array
+# build must reproduce their homes, separators, parts and mirrors bit for bit.
+def loop_assign_homes(graph, shards, seeds=()):
+    ids = [int(x) for x in graph.node_ids()]
+    if seeds:
+        chosen = [int(s) for s in seeds]
+    else:
+        step = max(len(ids) // shards, 1)
+        chosen = [ids[min(i * step, len(ids) - 1)] for i in range(shards)]
+        used = set()
+        for i, seed in enumerate(chosen):
+            if seed in used:
+                seed = next(x for x in ids if x not in used)
+            used.add(seed)
+            chosen[i] = seed
+    home = {}
+    frontiers = []
+    for part, seed in enumerate(chosen):
+        home[seed] = part
+        frontiers.append(deque([seed]))
+    sizes = [1] * shards
+    while len(home) < len(ids):
+        for part in sorted(range(shards), key=lambda p: (sizes[p], p)):
+            frontier = frontiers[part]
+            claimed = None
+            while frontier and claimed is None:
+                claimed = next((nb for nb in graph.neighbors(frontier[0])
+                                if nb not in home), None)
+                if claimed is None:
+                    frontier.popleft()
+            if claimed is not None:
+                home[claimed] = part
+                frontier.append(claimed)
+                sizes[part] += 1
+                break
+    return home
+
+
+def loop_partition_from_home(graph, home, shards):
+    cut_edges = [(u, v) for u, v in graph.edges() if home[u] != home[v]]
+    cross_count = {}
+    for u, v in cut_edges:
+        cross_count[u] = cross_count.get(u, 0) + 1
+        cross_count[v] = cross_count.get(v, 0) + 1
+    separator = set()
+    remaining = list(cut_edges)
+    while remaining:
+        best = None
+        for node, count in sorted(cross_count.items()):
+            if count > 0 and (best is None or count > cross_count[best]):
+                best = node
+        separator.add(best)
+        still = []
+        for u, v in remaining:
+            if u == best or v == best:
+                cross_count[u] -= 1
+                cross_count[v] -= 1
+            else:
+                still.append((u, v))
+        remaining = still
+    parts = [[] for _ in range(shards)]
+    for node, part in home.items():
+        if node not in separator:
+            parts[part].append(node)
+    return Partition(home=dict(home),
+                     parts=tuple(tuple(sorted(part)) for part in parts),
+                     separator=tuple(sorted(separator)))
+
+
+def loop_repartition(graph, previous):
+    ids = [int(x) for x in graph.node_ids()]
+    home = {x: previous.home[x] for x in ids if x in previous.home}
+    pending = [x for x in ids if x not in home]
+    while pending:
+        rest = []
+        for node in pending:
+            owner = next((home[nb] for nb in graph.neighbors(node)
+                          if nb in home), None)
+            if owner is None:
+                rest.append(node)
+            else:
+                home[node] = owner
+        if len(rest) == len(pending):
+            home.update(dict.fromkeys(rest, 0))
+            break
+        pending = rest
+    return loop_partition_from_home(graph, home, previous.shards)
+
+
+def loop_mirror_items(graph, interior, separator):
+    """The mirror's ``(edge, weight)`` items in its weight-map order."""
+    interior_set = set(interior)
+    g2l = {g: i for i, g in enumerate(sorted(interior_set | set(separator)))}
+    weights = {}
+    for u in sorted(interior):
+        for v in graph.neighbors(u):
+            if v in interior_set and v < u:
+                continue
+            lu, lv = g2l[u], g2l[v]
+            weights[(min(lu, lv), max(lu, lv))] = graph.weight(u, v)
+    chain = [g2l[t] for t in sorted(separator)]
+    for a, b in zip(chain, chain[1:]):
+        weights.setdefault((a, b), 1.0)
+    # The mirror's Graph sorts its edges, and its weight map follows them.
+    return sorted(weights.items())
+
+
+def assert_matches_loop_build(graph, partition, expected):
+    assert list(partition.home.items()) == list(expected.home.items())
+    assert partition.separator == expected.separator
+    assert partition.parts == expected.parts
+    for index, interior in enumerate(partition.parts):
+        shard = ShardState(graph, index, interior, partition.separator)
+        assert (list(shard.mirror._weights.items())
+                == loop_mirror_items(graph, interior, partition.separator))
+
+
+def _strip_seeds(rows, cols, shards):
+    return [((2 * i + 1) * rows // (2 * shards)) * cols + cols // 2
+            for i in range(shards)]
+
+
+def _weighted_lattice():
+    base = generators.grid_graph(20, 30)
+    weights = np.random.default_rng(5).uniform(0.5, 2.0, size=base.m)
+    return DynamicGraph(base, weights=weights), 4, ()
+
+
+BUILD_CASES = {
+    # shard_lattice's layout and the output digest's lattice.
+    "lattice120-strips": lambda: (
+        DynamicGraph(generators.grid_graph(120, 120)), 4,
+        _strip_seeds(120, 120, 4)),
+    "lattice40": lambda: (DynamicGraph(generators.grid_graph(40, 40)), 4, ()),
+    "ba500": lambda: (
+        DynamicGraph(generators.barabasi_albert(500, 3, seed=2)), 4, ()),
+    "ws300": lambda: (
+        DynamicGraph(generators.watts_strogatz(300, 4, 0.1, seed=3)), 3, ()),
+    "weighted-lattice": _weighted_lattice,
+}
+
+
+class TestArrayBuild:
+    """The array build against the loops it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(BUILD_CASES))
+    def test_matches_loop_build(self, case):
+        graph, shards, seeds = BUILD_CASES[case]()
+        home = loop_assign_homes(graph, shards, seeds)
+        expected = loop_partition_from_home(graph, home, shards)
+        assert_matches_loop_build(
+            graph, partition_graph(graph, shards, seeds), expected)
+
+    def test_matches_loop_build_after_joins_and_leaves(self):
+        graph = grid(12, 12)
+        engine = ShardedCFCM(graph, shards=4, seed=3, backend="dense")
+        graph.add_node({0: 1.0, 1: 2.0})          # id 144
+        graph.add_node([(144, 1.5), 13])          # id 145, joins a joiner
+        graph.remove_node(5)
+        graph.remove_node(77)
+        graph.add_node([70, 71])                  # id 146
+        previous = engine.partition
+        engine.evaluate_exact([0, 60])            # sync: repartition
+        assert engine.rebuilds == 1
+        assert not np.array_equal(graph.node_ids(), np.arange(graph.n))
+        assert_matches_loop_build(graph, engine.partition,
+                                  loop_repartition(graph, previous))
+        for index, shard in enumerate(engine._shards):
+            assert (list(shard.mirror._weights.items()) == loop_mirror_items(
+                graph, engine.partition.parts[index],
+                engine.partition.separator))
+        assert_matches_reference(engine, graph, [0, 60])
 
 
 class TestShardedCorrectness:

@@ -258,6 +258,64 @@ class TestDynamicGraph:
         with pytest.raises(InvalidParameterError):
             graph.update_weight(0, 1, -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weights_rejected(self, cycle5, bad):
+        graph = DynamicGraph(cycle5)
+        graph.add_edge(0, 2, 2.0)
+        before = (graph.version, graph.journal(), graph.m, graph.n)
+        with pytest.raises(InvalidParameterError):
+            graph.add_edge(1, 3, bad)
+        with pytest.raises(InvalidParameterError):
+            graph.update_weight(0, 1, bad)
+        with pytest.raises(InvalidParameterError):
+            graph.add_node({0: 1.0, 1: bad})
+        assert (graph.version, graph.journal(), graph.m, graph.n) == before
+        assert graph.weight(0, 1) == 1.0
+
+    @pytest.mark.parametrize("weights", [
+        np.ones(4), np.ones(6), np.ones((5, 1)),
+        [1.0, 0.0, 1.0, 1.0, 1.0], [1.0, -2.0, 1.0, 1.0, 1.0],
+        [1.0, 1.0, float("nan"), 1.0, 1.0], [1.0, 1.0, 1.0, float("inf"), 1.0],
+        {(0, 1): 2.0},
+    ])
+    def test_weight_array_validated(self, cycle5, weights):
+        with pytest.raises(InvalidParameterError):
+            DynamicGraph(cycle5, weights=weights)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bulk_build_matches_loop_build(self, medium_ba, weighted):
+        weights = (np.random.default_rng(3).uniform(0.5, 3.0, size=medium_ba.m)
+                   if weighted else None)
+        graph = DynamicGraph(medium_ba, weights=weights)
+        # The per-edge construction the bulk build replaced.
+        expected = {(int(u), int(v)): 1.0
+                    for u, v in zip(medium_ba.edge_u, medium_ba.edge_v)}
+        adjacency = [set() for _ in range(medium_ba.n)]
+        for u, v in expected:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        if weighted:
+            for key, value in zip(list(expected), weights):
+                expected[key] = float(value)
+        assert list(graph._weights.items()) == list(expected.items())
+        assert graph._adjacency == adjacency
+        assert graph.is_unit_weighted is not weighted
+
+    def test_edge_arrays_follow_the_weight_map(self, karate):
+        graph = DynamicGraph(karate)
+        graph.update_weight(0, 1, 2.5)
+        graph.remove_edge(0, 2)
+        graph.add_edge(5, 9, 1.5)
+        graph.add_node({3: 0.5, 4: 1.0})
+        u, v, w = graph.edge_arrays()
+        items = list(graph._weights.items())
+        assert list(zip(u.tolist(), v.tolist())) == [key for key, _ in items]
+        assert w.tolist() == [value for _, value in items]
+        assert not (u.flags.writeable or v.flags.writeable or w.flags.writeable)
+        assert graph.edge_arrays() is graph.edge_arrays()  # cached per version
+        graph.update_weight(0, 1, 3.0)
+        assert graph.edge_arrays()[2].tolist() == list(graph._weights.values())
+
     def test_snapshot_rebuilds_and_caches_per_version(self, cycle5):
         graph = DynamicGraph(cycle5)
         graph.add_edge(0, 2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import InvalidParameterError
-from repro.graph import generators
+from repro.graph import Graph, generators
 from repro.graph.traversal import is_connected
 
 
@@ -38,6 +38,26 @@ class TestDeterministicFamilies:
         assert graph.n == 12
         assert graph.m == 3 * 3 + 2 * 4
         assert is_connected(graph)
+
+    @pytest.mark.parametrize("rows, cols",
+                             [(1, 1), (1, 5), (5, 1), (3, 4), (120, 120)])
+    def test_grid_graph_matches_loop_build(self, rows, cols):
+        # The per-edge tuple loop grid_graph ran before it built both edge
+        # blocks from an id array; Graph sorts its edges, so the CSR agrees.
+        edges = []
+        for r in range(rows):
+            for c in range(cols):
+                node = r * cols + c
+                if c + 1 < cols:
+                    edges.append((node, node + 1))
+                if r + 1 < rows:
+                    edges.append((node, node + cols))
+        reference = Graph(rows * cols, edges)
+        graph = generators.grid_graph(rows, cols)
+        assert graph.n == reference.n
+        for name in ("indptr", "adjacency", "edge_u", "edge_v"):
+            assert np.array_equal(getattr(graph, name),
+                                  getattr(reference, name)), name
 
     def test_binary_tree(self):
         graph = generators.binary_tree(3)

@@ -73,6 +73,10 @@ class TestValidation:
             check_positive("x", 0.0)
         with pytest.raises(InvalidParameterError):
             check_positive("x", -1.0, strict=False)
+        for value in (float("nan"), float("inf"), float("-inf")):
+            for strict in (True, False):
+                with pytest.raises(InvalidParameterError):
+                    check_positive("x", value, strict=strict)
 
     def test_check_probability(self):
         assert check_probability("p", 0.5) == 0.5
