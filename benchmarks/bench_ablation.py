@@ -19,10 +19,10 @@ from repro.centrality.schur_cfcm import SchurCFCM, choose_extra_roots
 K = 5
 
 
-def config(max_samples: int = 32, min_samples: int = 8, jl: int = 48,
+def config(max_samples: int = 32, jl: int = 48,
            eps: float = 0.2) -> SamplingConfig:
-    return SamplingConfig(eps=eps, max_samples=max_samples, min_samples=min_samples,
-                          initial_batch=8, max_jl_dimension=jl)
+    return SamplingConfig(eps=eps, max_samples=max_samples,
+                          max_jl_dimension=jl)
 
 
 @pytest.mark.benchmark(group="ablation-extra-roots")

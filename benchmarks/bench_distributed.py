@@ -16,7 +16,9 @@ separator block.
 
 Each engine's ``build_s`` is the CPU time of the building thread to build
 it from the lattice and serve its first exact read (BLAS worker threads are
-not counted); it is recorded, not gated.
+not counted); it is recorded, not gated.  Run as a script, the file pins
+BLAS to one thread before NumPy loads, so ``build_s`` and ``speedup`` time
+the engines rather than the BLAS thread pool.
 
 Gates (checked by ``main``):
 
@@ -37,23 +39,31 @@ Standalone::
 
 from __future__ import annotations
 
-import argparse
-import time
+import os
 
-import numpy as np
-import pytest
-import scipy.sparse.linalg as spla
+if __name__ == "__main__":
+    # One BLAS thread, set before NumPy loads; a pytest session that
+    # imports this file keeps its own environment.
+    for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_name] = "1"
 
-from repro import obs
-from repro.distributed import ShardedCFCM
-from repro.dynamic import DynamicCFCM, DynamicGraph
-from repro.experiments.report import (
+import argparse  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+import scipy.sparse.linalg as spla  # noqa: E402
+
+from repro import obs  # noqa: E402
+from repro.distributed import ShardedCFCM  # noqa: E402
+from repro.dynamic import DynamicCFCM, DynamicGraph  # noqa: E402
+from repro.experiments.report import (  # noqa: E402
     metrics_prefix_for,
     percentiles_ms,
     write_bench_artifact,
     write_obs_artifacts,
 )
-from repro.graph import generators
+from repro.graph import generators  # noqa: E402
 
 
 def _strip_seeds(rows: int, cols: int, shards: int) -> list:

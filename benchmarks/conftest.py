@@ -50,19 +50,16 @@ def tiny_graph():
 @pytest.fixture(scope="session")
 def bench_config():
     """Sampling configuration used by the benchmark runs (eps = 0.2 tier)."""
-    return SamplingConfig(eps=0.2, max_samples=32, min_samples=8, initial_batch=8,
-                          max_jl_dimension=48)
+    return SamplingConfig(eps=0.2, max_samples=32, max_jl_dimension=48)
 
 
 @pytest.fixture(scope="session")
 def loose_config():
     """Sampling configuration for the eps = 0.3 tier."""
-    return SamplingConfig(eps=0.3, max_samples=24, min_samples=8, initial_batch=8,
-                          max_jl_dimension=32)
+    return SamplingConfig(eps=0.3, max_samples=24, max_jl_dimension=32)
 
 
 @pytest.fixture(scope="session")
 def tight_config():
     """Sampling configuration for the eps = 0.15 tier."""
-    return SamplingConfig(eps=0.15, max_samples=48, min_samples=8, initial_batch=8,
-                          max_jl_dimension=64)
+    return SamplingConfig(eps=0.15, max_samples=48, max_jl_dimension=64)

@@ -14,6 +14,11 @@ ForestCFCM, which is SchurCFCM with no extra roots:
 * the rooted-probability matrix ``F`` and the sampled Schur complement
   ``S_T(L_{-S})`` of Section IV (Lemma 4.2 and Eq. 15), from which
   :func:`schur_reassembly` rebuilds the ``S``-grounded quantities (Eq. 11);
+* :class:`ForestSample`, the one thing every round draws and reads: forests
+  rooted at a set ``R``, folded once, and read through Eq. (11) at any
+  ``S ⊆ R`` whose extras ``T = R \\ S`` it tracks.  The first pick reads it
+  at ``{s}``, SchurDelta at its ``S`` and ForestDelta at ``S = R``, where
+  Eq. (11) is the identity;
 * :func:`marginal_gain_estimates`, the one ``Δ(u, S)`` formula that
   ForestDelta and SchurDelta share.
 
@@ -30,22 +35,21 @@ Two steps sit between the forests and a greedy decision:
   Tremblay, at O(steps · w · m).  The diagonal (the gain's denominator) is
   not smoothed; where it is read it is clamped at its floor ``1/d_u``.
 * **The forest budget** (:meth:`SamplingConfig.sample_cap`).  Every round
-  that draws takes ``ceil(FOREST_BUDGET / eps^2)`` forests, clamped to
-  ``[min_samples, max_samples]`` (200 at the default ``eps = 0.2``), so
-  ``eps``, not ``max_samples``, decides how many forests a round draws,
-  and a call's work is fixed by the graph, ``k``, ``eps`` and its picks.
-  A SchurDelta round whose root set ``S ∪ T`` equals the previous draw's
-  draws none: :class:`HeldSample` keeps that draw's sums, which estimate
-  quantities of the root set alone.  With two or more extra roots the first
-  pick roots its forests at ``T`` too, so a SchurCFCM run whose picks stay
-  in ``T`` draws once.  No rule reads the sample to stop
-  sooner.  The unsmoothed diagonal of a hub next to a root is the
-  indicator that the hub's forest parent is that root, which on a
-  1000-node power-law graph fires in about 2% of forests, so two halves
-  of a few hundred forests disagree on near-tied hubs by chance.  A
-  stopping rule built on their agreement fired at a random doubling step
-  there, and a SchurCFCM call's CPU time ranged from 0.34 s to 1.55 s
-  across seeds.
+  that draws takes ``ceil(FOREST_BUDGET / eps^2)`` forests, capped at
+  ``max_samples`` (200 at the default ``eps = 0.2``), so ``eps``, not
+  ``max_samples``, decides how many forests a round draws, and a call's
+  work is fixed by the graph, ``k``, ``eps`` and its picks.  A SchurDelta
+  round whose root set ``S ∪ T`` equals the previous draw's draws none: it
+  reads that draw's :class:`ForestSample`, whose sums estimate quantities
+  of the root set alone.  With two or more extra roots the first pick roots
+  its forests at ``T`` too, so a SchurCFCM run whose picks stay in ``T``
+  draws once.  No rule reads the sample to stop sooner.  The unsmoothed
+  diagonal of a hub next to a root is the indicator that the hub's forest
+  parent is that root, which on a 1000-node power-law graph fires in about
+  2% of forests, so two halves of a few hundred forests disagree on
+  near-tied hubs by chance.  A stopping rule built on their agreement
+  fired at a random doubling step there, and a SchurCFCM call's CPU time
+  ranged from 0.34 s to 1.55 s across seeds.
 
 Implementation note (documented substitution): the paper's C++ code maintains
 per-directed-edge counters ``N~^{a->b}_{u,S}`` incrementally in O(1) amortised
@@ -80,15 +84,15 @@ The diagonal estimator for ``u`` restricts the same sum to the contribution
 of ``u`` itself, i.e. keeps a term only when ``x`` (resp. ``b_x``) is a
 forest ancestor of ``u``.  The batched fold walks ``u``'s BFS path, at most
 τ steps, and tests ancestry by preorder-interval containment.  Node-join
-pricing of one new column climbs the column's forest path instead, testing
-membership of the BFS path with the BFS tree's own preorder intervals, which
-needs no whole-batch preorder.
+pricing of one new column, and the scalar reference fold, climb each
+column's forest path instead, testing membership of the BFS path with the
+BFS tree's own preorder intervals, which needs no whole-batch preorder.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -117,6 +121,11 @@ from repro.utils.validation import check_integer
 #: seed's k = 3 SchurCFCM group fell below 0.9 of the optimum.
 FOREST_BUDGET = 8.0
 
+#: First batch of the doubling schedule that draws a round's forests (16,
+#: 32, 64, ...).  The batches split the sampler's random stream, so this
+#: size fixes which forests a seed draws.
+INITIAL_BATCH = 16
+
 
 @dataclass
 class SamplingConfig:
@@ -134,9 +143,6 @@ class SamplingConfig:
         log n)``) is astronomically conservative; rounds draw a fixed
         multiple of ``eps^-2`` instead, and this cap bounds it for small
         ``eps``.
-    min_samples / initial_batch:
-        Floor of the per-round budget and first batch size of the doubling
-        schedule that draws it.
     max_jl_dimension:
         Cap of the JL dimension ``min(ceil(eps^-2 * log n),
         max_jl_dimension)``, Lemma 3.4's bound with its constant 24
@@ -145,18 +151,14 @@ class SamplingConfig:
 
     eps: float = 0.2
     max_samples: int = 512
-    min_samples: int = 16
-    initial_batch: int = 16
     max_jl_dimension: int = 96
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps < 1.0:
             raise InvalidParameterError(f"eps must lie in (0, 1), got {self.eps}")
-        for name in ("max_samples", "min_samples", "initial_batch",
-                     "max_jl_dimension"):
+        for name in ("max_samples", "max_jl_dimension"):
             setattr(self, name, check_integer(name, getattr(self, name),
                                               minimum=1))
-        self.min_samples = min(self.min_samples, self.max_samples)
 
     def jl_rows(self, n: int) -> int:
         """Number of JL projection rows for a graph with ``n`` nodes."""
@@ -166,12 +168,13 @@ class SamplingConfig:
     def sample_cap(self, n: int) -> int:
         """Forests one estimation round draws on a graph with ``n`` nodes.
 
-        ``ceil(FOREST_BUDGET / eps^2)``, clamped to ``[min_samples,
-        max_samples]``.  Unlike the paper's bound it has no ``log n`` term,
-        which only a guarantee holding for all ``n`` nodes at once needs.
+        ``ceil(FOREST_BUDGET / eps^2)``, at least 9 for ``eps < 1``, capped
+        at ``max_samples``.  Unlike the paper's bound it has no ``log n``
+        term, which only a guarantee holding for all ``n`` nodes at once
+        needs.
         """
         scaled = int(math.ceil(FOREST_BUDGET * self.eps ** -2))
-        return int(min(self.max_samples, max(self.min_samples, scaled)))
+        return int(min(self.max_samples, scaled))
 
 
 class PathSystem:
@@ -611,64 +614,32 @@ class ForestAccumulator:
         (``None`` when no roots are tracked); both may be rows of the
         batched kernels' outputs.
         """
-        n = self.graph.n
         path = self._path
         bfs_parent = path.parent
         nonroot = path.nonroot
 
-        alpha = np.zeros(n, dtype=bool)
-        beta = np.zeros(n, dtype=bool)
-        # alpha_x: the forest parent edge of x coincides with its BFS edge.
-        alpha[nonroot] = parent[nonroot] == bfs_parent[nonroot]
-        # beta_x: the forest parent edge of x's BFS parent points back at x,
-        # i.e. the BFS edge of x is traversed downward by the forest path.
-        beta[nonroot] = parent[bfs_parent[nonroot]] == nonroot
-
         # Projected (weight-vector) estimators: forest-subtree sums of the
         # weights, folded along the BFS tree with per-level prefix sums.
         if subtree is not None:
+            # alpha_x: the forest parent edge of x coincides with its BFS
+            # edge; beta_x: the forest parent edge of x's BFS parent points
+            # back at x, i.e. the BFS edge of x is traversed downward.
+            alpha = parent[nonroot] == bfs_parent[nonroot]
+            beta = parent[bfs_parent[nonroot]] == nonroot
             contribution = np.zeros_like(subtree)
             contribution[:, nonroot] = (
-                subtree[:, nonroot] * alpha[nonroot]
-                - subtree[:, bfs_parent[nonroot]] * beta[nonroot]
+                subtree[:, nonroot] * alpha
+                - subtree[:, bfs_parent[nonroot]] * beta
             )
             projected = np.zeros_like(subtree)
             for nodes in path.levels()[1:]:
                 projected[:, nodes] = projected[:, bfs_parent[nodes]] + contribution[:, nodes]
             self.projected_sum += projected
 
-        # Diagonal estimators.  Rewriting the Lemma 3.3 path sum so that the
-        # outer iteration runs over each node's *forest* ancestors gives
-        #
-        #   c_u = sum_{x in Fanc(u) \ S} ( alpha_x [x in BFSpath(u)]
-        #                                  - delta_x [pi_x in BFSpath(u)] )
-        #
-        # with delta_x = 1 iff bfs_parent(pi_x) = x.  Membership of the fixed
-        # BFS path is a preorder-interval test of the path tree, so every
-        # walk step below is a handful of vectorised array ops.
-        delta = np.zeros(n, dtype=bool)
-        has_parent = parent >= 0
-        delta[has_parent] = bfs_parent[parent[has_parent]] == np.flatnonzero(has_parent)
-        diag = np.zeros(n)
-        cursor = nonroot.copy()
-        active = nonroot.copy()
-        pre_active = path.pre[active]
-        while active.size:
-            x = cursor
-            on_path_x = _contains(path.pre[x], path.size[x], pre_active)
-            pi_x = parent[x]
-            safe_pi = np.where(pi_x >= 0, pi_x, x)
-            on_path_pi = _contains(path.pre[safe_pi], path.size[safe_pi],
-                                   pre_active)
-            diag[active] += (
-                (alpha[x] & on_path_x).astype(np.float64)
-                - (delta[x] & on_path_pi & (pi_x >= 0)).astype(np.float64)
-            )
-            keep = (pi_x >= 0) & ~path.root_mask[safe_pi]
-            active = active[keep]
-            cursor = pi_x[keep]
-            pre_active = pre_active[keep]
-        self.diag_sum += diag
+        # Diagonal estimators: every node climbs its own forest path, unlike
+        # the batched fold's walk along the fixed paths.
+        self.diag_sum[nonroot] += batched_diag_estimates(
+            parent[None], path, columns=nonroot)[0]
 
         # Rooted probabilities for the tracked (Schur) roots.
         if root_of is not None:
@@ -752,11 +723,11 @@ def run_adaptive_sampling(accumulator: ForestAccumulator, config: SamplingConfig
     """Draw the round's forest budget in doubling batches.
 
     The budget is :meth:`SamplingConfig.sample_cap`,
-    ``ceil(FOREST_BUDGET / eps^2)`` forests clamped to ``[min_samples,
-    max_samples]``.  The batches start at ``initial_batch`` and double, so
-    the sampler and the fold run on few, large batches.  The work is fixed
-    by the graph and ``eps``: no statistic of the sample ends a round
-    sooner (see the module docstring for why).
+    ``ceil(FOREST_BUDGET / eps^2)`` forests capped at ``max_samples``.  The
+    batches start at :data:`INITIAL_BATCH` and double, so the sampler and
+    the fold run on few, large batches.  The work is fixed by the graph and
+    ``eps``: no statistic of the sample ends a round sooner (see the module
+    docstring for why).
 
     Returns
     -------
@@ -765,7 +736,7 @@ def run_adaptive_sampling(accumulator: ForestAccumulator, config: SamplingConfig
     the budget itself (``cap``).
     """
     cap = config.sample_cap(accumulator.graph.n)
-    batch = config.initial_batch
+    batch = INITIAL_BATCH
     while accumulator.count < cap:
         accumulator.add_samples(int(min(batch, cap - accumulator.count)))
         batch *= 2
@@ -776,11 +747,70 @@ def run_adaptive_sampling(accumulator: ForestAccumulator, config: SamplingConfig
     }
 
 
+@dataclass
+class ForestSample:
+    """Forests drawn at one root set and folded: what every round reads.
+
+    With ``U = V \\ R`` for the root set ``R``, the sums the accumulator
+    folds (``W inv(L_UU)``, ``diag(inv(L_UU))`` and the rooted-at fractions
+    ``F`` of its tracked roots) are quantities of ``R`` and ``W``, not of
+    which roots are grounded.  So one sample answers Eq. (11) for any
+    ``S ⊆ R`` whose extras ``T = R \\ S`` it tracks (:meth:`read`).
+
+    SchurCFCM holds the sample each round returns.  A later round with the
+    same root set and a larger ``S`` (its predecessor picked a node of
+    ``T``) reads it instead of drawing.  ``W`` is reused as drawn: nothing
+    reads its columns on ``S`` (``F``'s rows there are zero, and the
+    smoothing holds ``S`` at zero).  Each such round's gains are as accurate
+    as a fresh draw's; only the rounds' errors become correlated.
+    """
+
+    accumulator: ForestAccumulator
+    #: ``W``: the first rows the accumulator folds, as drawn, so that its
+    #: columns on ``T`` are Eq. (11)'s ``Q`` block.  A read returns them.
+    weights: np.ndarray
+    #: The drawing round's :func:`run_adaptive_sampling` diagnostics.
+    diagnostics: Dict[str, float]
+
+    @classmethod
+    def draw(cls, graph: Graph, roots: Sequence[int], weights: np.ndarray,
+             config: SamplingConfig, rng: np.random.Generator,
+             tracked_roots: Sequence[int] = ()) -> "ForestSample":
+        """Draw a round's forests at ``roots``, folding every row of
+        ``weights``."""
+        accumulator = ForestAccumulator(graph, roots, weights=weights,
+                                        tracked_roots=tracked_roots, seed=rng)
+        return cls(accumulator, weights,
+                   run_adaptive_sampling(accumulator, config))
+
+    def read(self, group: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """``W inv(L_{-S})`` and ``diag(inv(L_{-S}))`` for ``S = group``.
+
+        ``S`` lies in the root set, and its extras ``T`` are tracked.  With
+        ``T`` empty the sums are read as they are; otherwise
+        :func:`schur_reassembly` rebuilds them from ``F`` and the sampled
+        Schur complement of Eq. (15).
+        """
+        accumulator = self.accumulator
+        grounded = set(group)
+        extras = [t for t in accumulator.roots if t not in grounded]
+        projected = accumulator.projected_estimates()[:len(self.weights)]
+        diagonal = accumulator.diag_estimates()
+        if not extras:
+            return projected, diagonal
+        tracked = [accumulator.tracked_roots.index(t) for t in extras]
+        fractions = accumulator.root_fractions()[:, tracked]
+        schur = _sampled_schur_complement(accumulator.graph, group, extras,
+                                          fractions)
+        return schur_reassembly(projected, diagonal, fractions, self.weights,
+                                extras, _robust_inverse(schur))
+
+
 def estimate_first_pick(graph: Graph, config: SamplingConfig,
                         seed: RandomState = None,
                         extra_roots: Sequence[int] = (),
-                        held: Optional[HeldSample] = None,
-                        ) -> Tuple[int, np.ndarray, Dict[str, float]]:
+                        ) -> Tuple[int, np.ndarray, ForestSample,
+                                   Dict[str, float]]:
     """First greedy pick shared by ForestCFCM and SchurCFCM (Algorithm 3/5, lines 1-14).
 
     Grounds the Laplacian at a node ``s`` and estimates, for every node
@@ -795,53 +825,44 @@ def estimate_first_pick(graph: Graph, config: SamplingConfig,
     truth.  The constant term does not move the argmin; it makes the scores
     estimates of ``L†_uu`` themselves.
 
-    With fewer than two ``extra_roots``, ``s`` is the maximum-degree node
-    and the forests are rooted at ``{s}``, folding one unit row.  With an
-    extra root set ``T`` of two or more, ``s`` is the highest-degree node
-    of ``T`` and the forests are rooted at all of ``T``, which absorbs
-    walks far sooner.  They fold the unit row below the JL rows ``W`` a
-    first gain round would draw, and track all of ``T``; Eq. (11) with
-    ``S = {s}`` and extras ``T \\ {s}`` rebuilds ``diag(inv(L_{-s}))`` and
-    ``1ᵀ inv(L_{-s})`` (the unit row's ``Q`` block is 1 on ``T \\ {s}``).
-    The sample then fills ``held``, so a first gain round whose pick is in
-    ``T`` (root set ``T`` again) draws nothing.  ``W`` is random on every
-    column: ``s`` is in that round's ``T \\ S``.
+    The forests are rooted at the extra root set ``T`` when it has two or
+    more nodes, which absorbs walks far sooner, and otherwise at the
+    maximum-degree node alone; ``s`` is the highest-degree root.  They fold
+    a unit row below the JL rows ``W`` a first gain round would draw (none
+    with one root) and track ``T``, and the sample's read at ``{s}`` gives
+    ``diag(inv(L_{-s}))`` and ``1ᵀ inv(L_{-s})`` (Eq. 11 with extras
+    ``T \\ {s}``; the unit row's ``Q`` block is 1 there).  The returned
+    sample reads ``W`` alone, so a first gain round whose pick is in ``T``
+    (root set ``T`` again) draws nothing.  ``W`` is random on every column:
+    ``s`` is in that round's ``T \\ S``.  A one-root sample matches no gain
+    round, whose root set ``S ∪ T`` has two roots or more.
 
     Returns
     -------
-    (node, scores, diagnostics):
-        The selected node, the estimated ``L†_uu`` vector and the sampling
-        diagnostics.
+    (node, scores, sample, diagnostics):
+        The selected node, the estimated ``L†_uu`` vector, the forest sample
+        and the sampling diagnostics.
     """
     rng = as_rng(seed)
     n = graph.n
     extras = sorted(set(int(t) for t in extra_roots))
     if len(extras) < 2:
-        s = int(np.argmax(graph.degrees))
-        weights = np.ones((1, n))
-        weights[0, s] = 0.0
-        accumulator = ForestAccumulator(graph, [s], weights=weights, seed=rng)
-        diagnostics = run_adaptive_sampling(accumulator, config)
-        columns = accumulator.projected_estimates()
-        diagonal = accumulator.diag_estimates()
+        extras, jl = [], np.zeros((0, n))
     else:
-        s = extras[int(np.argmax(graph.degrees[extras]))]
         jl = rademacher_weights(config.jl_rows(n), n, (), rng)
-        weights = np.vstack([jl, np.ones((1, n))])
-        accumulator = ForestAccumulator(graph, extras, weights=weights,
-                                        tracked_roots=extras, seed=rng)
-        diagnostics = run_adaptive_sampling(accumulator, config)
-        columns, diagonal = _reassemble(
-            graph, [s], [t for t in extras if t != s], accumulator, weights)
-        if held is not None:
-            held.roots, held.accumulator = tuple(extras), accumulator
-            held.weights, held.diagnostics = jl, diagnostics
-    column_sums = jacobi_smooth(graph, [s], weights[-1:], columns[-1:])[0]
+    roots = extras or [int(np.argmax(graph.degrees))]
+    s = roots[int(np.argmax(graph.degrees[roots]))]
+    sample = ForestSample.draw(graph, roots, np.vstack([jl, np.ones((1, n))]),
+                               config, rng, tracked_roots=extras)
+    columns, diagonal = sample.read([s])
+    column_sums = jacobi_smooth(graph, [s], sample.weights[-1:],
+                                columns[-1:])[0]
     floor = 1.0 / np.maximum(graph.degrees, 1)
     scores = np.maximum(diagonal, floor) - (2.0 / n) * column_sums
     scores[s] = 0.0
     scores += column_sums.sum() / n ** 2
-    return int(np.argmin(scores)), scores, diagnostics
+    return (int(np.argmin(scores)), scores, replace(sample, weights=jl),
+            sample.diagnostics)
 
 
 #: Jacobi steps :func:`jacobi_smooth` applies to every sampled column block.
@@ -906,6 +927,9 @@ def estimate_forest_delta(graph: Graph, group: Sequence[int],
                           ) -> Tuple[Dict[int, float], Dict[str, float]]:
     """ForestDelta (Algorithm 2): estimate ``Δ(u, S)`` for every ``u ∉ S``.
 
+    The forests are rooted at ``S`` itself, so the sample's read is the
+    identity.
+
     Returns
     -------
     (gains, diagnostics):
@@ -913,108 +937,66 @@ def estimate_forest_delta(graph: Graph, group: Sequence[int],
     """
     rng = as_rng(seed)
     group = sorted(set(int(v) for v in group))
-    n = graph.n
-    rows = config.jl_rows(n)
-    weights = rademacher_weights(rows, n, group, rng)
-    accumulator = ForestAccumulator(graph, group, weights=weights, seed=rng)
-    diagnostics = run_adaptive_sampling(accumulator, config)
-    gains = marginal_gain_estimates(graph, group, weights,
-                                    accumulator.projected_estimates(),
-                                    accumulator.diag_estimates())
-    return gains, diagnostics
-
-
-@dataclass
-class HeldSample:
-    """One forest sample of a run, held for the gain rounds after it.
-
-    With ``U = V \\ (S ∪ T)``, the sums a round folds (``W inv(L_UU)``,
-    ``diag(inv(L_UU))`` and the rooted-at fractions ``F``) estimate
-    quantities of the root set ``S ∪ T`` and of the JL matrix ``W``, not of
-    which roots are in ``S``.  A later round with the same root set and a
-    larger ``S`` (its predecessor picked a node of ``T``) rebuilds Eq.
-    (11)/(15) from them with ``F``'s columns of its own ``T \\ S``.  ``W``
-    is reused as drawn: nothing reads its columns on ``S`` (``F``'s rows
-    there are zero, and the smoothing holds ``S`` at zero).  Each such
-    round's gains are as accurate as a fresh draw's; only the rounds'
-    errors become correlated.  :func:`estimate_first_pick` fills it when it
-    roots at ``T``, with a unit row below ``W`` that no gain round reads;
-    :func:`estimate_schur_delta` reads and refills it.
-    """
-
-    roots: Tuple[int, ...] = ()
-    accumulator: Optional[ForestAccumulator] = None
-    #: The drawing round's JL matrix.
-    weights: Optional[np.ndarray] = None
-    diagnostics: Dict[str, float] = field(default_factory=dict)
+    weights = rademacher_weights(config.jl_rows(graph.n), graph.n, group, rng)
+    sample = ForestSample.draw(graph, group, weights, config, rng)
+    gains = marginal_gain_estimates(graph, group, weights, *sample.read(group))
+    return gains, sample.diagnostics
 
 
 def estimate_schur_delta(graph: Graph, group: Sequence[int], extra_roots: Sequence[int],
                          config: SamplingConfig, seed: RandomState = None,
-                         held: Optional[HeldSample] = None,
-                         ) -> Tuple[Dict[int, float], Dict[str, float]]:
+                         held: Optional[ForestSample] = None,
+                         ) -> Tuple[Dict[int, float], Optional[ForestSample],
+                                    Dict[str, float]]:
     """SchurDelta (Algorithm 4): ``Δ(u, S)`` estimates using extra roots ``T``.
 
     The forests are rooted at ``S ∪ T`` — cheaper to sample and better
-    conditioned — and ``inv(L_{-S})`` is reassembled through the Eq. (11)
-    block representation with the sampled rooted-probability matrix ``F`` and
-    the sampled Schur complement of Eq. (15).  Extra roots inside ``S`` are
-    dropped; when none is left this is ForestDelta.
+    conditioned — and the sample's read at ``S`` reassembles
+    ``inv(L_{-S})`` through the Eq. (11) block representation with the
+    sampled rooted-probability matrix ``F`` and the sampled Schur complement
+    of Eq. (15).  Extra roots inside ``S`` are dropped; when none is left
+    this is ForestDelta, and no sample is returned: no later round, whose
+    ``S`` is larger, has its root set.
 
-    With ``held``, a round rooted at the held sample's root set whose ``S``
-    contains the drawing round's draws nothing and reassembles from that
-    sample; its diagnostics read ``samples`` 0 and ``reused`` 1, with the
-    drawing round's ``stopped_early`` and ``cap``.  Any other round draws
-    as without ``held`` and stores its sample there.
+    A round rooted at the ``held`` sample's root set whose extras that
+    sample tracks (so its ``S`` contains the drawing round's) draws nothing
+    and reads the held sample; its diagnostics read ``samples`` 0 and
+    ``reused`` 1, with the drawing round's ``stopped_early`` and ``cap``.
+    Any other round draws.
+
+    Returns
+    -------
+    (gains, sample, diagnostics):
+        The gains, the sample the round read, for the next round to hold,
+        and the sampling diagnostics.
     """
     rng = as_rng(seed)
     group = sorted(set(int(v) for v in group))
     extras = sorted(set(int(t) for t in extra_roots) - set(group))
     if not extras:
-        return estimate_forest_delta(graph, group, config, seed=rng)
+        gains, diagnostics = estimate_forest_delta(graph, group, config,
+                                                   seed=rng)
+        return gains, None, diagnostics
 
-    roots = tuple(sorted(group + extras))
     # With the same root set, T among the tracked roots means that this S
     # contains the drawing round's; W is random on every other column.
-    if (held is not None and held.roots == roots
+    if (held is not None and held.accumulator.roots == sorted(group + extras)
             and set(extras) <= set(held.accumulator.tracked_roots)):
-        accumulator, weights = held.accumulator, held.weights
+        sample = held
         diagnostics = {**held.diagnostics, "samples": 0.0, "reused": 1.0}
     else:
-        n = graph.n
-        rows = config.jl_rows(n)
         # One Rademacher matrix over all non-grounded coordinates; the
         # columns on U act as the paper's W block and the columns on T as
         # its Q block.  The accumulator zeroes its own copy on S ∪ T.
-        weights = rademacher_weights(rows, n, group, rng)
-        accumulator = ForestAccumulator(
-            graph, group + extras, weights=weights, tracked_roots=extras,
-            seed=rng,
-        )
-        diagnostics = run_adaptive_sampling(accumulator, config)
-        if held is not None:
-            held.roots, held.accumulator = roots, accumulator
-            held.weights, held.diagnostics = weights, diagnostics
-
-    columns, diagonal = _reassemble(graph, group, extras, accumulator, weights)
+        weights = rademacher_weights(config.jl_rows(graph.n), graph.n, group,
+                                     rng)
+        sample = ForestSample.draw(graph, group + extras, weights, config, rng,
+                                   tracked_roots=extras)
+        diagnostics = sample.diagnostics
     # The smoothing runs on the S-grounded system, T columns included.
-    gains = marginal_gain_estimates(graph, group, weights, columns, diagonal)
-    return gains, diagnostics
-
-
-def _reassemble(graph: Graph, group: Sequence[int], extras: Sequence[int],
-                accumulator: ForestAccumulator, weights: np.ndarray,
-                ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`schur_reassembly` on an accumulator rooted at ``S ∪ T`` that
-    tracks a superset of ``T`` and folds ``weights`` as its first rows."""
-    tracked = [accumulator.tracked_roots.index(t) for t in extras]
-    fractions = accumulator.root_fractions()[:, tracked]
-    schur = _sampled_schur_complement(graph, group, extras, fractions)
-    return schur_reassembly(
-        accumulator.projected_estimates()[:len(weights)],
-        accumulator.diag_estimates(), fractions, weights, extras,
-        _robust_inverse(schur),
-    )
+    gains = marginal_gain_estimates(graph, group, sample.weights,
+                                    *sample.read(group))
+    return gains, sample, diagnostics
 
 
 def schur_reassembly(projected: np.ndarray, diagonal: np.ndarray,
@@ -1059,30 +1041,30 @@ def schur_reassembly(projected: np.ndarray, diagonal: np.ndarray,
 def _sampled_schur_complement(graph: Graph, group: Sequence[int],
                               extras: Sequence[int],
                               fractions: np.ndarray) -> np.ndarray:
-    """Assemble the sampled ``S_T(L_{-S})`` from rooted probabilities (Eq. 15)."""
-    grounded = set(int(v) for v in group)
-    extras = list(extras)
-    index = {t: i for i, t in enumerate(extras)}
-    size = len(extras)
-    schur = np.zeros((size, size))
-    for t in extras:
-        i = index[t]
-        schur[i, i] = graph.degrees[t]
-    for i, t_i in enumerate(extras):
-        for t_j in graph.neighbors(t_i):
-            t_j = int(t_j)
-            if t_j in index and index[t_j] > i:
-                schur[i, index[t_j]] -= 1.0
-                schur[index[t_j], i] -= 1.0
-    # Subtract, per column t_j, the rooted probabilities of the interior
-    # neighbours of t_i: (L_TU F)_{ij} = -sum_{(u, t_i) in E, u in U} F[u, j].
-    for t_i in extras:
-        i = index[t_i]
-        for u in graph.neighbors(t_i):
-            u = int(u)
-            if u in index or u in grounded:
-                continue
-            schur[i, :] -= fractions[u]
+    """Assemble the sampled ``S_T(L_{-S})`` from rooted probabilities (Eq. 15).
+
+    ``L_TT`` holds the degrees and a -1 per ``T``-``T`` edge, and
+    ``(L_TU F)_{ij} = -sum_{(u, t_i) in E, u in U} F[u, j]``, so every
+    interior neighbour ``u`` of ``t_i`` subtracts ``F``'s row ``u`` from row
+    ``i``, in ``t_i``'s adjacency order.
+    """
+    extras = np.asarray(extras, dtype=np.int64)
+    position = np.full(graph.n, -1, dtype=np.int64)
+    position[extras] = np.arange(extras.size)
+    grounded = np.zeros(graph.n, dtype=bool)
+    grounded[list(group)] = True
+    # Every T node's neighbours, row by row, each in adjacency order.
+    counts = graph.degrees[extras]
+    rows = np.repeat(np.arange(extras.size), counts)
+    offsets = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts,
+                                               counts)
+    neighbours = graph.adjacency[graph.indptr[extras][rows] + offsets]
+    schur = np.diag(counts.astype(np.float64))
+    inside = position[neighbours] >= 0
+    schur[rows[inside], position[neighbours[inside]]] -= 1.0
+    interior = ~inside & ~grounded[neighbours]
+    # ufunc.at applies its updates one by one, in index order.
+    np.subtract.at(schur, rows[interior], fractions[neighbours[interior]])
     return schur
 
 

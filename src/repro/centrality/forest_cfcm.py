@@ -17,8 +17,10 @@ the per-node empirical-Bernstein rule of Lemma 3.6).
 The algorithm achieves the ``1 - (k/(k-1))/e - eps`` approximation factor of
 Theorem 3.11.
 
-ForestDelta is SchurDelta with an empty auxiliary root set ``T``, so
-ForestCFCM is :mod:`repro.centrality.schur_cfcm` with ``T = ∅``.
+ForestDelta is SchurDelta with an empty auxiliary root set ``T``: its
+:class:`~repro.centrality.estimators.ForestSample` is rooted at ``S`` and
+read at ``S``, where Eq. (11) is the identity.  So ForestCFCM is
+:mod:`repro.centrality.schur_cfcm` with ``T = ∅``.
 """
 
 from __future__ import annotations

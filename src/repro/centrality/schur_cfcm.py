@@ -18,9 +18,10 @@ matches ForestCFCM's.
 the first pick roots its forests at ``T`` too (Lemma 3.5 holds for any
 grounding node, and Eq. (11) rebuilds the ``{s}``-grounded quantities), and
 the greedy often picks a node of ``T``, which leaves the root set ``S ∪ T``
-as it was.  The next round then reuses the forests of the last draw, the
-first pick's included (:class:`~repro.centrality.estimators.HeldSample`),
-instead of drawing: a run whose picks stay in ``T`` draws once.
+as it was.  Every round returns the
+:class:`~repro.centrality.estimators.ForestSample` it read, and the next
+round reads that sample again instead of drawing when its root set is the
+same: a run whose picks stay in ``T`` draws once.
 
 With ``T = ∅`` SchurDelta is ForestDelta, so ForestCFCM
 (:mod:`repro.centrality.forest_cfcm`) is this class with no extra roots.  The
@@ -38,7 +39,6 @@ from repro.graph.graph import Graph
 from repro.graph.properties import extra_root_size
 from repro.graph.traversal import require_connected
 from repro.centrality.estimators import (
-    HeldSample,
     SamplingConfig,
     estimate_first_pick,
     estimate_schur_delta,
@@ -123,12 +123,11 @@ class SchurCFCM(GreedyCFCM):
 
     # ------------------------------------------------------------ greedy hooks
     def _first_pick(self) -> Tuple[int, np.ndarray, Dict[str, object]]:
-        # A run starts with no held sample; with |T| >= 2 the first pick
-        # fills it, and its gain rounds share it.
-        self._held = HeldSample()
-        first, scores, diagnostics = estimate_first_pick(
+        # Each run holds its own first pick's sample, and its gain rounds
+        # hand each other theirs.
+        first, scores, self._held, diagnostics = estimate_first_pick(
             self.graph, self.config, seed=self.rng,
-            extra_roots=self.extra_roots, held=self._held,
+            extra_roots=self.extra_roots,
         )
         return first, scores, _sampling_log(diagnostics)
 
@@ -136,7 +135,7 @@ class SchurCFCM(GreedyCFCM):
                ) -> Tuple[Dict[int, float], Dict[str, object]]:
         # estimate_schur_delta drops the extra roots already in the group,
         # and draws only when S ∪ T differs from the held sample's.
-        gains, diagnostics = estimate_schur_delta(
+        gains, self._held, diagnostics = estimate_schur_delta(
             self.graph, group, self.extra_roots, self.config, seed=self.rng,
             held=self._held,
         )

@@ -86,8 +86,7 @@ def run_dynamic(k: int = 5, eps: float = 0.3, max_samples: int = 48,
     n = 160 if quick else (240 if scale == "small" else 600)
     rounds = 2 if quick else rounds
     batch = max(1, int(batch))
-    config = SamplingConfig(eps=eps, max_samples=max_samples,
-                            min_samples=min(8, max_samples))
+    config = SamplingConfig(eps=eps, max_samples=max_samples)
 
     own_registry = metrics_prefix is not None and not obs.REGISTRY.enabled
     if own_registry:

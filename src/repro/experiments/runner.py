@@ -34,13 +34,6 @@ class RunSpec:
         return self.label or self.method
 
 
-def sampling_config(eps: float, max_samples: int) -> SamplingConfig:
-    """Harness-wide sampling configuration for the randomised methods."""
-    return SamplingConfig(eps=eps, max_samples=max_samples,
-                          min_samples=min(16, max_samples),
-                          initial_batch=min(16, max_samples))
-
-
 def run_method(graph: Graph, k: int, spec: RunSpec, seed: int = 0
                ) -> Optional[CFCMResult]:
     """Run one method, returning ``None`` when it is infeasible for the graph.
@@ -55,7 +48,7 @@ def run_method(graph: Graph, k: int, spec: RunSpec, seed: int = 0
         return None
     config = None
     if spec.method in ("forest", "schur"):
-        config = sampling_config(spec.eps, spec.max_samples)
+        config = SamplingConfig(eps=spec.eps, max_samples=spec.max_samples)
     start = clock()
     try:
         result = maximize_cfcc(graph, k, method=spec.method, eps=spec.eps,

@@ -105,11 +105,15 @@ def connected_components(graph: Graph) -> List[np.ndarray]:
 
 
 def is_connected(graph: Graph) -> bool:
-    """Whether the graph is connected."""
+    """Whether the graph is connected: one component, counted on the
+    graph's own CSR arrays."""
     if graph.n <= 1:
         return True
-    tree = bfs_tree(graph, [0])
-    return bool(np.all(tree.depth >= 0))
+    adjacency = sp.csr_matrix(
+        (np.ones(graph.adjacency.size), graph.adjacency, graph.indptr),
+        shape=(graph.n, graph.n))
+    return csgraph.connected_components(adjacency, directed=False,
+                                        return_labels=False) == 1
 
 
 def require_connected(graph: Graph) -> None:

@@ -39,7 +39,7 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 
 #: Bump when the archive layout changes; restore refuses unknown versions.
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 
 # ------------------------------------------------------------------ helpers

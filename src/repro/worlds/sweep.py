@@ -227,10 +227,8 @@ def run_world(spec: WorldSpec, verbose: bool = False) -> Dict[str, object]:
     base = spec.build_graph()
     graph = DynamicGraph(base)
     monitor = tuple(range(spec.traffic.group_size))
-    config = SamplingConfig(
-        eps=spec.estimator.eps, max_samples=spec.estimator.max_samples,
-        min_samples=min(8, spec.estimator.max_samples),
-    )
+    config = SamplingConfig(eps=spec.estimator.eps,
+                            max_samples=spec.estimator.max_samples)
     driver = make_churn_driver(spec.churn.regime, protected=monitor,
                                intensity=spec.churn.intensity)
     rng = as_rng(int(np.random.default_rng(spec.seed).integers(0, 2**62)))

@@ -20,8 +20,7 @@ from repro.centrality.optimum import optimum_cfcm
 from repro.centrality.schur_cfcm import SchurCFCM, choose_extra_roots
 from repro.linalg.pseudoinverse import pseudoinverse_diagonal
 
-FAST_CONFIG = SamplingConfig(eps=0.3, max_samples=160, min_samples=16,
-                             initial_batch=16, max_jl_dimension=64)
+FAST_CONFIG = SamplingConfig(eps=0.3, max_samples=160, max_jl_dimension=64)
 
 
 def forests_drawn(result):
@@ -157,8 +156,8 @@ class TestSchurCFCM:
         assert_valid_group(result, karate, 3)
 
     def test_schur_delta_function(self, karate):
-        gains, _ = estimators.estimate_schur_delta(karate, [0], [33, 32],
-                                                   FAST_CONFIG, seed=0)
+        gains, _, _ = estimators.estimate_schur_delta(karate, [0], [33, 32],
+                                                      FAST_CONFIG, seed=0)
         assert set(gains) == set(range(1, karate.n))
 
     def test_choose_extra_roots_highest_degree(self, karate):

@@ -19,7 +19,7 @@ two slow-mixing ones, where Jacobi smoothing contracts least.
 On the power-law graph SchurCFCM roots its forests at 17 hubs ``T``
 besides ``S``, the first pick's too, and the greedy picks among them, so
 the gain rounds reuse the first pick's forests
-(:class:`repro.centrality.estimators.HeldSample`).  There the gain gate is
+(:class:`repro.centrality.estimators.ForestSample`).  There the gain gate is
 a median of 0.99 and a 10th percentile of 0.9 (measured: 1.0 and 0.962,
 minimum 0.616), and the first-pick gate a minimum of 0.99 (measured: 1.0
 on every seed; 0.953 when the first pick rooted its forests at the top hub

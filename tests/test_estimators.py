@@ -6,8 +6,9 @@ import pytest
 from repro.exceptions import InvalidParameterError
 from repro.graph import generators
 from repro.centrality.estimators import (
+    INITIAL_BATCH,
     ForestAccumulator,
-    HeldSample,
+    ForestSample,
     SamplingConfig,
     _robust_inverse,
     _sampled_schur_complement,
@@ -27,11 +28,52 @@ from repro.linalg.updates import grounded_inverse
 from repro.sampling.batch import sample_forest_batch_vectorized
 
 
+def loop_schur_complement(graph, group, extras, fractions):
+    """Reference Eq. (15) assembly, one neighbour at a time: row ``i``
+    subtracts ``F``'s row of each interior neighbour of ``t_i`` in
+    adjacency order, so it rounds as the array assembly must."""
+    grounded = set(int(v) for v in group)
+    index = {t: i for i, t in enumerate(extras)}
+    schur = np.zeros((len(extras), len(extras)))
+    for i, t_i in enumerate(extras):
+        schur[i, i] = graph.degrees[t_i]
+        for t_j in graph.neighbors(t_i):
+            if int(t_j) in index and index[int(t_j)] > i:
+                schur[i, index[int(t_j)]] -= 1.0
+                schur[index[int(t_j)], i] -= 1.0
+    for i, t_i in enumerate(extras):
+        for u in graph.neighbors(t_i):
+            if int(u) not in index and int(u) not in grounded:
+                schur[i, :] -= fractions[int(u)]
+    return schur
+
+
+def exact_sums(graph):
+    """An ``add_samples`` that folds every forest's expectation instead of
+    drawing it: exact ``W inv(L_UU)``, ``diag(inv(L_UU))`` and rooted-at
+    fractions of the accumulator's root set."""
+
+    def add_samples(accumulator, batch_size):
+        blocks = grounded_inverse_block(graph, [], accumulator.roots)
+        interior = blocks.interior
+        accumulator.projected_sum[:, interior] += batch_size * (
+            accumulator.weights[:, interior] @ blocks.inv_interior)
+        accumulator.diag_sum[interior] += (batch_size
+                                           * np.diag(blocks.inv_interior))
+        tracked = [accumulator.roots.index(t)
+                   for t in accumulator.tracked_roots]
+        accumulator.root_counts[interior] += (batch_size
+                                              * blocks.absorption[:, tracked])
+        accumulator.count += batch_size
+
+    return add_samples
+
+
 class TestSamplingConfig:
     def test_defaults(self):
         config = SamplingConfig()
         assert 0 < config.eps < 1
-        assert config.max_samples >= config.min_samples
+        assert config.sample_cap(1000) == 200 <= config.max_samples
 
     def test_invalid_eps(self):
         with pytest.raises(InvalidParameterError):
@@ -43,18 +85,13 @@ class TestSamplingConfig:
         with pytest.raises(InvalidParameterError):
             SamplingConfig(max_samples=0)
 
-    @pytest.mark.parametrize("field", ["max_samples", "min_samples",
-                                       "initial_batch"])
+    @pytest.mark.parametrize("field", ["max_samples"])
     @pytest.mark.parametrize("count", [0, 2.5])
     def test_sample_counts_are_positive_integers(self, field, count):
         # A fractional count would be truncated where it is used, and a zero
-        # floor raised to one, without a word.
+        # cap would leave no forest to divide by, without a word.
         with pytest.raises(InvalidParameterError, match=field):
             SamplingConfig(**{field: count})
-
-    def test_min_samples_clamped_to_max_samples(self):
-        config = SamplingConfig(max_samples=8, min_samples=16)
-        assert config.min_samples == 8
 
     @pytest.mark.parametrize("cap", [0, -3, 2.5])
     def test_invalid_max_jl_dimension(self, cap):
@@ -75,6 +112,11 @@ class TestSamplingConfig:
     def test_sample_cap_bounded(self):
         config = SamplingConfig(eps=0.3, max_samples=100)
         assert config.sample_cap(1000) <= 100
+
+    def test_sample_cap_is_the_budget_alone_for_large_eps(self):
+        # ceil(8 / eps^2) is 10 at eps = 0.9, and above 8 for every eps < 1.
+        assert SamplingConfig(eps=0.9).sample_cap(1000) == 10
+        assert SamplingConfig(eps=0.999).sample_cap(1000) == 9
 
 
 class TestRademacherWeights:
@@ -150,7 +192,7 @@ class TestForestAccumulator:
 
 class TestAdaptiveSamplingLoop:
     def test_respects_cap(self, karate):
-        config = SamplingConfig(eps=0.3, max_samples=40, min_samples=8, initial_batch=8)
+        config = SamplingConfig(eps=0.3, max_samples=40)
         accumulator = ForestAccumulator(karate, [0], seed=1)
         diagnostics = run_adaptive_sampling(accumulator, config)
         assert diagnostics["samples"] <= 40
@@ -158,14 +200,26 @@ class TestAdaptiveSamplingLoop:
 
     def test_early_stop_possible_on_easy_instance(self):
         star = generators.star_graph(30)
-        config = SamplingConfig(eps=0.5, max_samples=4096, min_samples=8,
-                                initial_batch=32)
+        config = SamplingConfig(eps=0.5, max_samples=4096)
         accumulator = ForestAccumulator(star, [0], seed=2)
         diagnostics = run_adaptive_sampling(accumulator, config)
         # eps, not max_samples, ends the round: 8 / 0.5^2 = 32 forests,
-        # the first batch.
+        # the first two batches.
         assert diagnostics["stopped_early"] == 1.0
         assert diagnostics["samples"] == 32 == config.sample_cap(star.n)
+
+    def test_batches_double_from_the_first(self, karate, monkeypatch):
+        # The batches split the random stream, so they fix the forests a
+        # seed draws: 16, 32, 64 and the rest of the 200.
+        sizes = []
+
+        def record(accumulator, size):
+            sizes.append(size)
+            accumulator.count += size
+
+        monkeypatch.setattr(ForestAccumulator, "add_samples", record)
+        run_adaptive_sampling(ForestAccumulator(karate, [0]), SamplingConfig())
+        assert sizes == [INITIAL_BATCH, 32, 64, 88]
 
 
 class TestDeltaEstimators:
@@ -187,7 +241,8 @@ class TestDeltaEstimators:
         extras = [int(v) for v in np.argsort(-small_ba.degrees)[1:5]]
         exact = marginal_gains_all(small_ba, group)
         config = SamplingConfig(eps=0.2, max_samples=600, max_jl_dimension=128)
-        estimates, _ = estimate_schur_delta(small_ba, group, extras, config, seed=4)
+        estimates, _, _ = estimate_schur_delta(small_ba, group, extras, config,
+                                               seed=4)
         assert set(estimates) == set(exact)
         relative = [abs(estimates[u] - exact[u]) / exact[u] for u in exact]
         assert np.mean(relative) < 0.35
@@ -198,8 +253,11 @@ class TestDeltaEstimators:
     def test_schur_delta_without_extras_falls_back(self, small_ba):
         group = [0]
         config = SamplingConfig(eps=0.3, max_samples=64)
-        gains, _ = estimate_schur_delta(small_ba, group, [0], config, seed=5)
+        gains, sample, _ = estimate_schur_delta(small_ba, group, [0], config,
+                                                seed=5)
         assert set(gains) == set(range(small_ba.n)) - {0}
+        # No later round, whose S is larger, is rooted at this S.
+        assert sample is None
 
     @pytest.mark.parametrize("group", [[0], [0, 5]])
     def test_schur_reassembly_is_exact_on_exact_blocks(self, hub_ba, group):
@@ -285,10 +343,57 @@ class TestDeltaEstimators:
 
         np.testing.assert_allclose(schur, blocks.schur, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("name", ["karate", "hub_ba"])
+    def test_sampled_schur_complement_matches_the_loop_bit_for_bit(
+            self, request, name):
+        """The array assembly subtracts in the loop's order, so it returns
+        the loop's bits; rows of ``F`` outside ``U`` must not be read."""
+        graph = request.getfixturevalue(name)
+        hubs = [int(v) for v in np.argsort(-graph.degrees, kind="stable")]
+        rng = np.random.default_rng(5)
+        for group, extras in ((hubs[:1], hubs[1:8]),
+                              (hubs[2:4], hubs[:2] + hubs[4:9])):
+            extras = sorted(extras)
+            fractions = rng.random((graph.n, len(extras)))
+            expected = loop_schur_complement(graph, group, extras, fractions)
+            schur = _sampled_schur_complement(graph, group, extras, fractions)
+            assert schur.tobytes() == expected.tobytes()
+
     def test_estimates_are_positive(self, small_ba):
         config = SamplingConfig(eps=0.3, max_samples=128)
         gains, _ = estimate_forest_delta(small_ba, [0], config, seed=6)
         assert all(value > 0 for value in gains.values())
+
+
+class TestForestSample:
+    @pytest.mark.parametrize("name", ["karate", "hub_ba"])
+    def test_one_sample_reads_every_grounded_subset(self, request,
+                                                    monkeypatch, name):
+        """With every forest replaced by its expectation, one ``T``-rooted
+        sample reads ``W inv(L_{-S})`` and ``diag(inv(L_{-S}))`` exactly for
+        ``S = T`` (the identity ForestDelta reads), ``|S| = 1`` and
+        ``|S| = 2``."""
+        graph = request.getfixturevalue(name)
+        monkeypatch.setattr(ForestAccumulator, "add_samples",
+                            exact_sums(graph))
+        n = graph.n
+        roots = sorted(choose_extra_roots(graph, size=4))
+        weights = rademacher_weights(8, n, (), np.random.default_rng(0))
+        sample = ForestSample.draw(graph, roots, weights,
+                                   SamplingConfig(eps=0.3),
+                                   np.random.default_rng(1),
+                                   tracked_roots=roots)
+        for group in (roots, roots[1:2], roots[::3]):
+            columns, diagonal = sample.read(group)
+            inverse, kept = grounded_inverse(graph, group)
+            expected_columns = np.zeros((8, n))
+            expected_columns[:, kept] = weights[:, kept] @ inverse
+            expected_diag = np.zeros(n)
+            expected_diag[kept] = np.diag(inverse)
+            np.testing.assert_allclose(columns, expected_columns, rtol=0,
+                                       atol=1e-10)
+            np.testing.assert_allclose(diagonal, expected_diag, rtol=0,
+                                       atol=1e-10)
 
 
 class TestHeldSample:
@@ -309,8 +414,7 @@ class TestHeldSample:
         accumulator = ForestAccumulator(graph, roots, weights=weights,
                                         tracked_roots=extras)
         accumulator.add_batch(batch)
-        held = HeldSample(roots=tuple(roots), accumulator=accumulator,
-                          weights=weights, diagnostics=dict(self.DIAGNOSTICS))
+        held = ForestSample(accumulator, weights, dict(self.DIAGNOSTICS))
         return extras, batch, weights, held
 
     @pytest.mark.parametrize("picked", [0, 1, 2], ids=["same-S", "one-hub",
@@ -324,10 +428,11 @@ class TestHeldSample:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
 
-        gains, diagnostics = estimate_schur_delta(graph, group, extras, config,
-                                                  seed=rng, held=held)
+        gains, sample, diagnostics = estimate_schur_delta(
+            graph, group, extras, config, seed=rng, held=held)
 
         assert rng.bit_generator.state == state  # nothing drawn
+        assert sample is held
         assert diagnostics == {**self.DIAGNOSTICS, "samples": 0.0,
                                "reused": 1.0}
         fresh_weights = weights.copy()
@@ -353,24 +458,26 @@ class TestHeldSample:
         config = SamplingConfig(eps=0.4, max_jl_dimension=16)
         # Same root set, but the drawing round's S is not in this S: its W
         # columns are zero where this round needs them, so it draws.
-        _, diagnostics = estimate_schur_delta(
+        _, sample, diagnostics = estimate_schur_delta(
             graph, [extras[0]], self.GROUP + extras[1:], config, seed=1,
             held=held)
         assert diagnostics["samples"] == config.sample_cap(graph.n)
         assert "reused" not in diagnostics
-        assert held.roots == tuple(sorted(self.GROUP + extras))
-        assert held.accumulator.tracked_roots == sorted(self.GROUP + extras[1:])
+        assert sample is not held and sample.diagnostics == diagnostics
+        assert sample.accumulator.roots == sorted(self.GROUP + extras)
+        assert sample.accumulator.tracked_roots == sorted(self.GROUP
+                                                          + extras[1:])
         # A pick outside T changes the root set.
-        _, diagnostics = estimate_schur_delta(
-            graph, self.GROUP + [100], extras, config, seed=1, held=held)
+        _, sample, diagnostics = estimate_schur_delta(
+            graph, self.GROUP + [100], extras, config, seed=1, held=sample)
         assert diagnostics["samples"] == config.sample_cap(graph.n)
-        assert held.roots == tuple(sorted(self.GROUP + [100] + extras))
+        assert sample.accumulator.roots == sorted(self.GROUP + [100] + extras)
 
 
 class TestFirstPick:
     def test_first_pick_has_small_pseudoinverse_diagonal(self, karate):
         config = SamplingConfig(eps=0.2, max_samples=800)
-        node, scores, _ = estimate_first_pick(karate, config, seed=7)
+        node, scores, _, _ = estimate_first_pick(karate, config, seed=7)
         diag = pseudoinverse_diagonal(karate)
         # The selected node must be among the best few nodes by exact L+_uu.
         order = np.argsort(diag)
@@ -381,13 +488,21 @@ class TestFirstPick:
     def test_one_extra_root_draws_as_without_extra_roots(self, karate,
                                                          extra_roots):
         config = SamplingConfig(eps=0.3)
-        node, scores, diagnostics = estimate_first_pick(karate, config, seed=7)
-        held = HeldSample()
+        node, scores, _, diagnostics = estimate_first_pick(karate, config,
+                                                           seed=7)
         same = estimate_first_pick(karate, config, seed=7,
-                                   extra_roots=extra_roots, held=held)
-        assert same[0] == node and same[2] == diagnostics
+                                   extra_roots=extra_roots)
+        assert same[0] == node and same[3] == diagnostics
         np.testing.assert_array_equal(same[1], scores)
-        assert held.accumulator is None
+        # One root and no JL rows: no Schur round reads it, since any root
+        # set S ∪ T of one has two roots or more.
+        held = same[2]
+        assert held.accumulator.roots == [int(np.argmax(karate.degrees))]
+        assert held.weights.shape == (0, karate.n)
+        _, sample, diagnostics = estimate_schur_delta(
+            karate, [5], held.accumulator.roots, config, seed=1, held=held)
+        assert "reused" not in diagnostics and sample is not held
+        assert diagnostics["samples"] == config.sample_cap(karate.n)
 
     @pytest.mark.parametrize("name", ["karate", "hub_ba"])
     def test_t_rooted_sample_is_exact_on_exact_sums(self, request,
@@ -396,30 +511,17 @@ class TestFirstPick:
         first pick scores ``L†_uu`` exactly, and a gain round rooted at
         ``T`` again reads the held JL rows: its gains are exact given W."""
         graph = request.getfixturevalue(name)
-
-        def exact_samples(accumulator, batch_size):
-            blocks = grounded_inverse_block(graph, [], accumulator.roots)
-            interior = blocks.interior
-            accumulator.projected_sum[:, interior] += batch_size * (
-                accumulator.weights[:, interior] @ blocks.inv_interior)
-            accumulator.diag_sum[interior] += (batch_size
-                                               * np.diag(blocks.inv_interior))
-            tracked = [accumulator.roots.index(t)
-                       for t in accumulator.tracked_roots]
-            accumulator.root_counts[interior] += (batch_size
-                                                  * blocks.absorption[:, tracked])
-            accumulator.count += batch_size
-
-        monkeypatch.setattr(ForestAccumulator, "add_samples", exact_samples)
+        monkeypatch.setattr(ForestAccumulator, "add_samples",
+                            exact_sums(graph))
         extras = choose_extra_roots(graph)
         assert len(extras) >= 2
         config = SamplingConfig(eps=0.3)
-        held = HeldSample()
-        _, scores, diagnostics = estimate_first_pick(
-            graph, config, seed=0, extra_roots=extras, held=held)
+        _, scores, held, diagnostics = estimate_first_pick(
+            graph, config, seed=0, extra_roots=extras)
         np.testing.assert_allclose(scores, pseudoinverse_diagonal(graph),
                                    rtol=0, atol=1e-10)
-        assert held.roots == tuple(sorted(extras))
+        assert held.accumulator.roots == sorted(extras)
+        assert held.accumulator.tracked_roots == sorted(extras)
         assert held.diagnostics == diagnostics
         # W is random on every column, the grounded node's too.
         assert held.weights.shape == (config.jl_rows(graph.n), graph.n)
@@ -428,9 +530,9 @@ class TestFirstPick:
         # A pick other than the grounded node s, so s is in T \ S.
         s = extras[int(np.argmax(graph.degrees[extras]))]
         group = [next(t for t in extras if t != s)]
-        gains, diagnostics = estimate_schur_delta(graph, group, extras, config,
-                                                  seed=1, held=held)
-        assert diagnostics["reused"]
+        gains, sample, diagnostics = estimate_schur_delta(
+            graph, group, extras, config, seed=1, held=held)
+        assert diagnostics["reused"] and sample is held
         inverse, kept = grounded_inverse(graph, group)
         columns = held.weights[:, kept] @ inverse
         expected = np.sum(columns * columns, axis=0) / np.diag(inverse)

@@ -18,7 +18,6 @@ from repro.experiments.runner import (
     evaluate_cfcc,
     methods_for_effectiveness,
     run_method,
-    sampling_config,
 )
 from repro.experiments.table2 import render_table2, run_table2
 
@@ -99,10 +98,12 @@ class TestRunner:
         finally:
             runner.EXACT_NODE_LIMIT = original
 
-    def test_sampling_config_respects_caps(self):
-        config = sampling_config(0.3, 24)
-        assert config.max_samples == 24
-        assert config.min_samples <= 24
+    def test_sampling_config_respects_caps(self, mini_graphs):
+        # The spec's cap reaches the sampler: eps = 0.3 alone asks for 89.
+        result = run_method(mini_graphs["mini-ba"], 3,
+                            RunSpec("schur", eps=0.3, max_samples=24))
+        assert result.parameters["max_samples"] == 24
+        assert max(entry["samples"] for entry in result.iteration_log) == 24
 
     def test_methods_for_effectiveness(self):
         with_exact = methods_for_effectiveness(include_exact=True)

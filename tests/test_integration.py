@@ -57,10 +57,10 @@ class TestEndToEndPipeline:
         assert enlarged <= base
 
     def test_smaller_eps_means_more_work(self, workload):
-        loose = SamplingConfig(eps=0.4, max_samples=4096, min_samples=8,
-                               initial_batch=8, max_jl_dimension=128)
-        tight = SamplingConfig(eps=0.15, max_samples=4096, min_samples=8,
-                               initial_batch=8, max_jl_dimension=128)
+        loose = SamplingConfig(eps=0.4, max_samples=4096,
+                               max_jl_dimension=128)
+        tight = SamplingConfig(eps=0.15, max_samples=4096,
+                               max_jl_dimension=128)
         assert tight.jl_rows(workload.n) > loose.jl_rows(workload.n)
         loose_run = repro.ForestCFCM(workload, seed=5, config=loose).run(2)
         tight_run = repro.ForestCFCM(workload, seed=5, config=tight).run(2)

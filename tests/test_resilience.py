@@ -516,6 +516,16 @@ class TestCheckpointRecovery:
         np.savez_compressed(path, **arrays)
         with pytest.raises(InvalidParameterError, match="checkpoint version"):
             DynamicCFCM.restore(str(path))
+        # A version-7 archive's config still holds two sampling fields this
+        # version no longer has: the typed refusal comes before
+        # SamplingConfig(**config) could raise a TypeError.
+        del arrays["pool0_jl"]
+        meta["checkpoint_version"] = 7
+        meta["engine"]["config"].update(min_samples=16, initial_batch=16)
+        arrays["meta"] = np.array(json.dumps(meta))
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(InvalidParameterError, match="checkpoint version"):
+            DynamicCFCM.restore(str(path))
 
 
 class TestFaultedWorlds:

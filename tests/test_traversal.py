@@ -127,6 +127,20 @@ class TestComponents:
     def test_is_connected(self, karate):
         assert is_connected(karate)
         assert not is_connected(Graph(3, [(0, 1)]))
+        # Random graphs against networkx, sparse enough that some split.
+        rng = np.random.default_rng(3)
+        graphs = [Graph(4, [(0, 1), (1, 2)]),                # an isolated node
+                  Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),  # two components
+                  Graph(5, [])]
+        for n in (2, 5, 12, 40):
+            for p in (0.05, 0.15, 0.4):
+                graphs.append(Graph(n, [(u, v) for u in range(n)
+                                        for v in range(u + 1, n)
+                                        if rng.random() < p]))
+        verdicts = [is_connected(graph) for graph in graphs]
+        assert verdicts == [nx.is_connected(to_networkx(graph))
+                            for graph in graphs]
+        assert verdicts.count(True) >= 3 and verdicts.count(False) >= 3
 
     def test_single_node_connected(self):
         assert is_connected(Graph(1, []))
