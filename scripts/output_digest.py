@@ -2,7 +2,7 @@
 
 Runs five fixed-seed paths through the library and hashes every value they
 return, floats as ``float.hex`` so that a digest changes with any bit.  It
-prints six lines:
+prints eight lines:
 
 * ``select``: SchurCFCM (k = 4, eps = 0.2, seeds 1-5) on the ``select``
   workload's graph, powerlaw_cluster(1000, 4, 0.3, seed 7): groups and
@@ -13,9 +13,11 @@ prints six lines:
   decisions moved;
 * ``schur-small-T``: SchurCFCM (k = 4, eps = 0.2, seeds 1-2) on the 20x20
   grid and on WS(400, 4, 0.05, seed 13), graphs without hubs, where the
-  extra root set ``T`` is the single top hub: groups and iteration logs;
+  extra root set ``T`` is the single top hub: groups and iteration logs,
+  and ``schur-small-T-groups``, their groups alone;
 * ``forest``: ForestCFCM (k = 4, eps = 0.2, seeds 1-2) on the ``select``
-  graph, a hub graph run with ``T`` empty: groups and iteration logs;
+  graph, a hub graph run with ``T`` empty: groups and iteration logs, and
+  ``forest-groups``, their groups alone;
 * ``dynamic``: ``DynamicCFCM(backend="auto")`` on BA(2000, 3), which picks
   the sparse backend: 240 edge and node events in 6 bursts, each followed by
   exact reads and per-node resistances;
@@ -85,38 +87,36 @@ def select_graph():
     return generators.powerlaw_cluster(1000, 4, 0.3, seed=7)
 
 
-def select_paths() -> dict:
-    graph = select_graph()
+def greedy_paths(name: str, runs) -> dict:
+    """The ``name`` line over every call's group and iteration log, and the
+    ``name-groups`` line over the groups alone."""
     outputs, groups = Digest(), Digest()
-    for seed in range(1, 6):
-        result = repro.maximize_cfcc(graph, 4, method="schur", eps=0.2, seed=seed)
+    for graph, method, seed in runs:
+        result = repro.maximize_cfcc(graph, 4, method=method, eps=0.2,
+                                     seed=seed)
         outputs.add(list(result.group))
         outputs.add(result.iteration_log)
         groups.add(list(result.group))
-    return {"select": outputs.hexdigest(), "select-groups": groups.hexdigest()}
+    return {name: outputs.hexdigest(), f"{name}-groups": groups.hexdigest()}
 
 
-def small_t_path() -> str:
-    digest = Digest()
-    for graph in (generators.grid_graph(20, 20),
-                  generators.watts_strogatz(400, 4, 0.05, seed=13)):
-        for seed in (1, 2):
-            result = repro.maximize_cfcc(graph, 4, method="schur", eps=0.2,
-                                         seed=seed)
-            digest.add(list(result.group))
-            digest.add(result.iteration_log)
-    return digest.hexdigest()
-
-
-def forest_path() -> str:
+def select_paths() -> dict:
     graph = select_graph()
-    digest = Digest()
-    for seed in (1, 2):
-        result = repro.maximize_cfcc(graph, 4, method="forest", eps=0.2,
-                                     seed=seed)
-        digest.add(list(result.group))
-        digest.add(result.iteration_log)
-    return digest.hexdigest()
+    return greedy_paths("select", [(graph, "schur", seed)
+                                   for seed in range(1, 6)])
+
+
+def small_t_paths() -> dict:
+    return greedy_paths("schur-small-T", [
+        (graph, "schur", seed)
+        for graph in (generators.grid_graph(20, 20),
+                      generators.watts_strogatz(400, 4, 0.05, seed=13))
+        for seed in (1, 2)])
+
+
+def forest_paths() -> dict:
+    graph = select_graph()
+    return greedy_paths("forest", [(graph, "forest", seed) for seed in (1, 2)])
 
 
 def _probe_nodes(graph, group, count):
@@ -164,11 +164,11 @@ def sharded_path() -> str:
 
 
 def main() -> None:
-    for name, digest in select_paths().items():
-        print(f"{name:13s} {digest}")
-    for name, path in (("schur-small-T", small_t_path), ("forest", forest_path),
-                       ("dynamic", dynamic_path), ("sharded", sharded_path)):
-        print(f"{name:13s} {path()}")
+    for paths in (select_paths, small_t_paths, forest_paths):
+        for name, digest in paths().items():
+            print(f"{name:20s} {digest}")
+    for name, path in (("dynamic", dynamic_path), ("sharded", sharded_path)):
+        print(f"{name:20s} {path()}")
 
 
 if __name__ == "__main__":

@@ -77,8 +77,9 @@ a 1000-node power-law graph, half on a grid), so only those subtrees are
 summed: every node's weights go to its lowest read ancestor, and the read
 nodes add their totals into each other's a level at a time
 (:meth:`~repro.sampling.batch.ForestBatch.subtree_sum_rows`).  The sum
-along BFS paths is linear, so the batched fold first sums the terms of all
-forests of a batch and then takes the BFS-level prefix once.
+along BFS paths is linear, so the accumulator keeps the terms raw: every
+fold adds its forests' terms node by node, and a read takes the BFS-level
+prefix once, on the total.
 
 The diagonal estimator for ``u`` restricts the same sum to the contribution
 of ``u`` itself, i.e. keeps a term only when ``x`` (resp. ``b_x``) is a
@@ -103,11 +104,7 @@ from repro.graph.graph import Graph
 from repro.graph.traversal import bfs_tree
 from repro.linalg.jl import jl_dimension
 from repro.obs.tracing import trace
-from repro.sampling.batch import (
-    ForestBatch,
-    LOCKSTEP_STATE_LIMIT,
-    sample_forest_batch_vectorized,
-)
+from repro.sampling.batch import ForestBatch, sample_forest_batch_vectorized
 from repro.utils.rng import RandomState, as_rng
 from repro.utils.validation import check_integer
 
@@ -513,9 +510,11 @@ class ForestAccumulator:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.ndim != 2 or weights.shape[1] != n:
             raise InvalidParameterError(f"weights must have shape (w, {n})")
-        weights = weights.copy()
-        weights[:, self.roots] = 0.0
-        self.weights = weights
+        # A node-major copy, so the subtree-sum kernel, which reads the
+        # ``(n, w)`` transpose, copies nothing per fold.
+        weights = np.array(weights.T, order="C")
+        weights[self.roots] = 0.0
+        self.weights = weights.T
 
         self.tracked_roots = sorted(set(int(t) for t in tracked_roots or []))
         unknown = set(self.tracked_roots) - set(self.roots)
@@ -524,12 +523,17 @@ class ForestAccumulator:
                 f"tracked roots {sorted(unknown)} are not part of the root set"
             )
 
-        rows = weights.shape[0]
         #: Forests folded in so far.
         self.count = 0
-        self.projected_sum = np.zeros((rows, n))
+        # Row u sums the projected terms every folded forest adds at u, raw:
+        # a read sums them along u's fixed path (the prefix is linear).
+        self._terms = np.zeros_like(weights)
         self.diag_sum = np.zeros(n)
         self.root_counts = np.zeros((n, len(self.tracked_roots)))
+        # Column of each node's tracked root in ``root_counts``, -1 if none.
+        self._root_column = np.full(n, -1, dtype=np.int64)
+        self._root_column[self.tracked_roots] = np.arange(
+            len(self.tracked_roots))
 
     # ----------------------------------------------------------------- sampling
     def add_samples(self, batch_size: int) -> None:
@@ -538,34 +542,29 @@ class ForestAccumulator:
         Forests are drawn with the lockstep vectorised sampler, in
         memory-bounded chunks, and folded through :meth:`add_batch`.
         """
-        remaining = int(batch_size)
-        if remaining <= 0:
-            return
-        n = self.graph.n
-        rows = max(self.weights.shape[0], 1)
-        # Bound both the sampler's (B, n) state and the (K, w) subtree sums
-        # of the batched fold (K <= B * n).  The chunks also split the
-        # sampler's random stream, so this cap fixes which forests are drawn.
-        chunk_cap = max(1, min(LOCKSTEP_STATE_LIMIT // max(n, 1),
-                               (1 << 24) // max(n * rows, 1)))
-        while remaining > 0:
-            take = min(remaining, chunk_cap)
-            batch = sample_forest_batch_vectorized(self.graph, self.roots,
-                                                   take, seed=self.rng)
-            self.add_batch(batch)
-            remaining -= take
+        # Bound the (K, w) subtree sums of the batched fold (K <= B * n).
+        # This is below the sampler's own bound on its (B, n) state, so each
+        # chunk is one sampler draw.  The chunks split the sampler's random
+        # stream, so this cap fixes which forests are drawn.
+        total = int(batch_size)
+        n, rows = self._terms.shape
+        chunk_cap = max(1, (1 << 24) // (n * max(rows, 1)))
+        for start in range(0, total, chunk_cap):
+            self.add_batch(sample_forest_batch_vectorized(
+                self.graph, self.roots, min(chunk_cap, total - start),
+                seed=self.rng))
 
     def add_batch(self, batch: ForestBatch, method: str = "batched") -> None:
         """Fold a whole :class:`~repro.sampling.batch.ForestBatch` in at once.
 
         ``method="batched"`` (the default) runs the fully vectorised
         ``(B, n)`` fold of :meth:`_fold_batched`: the subtree sums the
-        projected estimators read, reduced over the batch, and a diagonal
-        walk on the batch's DFS preorder whose Python loop runs τ times
-        (the longest fixed path) for the whole batch, and one ``bincount``
-        of the tracked roots' rooted-at pairs.  ``method="scalar"``
-        folds each forest through the per-forest reference :meth:`_fold`
-        (the chi-square baseline), on every node's subtree sums; both paths
+        projected estimators read, reduced over the batch, a diagonal walk
+        on the batch's DFS preorder whose Python loop runs τ times (the
+        longest fixed path) for the whole batch, and one unbuffered add of
+        the tracked roots' rooted-at pairs.  ``method="scalar"`` folds each
+        forest through the per-forest reference :meth:`_fold` (the
+        chi-square baseline), on every node's subtree sums; both paths
         produce the same running sums up to float summation order.
 
         The dynamic engine does not fold its importance-weighted pools
@@ -618,23 +617,17 @@ class ForestAccumulator:
         bfs_parent = path.parent
         nonroot = path.nonroot
 
-        # Projected (weight-vector) estimators: forest-subtree sums of the
-        # weights, folded along the BFS tree with per-level prefix sums.
+        # Projected (weight-vector) estimators: each node's raw term from
+        # the forest-subtree sums of the weights; a read sums them along
+        # the BFS paths.
         if subtree is not None:
             # alpha_x: the forest parent edge of x coincides with its BFS
             # edge; beta_x: the forest parent edge of x's BFS parent points
             # back at x, i.e. the BFS edge of x is traversed downward.
             alpha = parent[nonroot] == bfs_parent[nonroot]
             beta = parent[bfs_parent[nonroot]] == nonroot
-            contribution = np.zeros_like(subtree)
-            contribution[:, nonroot] = (
-                subtree[:, nonroot] * alpha
-                - subtree[:, bfs_parent[nonroot]] * beta
-            )
-            projected = np.zeros_like(subtree)
-            for nodes in path.levels()[1:]:
-                projected[:, nodes] = projected[:, bfs_parent[nodes]] + contribution[:, nodes]
-            self.projected_sum += projected
+            self._terms[nonroot] += (subtree[:, nonroot] * alpha
+                                     - subtree[:, bfs_parent[nonroot]] * beta).T
 
         # Diagonal estimators: every node climbs its own forest path, unlike
         # the batched fold's walk along the fixed paths.
@@ -659,35 +652,26 @@ class ForestAccumulator:
           summed (:meth:`~repro.sampling.batch.ForestBatch.subtree_sum_rows`,
           whose Python loop runs once per level of the forest those
           subtrees' tops form); their signed terms are summed over the
-          batch into one ``(w, n)`` contribution, and the path-level prefix
-          is applied once to that total.  The prefix is linear, so this
-          equals prefixing every forest and summing, without ever building
-          a ``(B, w, n)`` tensor;
+          batch into the raw node-major terms, without ever building a
+          ``(B, w, n)`` tensor.  The path prefix waits for a read;
         * diagonal estimators: every node's fixed path (at most τ steps) is
           walked, with forest ancestry tested by preorder intervals;
-        * rooted-at counts from the batched pointer-doubling root map, in
-          one ``bincount`` over ``(node, tracked-root column)`` pairs, where
-          every untracked root falls in a spare last column.
+        * rooted-at counts from the batched pointer-doubling root map, with
+          one unbuffered add per (forest, node) pair whose root is tracked.
         """
-        n = self.graph.n
         if self.weights.shape[0]:
             _, targets, signs, terms, sums = _projected_terms(
                 batch, self._path, self.weights)
             reduce = sp.csr_matrix((signs, (targets, terms)),
-                                   shape=(n, sums.shape[0]))
-            contribution = reduce @ sums
-            _path_prefix(contribution, self._path)
-            self.projected_sum += contribution.T
+                                   shape=(self.graph.n, sums.shape[0]))
+            self._terms += reduce @ sums
 
         self.diag_sum += _path_walk_diag(batch, self._path).sum(axis=0)
 
         if self.tracked_roots:
-            width = len(self.tracked_roots) + 1
-            column = np.full(n, width - 1, dtype=np.int64)
-            column[self.tracked_roots] = np.arange(width - 1)
-            pairs = np.arange(n) * width + column[batch.root_of()]
-            counts = np.bincount(pairs.ravel(), minlength=n * width)
-            self.root_counts += counts.reshape(n, width)[:, :-1]
+            columns = self._root_column[batch.root_of()]
+            cells = np.arange(self.graph.n) * len(self.tracked_roots) + columns
+            np.add.at(self.root_counts.reshape(-1), cells[columns >= 0], 1.0)
 
         self.count += batch.batch_size
 
@@ -695,7 +679,10 @@ class ForestAccumulator:
     def projected_estimates(self) -> np.ndarray:
         """``(w, n)`` estimates of ``w_j^T inv(L_{-roots}) e_u``."""
         self._require_samples()
-        return self.projected_sum / self.count
+        estimates = self._terms.copy()
+        _path_prefix(estimates, self._path)
+        estimates /= self.count
+        return estimates.T
 
     def diag_estimates(self) -> np.ndarray:
         """``(n,)`` estimates of ``(inv(L_{-roots}))_uu`` (zero on roots)."""

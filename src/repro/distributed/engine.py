@@ -133,7 +133,8 @@ class _ShardCoupling:
     ``rows`` maps the global id of every kept row (the shard's interior
     minus the group) to its tracker row; ``w`` holds ``W_i`` as
     ``{(row, tcol): -w}`` over ``T'`` positions, and :attr:`csr` is a CSR
-    view of it that :meth:`shift` drops whenever an entry changes.
+    view of it that :meth:`shift` drops whenever an entry changes, along
+    with the solved block of :meth:`coupling_block`.
 
     Tracker rows and ``kept`` positions coincide: shard trackers only ever
     see edge events (the engine rebuilds on node events), so their factors
@@ -151,6 +152,8 @@ class _ShardCoupling:
         self.w: Dict[Tuple[int, int], float] = {}
         self.tp = tp
         self._csr: Optional[sp.csr_matrix] = None
+        # ((backend, epoch), solve_active() result) of the kept block.
+        self._solved: Optional[tuple] = None
 
     @property
     def csr(self) -> sp.csr_matrix:
@@ -175,7 +178,7 @@ class _ShardCoupling:
             self.w.pop(key, None)  # exact zero, no float residue
         else:
             self.w[key] = self.w.get(key, 0.0) + delta_w
-        self._csr = None
+        self._csr = self._solved = None
 
     def solve_active(self) -> Tuple[List[int], sp.csr_matrix, np.ndarray]:
         """``(active, W_a, A_i⁻¹W_a)`` over the nonzero columns of ``W_i``.
@@ -194,6 +197,24 @@ class _ShardCoupling:
             block = slice(lo, lo + SOLVE_BLOCK)
             solved[:, block] = backend.solve_many(w_a[:, block].toarray())
         return active, w_a, solved
+
+    def coupling_block(self) -> Tuple[List[int], sp.csr_matrix, np.ndarray]:
+        """:meth:`solve_active`, kept while ``W_i``, the backend and its epoch
+        (bumped by every mutation and refactorisation) stay unchanged where
+        the cross term is exact, which reads the block after ``S_c`` does."""
+        backend = self.tracker.backend
+        stamp = (backend, backend._epoch)
+        if self._solved is None or self._solved[0] != stamp:
+            if not self._exact:
+                return self.solve_active()
+            self._solved = (stamp, self.solve_active())
+        return self._solved[1]
+
+    @property
+    def _exact(self) -> bool:
+        """Whether :meth:`coupling_trace` solves its cross term exactly."""
+        backend = self.tracker.backend
+        return backend.name == "dense" or backend.n <= EXACT_COUPLING_ROWS
 
     def fold(self, triples: List[Tuple[int, Optional[int], float]],
              dwsum: Dict[Tuple[int, int], float]
@@ -292,12 +313,11 @@ class _ShardCoupling:
         """
         if m.size == 0 or not self.w:
             return 0.0
-        backend = self.tracker.backend
-        if backend.name == "dense" or backend.n <= EXACT_COUPLING_ROWS:
-            active, _, solved = self.solve_active()
+        if self._exact:
+            active, _, solved = self.coupling_block()
             return float(np.sum(m[np.ix_(active, active)]
                                 * (solved.T @ solved)))
-        _, y = backend.probe_block()
+        _, y = self.tracker.backend.probe_block()
         g = self.csr.T @ y  # (tp, probes)
         return float(np.mean(np.sum(g * (m @ g), axis=0)))
 
@@ -368,7 +388,7 @@ class _GroupState:
             self.links[si].w[(row, col)] = val
         for link in self.links.values():
             if tp and link.w:
-                active, w_a, solved = link.solve_active()
+                active, w_a, solved = link.coupling_block()
                 schur[np.ix_(active, active)] -= np.asarray(w_a.T @ solved)
         self.schur = schur
         self.M = (np.linalg.inv(schur) if tp

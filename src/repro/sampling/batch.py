@@ -601,20 +601,12 @@ def sample_forest_batch_vectorized(graph: Graph, roots, count: int,
             rows = [sample_rooted_forest(graph, roots, seed=rng).parent
                     for _ in range(count)]
             return ForestBatch(parent=np.vstack(rows), roots=root_arr)
-        chunk = max(1, LOCKSTEP_STATE_LIMIT // max(n, 1))
-        if count > chunk:
-            pieces = []
-            remaining = count
-            while remaining > 0:
-                take = min(remaining, chunk)
-                pieces.append(_sample_chunk(graph, root_arr, take, rng))
-                _LOCKSTEP_CHUNKS.inc()
-                remaining -= take
-            span.set(chunks=len(pieces))
-            return ForestBatch(parent=np.vstack(pieces), roots=root_arr)
-        parent = _sample_chunk(graph, root_arr, count, rng)
-        _LOCKSTEP_CHUNKS.inc()
-        span.set(chunks=1)
+        chunk = max(1, LOCKSTEP_STATE_LIMIT // n)
+        pieces = [_sample_chunk(graph, root_arr, min(chunk, count - start), rng)
+                  for start in range(0, count, chunk)]
+        _LOCKSTEP_CHUNKS.inc(len(pieces))
+        span.set(chunks=len(pieces))
+        parent = pieces[0] if len(pieces) == 1 else np.vstack(pieces)
         return ForestBatch(parent=parent, roots=root_arr)
 
 

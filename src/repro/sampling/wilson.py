@@ -123,12 +123,12 @@ def empirical_root_distribution(graph: Graph, roots: Sequence[int],
     sampled counterpart of the absorption matrix ``F`` of Lemma 4.2, used by
     tests to check the sampler against the exact linear-algebra values.
 
-    ``method="lockstep"`` (the default) draws the samples with the
-    vectorised batch sampler in memory-bounded chunks and accumulates each
-    chunk with one ``bincount``; ``method="scalar"`` draws them one at a
-    time with this module's sampler (one vectorised ``np.add.at`` per
-    sample), which is what the lockstep kernel's distributional-equivalence
-    tests compare against.
+    ``method="lockstep"`` (the default) draws the samples in one call of
+    the vectorised batch sampler, which chunks them by its own memory
+    bound; ``method="scalar"`` draws them one at a time with this module's
+    sampler, which is what the lockstep kernel's distributional-equivalence
+    tests compare against.  Either way the stacked rooted-at maps are
+    counted with one unbuffered ``np.add.at``.
     """
     method = str(method).lower()
     if method not in ("lockstep", "scalar"):
@@ -140,24 +140,16 @@ def empirical_root_distribution(graph: Graph, roots: Sequence[int],
     width = len(roots_sorted)
     column = np.full(n, -1, dtype=np.int64)
     column[roots_sorted] = np.arange(width, dtype=np.int64)
-    counts = np.zeros((n, width), dtype=np.float64)
     rng = as_rng(seed)
-    nodes = np.arange(n)
     if method == "scalar":
-        for _ in range(samples):
-            forest = sample_rooted_forest(graph, roots_sorted, seed=rng)
-            np.add.at(counts, (nodes, column[forest.root_of()]), 1.0)
-        return counts / max(samples, 1)
+        root_of = [sample_rooted_forest(graph, roots_sorted, seed=rng).root_of()
+                   for _ in range(samples)]
+    else:
+        from repro.sampling.batch import sample_forest_batch_vectorized
 
-    from repro.sampling.batch import LOCKSTEP_STATE_LIMIT, sample_forest_batch_vectorized
-
-    chunk_size = max(1, LOCKSTEP_STATE_LIMIT // max(n, 1))
-    remaining = int(samples)
-    cell = nodes * width  # flat (node, column) cell index base
-    while remaining > 0:
-        take = min(remaining, chunk_size)
-        batch = sample_forest_batch_vectorized(graph, roots_sorted, take, seed=rng)
-        flat = (cell[None, :] + column[batch.root_of()]).reshape(-1)
-        counts += np.bincount(flat, minlength=n * width).reshape(n, width)
-        remaining -= take
+        root_of = sample_forest_batch_vectorized(graph, roots_sorted, samples,
+                                                 seed=rng).root_of()
+    root_of = np.asarray(root_of, dtype=np.int64).reshape(-1, n)
+    counts = np.zeros((n, width), dtype=np.float64)
+    np.add.at(counts, (np.arange(n), column[root_of]), 1.0)
     return counts / max(samples, 1)

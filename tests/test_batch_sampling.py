@@ -340,7 +340,10 @@ class TestAccumulatorBatchFold:
         batched.add_batch(batch)
 
         assert batched.count == one_by_one.count == 12
-        assert np.allclose(batched.projected_sum, one_by_one.projected_sum)
+        # Both reads divide their sums by 12, so the sums' absolute
+        # tolerance reads 1e-8 / 12 on them.
+        assert np.allclose(batched.projected_estimates(),
+                           one_by_one.projected_estimates(), atol=1e-8 / 12)
         assert np.allclose(batched.diag_sum, one_by_one.diag_sum)
         assert np.allclose(batched.root_counts, one_by_one.root_counts)
 

@@ -270,6 +270,32 @@ class TestArrayBuild:
 class TestShardedCorrectness:
     """Satellite: stitched answers match the dense reference to 1e-8."""
 
+    def test_coupling_block_is_solved_once_per_version(self, monkeypatch):
+        # Each shard's A_i⁻¹W_a is solved once for the group state's S_c and
+        # the exact read's cross term together, and after an edge event only
+        # in the shard whose backend it changed.
+        graph = DynamicGraph(generators.grid_graph(40, 40))
+        engine = ShardedCFCM(graph, shards=4, seed=0, backend="dense")
+        group = (0, 820)
+        columns = []
+        solve_active = sharded_engine._ShardCoupling.solve_active
+
+        def counting(link):
+            result = solve_active(link)
+            columns.append(len(result[0]))
+            return result
+
+        monkeypatch.setattr(sharded_engine._ShardCoupling, "solve_active",
+                            counting)
+        engine.evaluate_exact(group)
+        assert len(columns) == 4 and sum(columns) == 328
+        assert engine.partition.home[1] == engine.partition.home[2] == 0
+        graph.update_weight(1, 2, 2.0)
+        inverse, _ = dense_reference(graph, group)
+        assert engine.evaluate_exact(group) == pytest.approx(
+            graph.n / np.trace(inverse), abs=1e-8)
+        assert len(columns) == 5
+
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     @pytest.mark.parametrize("shards", [2, 4])
     def test_mixed_churn_matches_reference(self, backend, shards):

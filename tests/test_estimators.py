@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.graph import generators
+from repro.centrality import estimators
 from repro.centrality.estimators import (
     INITIAL_BATCH,
     ForestAccumulator,
@@ -51,13 +52,21 @@ def loop_schur_complement(graph, group, extras, fractions):
 def exact_sums(graph):
     """An ``add_samples`` that folds every forest's expectation instead of
     drawing it: exact ``W inv(L_UU)``, ``diag(inv(L_UU))`` and rooted-at
-    fractions of the accumulator's root set."""
+    fractions of the accumulator's root set.  ``W inv(L_UU)`` goes in as
+    raw path terms, ``exact[u] - exact[path parent of u]``, which a read
+    sums back along the fixed paths."""
 
     def add_samples(accumulator, batch_size):
         blocks = grounded_inverse_block(graph, [], accumulator.roots)
         interior = blocks.interior
-        accumulator.projected_sum[:, interior] += batch_size * (
-            accumulator.weights[:, interior] @ blocks.inv_interior)
+        exact = np.zeros(accumulator.weights.shape)
+        exact[:, interior] = (accumulator.weights[:, interior]
+                              @ blocks.inv_interior)
+        nonroot = accumulator._path.nonroot
+        raw = np.zeros_like(exact)
+        raw[:, nonroot] = (exact[:, nonroot]
+                           - exact[:, accumulator._path.parent[nonroot]])
+        accumulator._terms += batch_size * raw.T
         accumulator.diag_sum[interior] += (batch_size
                                            * np.diag(blocks.inv_interior))
         tracked = [accumulator.roots.index(t)
@@ -175,6 +184,40 @@ class TestForestAccumulator:
         fractions = accumulator.root_fractions()
         observed = fractions[interior]
         assert np.max(np.abs(observed - exact)) < 0.1
+
+    def test_chunked_fold_reads_as_one_batch(self, hub_ba, monkeypatch):
+        """Twenty chunks of two forests read as the forty folded at once,
+        and the path prefix runs once per read, never per chunk."""
+        roots = sorted(int(v) for v in np.argsort(-hub_ba.degrees)[:4])
+        weights = rademacher_weights(6, hub_ba.n, roots,
+                                     np.random.default_rng(3))
+        batch = sample_forest_batch_vectorized(hub_ba, roots, 40, seed=9)
+
+        def accumulator():
+            # The first root is left untracked, so the counts must skip it.
+            return ForestAccumulator(hub_ba, roots, weights=weights,
+                                     tracked_roots=roots[1:], seed=0)
+
+        whole = accumulator()
+        whole.add_batch(batch)
+        prefixes = []
+        path_prefix = estimators._path_prefix
+
+        def counting(values, path):
+            prefixes.append(values.shape)
+            path_prefix(values, path)
+
+        monkeypatch.setattr(estimators, "_path_prefix", counting)
+        chunked = accumulator()
+        for start in range(0, 40, 2):
+            chunked.add_batch(batch.select(np.arange(start, start + 2)))
+        assert chunked.count == 40 and prefixes == []
+        projected = chunked.projected_estimates()
+        assert len(prefixes) == 1
+        np.testing.assert_allclose(projected, whole.projected_estimates(),
+                                   rtol=0, atol=1e-12)
+        assert np.array_equal(chunked.diag_estimates(), whole.diag_estimates())
+        assert np.array_equal(chunked.root_fractions(), whole.root_fractions())
 
     def test_requires_samples_before_results(self, karate):
         accumulator = ForestAccumulator(karate, [0], seed=0)

@@ -331,8 +331,10 @@ class TestWeightedBatchedFold:
         batched.add_batch(batch)
 
         assert batched.count == scalar.count == 15
-        np.testing.assert_allclose(batched.projected_sum, scalar.projected_sum,
-                                   atol=1e-9)
+        # Both reads divide their sums by 15, so the sums' absolute
+        # tolerance reads 1e-9 / 15 on them.
+        np.testing.assert_allclose(batched.projected_estimates(),
+                                   scalar.projected_estimates(), atol=1e-9 / 15)
         np.testing.assert_allclose(batched.diag_sum, scalar.diag_sum, atol=1e-9)
         np.testing.assert_allclose(batched.root_counts, scalar.root_counts,
                                    atol=1e-9)
@@ -355,7 +357,8 @@ class TestWeightedBatchedFold:
             single = ForestAccumulator(graph, roots, weights=jl, seed=0)
             single._path = path
             single.add_batch(batch.select([index]), method="scalar")
-            np.testing.assert_allclose(projected[index], single.projected_sum,
+            np.testing.assert_allclose(projected[index],
+                                       single.projected_estimates(),
                                        rtol=1e-12, atol=1e-12)
             assert np.array_equal(diag[index], single.diag_sum)
 
